@@ -505,50 +505,5 @@ def _write_manifest(cfg, kind, seed, threads, out, checks, t0, status):
     os.replace(tmp, os.path.join(out, "manifest.json"))
 
 
-# ---------------------------------------------------------------------------
-# plot-data emission
-
-def emit_phase_sweep(path: str, eps: float = 1e-4, grid: int = 41) -> None:
-    """Three-region classification table over (1/a, 1/b)."""
-    from .params import params_from_mu
-    se = math.sqrt(eps)
-    p = 0.5 * math.exp(se)
-    q = 0.5 * math.exp(-se)
-    rows = []
-    for ia in np.linspace(0.5, 1.5, grid):
-        for ib in np.linspace(0.5, 1.5, grid):
-            a, b = 1.0 / ia, 1.0 / ib
-            mu_a = 2.0 * (q + a * p) / (1.0 + a)
-            mu_b = 2.0 * (q + b * p) / (1.0 + b)
-            try:
-                d = phase_point(params_from_mu(eps, mu_a, mu_b))
-            except ValueError:
-                continue
-            rows.append((ia, ib, d.phase.value, d.current))
-    with open(path, "w") as fh:
-        for ia, ib, ph, cur in rows:
-            fh.write(f"{ia:.17g} {ib:.17g} {ph} {cur:.17g}\n")
-
-
-def emit_eigenvalue_brackets(path: str, n: int, mu_a: float, mu_b: float) -> None:
-    spec = solve_interval_spectrum(n, mu_a, mu_b)
-    with open(path, "w") as fh:
-        for k in range(n + 1):
-            fh.write(f"{k} {spec.omegas[k]:.17g} {k*math.pi/(n+1):.17g} "
-                     f"{(k+1)*math.pi/(n+1):.17g}\n")
-
-
-def emit_convergence_trend(path: str, rows: list[dict]) -> None:
-    """Columns (eps, var_gap, mc_sigma) averaged over X per epsilon."""
-    agg: dict[float, list] = {}
-    for r in rows:
-        agg.setdefault(r["epsilon"], []).append((r["var_gap"], r.get("var_sigma", 0.0)))
-    with open(path, "w") as fh:
-        for eps in sorted(agg, reverse=True):
-            g = np.mean([v for v, _ in agg[eps]])
-            s = np.mean([s_ for _, s_ in agg[eps]])
-            fh.write(f"{eps:.17g} {g:.17g} {s:.17g}\n")
-
-
 if __name__ == "__main__":
     sys.exit(main())

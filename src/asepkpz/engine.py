@@ -34,7 +34,6 @@ __all__ = [
     "event_rates",
     "halfline_truncation_length",
     "simulate",
-    "sos_simulate",
     "exact_generator",
     "stationary_measure",
     "mean_current",
@@ -436,138 +435,6 @@ def simulate(initial: Configuration, params: ModelParams, lattice: Lattice,
                       z_int=out_S1 if track else None,
                       z2_int=out_S2 if track else None)
     return traj
-
-
-def sos_simulate(initial: HeightField, params: ModelParams, lattice: Lattice,
-                 horizon: float, sample_times, seed) -> Trajectory:
-    """Independent solid-on-solid implementation of the same dynamics.
-
-    Interior heights flip up by 2 at rate q in local valleys and down by 2
-    at rate p at local peaks; h(0) moves down at rate alpha / up at rate
-    gamma according to the first slope, h(N) up at rate delta / down at
-    rate beta according to the last slope.  Used as a cross-check against
-    the particle implementation, not as its backend.
-    """
-    n = lattice.n_sites
-    h = [int(v) for v in initial.h]
-    if len(h) != n + 1:
-        raise ValueError("height field does not match lattice")
-    if any(abs(h[i + 1] - h[i]) != 1 for i in range(n)):
-        raise ValueError("initial field violates unit slopes")
-    sample_times = np.asarray(sample_times, dtype=float)
-    interval = lattice.has_right_reservoir
-    p, q = params.p, params.q
-    alpha, beta, gamma, delta = params.alpha, params.beta, params.gamma, params.delta
-
-    def interior_rate(x):
-        lap = h[x - 1] - 2 * h[x] + h[x + 1]
-        if lap == 2:
-            return q
-        if lap == -2:
-            return p
-        return 0.0
-
-    def left_rate():
-        return gamma if h[1] - h[0] == 1 else alpha
-
-    def right_rate():
-        return delta if h[n - 1] - h[n] == 1 else beta
-
-    chan = [interior_rate(x) for x in range(1, n)]
-    LEFT = len(chan)
-    chan.append(left_rate())
-    if interval:
-        RIGHT = LEFT + 1
-        chan.append(right_rate())
-    total = sum(chan)
-    uni = _Uniforms(replica_rng(seed, 0) if not isinstance(seed, np.random.Generator) else seed)
-
-    out_etas, out_h0s, out_heights = [], [], []
-
-    def snapshot():
-        arr = np.array(h, dtype=np.int64)
-        out_heights.append(arr)
-        out_h0s.append(h[0])
-        out_etas.append(np.diff(arr).astype(np.int8))
-
-    t = 0.0
-    events = 0
-    next_sample = 0
-    while True:
-        if total <= 0.0:
-            t_next = math.inf
-        else:
-            t_next = t + (-math.log(1.0 - uni.next())) / total
-        while next_sample < len(sample_times) and sample_times[next_sample] <= min(t_next, horizon):
-            snapshot()
-            next_sample += 1
-        if t_next > horizon:
-            break
-        t = t_next
-        r = uni.next() * total
-        idx = -1
-        run = 0.0
-        for i_, w in enumerate(chan):
-            run += w
-            if r < run:
-                idx = i_
-                break
-        if idx < 0:
-            idx = max(i_ for i_, w in enumerate(chan) if w > 0.0)
-
-        if idx < LEFT:
-            x = idx + 1
-            lap = h[x - 1] - 2 * h[x] + h[x + 1]
-            h[x] += 2 if lap == 2 else -2
-            for xx in (x - 1, x, x + 1):
-                if 1 <= xx <= n - 1:
-                    total -= chan[xx - 1]
-                    chan[xx - 1] = interior_rate(xx)
-                    total += chan[xx - 1]
-            if x == 1:
-                total -= chan[LEFT]
-                chan[LEFT] = left_rate()
-                total += chan[LEFT]
-            if interval and x == n - 1:
-                total -= chan[RIGHT]
-                chan[RIGHT] = right_rate()
-                total += chan[RIGHT]
-        elif idx == LEFT:
-            h[0] += 2 if h[1] - h[0] == 1 else -2
-            total -= chan[LEFT]
-            chan[LEFT] = left_rate()
-            total += chan[LEFT]
-            if n >= 2:
-                total -= chan[0]
-                chan[0] = interior_rate(1)
-                total += chan[0]
-            if interval and n == 1:
-                total -= chan[RIGHT]
-                chan[RIGHT] = right_rate()
-                total += chan[RIGHT]
-        else:
-            h[n] += 2 if h[n - 1] - h[n] == 1 else -2
-            total -= chan[RIGHT]
-            chan[RIGHT] = right_rate()
-            total += chan[RIGHT]
-            if n >= 2:
-                total -= chan[n - 2]
-                chan[n - 2] = interior_rate(n - 1)
-                total += chan[n - 2]
-            if n == 1:
-                total -= chan[LEFT]
-                chan[LEFT] = left_rate()
-                total += chan[LEFT]
-        events += 1
-        if events % _REFRESH_EVERY == 0:
-            total = sum(chan)
-
-    while next_sample < len(sample_times):
-        snapshot()
-        next_sample += 1
-    return Trajectory(sample_times=sample_times, etas=out_etas, h0s=out_h0s,
-                      heights=out_heights, seed=seed, event_count=events,
-                      lattice=lattice)
 
 
 # ---------------------------------------------------------------------------

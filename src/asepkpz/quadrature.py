@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["adaptive_quad", "dyadic_panels", "panel_quad"]
+__all__ = ["adaptive_quad", "dyadic_panels", "integrate_decaying"]
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
@@ -18,11 +18,6 @@ def _gl(f, a: float, b: float, nodes, weights):
     for w, v in zip(weights, vals):
         acc = acc + w * v
     return h * acc
-
-
-def panel_quad(f, a: float, b: float):
-    """Single 21-point Gauss-Legendre panel."""
-    return _gl(f, a, b, _NODES_HI, _WEIGHTS_HI)
 
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 14):
@@ -54,15 +49,14 @@ def dyadic_panels(t0: float, t1: float) -> list[tuple[float, float]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def integrate_decaying(f, t_max: float, tol: float = 1e-10, t_split: float = 1.0):
-    """Integral over [0, t_max] of an integrand that decays after t ~ t_split.
+def integrate_decaying(f, t_max: float, tol: float = 1e-10):
+    """Integral over [0, t_max] of an integrand that decays after t ~ 1.
 
-    [0, t_split] is handled by one adaptive call, the rest by adaptive calls
-    on dyadically growing panels (efficient for algebraic/exponential decay
+    [0, 1] is handled by one adaptive call, the rest by adaptive calls on
+    dyadically growing panels (efficient for algebraic/exponential decay
     over many decades).
     """
-    total = adaptive_quad(f, 0.0, min(t_split, t_max), tol=tol)
-    if t_max > t_split:
-        for a, b in dyadic_panels(t_split, t_max):
-            total = total + adaptive_quad(f, a, b, tol=tol)
+    total = adaptive_quad(f, 0.0, min(1.0, t_max), tol=tol)
+    for a, b in dyadic_panels(1.0, t_max):
+        total = total + adaptive_quad(f, a, b, tol=tol)
     return total

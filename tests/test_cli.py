@@ -1,10 +1,6 @@
 import json
 
-import numpy as np
-
-from asepkpz.cli import (config_hash, emit_convergence_trend,
-                         emit_eigenvalue_brackets, emit_phase_sweep, fmt,
-                         load_config, main, sha256_file)
+from asepkpz.cli import config_hash, fmt, load_config, main, sha256_file
 
 
 def run_cli(args):
@@ -117,25 +113,3 @@ def test_config_hash_sensitivity(tmp_path):
     cfg["model"]["n_sites"] = "64"
     h3 = config_hash(cfg, "params", 1)
     assert len({h1, h2, h3}) == 3
-
-
-def test_emitters(tmp_path):
-    p = tmp_path / "phase.dat"
-    emit_phase_sweep(str(p), eps=1e-4, grid=9)
-    lines = p.read_text().strip().splitlines()
-    phases = {ln.split()[2] for ln in lines}
-    assert {"LowDensity", "HighDensity", "MaximalCurrent"} <= phases
-
-    b = tmp_path / "brackets.dat"
-    emit_eigenvalue_brackets(str(b), 16, 1 - 1 / 16, 1 - 1 / 16)
-    rows = np.loadtxt(b)
-    assert rows.shape == (17, 4)
-    assert np.all(rows[:, 1] >= rows[:, 2]) and np.all(rows[:, 1] <= rows[:, 3])
-
-    t = tmp_path / "trend.dat"
-    emit_convergence_trend(str(t), [
-        {"epsilon": 1 / 32, "var_gap": 0.1, "var_sigma": 0.01},
-        {"epsilon": 1 / 64, "var_gap": 0.05, "var_sigma": 0.01}])
-    rows = np.loadtxt(t)
-    assert rows.shape == (2, 3)
-    assert rows[0, 0] > rows[1, 0]

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from asepkpz.engine import (Configuration, HeightField, Lattice, alternating_eta,
                             bernoulli_eta, event_rates, exact_generator,
                             mean_current, read_height_file, run_replicas,
-                            simulate, sos_simulate, stationary_measure,
+                            simulate, stationary_measure,
                             write_height_file)
 from asepkpz.params import (ModelParams, ScalingParams, build_params,
                             equal_density_mu, params_from_mu, phase_point)
@@ -127,37 +128,36 @@ def test_event_wait_times_match_rate():
     assert abs(frac_empty - target) <= 3 * se
 
 
-def test_sos_rates_and_staircase():
-    p = p_interval(6, 1.0, 2.0)
-    lat = Lattice.interval(6)
-    # all-up staircase: no interior flips possible, only boundary moves
-    h = HeightField(h=np.arange(7), h0_counter=0)
-    tr = sos_simulate(h, p, lat, 0.0, [0.0], 1)
-    assert np.array_equal(tr.heights[0], np.arange(7))
-    # local slope (no extremum) has no flip: exercised implicitly by the
-    # staircase; a valley flips up, a peak flips down
-    hv = HeightField(h=np.array([0, 1, 0, 1, 0, 1, 0]), h0_counter=0)
-    tr = sos_simulate(hv, p, lat, 4.0, [4.0], 5)
-    assert np.all(np.abs(np.diff(tr.heights[0])) == 1)
-
-
 def test_sos_matches_particle_distribution():
-    # Equivalence of SOS and particle dynamics, asymmetric boundaries.
+    # Mean heights of the particle sampler against the exact transient law,
+    # asymmetric boundaries.  One expm of [[Q, I], [0, 0]] t gives the law
+    # at t and its time integral; h(0) moves by +2 per removal at site 1
+    # and by -2 per creation there.
     n = 4
     p = p_interval(n, 0.25, 1.5)
     lat = Lattice.interval(n)
     init_eta = alternating_eta(n)
-    init_h = HeightField.from_eta(init_eta.eta)
     horizon = 2.0
 
     hp = np.stack(run_replicas(
         lambda i, rng: simulate(init_eta, p, lat, horizon, [horizon], rng).heights[0],
         10000, 50))
-    hs = np.stack(run_replicas(
-        lambda i, rng: sos_simulate(init_h, p, lat, horizon, [horizon], rng).heights[0],
-        10000, 60))
-    se = np.sqrt(hp.var(axis=0, ddof=1) / len(hp) + hs.var(axis=0, ddof=1) / len(hs))
-    z = np.abs(hp.mean(axis=0) - hs.mean(axis=0)) / se
+
+    Q = exact_generator(p, n).toarray()
+    m = Q.shape[0]
+    block = np.zeros((2 * m, 2 * m))
+    block[:m, :m] = Q
+    block[:m, m:] = np.eye(m)
+    E = expm(block * horizon)
+    s0 = sum(1 << x for x in range(n) if init_eta.eta[x] == 1)
+    law, occupation = E[s0, :m], E[s0, m:]
+    etas = np.array([[1 if (s >> x) & 1 else -1 for x in range(n)] for s in range(m)])
+    first = etas[:, 0] == 1
+    h0 = 2.0 * (p.gamma * occupation[first].sum() - p.alpha * occupation[~first].sum())
+    exact = h0 + np.concatenate([[0.0], np.cumsum(law @ etas)])
+
+    se = hp.std(axis=0, ddof=1) / math.sqrt(len(hp))
+    z = np.abs(hp.mean(axis=0) - exact) / se
     assert np.max(z) <= 3.0, z
 
 

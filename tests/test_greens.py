@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from asepkpz.greens import (c_closed_form, c_star_estimate, c_star_weighted,
-                            f_matrix, green_corner_closed_form, green_matrix,
+                            f_matrix, f_matrix_quadrature,
+                            green_corner_closed_form, green_matrix,
                             halfline_green, halfline_green_limit, key_identity,
                             summation_by_parts_audit)
 from asepkpz.kernels import (free_walk_row, robin_laplacian_matrix,
@@ -81,6 +82,18 @@ def test_f_matrix_gradient_structure():
         if x + 1 < g.shape[1]:
             expect[x, x + 1] = 1.0
     assert np.max(np.abs(g - expect)) <= 1e-9
+
+
+@pytest.mark.parametrize("n, mu_a, mu_b", [(100, 1 - 1 / 100, 1 - 1 / 100),
+                                          (12, 1.0, 0.8)])
+def test_f_matrix_quadrature_matches_spectral(n, mu_a, mu_b):
+    # the block-exponential time integral against the spectral closed form,
+    # every pair (x, xb)
+    spec = solve_interval_spectrum(n, mu_a, mu_b)
+    quad = f_matrix_quadrature(n, mu_a, mu_b, spec=spec)
+    assert quad["F"].shape == (n, n)
+    assert np.max(np.abs(quad["F"] - f_matrix(spec).values)) <= 1e-10
+    assert quad["tail_bound"] <= 1e-9
 
 
 def test_f_matrix_rejects_neumann():

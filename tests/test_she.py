@@ -86,6 +86,17 @@ def test_second_moment_zero_noise_and_symmetry():
         second_moment(np.eye(200), build_grid(1.0, 16, 0.0, 0.0), 0.01)
 
 
+def test_second_moment_large_grid():
+    # M > 128: the one-pass recursion holds one matrix, so no size cap
+    grid = build_grid(1.0, 160, 0.0, 0.0)
+    z0 = lognormal_mean(grid.x)
+    m2 = second_moment(lognormal_second_moment(grid.x), grid, 0.002)
+    assert m2.shape == (161, 161)
+    assert np.all(np.isfinite(m2))
+    assert np.max(np.abs(m2 - m2.T)) <= 1e-12 * np.max(np.abs(m2))
+    assert np.all(np.diag(m2) >= mean_field(z0, grid, 0.002) ** 2)
+
+
 def test_second_moment_against_monte_carlo():
     grid = build_grid(1.0, 32, 0.0, 0.0)
     z0 = np.ones(33)
