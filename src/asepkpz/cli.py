@@ -32,8 +32,10 @@ from .greens import (c_star_estimate, green_corner_closed_form, green_matrix,
                      key_identity, report_to_json, summation_by_parts_audit)
 from .kernels import (interval_kernel_image, interval_kernel_spectral,
                       kernel_bound_audit, solve_interval_spectrum)
-from .params import ScalingParams, build_params, expansion_audit, phase_point
-from .she import asep_she_compare, build_grid, mean_field, sample_she_ensemble
+from .params import (ScalingParams, build_params, equal_density_mu, expansion_audit,
+                     params_from_mu, phase_point)
+from .she import (asep_she_compare, build_grid, mean_field, run_interval_ensemble,
+                  sample_she_ensemble, var_gap_trend)
 
 DEFAULTS = """\
 [run]
@@ -134,6 +136,15 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+COMPARE_COLUMNS = ["epsilon", "T", "X", "asep_mean", "she_mean", "mean_gap",
+                   "asep_var", "she_var", "var_gap", "mc_sigma"]
+
+
+def write_compare_csv(path: str, rows: list[dict]) -> None:
+    """compare.csv: the `asep_she_compare` rows in COMPARE_COLUMNS order."""
+    write_csv(path, COMPARE_COLUMNS, [[r[c] for c in COMPARE_COLUMNS] for r in rows])
 
 
 def sha256_file(path: str) -> str:
@@ -334,59 +345,30 @@ def run_she(cfg, out, seed, threads, checks):
 
 
 def run_compare(cfg, out, seed, threads, checks):
-    from .she import run_interval_ensemble
     sec = cfg["compare"]
     inv = _parse_list(sec["inverse_eps"], int)
     T = sec.getfloat("t_macro")
     model = cfg["model"]
     A, B = model.getfloat("slope_a"), model.getfloat("slope_b")
     replicas = cfg["run"].getint("replicas")
-    npts = sec.getint("x_points")
-    X = np.linspace(0.0, 1.0, npts)
-    grid = build_grid(1.0, 64, A, B)
-    ensembles = {}
-    for n in inv:
-        e = run_interval_ensemble(n, A, B, T, replicas, (seed, n), threads=threads)
-        idx = np.round(X * n).astype(int)
-        ensembles[e["eps"]] = {
-            "mean": e["mean"][idx], "var": e["var"][idx],
-            "se_mean": e["se_mean"][idx], "se_var": e["se_var"][idx],
-            "mean_prediction": e["mean_prediction"][idx],
-        }
-    rows = asep_she_compare(ensembles, grid, T, X)
-    write_csv(os.path.join(out, "compare.csv"),
-              ["epsilon", "T", "X", "asep_mean", "she_mean", "mean_gap",
-               "asep_var", "she_var", "var_gap", "mc_sigma"],
-              [[r["epsilon"], r["T"], r["X"], r["asep_mean"], r["she_mean"],
-                r["mean_gap"], r["asep_var"], r["she_var"], r["var_gap"],
-                r["mc_sigma"]] for r in rows])
-    # martingale diagnostics on the coarsest ensemble (rerun keeping paths)
-    from .she import martingale_diagnostics, neumann_cosine, robin_test_function
-    n0 = min(inv)
-    ens0 = run_interval_ensemble(n0, A, B, T, replicas, (seed, n0, 1),
-                                 threads=threads, keep_trajectories=True)
-    if A == 0.0 and B == 0.0:
-        phis = [neumann_cosine(k) for k in (0, 1, 2)]
-    else:
-        phis = [robin_test_function(A, B, k) for k in (0, 1, 2)]
-    diag = martingale_diagnostics(ens0["trajectories"], ens0["params"], phis, T)
+    X = np.linspace(0.0, 1.0, sec.getint("x_points"))
+    ensembles = [run_interval_ensemble(n, A, B, T, replicas, (seed, n), threads=threads)
+                 for n in inv]
+    rows = asep_she_compare(ensembles, T, X)
+    write_compare_csv(os.path.join(out, "compare.csv"), rows)
+    # martingale diagnostics of the coarsest ensemble, reduced in the same pass
+    diag = max(ensembles, key=lambda e: e["eps"])["martingale"]
     with open(os.path.join(out, "diagnostics.json"), "w") as fh:
         json.dump(diag, fh, indent=2)
     checks["martingale_mean_3sigma"] = all(r["z_N"] <= 3.0 for r in diag)
     checks["martingale_gap_3sigma"] = all(r["z_gap"] <= 3.0 for r in diag)
-    for e, data in ensembles.items():
-        z = np.abs(data["mean"] - data["mean_prediction"]) / np.maximum(data["se_mean"], 1e-300)
-        checks[f"mean_channel_3sigma_eps_{e:.6g}"] = bool(np.max(z) <= 3.0)
+    for r in rows:
+        key = f"mean_channel_3sigma_eps_{r['epsilon']:.6g}"
+        z = r["mean_gap"] / max(r["mc_sigma"], 1e-300)
+        checks[key] = checks.get(key, True) and z <= 3.0
     if len(inv) >= 2:
-        gaps = {}
-        for r in rows:
-            gaps.setdefault(r["epsilon"], []).append((r["var_gap"], r["var_sigma"]))
-        eps_sorted = sorted(gaps, reverse=True)
-        g_coarse = np.mean([g for g, _ in gaps[eps_sorted[0]]])
-        g_fine = np.mean([g for g, _ in gaps[eps_sorted[-1]]])
-        sig = math.hypot(np.mean([s for _, s in gaps[eps_sorted[0]]]),
-                         np.mean([s for _, s in gaps[eps_sorted[-1]]]))
-        checks["var_gap_non_increasing"] = bool(g_fine <= g_coarse + 2.0 * sig)
+        g_coarse, g_fine, sig = var_gap_trend(rows)
+        checks["var_gap_non_increasing"] = g_fine <= g_coarse + 2.0 * sig
 
 
 def run_audit_all(cfg, out, seed, threads, checks):
@@ -394,7 +376,6 @@ def run_audit_all(cfg, out, seed, threads, checks):
     run_kernel(cfg, out, seed, threads, checks)
     run_identities(cfg, out, seed, threads, checks)
     # stationary-measure spot check on the product-Bernoulli line
-    from .params import equal_density_mu, params_from_mu
     eps = 0.25
     mu_b = 1.1
     mu_a = equal_density_mu(eps, mu_b)

@@ -45,11 +45,6 @@ class ZField:
             raise OverflowError("Z field exponent beyond safe range; work in log space")
         return np.exp(self.log_z)
 
-    def interp(self, x) -> np.ndarray | float:
-        """Linear interpolation of Z at real-valued lattice positions."""
-        grid = np.arange(len(self.log_z))
-        return np.interp(x, grid, self.z)
-
 
 @dataclass(frozen=True)
 class ScaledField:

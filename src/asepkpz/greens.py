@@ -110,10 +110,6 @@ class FMatrix:
     c: float
     green_route_gap: float  # max |spectral - Green second difference|
 
-    @property
-    def diagonal_value(self) -> float:
-        return float(self.values[0, 0])
-
 
 def f_matrix(spec: SpectralData) -> FMatrix:
     """F(x, xb) = sum_k grad+ psi_k(x) grad+ psi_k(xb) / (2 lambda_k).

@@ -179,9 +179,6 @@ class SpectralData:
         om = self.omegas[k]
         return c1 * np.cos(om * np.asarray(x, dtype=float)) + c2 * np.sin(om * np.asarray(x, dtype=float))
 
-    def laplacian_matrix(self) -> np.ndarray:
-        return robin_laplacian_matrix(self.n, self.mu_a, self.mu_b)
-
 
 def robin_laplacian_matrix(n: int, mu_a: float, mu_b: float) -> np.ndarray:
     """Dense (-1/2) Laplacian on {0..n} with Robin ghost rows folded in."""

@@ -127,10 +127,6 @@ class ModelParams:
     def epsilon(self) -> float:
         return self.lam * self.lam
 
-    @property
-    def sqrt_eps(self) -> float:
-        return -self.lam
-
     @classmethod
     def from_rates(cls, p, q, alpha, beta, gamma, delta) -> "ModelParams":
         """Raw-rate constructor, bypassing the two-parameter boundary family.

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Lattice, Trajectory, replica_rng, run_replicas
+from .engine import (Lattice, Trajectory, bernoulli_eta, replica_rng, run_replicas,
+                     simulate)
 from .gartner import z_field
 from .kernels import SpectralData, interval_kernel_spectral, solve_interval_spectrum
-from .params import ModelParams
+from .params import ModelParams, ScalingParams, build_params
 
 __all__ = [
     "SheGrid",
@@ -35,6 +36,7 @@ __all__ = [
     "martingale_diagnostics",
     "asep_mean_prediction",
     "asep_she_compare",
+    "var_gap_trend",
     "run_interval_ensemble",
     "lognormal_mean",
     "lognormal_second_moment",
@@ -259,9 +261,9 @@ def robin_test_function(A: float, B: float, k: int) -> TestFunction:
     The frequencies solve the continuum secular equation
     (w^2 - AB) sin w = (A + B) w cos w, bracketed inside (k pi, (k+1) pi).
     """
-    from scipy.optimize import brentq
     if A == 0.0 and B == 0.0:
         return neumann_cosine(k)
+    from scipy.optimize import brentq  # after the early return: costs ~15 MB of RSS
 
     def secular(w):
         return (w * w - A * B) * math.sin(w) - (A + B) * w * math.cos(w)
@@ -346,24 +348,38 @@ def martingale_functionals(traj: Trajectory, params: ModelParams,
     return n_T, gap
 
 
-def martingale_diagnostics(trajs: list[Trajectory], params: ModelParams,
-                           phis: list[TestFunction], T: float) -> list[dict]:
-    """Ensemble means of N_T(phi) and of the quadratic gap, with z-scores."""
+def _z_score(mean: float, se: float) -> float:
+    # se = 0: every replica gave the same value (all zeros at T = 0), so the
+    # mean is exact; a plain ratio would be 0/0
+    if se > 0:
+        return abs(mean) / se
+    return 0.0 if mean == 0 else math.inf
+
+
+def martingale_diagnostics(values: np.ndarray, phis: list[TestFunction],
+                           T: float) -> list[dict]:
+    """Ensemble means of N_T(phi) and of the quadratic gap, with z-scores.
+
+    values[r, j] is the (N_T(phi_j), gap) pair of `martingale_functionals`
+    for replica r.  A z-score is |mean| / se; with se = 0 (all replicas
+    equal) it reads 0 for a zero mean and inf otherwise.
+    """
     out = []
-    for phi in phis:
-        vals = np.array([martingale_functionals(tr, params, phi, T) for tr in trajs])
-        n_vals, gaps = vals[:, 0], vals[:, 1]
-        m = len(trajs)
+    m = len(values)
+    for j, phi in enumerate(phis):
+        n_vals, gaps = values[:, j, 0], values[:, j, 1]
+        se_n = float(n_vals.std(ddof=1) / math.sqrt(m))
+        se_gap = float(gaps.std(ddof=1) / math.sqrt(m))
         out.append({
             "phi": phi.label,
             "T": T,
             "n_replicas": m,
             "mean_N": float(n_vals.mean()),
-            "se_N": float(n_vals.std(ddof=1) / math.sqrt(m)),
-            "z_N": float(abs(n_vals.mean()) / (n_vals.std(ddof=1) / math.sqrt(m))),
+            "se_N": se_n,
+            "z_N": _z_score(float(n_vals.mean()), se_n),
             "mean_gap": float(gaps.mean()),
-            "se_gap": float(gaps.std(ddof=1) / math.sqrt(m)),
-            "z_gap": float(abs(gaps.mean()) / (gaps.std(ddof=1) / math.sqrt(m))),
+            "se_gap": se_gap,
+            "z_gap": _z_score(float(gaps.mean()), se_gap),
         })
     return out
 
@@ -397,92 +413,106 @@ def asep_mean_prediction(spec: SpectralData, t_micro: float, params: ModelParams
     return interval_kernel_spectral(spec, t_micro).values @ e_z0
 
 
+# batch-means batches behind the variance standard error se_var
+_VAR_BATCHES = 10
+
+
 def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
-                          n_replicas: int, master_seed, threads: int = 1,
-                          keep_trajectories: bool = False,
-                          var_batches: int = 10) -> dict:
-    """Bernoulli(1/2)-start interval ensemble with scaled-field moments at T.
+                          n_replicas: int, master_seed, threads: int = 1) -> dict:
+    """Bernoulli(1/2)-start interval ensemble, reduced to its moments and
+    martingale diagnostics at eps^{-2} T in one pass.
 
-    Returns per-height-site arrays: empirical mean/variance of Z at the
-    microscopic time eps^{-2} T, their standard errors (variance errors via
-    batch means), and the exact kernel prediction of the mean,
-    E Z_t = p^R_t cosh(sqrt(eps))^x.  Trajectories carry time-0 and time-T
-    snapshots plus exact exponential integrals, so martingale functionals
-    can be evaluated from the same runs.
+    Each replica task simulates to eps^{-2} T and returns only the Z field
+    there and the (N_T(phi), gap) pairs of `martingale_functionals` for
+    phi = robin_test_function(A, B, k), k = 0, 1, 2 (cos(k pi X) when
+    A = B = 0); no trajectory outlives its task.  Returns per-height-site
+    arrays: empirical mean/variance of Z, their standard errors (variance
+    errors via batch means), the exact kernel prediction of the mean,
+    E Z_t = p^R_t cosh(sqrt(eps))^x, and under "martingale" the
+    `martingale_diagnostics` rows of the three test functions.
     """
-    from .engine import Lattice, bernoulli_eta, simulate
-    from .params import ScalingParams, build_params
-
     eps = 1.0 / n
     params = build_params(ScalingParams.interval(n, slope_a, slope_b))
     lattice = Lattice.interval(n)
     horizon = T / (eps * eps)
     spec = solve_interval_spectrum(n, params.mu_a, params.mu_b)
+    phis = [robin_test_function(slope_a, slope_b, k) for k in (0, 1, 2)]
 
     def task(i, rng):
         init = bernoulli_eta(n, rng)
-        return simulate(init, params, lattice, horizon, [0.0, horizon], rng,
-                        track_exp_integrals=(-params.lam, params.nu))
+        tr = simulate(init, params, lattice, horizon, [0.0, horizon], rng,
+                      track_exp_integrals=(-params.lam, params.nu))
+        z = z_field(tr.height_field(1), horizon, params).z
+        return z, [martingale_functionals(tr, params, phi, T) for phi in phis]
 
-    trajs = run_replicas(task, n_replicas, master_seed, threads=threads)
-    zs = np.stack([z_field(tr.height_field(1), horizon, params).z for tr in trajs])
+    results = run_replicas(task, n_replicas, master_seed, threads=threads)
+    zs = np.stack([z for z, _ in results])
     e_z0 = np.cosh(math.sqrt(eps)) ** np.arange(n + 1)
     pred = asep_mean_prediction(spec, horizon, params, e_z0)
     m = zs.shape[0]
-    nb = max(1, min(var_batches, m // 2))
+    nb = max(1, min(_VAR_BATCHES, m // 2))
     if nb >= 2:
         bvars = np.stack([zs[b::nb].var(axis=0, ddof=1) for b in range(nb)])
         se_var = bvars.std(axis=0, ddof=1) / math.sqrt(nb)
     else:
         se_var = np.full(n + 1, np.nan)
-    out = {
+    return {
         "eps": eps,
         "n": n,
         "T": T,
-        "params": params,
-        "spec": spec,
+        "slopes": (slope_a, slope_b),
         "mean": zs.mean(axis=0),
         "var": zs.var(axis=0, ddof=1),
         "se_mean": zs.std(axis=0, ddof=1) / math.sqrt(m),
         "se_var": se_var,
         "mean_prediction": pred,
         "n_replicas": m,
+        "martingale": martingale_diagnostics(np.array([mv for _, mv in results]), phis, T),
     }
-    if keep_trajectories:
-        out["trajectories"] = trajs
-    return out
 
 
-def asep_she_compare(ensembles: dict, she_grid: SheGrid, T: float,
-                     X: np.ndarray, m2_0=None, z0_mean=None) -> list[dict]:
+def asep_she_compare(ensembles: list[dict], T: float, X: np.ndarray) -> list[dict]:
     """Moment-gap table between scaled ASEP ensembles and the SHE oracles.
 
-    ensembles maps eps -> dict with keys mean, var, se_mean, se_var, x_grid
-    (per macroscopic X), built by the caller from replica Z fields.  The SHE
-    side is deterministic: mean_field and second_moment with matched
-    (lognormal, by default) initial data.
+    ensembles are `run_interval_ensemble` results, read at the height sites
+    round(X n); rows run from the coarsest eps to the finest.  The SHE side
+    is deterministic: mean_field and second_moment on a 64-cell grid with
+    the ensembles' slopes, started from the moments of the lognormal
+    Z0 = exp(W) matched to the Bernoulli(1/2) start.
     """
-    z0_mean = z0_mean if z0_mean is not None else lognormal_mean(she_grid.x)
-    m2_0 = m2_0 if m2_0 is not None else lognormal_second_moment(she_grid.x)
-    she_mean = mean_field(z0_mean, she_grid, T)
-    she_m2 = second_moment(m2_0, she_grid, T)
-    she_var = np.diag(she_m2) - she_mean ** 2
-    she_mean_at = np.interp(X, she_grid.x, she_mean)
-    she_var_at = np.interp(X, she_grid.x, she_var)
+    grid = build_grid(1.0, 64, *ensembles[0]["slopes"])
+    she_mean = mean_field(lognormal_mean(grid.x), grid, T)
+    she_m2 = second_moment(lognormal_second_moment(grid.x), grid, T)
+    she_var_at = np.interp(X, grid.x, np.diag(she_m2) - she_mean ** 2)
     rows = []
-    for eps in sorted(ensembles, reverse=True):
-        e = ensembles[eps]
-        for j, xv in enumerate(X):
+    for e in sorted(ensembles, key=lambda e: e["eps"], reverse=True):
+        for j, xv, she_var in zip(np.round(X * e["n"]).astype(int), X, she_var_at):
             rows.append({
-                "epsilon": eps, "T": T, "X": float(xv),
+                "epsilon": e["eps"], "T": T, "X": float(xv),
                 "asep_mean": float(e["mean"][j]),
                 "she_mean": float(e["mean_prediction"][j]),
                 "mean_gap": float(abs(e["mean"][j] - e["mean_prediction"][j])),
                 "asep_var": float(e["var"][j]),
-                "she_var": float(she_var_at[j]),
-                "var_gap": float(abs(e["var"][j] - she_var_at[j])),
+                "she_var": float(she_var),
+                "var_gap": float(abs(e["var"][j] - she_var)),
                 "mc_sigma": float(e["se_mean"][j]),
                 "var_sigma": float(e["se_var"][j]),
-                "she_mean_continuum": float(she_mean_at[j]),
             })
     return rows
+
+
+def var_gap_trend(rows: list[dict]) -> tuple[float, float, float]:
+    """(coarse gap, fine gap, combined sigma) of an `asep_she_compare` table.
+
+    A gap is the mean var_gap over the X points of the coarsest or the
+    finest eps; sigma is the hypot of their mean var_sigma.  The variance
+    gap does not grow as eps -> 0 when fine <= coarse + 2 sigma.
+    """
+    by_eps: dict[float, list[dict]] = {}
+    for r in rows:
+        by_eps.setdefault(r["epsilon"], []).append(r)
+    coarse, fine = by_eps[max(by_eps)], by_eps[min(by_eps)]
+    sigma = math.hypot(np.mean([r["var_sigma"] for r in coarse]),
+                       np.mean([r["var_sigma"] for r in fine]))
+    return (float(np.mean([r["var_gap"] for r in coarse])),
+            float(np.mean([r["var_gap"] for r in fine])), sigma)

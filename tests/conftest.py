@@ -18,7 +18,7 @@ def ensemble32():
     import time
     t0 = time.time()
     ens = run_interval_ensemble(32, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
-                                (ENSEMBLE_SEED, 32), keep_trajectories=True)
+                                (ENSEMBLE_SEED, 32))
     print(f"\n[fixture] eps=1/32 ensemble: {ENSEMBLE_REPLICAS} replicas "
           f"in {time.time() - t0:.1f}s")
     return ens

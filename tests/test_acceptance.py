@@ -6,13 +6,13 @@ Criteria 9-11 share the session-scoped interval ensembles from conftest
 generation time is charged to the first criterion that uses each ensemble.
 """
 
-import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
 
+from asepkpz.cli import sha256_file, write_compare_csv
 from asepkpz.engine import Lattice, exact_generator, stationary_measure
 from asepkpz.gartner import drift_identity_residual
 from asepkpz.greens import (c_star_estimate, c_star_weighted,
@@ -25,11 +25,11 @@ from asepkpz.kernels import (build_image_expansion, halfline_robin_kernel,
                              _support_radius)
 from asepkpz.params import (ScalingParams, build_params, equal_density_mu,
                             params_from_mu, phase_point)
-from asepkpz.she import (build_grid, lognormal_mean, lognormal_second_moment,
-                         martingale_diagnostics, neumann_cosine,
-                         run_interval_ensemble, asep_she_compare)
+from asepkpz.she import asep_she_compare, run_interval_ensemble, var_gap_trend
 
 from conftest import ENSEMBLE_REPLICAS, ENSEMBLE_SEED, ENSEMBLE_T
+
+COMPARE_X = np.linspace(0.0, 1.0, 9)
 
 
 class Timer:
@@ -220,21 +220,16 @@ def test_criterion_08_stationary_measure():
 
 def test_criterion_09_microscopic_mean_channel(ensemble32):
     with Timer() as t:
-        e = ensemble32
-        idx = np.round(np.linspace(0.0, 1.0, 9) * e["n"]).astype(int)
-        z = np.abs(e["mean"][idx] - e["mean_prediction"][idx]) / e["se_mean"][idx]
-        worst = float(np.max(z))
+        rows = asep_she_compare([ensemble32], ENSEMBLE_T, COMPARE_X)
+        worst = max(r["mean_gap"] / r["mc_sigma"] for r in rows)
     report(9, worst <= 3.0, 300.0, t.elapsed,
            f"max |mean - kernel prediction| = {worst:.2f} sigma <= 3 "
-           f"({e['n_replicas']} replicas, 9-point grid)")
+           f"({ensemble32['n_replicas']} replicas, 9-point grid)")
 
 
 def test_criterion_10_martingale_diagnostics(ensemble32):
     with Timer() as t:
-        e = ensemble32
-        phis = [neumann_cosine(k) for k in (0, 1, 2)]
-        reports = martingale_diagnostics(e["trajectories"], e["params"], phis,
-                                         ENSEMBLE_T)
+        reports = ensemble32["martingale"]
         worst_n = max(r["z_N"] for r in reports)
         worst_gap = max(r["z_gap"] for r in reports)
         ok = worst_n <= 3.0 and worst_gap <= 3.0
@@ -243,57 +238,30 @@ def test_criterion_10_martingale_diagnostics(ensemble32):
            f"sigma over 3 test functions")
 
 
-def _compare_rows(e32, e64):
-    X = np.linspace(0.0, 1.0, 9)
-    grid = build_grid(1.0, 64, 0.0, 0.0)
-    ensembles = {}
-    for e in (e32, e64):
-        idx = np.round(X * e["n"]).astype(int)
-        ensembles[e["eps"]] = {
-            "mean": e["mean"][idx], "var": e["var"][idx],
-            "se_mean": e["se_mean"][idx], "se_var": e["se_var"][idx],
-            "mean_prediction": e["mean_prediction"][idx],
-        }
-    return asep_she_compare(ensembles, grid, ENSEMBLE_T, X,
-                            m2_0=lognormal_second_moment(grid.x),
-                            z0_mean=lognormal_mean(grid.x))
-
-
-def _rows_to_csv(rows) -> bytes:
-    cols = ["epsilon", "T", "X", "asep_mean", "she_mean", "mean_gap",
-            "asep_var", "she_var", "var_gap", "mc_sigma"]
-    lines = [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(f"{r[c]:.17g}" for c in cols))
-    return ("\n".join(lines) + "\n").encode()
-
-
 def test_criterion_11_convergence_trend(ensemble32, ensemble64):
     with Timer() as t:
-        rows = _compare_rows(ensemble32, ensemble64)
-        by_eps = {}
-        for r in rows:
-            by_eps.setdefault(r["epsilon"], []).append(r)
-        eps_sorted = sorted(by_eps, reverse=True)
-        gap32 = float(np.mean([r["var_gap"] for r in by_eps[eps_sorted[0]]]))
-        gap64 = float(np.mean([r["var_gap"] for r in by_eps[eps_sorted[1]]]))
-        sig = math.hypot(np.mean([r["var_sigma"] for r in by_eps[eps_sorted[0]]]),
-                         np.mean([r["var_sigma"] for r in by_eps[eps_sorted[1]]]))
+        rows = asep_she_compare([ensemble32, ensemble64], ENSEMBLE_T, COMPARE_X)
+        gap32, gap64, sig = var_gap_trend(rows)
         ok = gap64 <= gap32 + 2.0 * sig
     report(11, ok, 1200.0, t.elapsed,
            f"var gap {gap32:.4f} (eps=1/32) -> {gap64:.4f} (eps=1/64), "
            f"combined sigma {sig:.4f}: non-increasing within error bars")
 
 
-def test_criterion_12_reproducibility(ensemble32, ensemble64):
+def _compare_csv_sha256(ensembles, path) -> str:
+    write_compare_csv(str(path), asep_she_compare(ensembles, ENSEMBLE_T, COMPARE_X))
+    return sha256_file(str(path))
+
+
+def test_criterion_12_reproducibility(ensemble32, ensemble64, tmp_path):
     with Timer() as t:
-        h_ref = hashlib.sha256(_rows_to_csv(_compare_rows(ensemble32, ensemble64))).hexdigest()
+        h_ref = _compare_csv_sha256([ensemble32, ensemble64], tmp_path / "ref.csv")
         # full rerun of the criteria 9-11 pipeline with a different thread count
         e32 = run_interval_ensemble(32, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
                                     (ENSEMBLE_SEED, 32), threads=4)
         e64 = run_interval_ensemble(64, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
                                     (ENSEMBLE_SEED, 64), threads=4)
-        h_new = hashlib.sha256(_rows_to_csv(_compare_rows(e32, e64))).hexdigest()
+        h_new = _compare_csv_sha256([e32, e64], tmp_path / "new.csv")
         ok = h_ref == h_new
         # the threaded rerun also reproduces the per-site moments bit for bit
         ok &= bool(np.array_equal(e32["mean"], ensemble32["mean"]))

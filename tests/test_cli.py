@@ -1,6 +1,9 @@
 import json
 
-from asepkpz.cli import config_hash, fmt, load_config, main, sha256_file
+import numpy as np
+
+from asepkpz.cli import config_hash, fmt, load_config, main, sha256_file, write_compare_csv
+from asepkpz.she import asep_she_compare, run_interval_ensemble
 
 
 def run_cli(args):
@@ -75,6 +78,28 @@ def test_simulate_kind_hash_stable_across_threads(tmp_path):
     for name in ("trajectory_eta_r000.csv", "trajectory_heights_r003.csv",
                  "scaled_field_mean.csv"):
         assert sha256_file(str(d1 / name)) == sha256_file(str(d2 / name))
+
+
+def test_compare_kind_one_pass(tmp_path):
+    # compare.csv is the shared pipeline's table, diagnostics.json the martingale
+    # rows of the coarsest ensemble of the same pass, and neither depends on --threads
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run]\nreplicas = 24\n[compare]\ninverse_eps = 8, 16\n")
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}"
+        # exit 1 is a failed 3-sigma line, which a 24-replica ensemble may show
+        assert run_cli(["compare", "--config", str(cfg), "--seed", "5", "--out", str(out),
+                        "--threads", threads]) in (0, 1)
+        (run_dir,) = out.iterdir()
+        files.append([(run_dir / name).read_bytes()
+                      for name in ("compare.csv", "diagnostics.json")])
+    assert files[0] == files[1]
+    ensembles = [run_interval_ensemble(n, 0.0, 0.0, 0.1, 24, (5, n)) for n in (8, 16)]
+    direct = tmp_path / "direct.csv"
+    write_compare_csv(str(direct), asep_she_compare(ensembles, 0.1, np.linspace(0.0, 1.0, 9)))
+    assert direct.read_bytes() == files[0][0]
+    assert json.loads(files[0][1]) == ensembles[0]["martingale"]
 
 
 def test_failed_check_exits_one(tmp_path, monkeypatch):
