@@ -5,8 +5,9 @@
 Kinds: params | simulate | kernel | identities | she | compare | audit-all,
 plus `config --print-defaults`.  Configuration is a flat INI file with one
 section per module; every run writes its artifacts plus a manifest (config
-snapshot, versions, wall clock, per-check status, file hashes) into a
-directory addressed by the config hash.  Exit codes: 0 all checks passed,
+snapshot, versions, wall clock, per-check status, file hashes and, for
+`simulate` and `compare`, the sampler's throughput) into a directory
+addressed by the config hash.  Exit codes: 0 all checks passed,
 1 an enabled assertion failed, 2 configuration error.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .engine import (Lattice, alternating_eta, bernoulli_eta, exact_generator,
-                     run_replicas, simulate, stationary_measure)
+                     simulate_replicas, stationary_measure)
 from .gartner import rescale
 from .greens import (c_star_estimate, green_corner_closed_form, green_matrix,
                      key_identity, report_to_json, summation_by_parts_audit)
@@ -155,6 +156,13 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _sampler_metrics(stage: str, replicas: int, events: int, wall_s: float) -> dict:
+    """One manifest `metrics` record of an ASEP sampling stage (every
+    Gillespie event is accepted)."""
+    return {"stage": stage, "replicas": replicas, "accepted_events": events,
+            "wall_s": wall_s, "events_per_s": events / wall_s if wall_s > 0 else 0.0}
+
+
 def _model_from_config(cfg) -> tuple:
     sec = cfg["model"]
     kind = sec.get("lattice", "interval")
@@ -233,17 +241,19 @@ def run_simulate(cfg, out, seed, threads, checks):
     replicas = cfg["run"].getint("replicas")
     initial_kind = cfg["simulate"].get("initial", "bernoulli_half")
 
-    def task(i, rng):
-        if initial_kind == "bernoulli_half":
-            init = bernoulli_eta(lattice.n_sites, rng)
-        elif initial_kind == "alternating":
-            init = alternating_eta(lattice.n_sites)
-        else:
-            raise ConfigError(f"unknown initial condition {initial_kind!r}")
-        return simulate(init, params, lattice, horizon, sample_micro, rng,
-                        track_exp_integrals=(-params.lam, params.nu))
+    if initial_kind == "bernoulli_half":
+        def init(rng):
+            return bernoulli_eta(lattice.n_sites, rng)
+    elif initial_kind == "alternating":
+        def init(rng):
+            return alternating_eta(lattice.n_sites)
+    else:
+        raise ConfigError(f"unknown initial condition {initial_kind!r}")
 
-    trajs = run_replicas(task, replicas, seed, threads=threads)
+    t0 = time.perf_counter()
+    trajs = simulate_replicas(init, params, lattice, horizon, sample_micro, replicas, seed,
+                              track_exp_integrals=(-params.lam, params.nu), threads=threads)
+    wall_s = time.perf_counter() - t0
     for r, tr in enumerate(trajs[: min(replicas, 8)]):  # full dumps for the first few
         rows_eta, rows_h = [], []
         for i, t in enumerate(tr.sample_times):
@@ -265,6 +275,8 @@ def run_simulate(cfg, out, seed, threads, checks):
     checks["height_consistency"] = all(
         bool(np.all(np.diff(tr.heights[i]) == tr.etas[i]))
         for tr in trajs[:8] for i in range(len(tr.sample_times)))
+    return {"sampler": [_sampler_metrics(f"{lattice.kind} n={lattice.n_sites}", replicas,
+                                        sum(tr.event_count for tr in trajs), wall_s)]}
 
 
 def run_kernel(cfg, out, seed, threads, checks):
@@ -369,6 +381,8 @@ def run_compare(cfg, out, seed, threads, checks):
     if len(inv) >= 2:
         g_coarse, g_fine, sig = var_gap_trend(rows)
         checks["var_gap_non_increasing"] = g_fine <= g_coarse + 2.0 * sig
+    return {"sampler": [_sampler_metrics(f"interval n={e['n']}", e["n_replicas"], e["events"],
+                                        e["sampler_s"]) for e in ensembles]}
 
 
 def run_audit_all(cfg, out, seed, threads, checks):
@@ -446,13 +460,13 @@ def main(argv=None) -> int:
     t0 = time.time()
     status = "complete"
     try:
-        KINDS[args.kind](cfg, out, seed, threads, checks)
+        metrics = KINDS[args.kind](cfg, out, seed, threads, checks)
     except (ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         status = "incomplete"
-        _write_manifest(cfg, args.kind, seed, threads, out, checks, t0, status)
+        _write_manifest(cfg, args.kind, seed, threads, out, checks, t0, status, None)
         return 2
-    _write_manifest(cfg, args.kind, seed, threads, out, checks, t0, status)
+    _write_manifest(cfg, args.kind, seed, threads, out, checks, t0, status, metrics)
     failed = [k for k, ok in checks.items() if not ok]
     for k, ok in sorted(checks.items()):
         print(f"[{'PASS' if ok else 'FAIL'}] {k}")
@@ -461,7 +475,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def _write_manifest(cfg, kind, seed, threads, out, checks, t0, status):
+def _write_manifest(cfg, kind, seed, threads, out, checks, t0, status, metrics):
     buf = io.StringIO()
     cfg.write(buf)
     inventory = {}
@@ -479,6 +493,7 @@ def _write_manifest(cfg, kind, seed, threads, out, checks, t0, status):
         "config": buf.getvalue(),
         "checks": {k: bool(v) for k, v in checks.items()},
         "files": inventory,
+        "metrics": metrics or {},
     }
     tmp = os.path.join(out, "manifest.json.tmp")
     with open(tmp, "w") as fh:

@@ -11,12 +11,13 @@ with mu = 1 - dX * slope, the lattice version of dZ = A Z dX at the wall.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .engine import (Lattice, Trajectory, bernoulli_eta, replica_rng, run_replicas,
-                     simulate)
+                     simulate_replicas)
 from .gartner import z_field
 from .kernels import SpectralData, interval_kernel_spectral, solve_interval_spectrum
 from .params import ModelParams, ScalingParams, build_params
@@ -407,7 +408,7 @@ def lognormal_sampler(grid: SheGrid):
     return draw
 
 
-def asep_mean_prediction(spec: SpectralData, t_micro: float, params: ModelParams,
+def asep_mean_prediction(spec: SpectralData, t_micro: float,
                          e_z0: np.ndarray) -> np.ndarray:
     """Exact discrete mean E Z_t = p^R_t E Z_0 (integrated microscopic heat equation)."""
     return interval_kernel_spectral(spec, t_micro).values @ e_z0
@@ -422,14 +423,15 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     """Bernoulli(1/2)-start interval ensemble, reduced to its moments and
     martingale diagnostics at eps^{-2} T in one pass.
 
-    Each replica task simulates to eps^{-2} T and returns only the Z field
-    there and the (N_T(phi), gap) pairs of `martingale_functionals` for
-    phi = robin_test_function(A, B, k), k = 0, 1, 2 (cos(k pi X) when
-    A = B = 0); no trajectory outlives its task.  Returns per-height-site
+    The replicas are sampled by `simulate_replicas` to eps^{-2} T; each is
+    reduced to its Z field there and the (N_T(phi), gap) pairs of
+    `martingale_functionals` for phi = robin_test_function(A, B, k),
+    k = 0, 1, 2 (cos(k pi X) when A = B = 0).  Returns per-height-site
     arrays: empirical mean/variance of Z, their standard errors (variance
     errors via batch means), the exact kernel prediction of the mean,
-    E Z_t = p^R_t cosh(sqrt(eps))^x, and under "martingale" the
-    `martingale_diagnostics` rows of the three test functions.
+    E Z_t = p^R_t cosh(sqrt(eps))^x, under "martingale" the
+    `martingale_diagnostics` rows of the three test functions, and the
+    sampler's event count and wall seconds under "events" and "sampler_s".
     """
     eps = 1.0 / n
     params = build_params(ScalingParams.interval(n, slope_a, slope_b))
@@ -438,17 +440,16 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     spec = solve_interval_spectrum(n, params.mu_a, params.mu_b)
     phis = [robin_test_function(slope_a, slope_b, k) for k in (0, 1, 2)]
 
-    def task(i, rng):
-        init = bernoulli_eta(n, rng)
-        tr = simulate(init, params, lattice, horizon, [0.0, horizon], rng,
-                      track_exp_integrals=(-params.lam, params.nu))
-        z = z_field(tr.height_field(1), horizon, params).z
-        return z, [martingale_functionals(tr, params, phi, T) for phi in phis]
-
-    results = run_replicas(task, n_replicas, master_seed, threads=threads)
-    zs = np.stack([z for z, _ in results])
+    t0 = time.perf_counter()
+    trajs = simulate_replicas(lambda rng: bernoulli_eta(n, rng), params, lattice, horizon,
+                              [0.0, horizon], n_replicas, master_seed,
+                              track_exp_integrals=(-params.lam, params.nu), threads=threads)
+    sampler_s = time.perf_counter() - t0
+    zs = np.stack([z_field(tr.height_field(1), horizon, params).z for tr in trajs])
+    values = np.array([[martingale_functionals(tr, params, phi, T) for phi in phis]
+                       for tr in trajs])
     e_z0 = np.cosh(math.sqrt(eps)) ** np.arange(n + 1)
-    pred = asep_mean_prediction(spec, horizon, params, e_z0)
+    pred = asep_mean_prediction(spec, horizon, e_z0)
     m = zs.shape[0]
     nb = max(1, min(_VAR_BATCHES, m // 2))
     if nb >= 2:
@@ -467,7 +468,9 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
         "se_var": se_var,
         "mean_prediction": pred,
         "n_replicas": m,
-        "martingale": martingale_diagnostics(np.array([mv for _, mv in results]), phis, T),
+        "martingale": martingale_diagnostics(values, phis, T),
+        "events": sum(tr.event_count for tr in trajs),
+        "sampler_s": sampler_s,
     }
 
 

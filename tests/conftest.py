@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -13,26 +15,22 @@ ENSEMBLE_T = 0.1
 ENSEMBLE_REPLICAS = 2000
 
 
+def _ensemble(n: int) -> dict:
+    t0 = time.time()
+    ens = run_interval_ensemble(n, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS, (ENSEMBLE_SEED, n))
+    print(f"\n[fixture] eps=1/{n} ensemble: {ENSEMBLE_REPLICAS} replicas "
+          f"in {time.time() - t0:.1f}s ({ens['events'] / ens['sampler_s']:.3g} events/s)")
+    return ens
+
+
 @pytest.fixture(scope="session")
 def ensemble32():
-    import time
-    t0 = time.time()
-    ens = run_interval_ensemble(32, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
-                                (ENSEMBLE_SEED, 32))
-    print(f"\n[fixture] eps=1/32 ensemble: {ENSEMBLE_REPLICAS} replicas "
-          f"in {time.time() - t0:.1f}s")
-    return ens
+    return _ensemble(32)
 
 
 @pytest.fixture(scope="session")
 def ensemble64():
-    import time
-    t0 = time.time()
-    ens = run_interval_ensemble(64, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
-                                (ENSEMBLE_SEED, 64))
-    print(f"\n[fixture] eps=1/64 ensemble: {ENSEMBLE_REPLICAS} replicas "
-          f"in {time.time() - t0:.1f}s")
-    return ens
+    return _ensemble(64)
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -100,6 +100,14 @@ def test_compare_kind_one_pass(tmp_path):
     write_compare_csv(str(direct), asep_she_compare(ensembles, 0.1, np.linspace(0.0, 1.0, 9)))
     assert direct.read_bytes() == files[0][0]
     assert json.loads(files[0][1]) == ensembles[0]["martingale"]
+    # the manifest reports what the sampler did, outside every hashed file
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    records = manifest["metrics"]["sampler"]
+    assert [r["stage"] for r in records] == ["interval n=8", "interval n=16"]
+    assert [r["accepted_events"] for r in records] == [e["events"] for e in ensembles]
+    assert all(r["replicas"] == 24 and r["wall_s"] > 0 and r["events_per_s"] > 0
+               for r in records)
+    assert set(manifest["files"]) == {"compare.csv", "diagnostics.json"}
 
 
 def test_failed_check_exits_one(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,8 @@ from scipy.linalg import expm
 
 from asepkpz.engine import (Configuration, HeightField, Lattice, alternating_eta,
                             bernoulli_eta, event_rates, exact_generator,
-                            mean_current, read_height_file, run_replicas,
-                            simulate, stationary_measure,
-                            write_height_file)
+                            mean_current, replica_rng, simulate, simulate_replicas,
+                            stationary_measure)
 from asepkpz.params import (ModelParams, ScalingParams, build_params,
                             equal_density_mu, params_from_mu, phase_point)
 
@@ -99,13 +99,12 @@ def test_event_count_rate_long_run():
     lat = Lattice.interval(1)
     pi = stationary_measure(exact_generator(p, 1))
     rate = pi[0] * (p.alpha + p.delta) + pi[1] * (p.beta + p.gamma)
-    tr = simulate(Configuration(np.array([-1])), p, lat, 25000.0, [25000.0], 77)
+    empty = lambda rng: Configuration(np.array([-1]))
+    (tr,) = simulate_replicas(empty, p, lat, 25000.0, [25000.0], 1, 77)
     assert tr.event_count >= 10 ** 4
     # batch estimate of the rate from independent windows
-    def task(i, rng):
-        return simulate(Configuration(np.array([-1])), p, lat, 1250.0, [1250.0],
-                        rng).event_count / 1250.0
-    samples = np.array(run_replicas(task, 20, 78))
+    samples = np.array([tr.event_count / 1250.0 for tr in
+                        simulate_replicas(empty, p, lat, 1250.0, [1250.0], 20, 78)])
     se = samples.std(ddof=1) / math.sqrt(len(samples))
     assert abs(samples.mean() - rate) <= 3 * se
 
@@ -116,12 +115,9 @@ def test_event_wait_times_match_rate():
     p = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.8, beta=0.0, gamma=0.0, delta=0.3)
     lat = Lattice.interval(1)
 
-    def task(i, rng):
-        tr = simulate(Configuration(np.array([-1])), p, lat, 3.0, [3.0], rng)
-        return tr.etas[0][0]
-
     # occupation locks in (no off-events): P(still empty at t) = exp(-1.1 t)
-    outs = np.array(run_replicas(task, 20000, 11))
+    outs = np.array([tr.etas[0][0] for tr in simulate_replicas(
+        lambda rng: Configuration(np.array([-1])), p, lat, 3.0, [3.0], 20000, 11)])
     frac_empty = float(np.mean(outs == -1))
     target = math.exp(-1.1 * 3.0)
     se = math.sqrt(target * (1 - target) / len(outs))
@@ -139,9 +135,8 @@ def test_sos_matches_particle_distribution():
     init_eta = alternating_eta(n)
     horizon = 2.0
 
-    hp = np.stack(run_replicas(
-        lambda i, rng: simulate(init_eta, p, lat, horizon, [horizon], rng).heights[0],
-        10000, 50))
+    hp = np.stack([tr.heights[0] for tr in simulate_replicas(
+        lambda rng: init_eta, p, lat, horizon, [horizon], 10000, 50)])
 
     Q = exact_generator(p, n).toarray()
     m = Q.shape[0]
@@ -234,13 +229,11 @@ def test_mean_current_against_flux_count():
     pi = stationary_measure(exact_generator(p, 2))
     j_exact = mean_current(pi, p, 2)
 
-    def task(i, rng):
-        horizon = 2000.0
-        tr = simulate(bernoulli_eta(2, rng), p, lat, horizon, [horizon], rng)
-        # net removals at the left boundary = h_T(0)/2; current counts entries
-        return -tr.h0s[0] / 2.0 / horizon
-
-    vals = np.array(run_replicas(task, 24, 17)) / (p.p - p.q)
+    horizon = 2000.0
+    trajs = simulate_replicas(lambda rng: bernoulli_eta(2, rng), p, lat, horizon,
+                              [horizon], 24, 17)
+    # net removals at the left boundary = h_T(0)/2; current counts entries
+    vals = np.array([-tr.h0s[0] / 2.0 / horizon for tr in trajs]) / (p.p - p.q)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - j_exact) <= 3 * se
 
@@ -254,12 +247,9 @@ def test_half_line_truncation_doubling():
     assert halfline_truncation_length(6, horizon) >= 24
 
     def occupation(length, seed):
-        lat = Lattice.half_line(length)
-        def task(i, rng):
-            init = bernoulli_eta(length, rng)
-            tr = simulate(init, p, lat, horizon, [horizon], rng)
-            return tr.etas[0][:6].astype(float)
-        return np.stack(run_replicas(task, 3000, seed))
+        trajs = simulate_replicas(lambda rng: bernoulli_eta(length, rng), p,
+                                  Lattice.half_line(length), horizon, [horizon], 3000, seed)
+        return np.stack([tr.etas[0][:6].astype(float) for tr in trajs])
 
     a = occupation(24, 21)
     b = occupation(48, 21)
@@ -268,13 +258,86 @@ def test_half_line_truncation_doubling():
     assert np.max(z) <= 3.0
 
 
-def test_height_file_roundtrip(tmp_path):
-    h = HeightField.from_eta(alternating_eta(6).eta, h0_counter=0)
-    path = tmp_path / "heights.txt"
-    write_height_file(path, h)
-    back = read_height_file(path)
-    assert np.array_equal(back.h, h.h)
-    assert back.h0_counter == h.h0_counter
+# Streams of the scalar one-replica Gillespie loop that the lockstep sampler
+# replaced: SHA-256 of every replica's snapshots (int8 etas, int64 heights)
+# and event count, and the sums of its exponential integrals, recorded from
+# that loop on replica_rng(seed, i).
+PINNED_STREAMS = {
+    "interval16": ("588f369bab6e0ff9684811dcb3c719c72115776681939b6b2d4e30987e2e54f9",
+                   126654.3174958502, 678653.2186880254),
+    "interval12_robin": ("c4f7d49291bca173d8be0920fc69c59c8d5de2b99d468e8f9014c5c27bfe704d",
+                         12687.25895353147, 21724.04171252677),
+    "halfline24": ("3f48d8aad3b4671e7186881b9826cd2942b99fd86e341693c1095105d2d068ba",
+                   256060.53097573787, 86905954.70756868),
+    "interval2": ("db1b6b9fdd6eef05cf25848e59f5b95739310114f22efc4427dfaa8425f9fb38",
+                  2552.1443890543624, 3808.4758345155465),
+    "interval1": ("0b20424b86fd45d1ebeea4d701f39858507594e8c0cc900896ad0f3d9ff0d6f3",
+                  743.9635927258648, 685.2315377394007),
+}
+
+
+def stream_configs():
+    """name -> (params, lattice, init, horizon, sample_times, replicas, seed)."""
+    rates = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.5, beta=0.35, gamma=0.15, delta=0.2)
+    return {
+        # > 4096 events per replica: crosses a refresh of the total rate
+        "interval16": (p_interval(16, 0.0, 0.0), Lattice.interval(16),
+                       lambda rng: bernoulli_eta(16, rng), 1200.0, [600.0, 1200.0], 4, 11),
+        "interval12_robin": (p_interval(12, 1.0, 2.0), Lattice.interval(12),
+                             lambda rng: alternating_eta(12), 300.0, [0.0, 100.0, 300.0], 3, 12),
+        "halfline24": (build_params(ScalingParams.half_line(1 / 16, 1.0)), Lattice.half_line(24),
+                       lambda rng: bernoulli_eta(24, rng), 200.0, [0.0, 50.0, 200.0], 3, 13),
+        "interval2": (rates, Lattice.interval(2), lambda rng: bernoulli_eta(2, rng),
+                      500.0, [250.0, 500.0], 3, 14),
+        "interval1": (rates, Lattice.interval(1), lambda rng: Configuration(np.array([-1])),
+                      500.0, [250.0, 500.0], 3, 15),
+    }
+
+
+def stream_digest(trajs) -> str:
+    h = hashlib.sha256()
+    for tr in trajs:
+        for eta, heights in zip(tr.etas, tr.heights):
+            h.update(np.asarray(eta, dtype="<i1").tobytes())
+            h.update(np.asarray(heights, dtype="<i8").tobytes())
+        h.update(np.asarray(tr.event_count, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_replicas_replay_pinned_streams(name):
+    # the lockstep sampler replays each replica's event sequence exactly;
+    # the integrals may differ from the C library's exp/expm1 in the last bit
+    p, lat, init, horizon, times, replicas, seed = stream_configs()[name]
+    trajs = simulate_replicas(init, p, lat, horizon, times, replicas, seed,
+                              track_exp_integrals=(-p.lam, p.nu))
+    digest, s1, s2 = PINNED_STREAMS[name]
+    assert stream_digest(trajs) == digest
+    assert sum(float(np.sum(z)) for tr in trajs for z in tr.z_int) == pytest.approx(s1, rel=1e-12)
+    assert sum(float(np.sum(z)) for tr in trajs for z in tr.z2_int) == pytest.approx(s2, rel=1e-12)
+
+
+def test_simulate_replicas_independent_of_threads_and_blocks():
+    # 300 replicas run as two lockstep blocks; each must equal its own
+    # one-replica run on replica_rng(seed, i), for 1 and 2 threads
+    n = 8
+    p = p_interval(n, 1.0, 0.5)
+    lat = Lattice.interval(n)
+    track = (-p.lam, p.nu)
+    single = []
+    for i in range(300):
+        rng = replica_rng(4, i)
+        single.append(simulate(bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0], rng,
+                               track_exp_integrals=track))
+    for threads in (1, 2):
+        trajs = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0],
+                                  300, 4, track_exp_integrals=track, threads=threads)
+        assert len(trajs) == 300
+        for a, b in zip(trajs, single):
+            assert a.event_count == b.event_count
+            for i in range(2):
+                assert np.array_equal(a.heights[i], b.heights[i])
+                assert np.array_equal(a.z_int[i], b.z_int[i])
 
 
 def test_invalid_inputs():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from asepkpz.engine import (HeightField, Lattice, alternating_eta,
-                            bernoulli_eta, run_replicas, simulate)
+                            bernoulli_eta, simulate, simulate_replicas)
 from asepkpz.gartner import (bracket_decomposition, bracket_rate,
                              drift_identity_residual, rescale, z_field)
 from asepkpz.kernels import solve_interval_spectrum
@@ -22,8 +22,6 @@ def test_z_field_constant_and_geometric():
     assert np.allclose(z.z, 1.0)
     z = z_field(np.arange(9), 0.0, p)
     assert np.allclose(z.z, np.exp(-p.lam * np.arange(9)))
-    # interpolation is linear between lattice points
-    assert abs(np.interp(2.5, np.arange(9), z.z) - 0.5 * (z.z[2] + z.z[3])) < 1e-15
 
 
 def test_z_bond_ratio_quantization():
@@ -187,13 +185,11 @@ def test_rescaled_mean_tracks_kernel_oracle():
     lat = Lattice.interval(n)
     horizon = T * n * n
 
-    def task(i, rng):
-        tr = simulate(bernoulli_eta(n, rng), p, lat, horizon, [horizon], rng)
-        return z_field(tr.height_field(0), horizon, p).z
-
-    zs = np.stack(run_replicas(task, 600, 123))
+    trajs = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, horizon, [horizon],
+                              600, 123)
+    zs = np.stack([z_field(tr.height_field(0), horizon, p).z for tr in trajs])
     spec = solve_interval_spectrum(n, p.mu_a, p.mu_b)
-    oracle = asep_mean_prediction(spec, horizon, p,
+    oracle = asep_mean_prediction(spec, horizon,
                                   np.cosh(math.sqrt(p.epsilon)) ** np.arange(n + 1))
     se = zs.std(axis=0, ddof=1) / math.sqrt(len(zs))
     z = np.abs(zs.mean(axis=0) - oracle) / se
