@@ -8,7 +8,7 @@ from .params import (ScalingParams, ModelParams, PhaseDiagnostics, Phase,
                      equal_density_mu)
 from .engine import (Lattice, Configuration, HeightField, Trajectory,
                      event_rates, simulate, simulate_replicas, exact_generator,
-                     stationary_measure, mean_current, bernoulli_eta,
+                     stationary_measure, bernoulli_eta,
                      alternating_eta, replica_rng, run_replicas)
 from .gartner import (ZField, ScaledField, z_field, drift_identity_residual,
                       bracket_rate, bracket_decomposition, rescale)

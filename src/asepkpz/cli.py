@@ -44,7 +44,8 @@ DEFAULTS = """\
 seed = 20240901
 ; number of independent replicas for Monte Carlo kinds
 replicas = 200
-; worker threads (fallback: ASEPKPZ_THREADS); results are thread-count invariant
+; worker threads (fallback: ASEPKPZ_THREADS); results are thread-count invariant;
+; the ASEP kinds gain no speed from more threads, the option shows the invariance
 threads = 1
 ; output root; the run lands in <out>/<config-hash>/
 out = runs

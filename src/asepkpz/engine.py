@@ -41,7 +41,6 @@ __all__ = [
     "simulate_replicas",
     "exact_generator",
     "stationary_measure",
-    "mean_current",
     "bernoulli_eta",
     "alternating_eta",
     "replica_rng",
@@ -598,6 +597,7 @@ def stationary_measure(generator) -> np.ndarray:
     return pi
 
 
+# Independent cross-check, called only by the tests; not exported.
 def mean_current(pi: np.ndarray, params: ModelParams, n: int) -> float:
     """J_N = (p-q)^{-1} E_pi[alpha (1-eta(1))/2 - gamma (1+eta(1))/2]."""
     flux = 0.0

@@ -32,7 +32,6 @@ __all__ = [
     "green_matrix",
     "green_corner_closed_form",
     "halfline_green",
-    "halfline_green_limit",
     "f_matrix",
     "c_closed_form",
     "key_identity",
@@ -86,6 +85,7 @@ def halfline_green(x: int, y: int, mu_a: float) -> float:
     return 2.0 / (1.0 - mu_a) + 2.0 * min(x, y)
 
 
+# Independent cross-check, called only by the tests; not exported.
 def halfline_green_limit(n_base: int, mu_a: float) -> float:
     """Numerical N -> infinity limit of the interval corner value at mu_B = 0.
 
@@ -263,34 +263,31 @@ def key_identity(kind: str, x: int, xb: int, *, n: int | None = None,
 # ---------------------------------------------------------------------------
 # c-star sums
 
-def _interval_grad_products(L: np.ndarray, t: float) -> np.ndarray:
-    """|grad+_x p_t(x, y) grad-_x p_t(x, y)| for bulk x, all y (interval)."""
-    M = expm(-t * L)
+def _interval_grad_products(spec: SpectralData, t: float) -> np.ndarray:
+    """|grad+_x p_t(x, y) grad-_x p_t(x, y)| for bulk x, all y, p_t = V e^{-t lam} V^T."""
+    V = spec.eigvecs
+    M = (V * np.exp(-t * spec.lambdas)) @ V.T
     gp = M[2:, :] - M[1:-1, :]    # grad+ at x = 1..N-1
     gm = M[1:-1, :] - M[:-2, :]   # x - (x-1), sign-free under abs
     return np.abs(gp * gm)
 
 
 def c_star_estimate(n: int, mu_a: float, mu_b: float, t_bar: float,
-                    eps: float, a_weight: float = 0.0, tol: float = 1e-8) -> dict:
-    """max over bulk x of sum_{y=1}^{N-1} int_0^{eps^{-2} t_bar} |grad+ p grad- p| e^{a eps|x-y|} dt.
+                    eps: float, tol: float = 1e-8) -> dict:
+    """max over bulk x of sum_{y=1}^{N-1} int_0^{eps^{-2} t_bar} |grad+ p grad- p| dt.
 
     A uniform bound c_star < 1 holds for these sums; the audit reports the
-    observed maximum and where it is attained.
+    observed maximum and where it is attained, on the spectral kernel.
     """
-    L = robin_laplacian_matrix(n, mu_a, mu_b)
+    spec = solve_interval_spectrum(n, mu_a, mu_b)
     horizon = t_bar / (eps * eps)
-    xs = np.arange(1, n)
-    ys = np.arange(1, n)
-    w = np.exp(a_weight * eps * np.abs(xs[:, None] - ys[None, :]))
 
     def integrand(t):
-        prod = _interval_grad_products(L, t)[:, 1:n]
-        return (prod * w).sum(axis=1)
+        return _interval_grad_products(spec, t)[:, 1:n].sum(axis=1)
 
     total = integrate_decaying(integrand, horizon, tol=tol)
     i = int(np.argmax(total))
-    return {"max": float(total[i]), "argmax_x": int(xs[i]), "per_x": total,
+    return {"max": float(total[i]), "argmax_x": i + 1, "per_x": total,
             "horizon": horizon}
 
 
@@ -301,11 +298,11 @@ def c_star_weighted(n: int, mu_a: float, mu_b: float, s_macro: float,
     The (s-t)^{-1/2} endpoint singularity is removed by the substitution
     t = s - u^2 on the last unit of time.  The bound scales like eps.
     """
-    L = robin_laplacian_matrix(n, mu_a, mu_b)
+    spec = solve_interval_spectrum(n, mu_a, mu_b)
     s = s_macro / (eps * eps)
 
     def core(t):
-        return _interval_grad_products(L, t)[:, 1:n].sum(axis=1)
+        return _interval_grad_products(spec, t)[:, 1:n].sum(axis=1)
 
     def regular(t):
         return core(t) / math.sqrt(s - t)

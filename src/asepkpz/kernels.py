@@ -25,7 +25,6 @@ from scipy.special import ive
 __all__ = [
     "free_walk_kernel",
     "free_walk_row",
-    "free_walk_series",
     "free_walk_tail_bound",
     "halfline_robin_kernel",
     "halfline_robin_row",
@@ -37,7 +36,6 @@ __all__ = [
     "build_image_expansion",
     "interval_kernel_image",
     "continuous_halfline_kernel",
-    "continuous_halfline_kernel_quad",
     "kernel_bound_audit",
 ]
 
@@ -61,6 +59,7 @@ def free_walk_row(t: float, n_max: int) -> np.ndarray:
     return ive(np.arange(n_max + 1), t)
 
 
+# Independent cross-check, called only by the tests; not exported.
 def free_walk_series(t: float, x: int, n_terms: int = 200) -> float:
     """Poisson mixture of binomial discrete-time walk steps (series oracle)."""
     x = abs(int(x))
@@ -432,6 +431,7 @@ def continuous_halfline_kernel(T: float, X, Y, A: float):
     return out if out.shape else float(out)
 
 
+# Independent cross-check, called only by the tests; not exported.
 def continuous_halfline_kernel_quad(T: float, X: float, Y: float, A: float) -> float:
     """Adaptive-quadrature evaluation of the boundary integral (cross-check)."""
     from scipy.integrate import quad

@@ -191,7 +191,7 @@ def test_criterion_07_c_star():
     with Timer() as t:
         n = 32
         mu = 1.0 - 1.0 / n
-        res = c_star_estimate(n, mu, mu, 1.0, 1.0 / n, a_weight=0.0)
+        res = c_star_estimate(n, mu, mu, 1.0, 1.0 / n)
         ok = res["max"] < 1.0
         ratios = []
         for inv in (16, 32, 64):

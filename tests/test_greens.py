@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from asepkpz.greens import (c_closed_form, c_star_estimate, c_star_weighted,
-                            f_matrix, f_matrix_quadrature,
-                            green_corner_closed_form, green_matrix,
+from asepkpz.greens import (_interval_grad_products, c_closed_form,
+                            c_star_estimate, c_star_weighted, f_matrix,
+                            f_matrix_quadrature, green_corner_closed_form, green_matrix,
                             halfline_green, halfline_green_limit, key_identity,
                             summation_by_parts_audit)
 from asepkpz.kernels import (free_walk_row, robin_laplacian_matrix,
@@ -141,6 +142,18 @@ def test_key_identity_half_line_green_route():
     for (x, xb) in [(0, 1), (1, 3)]:
         rep = key_identity("half_line", x, xb, mu_a=0.5, t_cut=2e3)
         assert rep["value"] == 0.0
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("mu_a, mu_b", [(1.0, 1.0), (1 - 1 / 32, 1 - 1 / 32), (0.9, 0.7)])
+def test_grad_products_match_dense_expm(n, mu_a, mu_b):
+    # reference: Pade exponential of the Robin Laplacian at each time
+    spec = solve_interval_spectrum(n, mu_a, mu_b)
+    L = robin_laplacian_matrix(n, mu_a, mu_b)
+    for t in (0.0, 0.5, 30.0, 1024.0):
+        M = expm(-t * L)
+        ref = np.abs((M[2:, :] - M[1:-1, :]) * (M[1:-1, :] - M[:-2, :]))
+        assert np.max(np.abs(_interval_grad_products(spec, t) - ref)) <= 1e-12
 
 
 def test_cstar_interval_below_one():
