@@ -7,8 +7,8 @@ from .params import (ScalingParams, ModelParams, PhaseDiagnostics, Phase,
                      build_params, params_from_mu, phase_point, expansion_audit,
                      equal_density_mu)
 from .engine import (Lattice, Configuration, HeightField, Trajectory,
-                     event_rates, simulate, simulate_replicas, exact_generator,
-                     stationary_measure, bernoulli_eta,
+                     event_rates, simulate, simulate_replicas, state_etas,
+                     exact_generator, stationary_measure, bernoulli_eta,
                      alternating_eta, replica_rng, run_replicas)
 from .gartner import (ZField, ScaledField, z_field, drift_identity_residual,
                       bracket_rate, bracket_decomposition, rescale)

@@ -18,7 +18,6 @@ import configparser
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .engine import (Lattice, alternating_eta, bernoulli_eta, exact_generator,
-                     simulate_replicas, stationary_measure)
+                     simulate_replicas, state_etas, stationary_measure)
 from .gartner import rescale
 from .greens import (c_star_estimate, green_corner_closed_form, green_matrix,
                      key_identity, report_to_json, summation_by_parts_audit)
@@ -398,8 +397,7 @@ def run_audit_all(cfg, out, seed, threads, checks):
     Q = exact_generator(p, 5)
     pi = stationary_measure(Q)
     rho = phase_point(p).rho_a
-    bern = np.array([math.prod(rho if (s >> x) & 1 else 1 - rho for x in range(5))
-                     for s in range(32)])
+    bern = np.prod(np.where(state_etas(5) > 0, rho, 1 - rho), axis=1)
     checks["stationary_product_bernoulli"] = float(0.5 * np.abs(pi - bern).sum()) <= 1e-10
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "halfline_truncation_length",
     "simulate",
     "simulate_replicas",
+    "state_etas",
     "exact_generator",
     "stationary_measure",
     "bernoulli_eta",
@@ -83,14 +84,14 @@ class Lattice:
         return cls("half_line", length)
 
 
-def halfline_truncation_length(x_max: int, horizon: float, delta: float = 1e-3) -> int:
-    """Truncation length L >= x_max + 4 sqrt(horizon) log(1/delta).
+def halfline_truncation_length(x_max: int, horizon: float) -> int:
+    """Truncation length L >= x_max + 4 sqrt(horizon) log(1/delta), delta = 1e-3.
 
     Heuristic policy keeping the closed right edge's influence on the
     observation window [0, x_max] below the Monte Carlo noise floor delta;
     validated empirically by the doubling test.
     """
-    return int(math.ceil(x_max + 4.0 * math.sqrt(max(horizon, 1.0)) * math.log(1.0 / delta)))
+    return int(math.ceil(x_max + 4.0 * math.sqrt(max(horizon, 1.0)) * math.log(1.0 / 1e-3)))
 
 
 @dataclass(frozen=True)
@@ -112,23 +113,19 @@ class Configuration:
 
 @dataclass(frozen=True)
 class HeightField:
-    """Heights h(0..N) with slopes +-1 and the boundary counter h(0)."""
+    """Heights h(0..N) with slopes +-1."""
 
     h: np.ndarray
-    h0_counter: int
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.int64)
         object.__setattr__(self, "h", h)
-        if int(h[0]) != self.h0_counter:
-            raise ValueError("h(0) must equal the boundary counter")
         if len(h) > 1 and not np.all(np.abs(np.diff(h)) == 1):
             raise ValueError("height increments must be +-1")
 
     @classmethod
-    def from_eta(cls, eta: np.ndarray, h0_counter: int = 0) -> "HeightField":
-        h = np.concatenate([[h0_counter], h0_counter + np.cumsum(eta, dtype=np.int64)])
-        return cls(h=h, h0_counter=h0_counter)
+    def from_eta(cls, eta: np.ndarray, h0: int = 0) -> "HeightField":
+        return cls(h=np.concatenate([[h0], h0 + np.cumsum(eta, dtype=np.int64)]))
 
     def to_eta(self) -> np.ndarray:
         return np.diff(self.h).astype(np.int8)
@@ -146,59 +143,58 @@ class Trajectory:
 
     sample_times: np.ndarray
     etas: list
-    h0s: list
     heights: list
     event_count: int
-    lattice: Lattice
     exp_integral_constants: tuple | None = None
     z_int: list | None = None
     z2_int: list | None = None
 
     def height_field(self, i: int) -> HeightField:
-        return HeightField(h=self.heights[i], h0_counter=int(self.h0s[i]))
+        return HeightField(h=self.heights[i])
 
 
 @dataclass(frozen=True)
 class EventRates:
-    """Per-event rates, one entry per possible transition.
+    """Per-event rates of one configuration, or of a stack of them.
 
-    right[x-1] / left[x-1] are the jump rates across bond (x, x+1) for
-    x = 1..N-1; creation/annihilation entries are scalars (right ones are
-    None on the half line).
+    right[..., x-1] / left[..., x-1] are the jump rates across bond (x, x+1)
+    for x = 1..N-1; the reservoir entries have the stack's shape (scalars
+    for one configuration), and the right ones are None on the half line.
     """
 
     right: np.ndarray
     left: np.ndarray
-    create_left: float
-    annihilate_left: float
-    create_right: float | None
-    annihilate_right: float | None
-
-    @property
-    def total(self) -> float:
-        t = float(self.right.sum() + self.left.sum()) + self.create_left + self.annihilate_left
-        if self.create_right is not None:
-            t += self.create_right + self.annihilate_right
-        return t
+    create_left: np.ndarray
+    annihilate_left: np.ndarray
+    create_right: np.ndarray | None
+    annihilate_right: np.ndarray | None
 
 
-def event_rates(config: Configuration, params: ModelParams, lattice: Lattice) -> EventRates:
-    """All event rates for a configuration.
+def event_rates(config, params: ModelParams, lattice: Lattice) -> EventRates:
+    """All event rates for a Configuration or a stack of +-1 rows (last axis = sites).
 
     c^R = (p/4)(1+eta(x))(1-eta(x+1)), c^L = (q/4)(1-eta(x))(1+eta(x+1));
     r_A^+ = (alpha/2)(1-eta(1)), r_A^- = (gamma/2)(1+eta(1));
     r_B^+ = (delta/2)(1-eta(N)), r_B^- = (beta/2)(1+eta(N)).
+    The one place these formulas live: the exact generator and the Gartner
+    identities read them from here (the sampler's channel tables are
+    written separately, so the sampler-vs-generator tests compare two
+    independent codings).
     """
-    eta = config.eta.astype(np.float64)
-    if len(eta) != lattice.n_sites:
+    eta = np.asarray(config.eta if isinstance(config, Configuration) else config)
+    if eta.shape[-1] != lattice.n_sites:
         raise ValueError("configuration size does not match lattice")
-    right = params.p / 4.0 * (1.0 + eta[:-1]) * (1.0 - eta[1:])
-    left = params.q / 4.0 * (1.0 - eta[:-1]) * (1.0 + eta[1:])
-    create_left = params.alpha / 2.0 * (1.0 - eta[0])
-    annihilate_left = params.gamma / 2.0 * (1.0 + eta[0])
+    if not np.all(np.abs(eta) == 1):
+        raise ValueError("every site must hold exactly one of {-1, +1}")
+    eta = eta.astype(np.float64)
+    first, last = eta[..., 0], eta[..., -1]
+    right = params.p / 4.0 * (1.0 + eta[..., :-1]) * (1.0 - eta[..., 1:])
+    left = params.q / 4.0 * (1.0 - eta[..., :-1]) * (1.0 + eta[..., 1:])
+    create_left = params.alpha / 2.0 * (1.0 - first)
+    annihilate_left = params.gamma / 2.0 * (1.0 + first)
     if lattice.has_right_reservoir:
-        create_right = params.delta / 2.0 * (1.0 - eta[-1])
-        annihilate_right = params.beta / 2.0 * (1.0 + eta[-1])
+        create_right = params.delta / 2.0 * (1.0 - last)
+        annihilate_right = params.beta / 2.0 * (1.0 + last)
     else:
         create_right = annihilate_right = None
     return EventRates(right=right, left=left, create_left=create_left,
@@ -463,12 +459,11 @@ class _Block:
                                                     2 * self.occ[:, :-1] - 1):
                 raise AssertionError("height/occupation mismatch")
 
-    def trajectories(self, sample_times, lattice) -> list[Trajectory]:
+    def trajectories(self, sample_times) -> list[Trajectory]:
         track = self.track
         return [Trajectory(sample_times=sample_times, etas=list(self.snap_eta[r]),
-                           h0s=[int(v) for v in self.snap_h[r, :, 0]],
                            heights=list(self.snap_h[r]), event_count=int(self.counts[r]),
-                           lattice=lattice, exp_integral_constants=track,
+                           exp_integral_constants=track,
                            z_int=list(self.snap_s[0, r]) if track else None,
                            z2_int=list(self.snap_s[1, r]) if track else None)
                 for r in range(len(self.counts))]
@@ -490,7 +485,7 @@ def _run_block(ch, inits, rngs, lattice, horizon, sample_times, track,
         raise ValueError("configuration size does not match lattice")
     block = _Block(ch, inits, rngs, sample_times, track)
     block.run(horizon, debug_checks)
-    return block.trajectories(sample_times, lattice)
+    return block.trajectories(sample_times)
 
 
 def simulate(initial: Configuration, params: ModelParams, lattice: Lattice,
@@ -549,42 +544,50 @@ def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: floa
 # ---------------------------------------------------------------------------
 # exact generator oracles
 
+def state_etas(n: int) -> np.ndarray:
+    """All 2^N configurations as int8 rows of +-1.
+
+    Row s is state s of `exact_generator`: site x+1 is occupied iff bit x
+    of s is set.
+    """
+    return (2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) - 1).astype(np.int8)
+
+
 def exact_generator(params: ModelParams, n: int, lattice: Lattice | None = None):
-    """Sparse CTMC generator over {-1,+1}^N (state bits: bit x <-> site x+1 occupied)."""
+    """Sparse CTMC generator over {-1,+1}^N (state bits: bit x <-> site x+1 occupied).
+
+    Built from one `event_rates` call on all 2^N states.  Each move's rate
+    (the sum of the two rates across a bond or at a reservoir) becomes an
+    off-diagonal entry when positive, and each diagonal entry is minus the
+    left-to-right sum of its row's moves: bonds, left reservoir, right one.
+    """
     from scipy import sparse
-    if n > 12:
-        raise ValueError("exact generator limited to N <= 12")
     lattice = lattice if lattice is not None else Lattice.interval(n)
-    n_states = 1 << n
-    rows, cols, vals = [], [], []
-    for s in range(n_states):
-        eta = np.array([1 if (s >> x) & 1 else -1 for x in range(n)], dtype=np.int8)
-        rates = event_rates(Configuration(eta), params, lattice)
-        out = 0.0
-        for b in range(n - 1):
-            r = rates.right[b] + rates.left[b]
-            if r > 0:
-                s2 = s ^ (1 << b) ^ (1 << (b + 1))
-                rows.append(s); cols.append(s2); vals.append(r)
-                out += r
-        r = rates.create_left + rates.annihilate_left
-        if r > 0:
-            rows.append(s); cols.append(s ^ 1); vals.append(r)
-            out += r
-        if rates.create_right is not None:
-            r = rates.create_right + rates.annihilate_right
-            if r > 0:
-                rows.append(s); cols.append(s ^ (1 << (n - 1))); vals.append(r)
-                out += r
-        rows.append(s); cols.append(s); vals.append(-out)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_states, n_states))
+    rates = event_rates(state_etas(n), params, lattice)
+    moves = [rates.right + rates.left, (rates.create_left + rates.annihilate_left)[:, None]]
+    flips = [3 << np.arange(n - 1), [1]]   # the state bits each move flips
+    if lattice.has_right_reservoir:
+        moves.append((rates.create_right + rates.annihilate_right)[:, None])
+        flips.append([1 << (n - 1)])
+    moves = np.concatenate(moves, axis=1)
+    states = np.arange(1 << n)
+    # one row per state: its moves, then its diagonal, in the order of the
+    # entries of a per-state loop (np.cumsum adds left to right)
+    vals = np.concatenate([moves, -np.cumsum(moves, axis=1)[:, -1:]], axis=1)
+    cols = states[:, None] ^ np.concatenate([*flips, [0]])
+    keep = np.ones(vals.shape, dtype=bool)
+    keep[:, :-1] = moves > 0
+    rows = np.broadcast_to(states[:, None], vals.shape)
+    return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(1 << n, 1 << n))
 
 
 def stationary_measure(generator) -> np.ndarray:
-    """pi with pi Q = 0, solved densely with a normalization row."""
+    """pi with pi Q = 0, solved densely with a normalization row (at most 2^12 states)."""
+    m = generator.shape[0]
+    if m > 1 << 12:
+        raise ValueError(f"dense stationary solve limited to 2^12 states, got {m}")
     Q = np.asarray(generator.todense() if hasattr(generator, "todense") else generator,
                    dtype=float)
-    m = Q.shape[0]
     A = Q.T.copy()
     A[-1, :] = 1.0
     b = np.zeros(m)
@@ -599,21 +602,18 @@ def stationary_measure(generator) -> np.ndarray:
 
 # Independent cross-check, called only by the tests; not exported.
 def mean_current(pi: np.ndarray, params: ModelParams, n: int) -> float:
-    """J_N = (p-q)^{-1} E_pi[alpha (1-eta(1))/2 - gamma (1+eta(1))/2]."""
-    flux = 0.0
-    for s in range(len(pi)):
-        eta1 = 1 if s & 1 else -1
-        flux += pi[s] * (params.alpha * (1 - eta1) / 2.0 - params.gamma * (1 + eta1) / 2.0)
-    return flux / (params.p - params.q)
+    """J_N = (p-q)^{-1} E_pi[r_A^+ - r_A^-], the net entry rate at site 1."""
+    rates = event_rates(state_etas(n), params, Lattice.interval(n))
+    return float(pi @ (rates.create_left - rates.annihilate_left)) / (params.p - params.q)
 
 
 # ---------------------------------------------------------------------------
 # initial conditions
 
-def bernoulli_eta(n: int, seed, density: float = 0.5) -> Configuration:
-    """Product measure: eta(x) = +1 with the given density."""
+def bernoulli_eta(n: int, seed) -> Configuration:
+    """Product Bernoulli(1/2) measure: eta(x) = +1 with probability 1/2."""
     rng = seed if isinstance(seed, np.random.Generator) else replica_rng(seed, 0)
-    eta = np.where(rng.random(n) < density, 1, -1).astype(np.int8)
+    eta = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
     return Configuration(eta)
 
 

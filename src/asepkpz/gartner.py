@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import HeightField, Lattice, Trajectory
+from .engine import HeightField, Lattice, Trajectory, event_rates
 from .params import ModelParams
 
 __all__ = [
@@ -62,47 +62,47 @@ def z_field(h, t: float, params: ModelParams) -> ZField:
     return ZField(log_z=log_z, t=t)
 
 
+def _height_moves(eta, params: ModelParams, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Total rates of the events lowering / raising h(x) by 2, per height site.
+
+    Lowering h(x) multiplies Z(x) by q/p, raising it by p/q: creation at
+    site 1 and a right jump across bond (x, x+1) lower h(0) and h(x),
+    annihilation at site N lowers h(N); the reverse events raise them.  The
+    closed edge of the truncated half line moves nothing (x = 0..L-1 only).
+    """
+    r = event_rates(eta, params, lattice)
+    down = [[r.create_left], r.right]
+    up = [[r.annihilate_left], r.left]
+    if lattice.has_right_reservoir:
+        down.append([r.annihilate_right])
+        up.append([r.create_right])
+    return np.concatenate(down), np.concatenate(up)
+
+
 def drift_identity_residual(eta: np.ndarray, params: ModelParams,
                             lattice: Lattice) -> np.ndarray:
     """Relative residual Omega(x) - Laplacian(Z)(x) / (2 Z(x)) per height site.
 
     Omega(x) collects nu plus the jump factors (q/p - 1), (p/q - 1) times
-    the rates of the events moving h(x); the Laplacian uses the exact bond
-    ratios Z(x+-1)/Z(x) = exp(-+ lam eta) and the ghost values mu_A Z(0),
-    mu_B Z(N).  Under the boundary parameterization every entry vanishes for
-    every configuration.  On the truncated half line the artificial closed
-    edge is excluded (the returned array covers x = 0..L-1).
+    the rates of the events moving h(x), read from `event_rates`; the
+    Laplacian uses the exact bond ratios Z(x+-1)/Z(x) = exp(-+ lam eta) and
+    the ghost values mu_A Z(0), mu_B Z(N).  Under the boundary
+    parameterization every entry vanishes for every configuration.  On the
+    truncated half line the artificial closed edge is excluded (the
+    returned array covers x = 0..L-1).
     """
+    down, up = _height_moves(eta, params, lattice)
     eta = np.asarray(eta, dtype=float)
     n = lattice.n_sites
-    if len(eta) != n:
-        raise ValueError("configuration size does not match lattice")
-    lam, nu, p, q = params.lam, params.nu, params.p, params.q
-    e2l = q / p          # exp(2 lam)
-    em2l = p / q
-    n_out = n + 1 if lattice.has_right_reservoir else n
-    res = np.empty(n_out)
-    # x = 0
-    if eta[0] == -1:
-        omega0 = nu + (e2l - 1.0) * params.alpha
-    else:
-        omega0 = nu + (em2l - 1.0) * params.gamma
-    res[0] = omega0 - 0.5 * (params.mu_a - 2.0 + math.exp(-lam * eta[0]))
-    # interior x = 1..n-1: bond (x, x+1) events move h(x)
-    e1 = eta[:-1]
-    e2 = eta[1:]
-    c_right = p / 4.0 * (1.0 + e1) * (1.0 - e2)
-    c_left = q / 4.0 * (1.0 - e1) * (1.0 + e2)
-    omega = nu + (e2l - 1.0) * c_right + (em2l - 1.0) * c_left
-    lap = np.exp(lam * e1) + np.exp(-lam * e2) - 2.0
-    res[1:n] = omega - 0.5 * lap
+    lam, p, q = params.lam, params.p, params.q
+    omega = params.nu + (q / p - 1.0) * down + (p / q - 1.0) * up
+    lap = np.empty_like(omega)
+    lap[0] = params.mu_a - 2.0 + math.exp(-lam * eta[0])
+    # interior x = 1..n-1
+    lap[1:n] = np.exp(lam * eta[:-1]) + np.exp(-lam * eta[1:]) - 2.0
     if lattice.has_right_reservoir:
-        if eta[-1] == 1:
-            omega_n = nu + (e2l - 1.0) * params.beta
-        else:
-            omega_n = nu + (em2l - 1.0) * params.delta
-        res[n] = omega_n - 0.5 * (math.exp(lam * eta[-1]) - 2.0 + params.mu_b)
-    return res
+        lap[n] = math.exp(lam * eta[-1]) - 2.0 + params.mu_b
+    return omega - 0.5 * lap
 
 
 @dataclass(frozen=True)
@@ -122,35 +122,27 @@ class BracketDecomposition:
     is_boundary: bool
 
 
+def _bracket_over_z2(eta, params: ModelParams, lattice: Lattice) -> np.ndarray:
+    """Exact bracket rate / Z(x)^2 per height site."""
+    down, up = _height_moves(eta, params, lattice)
+    p, q = params.p, params.q
+    return (q / p - 1.0) ** 2 * down + (p / q - 1.0) ** 2 * up
+
+
 def bracket_decomposition(eta: np.ndarray, params: ModelParams, lattice: Lattice,
                           x: int) -> BracketDecomposition:
     """Exact bracket rate and its small-eps split at height site x."""
-    eta = np.asarray(eta)
-    n = lattice.n_sites
-    lam, p, q = params.lam, params.p, params.q
-    eps = params.epsilon
-    e2l, em2l = q / p, p / q
-    if x == 0:
-        r_plus = params.alpha / 2.0 * (1.0 - eta[0])
-        r_minus = params.gamma / 2.0 * (1.0 + eta[0])
-        rate = (e2l - 1.0) ** 2 * r_plus + (em2l - 1.0) ** 2 * r_minus
-        grad = 0.0
-        boundary = True
-    elif x == n and lattice.has_right_reservoir:
-        r_plus = params.delta / 2.0 * (1.0 - eta[-1])
-        r_minus = params.beta / 2.0 * (1.0 + eta[-1])
-        rate = (e2l - 1.0) ** 2 * r_minus + (em2l - 1.0) ** 2 * r_plus
-        grad = 0.0
-        boundary = True
-    elif 1 <= x <= n - 1:
-        e1, e2 = float(eta[x - 1]), float(eta[x])
-        c_right = p / 4.0 * (1.0 + e1) * (1.0 - e2)
-        c_left = q / 4.0 * (1.0 - e1) * (1.0 + e2)
-        rate = (e2l - 1.0) ** 2 * c_right + (em2l - 1.0) ** 2 * c_left
-        grad = (math.exp(-lam * e2) - 1.0) * (1.0 - math.exp(lam * e1))
-        boundary = False
-    else:
+    rates = _bracket_over_z2(eta, params, lattice)
+    if not 0 <= x < len(rates):
         raise ValueError(f"height site {x} outside the bracket domain")
+    lam, eps = params.lam, params.epsilon
+    rate = rates[x]
+    boundary = x == 0 or x == lattice.n_sites
+    if boundary:
+        grad = 0.0
+    else:
+        e1, e2 = float(eta[x - 1]), float(eta[x])
+        grad = (math.exp(-lam * e2) - 1.0) * (1.0 - math.exp(lam * e1))
     return BracketDecomposition(rate_over_z2=rate, eps=eps, grad_term_over_z2=grad,
                                 remainder_over_z2=rate - eps + grad,
                                 is_boundary=boundary)
@@ -163,13 +155,8 @@ def bracket_rate(height: HeightField, t: float, params: ModelParams,
     On the truncated half line the closed edge carries no martingale and is
     excluded (length L array).
     """
-    eta = height.to_eta()
-    z = z_field(height, t, params).z
-    n_out = len(z) if lattice.has_right_reservoir else len(z) - 1
-    out = np.empty(n_out)
-    for x in range(n_out):
-        out[x] = bracket_decomposition(eta, params, lattice, x).rate_over_z2 * z[x] ** 2
-    return out
+    rates = _bracket_over_z2(height.to_eta(), params, lattice)
+    return rates * z_field(height, t, params).z[:len(rates)] ** 2
 
 
 def rescale(traj: Trajectory, params: ModelParams, T_list, X_list) -> list[ScaledField]:

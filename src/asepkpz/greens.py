@@ -272,8 +272,7 @@ def _interval_grad_products(spec: SpectralData, t: float) -> np.ndarray:
     return np.abs(gp * gm)
 
 
-def c_star_estimate(n: int, mu_a: float, mu_b: float, t_bar: float,
-                    eps: float, tol: float = 1e-8) -> dict:
+def c_star_estimate(n: int, mu_a: float, mu_b: float, t_bar: float, eps: float) -> dict:
     """max over bulk x of sum_{y=1}^{N-1} int_0^{eps^{-2} t_bar} |grad+ p grad- p| dt.
 
     A uniform bound c_star < 1 holds for these sums; the audit reports the
@@ -285,14 +284,13 @@ def c_star_estimate(n: int, mu_a: float, mu_b: float, t_bar: float,
     def integrand(t):
         return _interval_grad_products(spec, t)[:, 1:n].sum(axis=1)
 
-    total = integrate_decaying(integrand, horizon, tol=tol)
+    total = integrate_decaying(integrand, horizon, tol=1e-8)
     i = int(np.argmax(total))
     return {"max": float(total[i]), "argmax_x": i + 1, "per_x": total,
             "horizon": horizon}
 
 
-def c_star_weighted(n: int, mu_a: float, mu_b: float, s_macro: float,
-                    eps: float, tol: float = 1e-8) -> dict:
+def c_star_weighted(n: int, mu_a: float, mu_b: float, s_macro: float, eps: float) -> dict:
     """max_x of sum_y int_0^s |grad+ p grad- p| (s-t)^{-1/2} dt at s = eps^{-2} s_macro.
 
     The (s-t)^{-1/2} endpoint singularity is removed by the substitution
@@ -307,9 +305,9 @@ def c_star_weighted(n: int, mu_a: float, mu_b: float, s_macro: float,
     def regular(t):
         return core(t) / math.sqrt(s - t)
 
-    total = integrate_decaying(regular, s - 1.0, tol=tol)
+    total = integrate_decaying(regular, s - 1.0, tol=1e-8)
     # t = s - u^2, dt = -2u du, (s-t)^{-1/2} dt -> 2 du
-    total = total + adaptive_quad(lambda u: 2.0 * core(s - u * u), 0.0, 1.0, tol=tol)
+    total = total + adaptive_quad(lambda u: 2.0 * core(s - u * u), 0.0, 1.0, tol=1e-8)
     return {"max": float(np.max(total)), "per_x": total, "s": s}
 
 

@@ -106,11 +106,10 @@ def _geometric_tail(pv: np.ndarray, mu: float, start: int) -> np.ndarray:
     return g
 
 
-def halfline_robin_kernel(t: float, x: int, y: int, mu_a: float,
-                          rtol: float = 1e-16) -> float:
+def halfline_robin_kernel(t: float, x: int, y: int, mu_a: float) -> float:
     """Robin heat kernel on Z_{>=0} via the one-boundary image series.
 
-    The series tail is summed until a term drops below rtol times the
+    The series tail is summed until a term drops below 1e-16 times the
     partial sum.  The formula extends to x = -1 and there satisfies the
     ghost relation p(-1, y) = mu_A p(0, y) identically.
     """
@@ -129,7 +128,7 @@ def halfline_robin_kernel(t: float, x: int, y: int, mu_a: float,
         s += term
         coeff *= mu_a
         w += 1
-        if (term <= rtol * max(s, 1e-300) and w > 4) or base + w > cap:
+        if (term <= 1e-16 * max(s, 1e-300) and w > 4) or base + w > cap:
             break
     return val + (mu_a * mu_a - 1.0) * s
 
@@ -196,8 +195,7 @@ def _secular(om: np.ndarray, n: int, mu_a: float, mu_b: float) -> np.ndarray:
             + mu_a * mu_b * np.sin(om * n))
 
 
-def solve_interval_spectrum(n: int, mu_a: float, mu_b: float,
-                            bisections: int = 90) -> SpectralData:
+def solve_interval_spectrum(n: int, mu_a: float, mu_b: float) -> SpectralData:
     """All N+1 Robin eigenpairs on {0..N}.
 
     Roots are bisected inside the guaranteed brackets
@@ -219,7 +217,7 @@ def solve_interval_spectrum(n: int, mu_a: float, mu_b: float,
         lo = ks * np.pi / (n + 1)
         hi = (ks + 1) * np.pi / (n + 1)
         left_sign = np.where(ks % 2 == 0, 1.0, -1.0)
-        for _ in range(bisections):
+        for _ in range(90):  # halves the bracket past float resolution
             mid = 0.5 * (lo + hi)
             val = _secular(mid, n, mu_a, mu_b)
             same = np.sign(val) == left_sign
@@ -387,18 +385,18 @@ def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> I
 
 
 def interval_kernel_image(n: int, mu_a: float, mu_b: float, t: float,
-                          depth: int = 6, tail_tol: float = 1e-14,
+                          depth: int = 6,
                           expansion: ImageExpansion | None = None) -> KernelMatrix:
     """Kernel assembled from the truncated generalized image expansion.
 
     Raises if the free-walk mass beyond the truncation radius exceeds
-    tail_tol (depth too small for this time).
+    1e-14 (depth too small for this time).
     """
     exp_ = expansion if expansion is not None else build_image_expansion(n, mu_a, mu_b, depth)
     nb = n + 1
     radius = exp_.depth * nb - n
-    if free_walk_tail_bound(t, max(radius, 1)) > tail_tol:
-        raise ValueError(f"depth {exp_.depth} too small at t={t}: image tail above {tail_tol}")
+    if free_walk_tail_bound(t, max(radius, 1)) > 1e-14:
+        raise ValueError(f"depth {exp_.depth} too small at t={t}: image tail above 1e-14")
     zs = np.arange(-exp_.depth * nb, (exp_.depth + 1) * nb)
     pv = free_walk_row(t, int(zs[-1]) + n + 1)
     xs = np.arange(nb)

@@ -29,7 +29,6 @@ __all__ = [
     "phase_point",
     "equal_density_mu",
     "expansion_audit",
-    "EXPANSION_QUANTITIES",
 ]
 
 # Absolute tolerance for classifying a point as lying on a phase boundary.
@@ -201,13 +200,13 @@ class PhaseDiagnostics:
     phase: Phase
 
 
-def phase_point(params: ModelParams, tol: float = PHASE_BOUNDARY_TOL) -> PhaseDiagnostics:
+def phase_point(params: ModelParams) -> PhaseDiagnostics:
     """Phase-diagram location from the simplified density parameters.
 
     a = (mu_A sqrt(pq) - q) / (p - mu_A sqrt(pq)) and the mu_B analogue;
     rho_A = 1/(1+a), rho_B = b/(1+b).  Classification compares 1/a, 1/b
-    against 1 with strict inequalities; anything inside `tol` of a tie is
-    reported as Boundary.
+    against 1 with strict inequalities; anything inside PHASE_BOUNDARY_TOL
+    of a tie is reported as Boundary.
     """
     p, q = params.p, params.q
     if not q < p:
@@ -221,6 +220,7 @@ def phase_point(params: ModelParams, tol: float = PHASE_BOUNDARY_TOL) -> PhaseDi
     rho_a = 1.0 / (1.0 + a)
     rho_b = b / (1.0 + b)
     ia, ib = 1.0 / a, 1.0 / b
+    tol = PHASE_BOUNDARY_TOL
     if ia < min(ib, 1.0) - tol:
         phase, current = Phase.LOW_DENSITY, rho_a * (1.0 - rho_a)
     elif ib < min(ia, 1.0) - tol:
@@ -253,11 +253,7 @@ def equal_density_mu(epsilon: float, mu_b: float) -> float:
     return 2.0 * (p + q) - mu_b
 
 
-# (name, expansion(eps, A, B), remainder order as power of eps)
-EXPANSION_QUANTITIES = ("p", "q", "alpha", "beta", "gamma", "delta",
-                        "a_par", "b_par", "rho_a", "rho_b")
-
-
+# quantity -> (small-eps expansion at (eps, A, B), remainder order as power of eps)
 def _expansions(eps: float, A: float, B: float) -> dict[str, tuple[float, float]]:
     se = math.sqrt(eps)
     return {

@@ -20,18 +20,18 @@ def _gl(f, a: float, b: float, nodes, weights):
     return h * acc
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 14):
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10):
     """Recursive panel quadrature with a 10-vs-21-point error estimate.
 
     `f` may return scalars or arrays; the error is measured in max norm and
-    the tolerance is distributed across subpanels.
+    the tolerance is distributed across subpanels, at most 14 levels deep.
     """
 
     def rec(a_, b_, tol_, depth):
         lo = _gl(f, a_, b_, _NODES_LO, _WEIGHTS_LO)
         hi = _gl(f, a_, b_, _NODES_HI, _WEIGHTS_HI)
         err = float(np.max(np.abs(hi - lo)))
-        if err <= tol_ or depth >= max_depth:
+        if err <= tol_ or depth >= 14:
             return hi
         m = 0.5 * (a_ + b_)
         return rec(a_, m, 0.5 * tol_, depth + 1) + rec(m, b_, 0.5 * tol_, depth + 1)

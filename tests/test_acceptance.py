@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from asepkpz.cli import sha256_file, write_compare_csv
-from asepkpz.engine import Lattice, exact_generator, stationary_measure
+from asepkpz.engine import Lattice, exact_generator, state_etas, stationary_measure
 from asepkpz.gartner import drift_identity_residual
 from asepkpz.greens import (c_star_estimate, c_star_weighted,
                             green_corner_closed_form, green_matrix,
@@ -211,8 +211,7 @@ def test_criterion_08_stationary_measure():
         params = params_from_mu(eps, equal_density_mu(eps, mu_b), mu_b)
         pi = stationary_measure(exact_generator(params, 5))
         rho = phase_point(params).rho_a
-        bern = np.array([math.prod((rho if (s >> x) & 1 else 1 - rho)
-                                   for x in range(5)) for s in range(32)])
+        bern = np.prod(np.where(state_etas(5) > 0, rho, 1 - rho), axis=1)
         tv = float(0.5 * np.abs(pi - bern).sum())
     report(8, tv <= 1e-10, 1.0, t.elapsed,
            f"TV(pi, Bernoulli({rho:.4f})^5) = {tv:.1e} <= 1e-10")
@@ -258,13 +257,13 @@ def test_criterion_12_reproducibility(ensemble32, ensemble64, tmp_path):
         h_ref = _compare_csv_sha256([ensemble32, ensemble64], tmp_path / "ref.csv")
         # full rerun of the criteria 9-11 pipeline with a different thread count
         e32 = run_interval_ensemble(32, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
-                                    (ENSEMBLE_SEED, 32), threads=4)
+                                    (ENSEMBLE_SEED, 32), threads=2)
         e64 = run_interval_ensemble(64, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
-                                    (ENSEMBLE_SEED, 64), threads=4)
+                                    (ENSEMBLE_SEED, 64), threads=2)
         h_new = _compare_csv_sha256([e32, e64], tmp_path / "new.csv")
         ok = h_ref == h_new
         # the threaded rerun also reproduces the per-site moments bit for bit
         ok &= bool(np.array_equal(e32["mean"], ensemble32["mean"]))
         ok &= bool(np.array_equal(e64["var"], ensemble64["var"]))
     report(12, ok, 1200.0, t.elapsed,
-           f"compare CSV sha256 {h_ref[:12]}... identical for threads 1 vs 4")
+           f"compare CSV sha256 {h_ref[:12]}... identical for threads 1 vs 2")

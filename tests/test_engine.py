@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from asepkpz.engine import (Configuration, HeightField, Lattice, alternating_eta,
                             bernoulli_eta, event_rates, exact_generator,
                             mean_current, replica_rng, simulate, simulate_replicas,
-                            stationary_measure)
+                            state_etas, stationary_measure)
 from asepkpz.params import (ModelParams, ScalingParams, build_params,
                             equal_density_mu, params_from_mu, phase_point)
 
@@ -88,7 +88,6 @@ def test_height_consistency_and_boundary_locality():
                   debug_checks=True)
     for i in range(len(tr.sample_times)):
         assert np.array_equal(np.diff(tr.heights[i]), tr.etas[i])
-        assert tr.heights[i][0] == tr.h0s[i]
     assert tr.event_count > 0
 
 
@@ -146,7 +145,7 @@ def test_sos_matches_particle_distribution():
     E = expm(block * horizon)
     s0 = sum(1 << x for x in range(n) if init_eta.eta[x] == 1)
     law, occupation = E[s0, :m], E[s0, m:]
-    etas = np.array([[1 if (s >> x) & 1 else -1 for x in range(n)] for s in range(m)])
+    etas = state_etas(n)
     first = etas[:, 0] == 1
     h0 = 2.0 * (p.gamma * occupation[first].sum() - p.alpha * occupation[~first].sum())
     exact = h0 + np.concatenate([[0.0], np.cumsum(law @ etas)])
@@ -168,8 +167,31 @@ def test_generator_row_sums_and_size_guard():
     p = p_interval(6, 1.0, 2.0)
     Q = exact_generator(p, 6)
     assert np.max(np.abs(np.asarray(Q.sum(axis=1)).ravel())) <= 1e-14
+    # the dense stationary solve refuses 2^13 states before densifying Q
     with pytest.raises(ValueError):
-        exact_generator(p, 13)
+        stationary_measure(exact_generator(p, 13))
+
+
+def test_generator_sixteen_sites():
+    p = p_interval(16, 1.0, 2.0)
+    Q = exact_generator(p, 16)
+    assert Q.shape == (1 << 16, 1 << 16)
+    assert np.max(np.abs(np.asarray(Q.sum(axis=1)).ravel())) <= 1e-14
+
+
+# SHA-256 of the dense generator (little-endian float64) at the rates below
+# for N = 1..10, interval then half line at each N, as the per-state Python
+# loop that the one-pass builder replaced wrote it.
+PINNED_GENERATOR = "601d46f6d8daa8e55e289156de08227a42c178b8f1b30bcb8ccde27aca2d4b3c"
+
+
+def test_generator_pinned_digest():
+    p = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.5, beta=0.35, gamma=0.15, delta=0.2)
+    h = hashlib.sha256()
+    for n in range(1, 11):
+        for lat in (Lattice.interval(n), Lattice.half_line(n)):
+            h.update(np.asarray(exact_generator(p, n, lat).toarray(), dtype="<f8").tobytes())
+    assert h.hexdigest() == PINNED_GENERATOR
 
 
 def test_detailed_balance_symmetric_rates():
@@ -202,8 +224,7 @@ def test_stationary_product_bernoulli_on_equal_density_line():
     assert not p.in_scaling_class  # mu_A > 1: outside the weakly asymmetric class
     pi = stationary_measure(exact_generator(p, 5))
     rho = phase_point(p).rho_a
-    bern = np.array([math.prod((rho if (s >> x) & 1 else 1 - rho) for x in range(5))
-                     for s in range(32)])
+    bern = np.prod(np.where(state_etas(5) > 0, rho, 1 - rho), axis=1)
     assert 0.5 * np.abs(pi - bern).sum() <= 1e-10
 
 
@@ -233,7 +254,7 @@ def test_mean_current_against_flux_count():
     trajs = simulate_replicas(lambda rng: bernoulli_eta(2, rng), p, lat, horizon,
                               [horizon], 24, 17)
     # net removals at the left boundary = h_T(0)/2; current counts entries
-    vals = np.array([-tr.h0s[0] / 2.0 / horizon for tr in trajs]) / (p.p - p.q)
+    vals = np.array([-tr.heights[0][0] / 2.0 / horizon for tr in trajs]) / (p.p - p.q)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - j_exact) <= 3 * se
 
@@ -348,6 +369,6 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         simulate(Configuration(np.array([1, -1, 1, -1])), p, lat, 1.0, [0.5, 0.2], 1)
     with pytest.raises(ValueError):
-        HeightField(h=np.array([0, 2, 1, 0, 1]), h0_counter=0)
+        HeightField(h=np.array([0, 2, 1, 0, 1]))
     with pytest.raises(ValueError):
         Lattice("ring", 4)

@@ -41,10 +41,10 @@ def test_event_multiplicativity_exact():
     lat = Lattice.interval(12)
     tr = simulate(bernoulli_eta(12, 8), p, lat, 20.0, [20.0], 5)
     h_incremental = tr.heights[0]
-    h_rebuilt = HeightField.from_eta(tr.etas[0], h0_counter=tr.h0s[0]).h
+    h_rebuilt = HeightField.from_eta(tr.etas[0], h0=tr.heights[0][0]).h
     assert np.array_equal(h_incremental, h_rebuilt)
     za = z_field(tr.height_field(0), 20.0, p).z
-    zb = z_field(HeightField(h=h_rebuilt, h0_counter=tr.h0s[0]), 20.0, p).z
+    zb = z_field(HeightField(h=h_rebuilt), 20.0, p).z
     assert np.array_equal(za, zb)
 
 
