@@ -11,13 +11,15 @@ endpoint height values, interior jumps move only the bond's left height.
 The sampler is a Gillespie (1977) loop run in lockstep: one numpy step
 advances every replica of a block by one event of its own.  Per event a
 replica draws a wait uniform u and a pick uniform v from its own Philox
-stream (keyed by master seed and replica index), waits -log(1-u)/total and
-fires the first channel, in the order bonds, left reservoir, right
-reservoir, whose left-to-right prefix rate sum exceeds v*total.  The total
-rate is updated channel by channel (old rate out, new rate in) and re-summed
-left to right every 4096 events.  Each replica therefore replays exactly the
-event sequence of a scalar loop on its own stream, and results do not depend
-on the block split or the thread count.
+stream (keyed by master seed and replica index), takes the left-to-right
+prefix sums of its channel rates in the order bonds, left reservoir, right
+reservoir, waits -log(1-u)/total with total the last prefix sum, and fires
+the first channel whose prefix sum exceeds v*total.  The total is thus the
+left-to-right sum of the channel rates at every step, so each replica's
+event sequence is fixed by its stream alone and does not depend on the
+block split or the thread count.  The pinned streams of the tests, recorded
+from the scalar loop this sampler replaced, replay event for event; event
+times and exponential integrals agree with that loop to a few ulps.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "Trajectory",
     "EventRates",
     "event_rates",
-    "halfline_truncation_length",
     "simulate",
     "simulate_replicas",
     "state_etas",
@@ -48,7 +49,6 @@ __all__ = [
     "run_replicas",
 ]
 
-_REFRESH_EVERY = 4096  # events between left-to-right re-sums of the total rate
 _BLOCK = 256           # most replicas one lockstep block advances
 _CHUNK = 256           # most events per refill of a replica's uniform buffer
 
@@ -82,16 +82,6 @@ class Lattice:
     @classmethod
     def half_line(cls, length: int) -> "Lattice":
         return cls("half_line", length)
-
-
-def halfline_truncation_length(x_max: int, horizon: float) -> int:
-    """Truncation length L >= x_max + 4 sqrt(horizon) log(1/delta), delta = 1e-3.
-
-    Heuristic policy keeping the closed right edge's influence on the
-    observation window [0, x_max] below the Monte Carlo noise floor delta;
-    validated empirically by the doubling test.
-    """
-    return int(math.ceil(x_max + 4.0 * math.sqrt(max(horizon, 1.0)) * math.log(1.0 / 1e-3)))
 
 
 @dataclass(frozen=True)
@@ -217,23 +207,22 @@ def replica_rng(master_seed, replica_index: int) -> np.random.Generator:
 class _Channels:
     """The event channels of one (params, lattice) as lookup tables.
 
-    Channels: bonds 0..N-2, then LEFT, RIGHT (rate 0 on the half line) and
-    PAD, a channel of rate 0 that fills unused update slots and never fires.
-    Sites: 0..N-1, then a dummy site N that no real channel reads.
+    Channels: bonds 0..N-2, then LEFT and RIGHT (rate 0 on the half line).
+    Sites: 0..N-1, then a dummy site N that no channel reads.
     Occupations are 0/1.
     """
 
     def __init__(self, params: ModelParams, lattice: Lattice):
         n = lattice.n_sites
         nb = n - 1
-        left, right, pad = nb, nb + 1, nb + 2
+        left, right = nb, nb + 1
         dummy = n
         bonds = np.arange(nb)
         self.n = n
-        self.n_chan = nb + 3
+        self.n_chan = nb + 2
         # rate of channel k: rate[4 k + 2 occ(s1[k]) + occ(s2[k])]
-        self.s1 = s1 = np.concatenate([bonds, [0, n - 1, dummy]])
-        self.s2 = s2 = np.concatenate([bonds + 1, [0, n - 1, dummy]])
+        self.s1 = s1 = np.concatenate([bonds, [0, n - 1]])
+        self.s2 = s2 = np.concatenate([bonds + 1, [0, n - 1]])
         rate = np.zeros((self.n_chan, 4))
         rate[:nb, 1] = params.q                 # (empty, occupied): left jump
         rate[:nb, 2] = params.p                 # (occupied, empty): right jump
@@ -241,55 +230,47 @@ class _Channels:
         if lattice.has_right_reservoir:
             rate[right] = (params.delta, 0.0, 0.0, params.beta)
         self.rate = rate = rate.ravel()
-        # channels whose rate an event changes, in the scalar loop's update order
-        touch = np.full((5, self.n_chan), pad)
-        for b in range(nb):
-            touch[:3, b] = (b - 1 if b > 0 else pad, b, b + 1 if b + 1 < nb else pad)
-            if b == 0:
-                touch[3, b] = left
-            if lattice.has_right_reservoir and b == nb - 1:
-                touch[4, b] = right
-        single = n == 1
-        touch[:3, left] = (left, 0 if nb else pad,
-                           right if lattice.has_right_reservoir and single else pad)
-        touch[:3, right] = (right, nb - 1 if nb else pad, left if single else pad)
+        # firing channel c changes the rates of the channels that share a
+        # site with it: at most three on a chain whose ends are the
+        # reservoirs; short rows repeat c itself
+        readers = [np.flatnonzero((s1 == x) | (s2 == x)) for x in range(n)]
+        touch = np.empty((3, self.n_chan), dtype=np.int64)
+        for c in range(self.n_chan):
+            near = np.union1d(readers[s1[c]], readers[s2[c]])
+            touch[:, c] = np.pad(near, (0, 3 - len(near)), constant_values=c)
         self.touch = tuple(touch)
         # Firing channel c swaps the occupations of sites a and b (a
         # reservoir event flips a and parks its old value at the dummy) and
         # moves height `moved`.  Its touched channels read only a, b and the
         # outer neighbours l, r, and occ(b) = 1 - occ(a) before a bond event,
         # so key = 8 c + 4 occ(a) + 2 occ(l) + occ(r) indexes tables of
-        # their old and new rates and of the height step.
+        # their new rates and of the height step.
         self.sites = tuple([
             s1,                                                                # a
             np.concatenate([np.where(bonds > 0, bonds - 1, dummy),
-                            [dummy, n - 2 if n > 1 else dummy, dummy]]),       # l
+                            [dummy, n - 2 if n > 1 else dummy]]),              # l
             np.concatenate([np.where(bonds + 2 < n, bonds + 2, dummy),
-                            [1 if n > 1 else dummy, dummy, dummy]]),           # r
-            np.concatenate([bonds + 1, [dummy, dummy, dummy]]),                # b
-            np.concatenate([bonds + 1, [0, n, 0]]),                            # moved
+                            [1 if n > 1 else dummy, dummy]]),                  # r
+            np.concatenate([bonds + 1, [dummy, dummy]]),                       # b
+            np.concatenate([bonds + 1, [0, n]]),                               # moved
         ])
         self.key = 8 * np.arange(self.n_chan)
         o, occ_l, occ_r = np.arange(8) >> 2, (np.arange(8) >> 1) & 1, np.arange(8) & 1
-        old = np.zeros((5, 8 * self.n_chan))
-        new = np.zeros((5, 8 * self.n_chan))
+        new = np.zeros((3, 8 * self.n_chan))
         self.dh = np.zeros(8 * self.n_chan, dtype=np.int64)
         # height step for occ(a) = 0, 1: a left jump raises h(b), a right
         # jump lowers it; creation at 1 lowers h(0), creation at N raises h(N)
         steps = {left: (-2, 2)}
-        for c in range(self.n_chan - 1):
+        for c in range(self.n_chan):
             a, l, r, b = (site[c] for site in self.sites[:4])
-            before = np.zeros((8, n + 1), dtype=np.int64)
-            before[:, l], before[:, r], before[:, b] = occ_l, occ_r, 1 - o
-            before[:, a] = o
-            after = before.copy()
-            after[:, a], after[:, b] = 1 - o, o
+            after = np.zeros((8, n + 1), dtype=np.int64)
+            after[:, l], after[:, r], after[:, b] = occ_l, occ_r, o
+            after[:, a] = 1 - o
             k = touch[:, c]
             keys = slice(8 * c, 8 * c + 8)
-            for table, occ in ((old, before), (new, after)):
-                table[:, keys] = rate[4 * k[:, None] + 2 * occ[:, s1[k]].T + occ[:, s2[k]].T]
+            new[:, keys] = rate[4 * k[:, None] + 2 * after[:, s1[k]].T + after[:, s2[k]].T]
             self.dh[keys] = np.where(o == 0, *steps.get(c, (2, -2)))
-        self.old, self.new = tuple(old), tuple(new)
+        self.new = tuple(new)
 
     def rates(self, occ: np.ndarray) -> np.ndarray:
         """Channel rates, one row per row of occupations occ (dummy included)."""
@@ -328,7 +309,6 @@ class _Block:
         self.h = np.zeros((m, n + 1), dtype=np.int64)
         self.h[:, 1:] = np.cumsum(2 * self.occ[:, :n] - 1, axis=1)
         self.chan = ch.rates(self.occ)
-        self.total = np.cumsum(self.chan, axis=1)[:, -1].copy()
         self.t = np.zeros(m)
         self.k_next = np.zeros(m, dtype=np.int64)
         self.next_sample = np.full(m, self.samples[0])
@@ -385,7 +365,7 @@ class _Block:
         """Retire the rows in `done` (their next event lies past the horizon)."""
         self.counts[self.rid[done]] = self.events
         keep = ~done
-        for name in ("rid", "occ", "h", "chan", "total", "t", "k_next", "next_sample"):
+        for name in ("rid", "occ", "h", "chan", "t", "k_next", "next_sample"):
             setattr(self, name, getattr(self, name)[keep])
         if self.track:
             self.s_int, self.t_last = np.ascontiguousarray(self.s_int[:, keep]), self.t_last[keep]
@@ -406,14 +386,8 @@ class _Block:
         h[moved] += ch.dh[key]
         occ[a] = 1 - o
         occ[b] = o
-        # the touched channels' rates, old out and new in, in the scalar
-        # loop's order (PAD slots add and subtract an exact 0.0)
-        total = self.total
-        for touch, old, new in zip(ch.touch, ch.old, ch.new):
-            rate = new[key]
-            total -= old[key]
-            total += rate
-            chan[self.off_chan + touch[idx]] = rate
+        for touch, new in zip(ch.touch, ch.new):
+            chan[self.off_chan + touch[idx]] = new[key]
 
     def run(self, horizon: float, debug_checks: bool):
         first_sample = self.samples[0]
@@ -422,7 +396,8 @@ class _Block:
                 self.waits, self.picks = _draw([self.rngs[i] for i in self.rid],
                                                min(2 * self.pos, _CHUNK))
                 self.pos = 0
-            wait, total = self.waits[self.pos], self.total
+            prefix = np.add.accumulate(self.chan, axis=1, out=self.prefix)
+            wait, total = self.waits[self.pos], prefix[:, -1]
             if total.min() > 0.0:
                 t_next = self.t + wait / total
             else:  # a replica with no active channel has no next event
@@ -439,22 +414,19 @@ class _Block:
                 self.drop(done)
                 if not len(self.rid):
                     break
-                t_next = t_next[~done]
-            pick = self.picks[self.pos] * self.total
+                t_next, prefix, total = t_next[~done], prefix[~done], total[~done]
+            pick = self.picks[self.pos] * total
             self.pos += 1
             self.t = t_next
 
-            # the first channel whose prefix sum exceeds the pick; with float
-            # drift none may, and the scalar loop then takes the last active one
-            prefix = np.add.accumulate(self.chan, axis=1, out=self.prefix)
+            # the first channel whose prefix sum exceeds the pick; v * total
+            # can round up to total, and then the last active channel fires
             idx = (prefix > pick[:, None]).argmax(axis=1)
-            if (stuck := prefix[:, -1] <= pick).any():
+            if (stuck := total <= pick).any():
                 for j in np.flatnonzero(stuck):
                     idx[j] = np.flatnonzero(self.chan[j] > 0.0).max()
             self.fire(idx, t_next)
             self.events += 1
-            if self.events % _REFRESH_EVERY == 0:
-                self.total = np.cumsum(self.chan, axis=1)[:, -1].copy()
             if debug_checks and not np.array_equal(np.diff(self.h, axis=1),
                                                     2 * self.occ[:, :-1] - 1):
                 raise AssertionError("height/occupation mismatch")
@@ -522,11 +494,11 @@ def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: floa
     replicas and are spread over `threads` pool workers; since every
     replica owns its stream, the trajectories do not depend on either.
 
-    The replay is exact: heights, occupations and event counts equal those
-    of a scalar loop on the same stream (the total rate is re-summed left
-    to right, as Python 3.11's `sum` adds floats; 3.12's `sum` is
-    compensated), and the exponential integrals agree to a few ulp, since
-    numpy's exp/expm1 may differ from the C library's in the last bit.
+    Each replica's event sequence (heights, occupations, event count) is
+    fixed by its stream: at every step its total rate is the left-to-right
+    sum of its channel rates.  Event times and the exponential integrals
+    agree with a scalar loop on the same stream to a few ulps (numpy's
+    exp/expm1 may differ from the C library's in the last bit).
     """
     sample_times = _check_run(horizon, sample_times)
     ch = _Channels(params, lattice)

@@ -86,13 +86,6 @@ class ScalingParams:
             "slope_b": self.slope_b,
         }
 
-    @classmethod
-    def from_config_dict(cls, d: dict) -> "ScalingParams":
-        n = d.get("n_sites")
-        if n is not None:
-            return cls.interval(int(n), float(d["slope_a"]), float(d.get("slope_b", 0.0)))
-        return cls.half_line(float(d["epsilon"]), float(d["slope_a"]))
-
 
 @dataclass(frozen=True)
 class ModelParams:

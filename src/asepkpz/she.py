@@ -292,10 +292,16 @@ def martingale_functionals(traj: Trajectory, params: ModelParams,
 
     N_T(phi) = (Z_t, phi)_eps - (Z_0, phi)_eps - (1/2) int_0^t (Lap Z_s, phi)_eps ds
     at t = eps^{-2} T, with the Robin-ghost Laplacian; the gap is
-    N_T^2 - eps^2 int (Z_s^2, phi^2)_eps ds.  Time integrals come from the
-    trajectory's exact exponential accumulators when present, else from a
-    trapezoid over snapshots whose spacing must resolve eps^{-2} 1e-3.
+    N_T^2 - eps^2 int (Z_s^2, phi^2)_eps ds.  The time integrals are the
+    trajectory's exact exponential integrals, so it must be sampled with
+    track_exp_integrals = (-lam, nu); an untracked one raises ValueError.
     """
+    if traj.z_int is None:
+        raise ValueError("trajectory has no exponential integrals: sample it with "
+                         "track_exp_integrals = (-lam, nu)")
+    theta, rho = traj.exp_integral_constants
+    if abs(theta + params.lam) > 1e-12 or abs(rho - params.nu) > 1e-12:
+        raise ValueError("trajectory integrals tracked with different constants")
     eps = params.epsilon
     t_micro = T / (eps * eps)
     times = np.asarray(traj.sample_times)
@@ -326,23 +332,8 @@ def martingale_functionals(traj: Trajectory, params: ModelParams,
     z_T = z_field(traj.height_field(i_T), times[i_T], params).z
     z_0 = z_field(traj.height_field(i_0), 0.0, params).z
 
-    lw = lap_weights(w)
-    if traj.z_int is not None:
-        theta, rho = traj.exp_integral_constants
-        if abs(theta + params.lam) > 1e-12 or abs(rho - params.nu) > 1e-12:
-            raise ValueError("trajectory integrals tracked with different constants")
-        int_lap = eps * float(lw @ traj.z_int[i_T])
-        int_z2 = eps * float(w2 @ traj.z2_int[i_T])
-    else:
-        dt_max = float(np.max(np.diff(times[:i_T + 1]))) if i_T > 0 else 0.0
-        if dt_max > 1e-3 / (eps * eps) + 1e-9:
-            raise ValueError("snapshot spacing too coarse to resolve the time integral")
-        zs = np.stack([z_field(traj.height_field(i), times[i], params).z
-                       for i in range(i_T + 1)])
-        vals_lap = zs @ lw * eps
-        vals_z2 = (zs ** 2) @ w2 * eps
-        int_lap = float(np.trapezoid(vals_lap, times[:i_T + 1]))
-        int_z2 = float(np.trapezoid(vals_z2, times[:i_T + 1]))
+    int_lap = eps * float(lap_weights(w) @ traj.z_int[i_T])
+    int_z2 = eps * float(w2 @ traj.z2_int[i_T])
 
     n_T = pair(z_T, w) - pair(z_0, w) - 0.5 * int_lap
     gap = n_T * n_T - eps * eps * int_z2

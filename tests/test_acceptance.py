@@ -49,6 +49,12 @@ def report(criterion, ok, limit_s, elapsed, detail):
     assert elapsed < limit_s, f"criterion {criterion} exceeded runtime: {line}"
 
 
+def sampler_rate(*ensembles) -> str:
+    """Sampler throughput of the ensembles a criterion reads."""
+    rates = ", ".join(f"{e['events'] / e['sampler_s']:.3g}" for e in ensembles)
+    return f"[sampler {rates} events/s]"
+
+
 def test_criterion_01_gartner_drift_identity():
     with Timer() as t:
         n = 64
@@ -223,7 +229,7 @@ def test_criterion_09_microscopic_mean_channel(ensemble32):
         worst = max(r["mean_gap"] / r["mc_sigma"] for r in rows)
     report(9, worst <= 3.0, 300.0, t.elapsed,
            f"max |mean - kernel prediction| = {worst:.2f} sigma <= 3 "
-           f"({ensemble32['n_replicas']} replicas, 9-point grid)")
+           f"({ensemble32['n_replicas']} replicas, 9-point grid) {sampler_rate(ensemble32)}")
 
 
 def test_criterion_10_martingale_diagnostics(ensemble32):
@@ -234,7 +240,7 @@ def test_criterion_10_martingale_diagnostics(ensemble32):
         ok = worst_n <= 3.0 and worst_gap <= 3.0
     report(10, ok, 300.0, t.elapsed,
            f"max |mean N| = {worst_n:.2f} sigma, max |mean gap| = {worst_gap:.2f} "
-           f"sigma over 3 test functions")
+           f"sigma over 3 test functions {sampler_rate(ensemble32)}")
 
 
 def test_criterion_11_convergence_trend(ensemble32, ensemble64):
@@ -244,7 +250,8 @@ def test_criterion_11_convergence_trend(ensemble32, ensemble64):
         ok = gap64 <= gap32 + 2.0 * sig
     report(11, ok, 1200.0, t.elapsed,
            f"var gap {gap32:.4f} (eps=1/32) -> {gap64:.4f} (eps=1/64), "
-           f"combined sigma {sig:.4f}: non-increasing within error bars")
+           f"combined sigma {sig:.4f}: non-increasing within error bars "
+           f"{sampler_rate(ensemble32, ensemble64)}")
 
 
 def _compare_csv_sha256(ensembles, path) -> str:
@@ -266,4 +273,5 @@ def test_criterion_12_reproducibility(ensemble32, ensemble64, tmp_path):
         ok &= bool(np.array_equal(e32["mean"], ensemble32["mean"]))
         ok &= bool(np.array_equal(e64["var"], ensemble64["var"]))
     report(12, ok, 1200.0, t.elapsed,
-           f"compare CSV sha256 {h_ref[:12]}... identical for threads 1 vs 2")
+           f"compare CSV sha256 {h_ref[:12]}... identical for threads 1 vs 2 "
+           f"{sampler_rate(ensemble32, ensemble64, e32, e64)}")

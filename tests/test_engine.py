@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from asepkpz.engine import (Configuration, HeightField, Lattice, alternating_eta,
-                            bernoulli_eta, event_rates, exact_generator,
+from asepkpz.engine import (Configuration, HeightField, Lattice, _Block, _Channels,
+                            alternating_eta, bernoulli_eta, event_rates, exact_generator,
                             mean_current, replica_rng, simulate, simulate_replicas,
                             state_etas, stationary_measure)
 from asepkpz.params import (ModelParams, ScalingParams, build_params,
@@ -194,6 +194,55 @@ def test_generator_pinned_digest():
     assert h.hexdigest() == PINNED_GENERATOR
 
 
+def channel_rates(etas, params, lattice):
+    """`event_rates` per sampler channel: the bonds, then LEFT and RIGHT."""
+    r = event_rates(etas, params, lattice)
+    right = (r.create_right + r.annihilate_right if lattice.has_right_reservoir
+             else np.zeros(len(etas)))
+    return np.column_stack([r.right + r.left, r.create_left + r.annihilate_left, right])
+
+
+def test_channel_tables_match_generator():
+    # exhaustive over N = 1..5: every active channel of every state, fired
+    # through the sampler's tables, makes the generator's move at its rate,
+    # leaves heights consistent and changes rates only in its touch set
+    rates = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.5, beta=0.35, gamma=0.15, delta=0.2)
+    for params in (rates, p_interval(8, 1.0, 2.0)):
+        for n in range(1, 6):
+            for lat in (Lattice.interval(n), Lattice.half_line(n)):
+                ch = _Channels(params, lat)
+                gen = exact_generator(params, n, lat).toarray()
+                etas = state_etas(n)
+                before = channel_rates(etas, params, lat)
+                # the sampler's left-to-right total is the generator's exit rate
+                assert np.array_equal(np.add.accumulate(before, axis=1)[:, -1], -np.diag(gen))
+                flips = np.array([*(3 << np.arange(n - 1)), 1, 1 << (n - 1)])
+                left = n - 1
+                for c in range(ch.n_chan):
+                    states = np.flatnonzero(before[:, c] > 0)
+                    if not len(states):
+                        continue
+                    block = _Block(ch, [Configuration(e) for e in etas[states]],
+                                   [replica_rng(0, 0)] * len(states), np.array([]), None)
+                    assert np.array_equal(block.chan, before[states])
+                    h_before = block.h.copy()
+                    block.fire(np.full(len(states), c), 0.0)
+                    target = block.occ[:, :n] @ (1 << np.arange(n))
+                    assert np.array_equal(target, states ^ flips[c])
+                    assert np.array_equal(gen[states, target],
+                                          before[states][:, flips == flips[c]].sum(axis=1))
+                    after = channel_rates(etas[target], params, lat)
+                    assert np.array_equal(block.chan, after)
+                    changed = np.flatnonzero((after != before[states]).any(axis=0))
+                    assert set(changed) <= {int(touch[c]) for touch in ch.touch}
+                    # one height moves: h(0) for LEFT (h(1..N) stay), else h(0) stays
+                    eta = etas[target].astype(np.int64)
+                    h0 = h_before[:, 1] - eta[:, 0] if c == left else h_before[:, 0]
+                    expected = np.column_stack([h0, h0[:, None] + np.cumsum(eta, axis=1)])
+                    assert np.array_equal(block.h, expected)
+                    assert np.all((block.h != h_before).sum(axis=1) == 1)
+
+
 def test_detailed_balance_symmetric_rates():
     # p = q with alpha = gamma, beta = delta: Q symmetric, uniform reversible
     p = ModelParams.from_rates(p=0.5, q=0.5, alpha=0.3, beta=0.2, gamma=0.3, delta=0.2)
@@ -262,10 +311,8 @@ def test_mean_current_against_flux_count():
 def test_half_line_truncation_doubling():
     # doubling the truncation length must not move statistics in a window
     # near the boundary beyond combined error bars
-    from asepkpz.engine import halfline_truncation_length
     p = build_params(ScalingParams.half_line(1 / 16, 1.0))
     horizon = 8.0
-    assert halfline_truncation_length(6, horizon) >= 24
 
     def occupation(length, seed):
         trajs = simulate_replicas(lambda rng: bernoulli_eta(length, rng), p,
@@ -282,7 +329,9 @@ def test_half_line_truncation_doubling():
 # Streams of the scalar one-replica Gillespie loop that the lockstep sampler
 # replaced: SHA-256 of every replica's snapshots (int8 etas, int64 heights)
 # and event count, and the sums of its exponential integrals, recorded from
-# that loop on replica_rng(seed, i).
+# that loop on replica_rng(seed, i).  The sampler takes each step's total
+# rate as the left-to-right sum of the channel rates, so it replays every
+# event sequence exactly; event times and integrals agree to a few ulps.
 PINNED_STREAMS = {
     "interval16": ("588f369bab6e0ff9684811dcb3c719c72115776681939b6b2d4e30987e2e54f9",
                    126654.3174958502, 678653.2186880254),
@@ -301,7 +350,7 @@ def stream_configs():
     """name -> (params, lattice, init, horizon, sample_times, replicas, seed)."""
     rates = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.5, beta=0.35, gamma=0.15, delta=0.2)
     return {
-        # > 4096 events per replica: crosses a refresh of the total rate
+        # > 4096 events per replica: a long stream, where a drifting total would show
         "interval16": (p_interval(16, 0.0, 0.0), Lattice.interval(16),
                        lambda rng: bernoulli_eta(16, rng), 1200.0, [600.0, 1200.0], 4, 11),
         "interval12_robin": (p_interval(12, 1.0, 2.0), Lattice.interval(12),

@@ -164,10 +164,3 @@ def test_from_rates_roundtrip():
     r = ModelParams.from_rates(p.p, p.q, p.alpha, p.beta, p.gamma, p.delta)
     assert abs(r.mu_a - p.mu_a) < 1e-12
     assert abs(r.mu_b - p.mu_b) < 1e-12
-
-
-def test_config_roundtrip():
-    s = ScalingParams.interval(32, 1.0, 2.0)
-    assert ScalingParams.from_config_dict(s.to_config_dict()) == s
-    h = ScalingParams.half_line(0.03, 1.5)
-    assert ScalingParams.from_config_dict(h.to_config_dict()) == h

@@ -5,6 +5,7 @@ import pytest
 
 import asepkpz.engine as eng
 from asepkpz.engine import run_replicas
+from asepkpz.gartner import z_field
 from asepkpz.kernels import interval_kernel_spectral
 from asepkpz.params import ScalingParams, build_params
 from asepkpz.she import (build_grid, lognormal_mean, lognormal_sampler,
@@ -163,7 +164,7 @@ def test_martingale_functionals_zero_at_t0():
         assert r["z_N"] == 0.0 and r["z_gap"] == 0.0
 
 
-def test_martingale_riemann_fallback_and_resolution_flag():
+def test_martingale_exact_integrals_match_trapezoid():
     n = 16
     eps = 1.0 / n
     params = build_params(ScalingParams.interval(n, 0.0, 0.0))
@@ -171,19 +172,28 @@ def test_martingale_riemann_fallback_and_resolution_flag():
     T = 0.05
     horizon = T / (eps * eps)
     init = eng.bernoulli_eta(n, 3)
-    # dense snapshots, no exact accumulators: Riemann path engages
     dense = np.linspace(0.0, horizon, 2001)
-    tr = eng.simulate(init, params, lat, horizon, dense, 5)
-    n_riemann, _ = martingale_functionals(tr, params, neumann_cosine(1), T)
-    tr2 = eng.simulate(init, params, lat, horizon, [0.0, horizon], 5,
-                       track_exp_integrals=(-params.lam, params.nu))
-    n_exact, _ = martingale_functionals(tr2, params, neumann_cosine(1), T)
-    assert abs(n_riemann - n_exact) <= 5e-2 * max(1.0, abs(n_exact))
-    # snapshot spacing too coarse to resolve the integral: flagged
-    coarse = np.linspace(0.0, horizon, 4)
-    tr3 = eng.simulate(init, params, lat, horizon, coarse, 5)
+    tr = eng.simulate(init, params, lat, horizon, dense, 5,
+                      track_exp_integrals=(-params.lam, params.nu))
+    zs = np.stack([z_field(tr.height_field(i), t, params).z for i, t in enumerate(dense)])
+    trapezoid = np.trapezoid(zs, dense, axis=0)
+    # Tolerance: on a snapshot interval of width dt the trapezoid rule misses
+    # the integral of Z(x) by at most dt/2 times Z(x)'s variation there, so
+    # by dt/2 TV(Z(x)) over the run.  TV(Z(x)) is its jumps, one per event
+    # moving h(x) (at most all K events) and each at most
+    # (1 - e^{-2|lam|}) Z_max, plus |nu| int Z.  Against int Z >= t Z_min:
+    #   error / int Z <= dt/2 (K (1 - e^{-2|lam|}) Z_max/Z_min / t + |nu|),
+    # with Z_max/Z_min read off the snapshots: 1.2e-2 for this run.
+    dt = dense[1] - dense[0]
+    z_ratio = float(np.max(zs.max(axis=0) / zs.min(axis=0)))
+    rel_tol = dt / 2 * (tr.event_count * -math.expm1(-2 * abs(params.lam)) * z_ratio / horizon
+                        + abs(params.nu))
+    assert rel_tol <= 2e-2
+    assert np.all(np.abs(trapezoid - tr.z_int[-1]) <= rel_tol * tr.z_int[-1])
+    # the martingale functionals read only the exact integrals
+    untracked = eng.simulate(init, params, lat, horizon, dense, 5)
     with pytest.raises(ValueError):
-        martingale_functionals(tr3, params, neumann_cosine(1), T)
+        martingale_functionals(untracked, params, neumann_cosine(1), T)
 
 
 def test_martingale_diagnostics_small():
