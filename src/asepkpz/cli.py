@@ -5,10 +5,11 @@
 Kinds: params | simulate | kernel | identities | she | compare | audit-all,
 plus `config --print-defaults`.  Configuration is a flat INI file with one
 section per module; every run writes its artifacts plus a manifest (config
-snapshot, versions, wall clock, per-check status, file hashes and, for
-`simulate` and `compare`, the sampler's throughput) into a directory
-addressed by the config hash.  Exit codes: 0 all checks passed,
-1 an enabled assertion failed, 2 configuration error.
+snapshot, versions, wall clock, per-check status, file hashes, peak RSS,
+for `simulate` and `compare` the sampler's throughput, for `audit-all` the
+wall time of each stage) into a directory addressed by the config hash.
+Exit codes: 0 all checks passed, 1 an enabled assertion failed,
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import sys
 import time
 
@@ -385,11 +387,8 @@ def run_compare(cfg, out, seed, threads, checks):
                                         e["sampler_s"]) for e in ensembles]}
 
 
-def run_audit_all(cfg, out, seed, threads, checks):
-    run_params(cfg, out, seed, threads, checks)
-    run_kernel(cfg, out, seed, threads, checks)
-    run_identities(cfg, out, seed, threads, checks)
-    # stationary-measure spot check on the product-Bernoulli line
+def run_stationary(cfg, out, seed, threads, checks):
+    """Stationary-measure spot check on the product-Bernoulli line."""
     eps = 0.25
     mu_b = 1.1
     mu_a = equal_density_mu(eps, mu_b)
@@ -399,6 +398,16 @@ def run_audit_all(cfg, out, seed, threads, checks):
     rho = phase_point(p).rho_a
     bern = np.prod(np.where(state_etas(5) > 0, rho, 1 - rho), axis=1)
     checks["stationary_product_bernoulli"] = float(0.5 * np.abs(pi - bern).sum()) <= 1e-10
+
+
+def run_audit_all(cfg, out, seed, threads, checks):
+    stages = {}
+    for name, stage in (("params", run_params), ("kernel", run_kernel),
+                        ("identities", run_identities), ("stationary", run_stationary)):
+        t0 = time.perf_counter()
+        stage(cfg, out, seed, threads, checks)
+        stages[name] = time.perf_counter() - t0
+    return {"stages": stages}
 
 
 KINDS = {
@@ -456,7 +465,7 @@ def main(argv=None) -> int:
     os.makedirs(out, exist_ok=True)
 
     checks: dict[str, bool] = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     status = "complete"
     try:
         metrics = KINDS[args.kind](cfg, out, seed, threads, checks)
@@ -488,11 +497,13 @@ def _write_manifest(cfg, kind, seed, threads, out, checks, t0, status, metrics):
         "seed": seed,
         "threads": threads,
         "status": status,
-        "wall_clock_s": time.time() - t0,
+        "wall_clock_s": time.perf_counter() - t0,
         "config": buf.getvalue(),
         "checks": {k: bool(v) for k, v in checks.items()},
         "files": inventory,
-        "metrics": metrics or {},
+        # ru_maxrss is the process high-water mark in KiB (Linux)
+        "metrics": {**(metrics or {}),
+                    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024},
     }
     tmp = os.path.join(out, "manifest.json.tmp")
     with open(tmp, "w") as fh:

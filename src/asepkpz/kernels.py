@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ive
 
 __all__ = [
     "free_walk_kernel",
@@ -49,6 +48,7 @@ def free_walk_kernel(t: float, x) -> np.ndarray | float:
     Equals e^{-t} I_{|x|}(t); `ive` evaluates the product directly so no
     overflow occurs for large t.
     """
+    from scipy.special import ive  # not at module level: ~0.3 s and 25 MB at import
     if t < 0:
         raise ValueError("t must be >= 0")
     return ive(np.abs(x), t)
@@ -56,6 +56,7 @@ def free_walk_kernel(t: float, x) -> np.ndarray | float:
 
 def free_walk_row(t: float, n_max: int) -> np.ndarray:
     """Array p_t(0..n_max)."""
+    from scipy.special import ive
     return ive(np.arange(n_max + 1), t)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -107,6 +111,7 @@ def test_compare_kind_one_pass(tmp_path):
     assert [r["accepted_events"] for r in records] == [e["events"] for e in ensembles]
     assert all(r["replicas"] == 24 and r["wall_s"] > 0 and r["events_per_s"] > 0
                for r in records)
+    assert manifest["metrics"]["peak_rss_mb"] > 0
     assert set(manifest["files"]) == {"compare.csv", "diagnostics.json"}
 
 
@@ -146,3 +151,55 @@ def test_config_hash_sensitivity(tmp_path):
     cfg["model"]["n_sites"] = "64"
     h3 = config_hash(cfg, "params", 1)
     assert len({h1, h2, h3}) == 3
+
+
+_SCIPY_GUARD = """
+import sys
+from pathlib import Path
+
+import asepkpz
+from asepkpz import cli
+
+tmp = Path(sys.argv[1])
+def run(kind, ini):
+    cfg = tmp / f"{kind}.ini"
+    cfg.write_text(ini)
+    return cli.main([kind, "--config", str(cfg), "--seed", "3", "--out", str(tmp / kind)])
+
+assert run("compare", "[run]\\nreplicas = 24\\n[compare]\\ninverse_eps = 8, 16\\n") in (0, 1)
+assert run("simulate", "[run]\\nreplicas = 4\\n"
+           "[model]\\nlattice = half_line\\nepsilon = 0.125\\ntruncation = 16\\nslope_a = 1.0\\n"
+           "[simulate]\\nhorizon_macro = 0.05\\nsample_times = 0.0, 0.05\\n") == 0
+assert run("params", "[model]\\nn_sites = 16\\nslope_a = 1.0\\nslope_b = 0.5\\n") == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+# the kinds that need scipy import it on first use
+assert run("audit-all", "[model]\\nn_sites = 16\\n[identities]\\nn_sites = 16\\n"
+           "cstar_n = 12\\ncstar_tbar = 0.5\\n") == 0
+"""
+
+
+def test_sampling_kinds_load_no_scipy(tmp_path):
+    # importing the package and running compare (A = B = 0), simulate and params
+    # never loads scipy: its import would add ~0.3 s and 20 MB that they never use
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_audit_all_manifest_metrics(tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\nn_sites = 16\n[identities]\nn_sites = 16\n"
+                   "cstar_n = 12\ncstar_tbar = 0.5\n")
+    out = tmp_path / "runs"
+    assert run_cli(["audit-all", "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    stages = manifest["metrics"]["stages"]
+    assert list(stages) == ["params", "kernel", "identities", "stationary"]
+    assert all(s > 0 for s in stages.values())
+    assert manifest["metrics"]["peak_rss_mb"] > 0
+    assert 0 < sum(stages.values()) <= manifest["wall_clock_s"]
+    assert "manifest.json" not in manifest["files"]
