@@ -30,10 +30,10 @@ from . import __version__
 from .engine import (Lattice, alternating_eta, bernoulli_eta, exact_generator,
                      simulate_replicas, state_etas, stationary_measure)
 from .gartner import rescale
-from .greens import (c_star_estimate, green_corner_closed_form, green_matrix,
-                     key_identity, report_to_json, summation_by_parts_audit)
-from .kernels import (interval_kernel_image, interval_kernel_spectral,
-                      kernel_bound_audit, solve_interval_spectrum)
+from .greens import (c_star_estimate, green_corner_closed_form, key_identity,
+                     report_to_json, summation_by_parts_audit)
+from .kernels import (build_image_expansion, interval_kernel_image,
+                      interval_kernel_spectral, kernel_bound_audit, solve_interval_spectrum)
 from .params import (ScalingParams, build_params, equal_density_mu, expansion_audit,
                      params_from_mu, phase_point)
 from .she import (asep_she_compare, build_grid, mean_field, run_interval_ensemble,
@@ -186,6 +186,8 @@ def _validate(cfg, kind: str) -> list[str]:
         replicas = cfg["run"].getint("replicas")
         if replicas < 1:
             problems.append("run.replicas must be >= 1")
+        elif replicas < 2 and kind in ("compare", "she"):
+            problems.append(f"run.replicas must be >= 2 for {kind}: a standard error needs two")
     except ValueError:
         problems.append("run.replicas must be an integer")
     if kind in ("params", "simulate", "compare", "audit-all", "she", "kernel"):
@@ -202,6 +204,22 @@ def _validate(cfg, kind: str) -> list[str]:
                 problems.append("simulate.sample_times must be nondecreasing")
         except ValueError as exc:
             problems.append(f"simulate: {exc}")
+    if kind == "compare":
+        try:
+            inv = _parse_list(cfg["compare"]["inverse_eps"], int)
+            if not inv or min(inv) < 1:
+                problems.append("compare.inverse_eps must list one or more sizes >= 1")
+            if cfg["compare"].getint("x_points") < 1:
+                problems.append("compare.x_points must be >= 1")
+        except ValueError as exc:
+            problems.append(f"compare: {exc}")
+    if kind in ("identities", "audit-all"):
+        try:
+            # the key identity is read at sites n/2 and n/2 + 1 of the N x N matrix F
+            if cfg["identities"].getint("n_sites") < 3:
+                problems.append("identities.n_sites must be >= 3")
+        except ValueError as exc:
+            problems.append(f"identities: {exc}")
     return problems
 
 
@@ -290,18 +308,18 @@ def run_kernel(cfg, out, seed, threads, checks):
     np.savetxt(os.path.join(out, "eigvecs.txt"), spec.eigvecs)
     rows = []
     depth = cfg["kernel"].getint("depth")
+    expansion = build_image_expansion(n, params.mu_a, params.mu_b, depth)
     ok = True
     for t in _parse_list(cfg["kernel"]["times"]):
         ker = interval_kernel_spectral(spec, t)
-        img = interval_kernel_image(n, params.mu_a, params.mu_b, t, depth=depth)
-        gap = float(np.max(np.abs(ker.values - img.values)))
-        ok &= gap <= 1e-8 and ker.symmetry_error() <= 1e-10 and ker.min_entry() >= -1e-12
+        gap = float(np.max(np.abs(ker - interval_kernel_image(expansion, t))))
+        ok &= (gap <= 1e-8 and float(np.max(np.abs(ker - ker.T))) <= 1e-10
+               and ker.min() >= -1e-12)
         for x in range(n + 1):
             for y in range(n + 1):
-                rows.append([t, x, y, ker.values[x, y]])
+                rows.append([t, x, y, ker[x, y]])
     write_csv(os.path.join(out, "kernel.csv"), ["t", "x", "y", "value"], rows)
-    audits = kernel_bound_audit(scaling.epsilon, scaling.slope_a, scaling.slope_b,
-                                n_interval=n)
+    audits = kernel_bound_audit(spec, scaling.epsilon)
     with open(os.path.join(out, "bound_audits.json"), "w") as fh:
         json.dump([a.as_dict() for a in audits], fh, indent=2)
     checks["image_vs_spectral"] = ok
@@ -314,13 +332,28 @@ def run_identities(cfg, out, seed, threads, checks):
     A, B = sec.getfloat("slope_a"), sec.getfloat("slope_b")
     eps = 1.0 / n
     mu_a, mu_b = 1.0 - eps * A, 1.0 - eps * B
+    ki = key_identity(solve_interval_spectrum(n, mu_a, mu_b))
+    c = ki["c"]
     reports = []
-    rep = key_identity("interval", n // 2, n // 2, n=n, mu_a=mu_a, mu_b=mu_b)
-    reports.append(rep)
-    reports.append(key_identity("interval", n // 2, n // 2 + 1, n=n, mu_a=mu_a, mu_b=mu_b))
-    checks["key_identity_diagonal"] = rep["abs_err"] <= 1e-9 and rep["route_gap"] <= 1e-7
-    g = green_matrix(n, mu_a, mu_b)
-    checks["green_closed_form"] = abs(g.values[0, 0]
+    for x, xb in ((n // 2, n // 2), (n // 2, n // 2 + 1)):
+        value = float(ki["F"][x, xb])
+        value_quad = float(ki["F_quadrature"][x, xb])
+        expected = (1.0 - c) if x == xb else -c
+        reports.append({"identity": "key-identity-interval", "x": x, "xb": xb,
+                        "params": {"n": n, "mu_a": mu_a, "mu_b": mu_b},
+                        "value": value, "value_quadrature": value_quad,
+                        "expected": expected, "abs_err": abs(value - expected),
+                        "route_gap": abs(value - value_quad),
+                        "tail_bound": ki["tail_bound"], "c": c,
+                        "abs_err_max": ki["abs_err_max"],
+                        "route_gap_max": ki["route_gap_max"],
+                        "green_route_gap": ki["green_route_gap"],
+                        "routes": ki["routes"]})
+    checks["key_identity_all_pairs"] = (ki["abs_err_max"] <= 1e-9
+                                        and ki["route_gap_max"] <= 1e-7)
+    if ki["green"] is None:  # Neumann-Neumann: no route ran, G does not exist
+        raise np.linalg.LinAlgError("Neumann-Neumann operator is singular (zero mode)")
+    checks["green_closed_form"] = abs(ki["green"][0, 0]
                                       - green_corner_closed_form(n, mu_a, mu_b)) <= 1e-10
     sbp = summation_by_parts_audit(32, seed=seed)
     checks["summation_by_parts"] = max(sbp.values()) <= 1e-12

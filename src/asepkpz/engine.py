@@ -24,7 +24,6 @@ times and exponential integrals agree with that loop to a few ulps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,14 +278,9 @@ class _Channels:
 
 
 def _draw(rngs, events: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next `events` (wait, pick) pairs of every stream, one column each.
-
-    A wait is -log(1 - u) by the C library's log, as a scalar loop takes it
-    (numpy's vectorised log may differ in the last bit).
-    """
+    """The next `events` (wait, pick) pairs of every stream, one column each."""
     u = np.array([rng.random(2 * events) for rng in rngs]).T
-    logs = np.fromiter(map(math.log, (1.0 - u[0::2]).ravel().tolist()), float, u.size // 2)
-    return -logs.reshape(events, len(rngs)), np.ascontiguousarray(u[1::2])
+    return -np.log(1.0 - u[0::2]), np.ascontiguousarray(u[1::2])
 
 
 class _Block:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +25,13 @@ from .kernels import (SpectralData, solve_interval_spectrum, robin_laplacian_mat
 from .quadrature import adaptive_quad, dyadic_panels, integrate_decaying
 
 __all__ = [
-    "GreenMatrix",
-    "FMatrix",
     "green_matrix",
     "green_corner_closed_form",
     "halfline_green",
     "f_matrix",
     "c_closed_form",
     "key_identity",
+    "halfline_key_identity",
     "f_matrix_quadrature",
     "halfline_key_quadrature",
     "c_star_estimate",
@@ -51,28 +49,15 @@ def expm(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Green's functions
 
-@dataclass(frozen=True)
-class GreenMatrix:
-    values: np.ndarray
-    mu_a: float
-    mu_b: float
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0] - 1
-
-
-def green_matrix(n: int, mu_a: float, mu_b: float) -> GreenMatrix:
-    """Dense inverse of -Laplacian/2 with Robin ghost rows.
+def green_matrix(n: int, mu_a: float, mu_b: float) -> np.ndarray:
+    """Dense inverse of -Laplacian/2 on {0..N} with Robin ghost rows.
 
     Singular exactly in the Neumann-Neumann case (zero eigenvalue), which is
     reported rather than regularized.
     """
     if mu_a == 1.0 and mu_b == 1.0:
         raise np.linalg.LinAlgError("Neumann-Neumann operator is singular (zero mode)")
-    L = robin_laplacian_matrix(n, mu_a, mu_b)
-    G = np.linalg.solve(L, np.eye(n + 1))
-    return GreenMatrix(values=G, mu_a=mu_a, mu_b=mu_b)
+    return np.linalg.solve(robin_laplacian_matrix(n, mu_a, mu_b), np.eye(n + 1))
 
 
 def green_corner_closed_form(n: int, mu_a: float, mu_b: float) -> float:
@@ -109,29 +94,15 @@ def halfline_green_limit(n_base: int, mu_a: float) -> float:
 # ---------------------------------------------------------------------------
 # F matrix
 
-@dataclass(frozen=True)
-class FMatrix:
-    values: np.ndarray     # shape (N, N), indices x, xb in {0..N-1}
-    c: float
-    green_route_gap: float  # max |spectral - Green second difference|
+def f_matrix(spec: SpectralData) -> np.ndarray:
+    """F(x, xb) = sum_k grad+ psi_k(x) grad+ psi_k(xb) / (2 lambda_k), shape (N, N).
 
-
-def f_matrix(spec: SpectralData) -> FMatrix:
-    """F(x, xb) = sum_k grad+ psi_k(x) grad+ psi_k(xb) / (2 lambda_k).
-
-    Also evaluated through the Green's function as
-    (G(x,xb) + G(x+1,xb+1) - G(x+1,xb) - G(x,xb+1)) / 2 and the two routes'
-    gap is recorded.  Rejected in the Neumann-Neumann case (lambda_0 = 0).
+    Rejected in the Neumann-Neumann case (lambda_0 = 0).
     """
     if spec.lambdas[0] < 1e-13:
         raise ValueError("lambda_0 ~ 0 (Neumann-Neumann): F is not defined by this route")
     D = spec.eigvecs[1:, :] - spec.eigvecs[:-1, :]
-    F = (D / (2.0 * spec.lambdas)) @ D.T
-    G = green_matrix(spec.n, spec.mu_a, spec.mu_b).values
-    F_green = 0.5 * (G[:-1, :-1] + G[1:, 1:] - G[1:, :-1] - G[:-1, 1:])
-    gap = float(np.max(np.abs(F - F_green)))
-    off = -float(F[0, 1]) if spec.n >= 2 else 1.0 - float(F[0, 0])
-    return FMatrix(values=F, c=off, green_route_gap=gap)
+    return (D / (2.0 * spec.lambdas)) @ D.T
 
 
 def c_closed_form(n: int, mu_a: float, mu_b: float) -> float:
@@ -145,46 +116,48 @@ def c_closed_form(n: int, mu_a: float, mu_b: float) -> float:
 # ---------------------------------------------------------------------------
 # quadrature routes
 
-def f_matrix_quadrature(n: int, mu_a: float, mu_b: float,
-                        t_cut: float | None = None, tol: float = 1e-9,
-                        spec: SpectralData | None = None) -> dict:
+F_TAIL_TOL = 1e-9         # interval: bound on the omitted time tail of F
+HALFLINE_T_CUT = 1.2e5    # half line: end of the quadrature, then a fitted tail
+HALFLINE_TOL = 1e-7       # half line: quadrature tolerance
+
+
+def f_matrix_quadrature(spec: SpectralData) -> dict:
     """Time-domain evaluation of F on the interval.
 
     F = D (int_0^{t_cut} e^{-2 t L} dt) D^T for all pairs at once.  The time
     integral is the upper-right block of one Pade matrix exponential of the
     block matrix [[-2L, I], [0, 0]] t_cut (Van Loan 1978), independent of
-    the spectral route.  tol sets only t_cut, chosen so the spectral tail
-    bound sum_k |grad psi_k|^2_max e^{-2 lam_0 t}/(2 lam_0) falls below
-    tol/3; the returned value omits the tail, which is reported as the
-    truncation certificate.
+    the spectral route; the spectrum sets only t_cut, chosen so the spectral
+    tail bound sum_k |grad psi_k|^2_max e^{-2 lam_0 t}/(2 lam_0) falls below
+    F_TAIL_TOL/3.  The returned value omits the tail, which is reported as
+    the truncation certificate.
     """
-    L = robin_laplacian_matrix(n, mu_a, mu_b)
-    spec = spec if spec is not None else solve_interval_spectrum(n, mu_a, mu_b)
+    n = spec.n
     lam0 = float(spec.lambdas[0])
     if lam0 < 1e-13:
         raise ValueError("Neumann-Neumann case has no spectral gap; c = 0 branch applies")
     D = spec.eigvecs[1:, :] - spec.eigvecs[:-1, :]
     amp = float((np.abs(D) ** 2).sum())  # bounds sum_k |grad psi_k(x) grad psi_k(xb)|
-    if t_cut is None:
-        t_cut = math.log(max(amp / (2.0 * lam0 * (tol / 3.0)), 10.0)) / (2.0 * lam0)
+    t_cut = math.log(max(amp / (2.0 * lam0 * (F_TAIL_TOL / 3.0)), 10.0)) / (2.0 * lam0)
     m = n + 1
     block = np.zeros((2 * m, 2 * m))
-    block[:m, :m] = -2.0 * t_cut * L
+    block[:m, :m] = -2.0 * t_cut * robin_laplacian_matrix(n, spec.mu_a, spec.mu_b)
     block[:m, m:] = t_cut * np.eye(m)
     total = np.diff(np.diff(expm(block)[:m, m:], axis=0), axis=1)
     tail = amp * math.exp(-2.0 * lam0 * t_cut) / (2.0 * lam0)
     return {"F": total, "t_cut": t_cut, "tail_bound": tail}
 
 
-def halfline_key_quadrature(x: int, xb: int, mu_a: float,
-                            t_cut: float = 1.2e5, tol: float = 1e-8) -> dict:
+def halfline_key_quadrature(x: int, xb: int, mu_a: float) -> dict:
     """sum_{y>=0} int grad+ p^R_t(x,y) grad+ p^R_t(xb,y) dt on the half line.
 
-    The integrand decays only like t^{-3/2}, so after quadrature to t_cut the
-    remaining tail is integrated from a power-law fit c1 t^{-3/2} + c2 t^{-2}
-    + c3 t^{-5/2} over the last computed decade; the fit residual is reported
-    as the tail uncertainty.
+    The integrand decays only like t^{-3/2}, so after quadrature to
+    HALFLINE_T_CUT the remaining tail is integrated from a power-law fit
+    c1 t^{-3/2} + c2 t^{-2} + c3 t^{-5/2} over the last computed decade; the
+    fit residual is reported as the tail uncertainty.
     """
+    t_cut, tol = HALFLINE_T_CUT, HALFLINE_TOL
+
     def integrand(t):
         if t == 0.0:
             return 2.0 if x == xb else (-1.0 if abs(x - xb) == 1 else 0.0)
@@ -214,55 +187,56 @@ def halfline_key_quadrature(x: int, xb: int, mu_a: float,
             "tail_uncertainty": tail_uncertainty, "t_cut": t_cut}
 
 
-def key_identity(kind: str, x: int, xb: int, *, n: int | None = None,
-                 mu_a: float, mu_b: float | None = None,
-                 t_cut: float | None = None, tol: float = 1e-7) -> dict:
-    """Both routes to the key cancellation, with the expected exact value.
+def key_identity(spec: SpectralData) -> dict:
+    """The interval key identity F = I - c 11^T over all N^2 pairs, by three routes.
 
-    kind = "interval": spectral closed form and block-expm time integral; the
-    expected value is 1{x=xb}(1-c) - 1{x!=xb} c with c from the Green
-    closed form.  kind = "half_line": the Green route is exact
-    (G = 2/(1-mu) + 2 min(x,y), second differences give the identity) and
-    the quadrature route uses Bessel image kernels with a fitted tail;
-    expected value 1{x=xb}.
+    From one spectrum: F by the spectral closed form, by the second
+    differences of one Green's function solve,
+    (G(x,xb) + G(x+1,xb+1) - G(x+1,xb) - G(x,xb+1)) / 2, and by one block
+    matrix exponential (`f_matrix_quadrature`); c comes from the Green
+    closed form.  Returns the worst deviation from I - c 11^T, the worst
+    spectral-vs-expm and spectral-vs-Green gaps, the tail certificate, and
+    the matrices themselves so callers can read single entries.
+
+    In the Neumann-Neumann case F is undefined (lambda_0 = 0) and no route
+    runs: F and F_quadrature are reported as the limit value I, the Green
+    matrix as None and `routes` is empty.
     """
-    if kind == "interval":
-        if n is None or mu_b is None:
-            raise ValueError("interval key identity needs n and mu_b")
-        if mu_a == 1.0 or mu_b == 1.0:
-            c = 0.0
-        else:
-            c = c_closed_form(n, mu_a, mu_b)
-        expected = (1.0 - c) if x == xb else -c
-        spec = solve_interval_spectrum(n, mu_a, mu_b)
-        if spec.lambdas[0] < 1e-13:
-            spectral = 1.0 if x == xb else 0.0
-            quad = {"F": None, "tail_bound": 0.0, "t_cut": 0.0}
-            route_gap = 0.0
-            value_quad = spectral
-        else:
-            fm = f_matrix(spec)
-            spectral = float(fm.values[x, xb])
-            quad = f_matrix_quadrature(n, mu_a, mu_b, t_cut=t_cut, tol=tol, spec=spec)
-            value_quad = float(quad["F"][x, xb])
-            route_gap = abs(spectral - value_quad)
-        return {"identity": "key-identity-interval", "x": x, "xb": xb,
-                "params": {"n": n, "mu_a": mu_a, "mu_b": mu_b},
-                "value": spectral, "value_quadrature": value_quad,
-                "expected": expected, "abs_err": abs(spectral - expected),
-                "route_gap": route_gap, "tail_bound": quad["tail_bound"], "c": c}
-    if kind == "half_line":
-        g = lambda u, v: halfline_green(u, v, mu_a)
-        value_green = 0.5 * (g(x, xb) + g(x + 1, xb + 1) - g(x + 1, xb) - g(x, xb + 1))
-        expected = 1.0 if x == xb else 0.0
-        quad = halfline_key_quadrature(x, xb, mu_a, t_cut=t_cut or 1.2e5, tol=tol)
-        return {"identity": "key-identity-half-line", "x": x, "xb": xb,
-                "params": {"mu_a": mu_a},
-                "value": value_green, "value_quadrature": quad["value"],
-                "expected": expected, "abs_err": abs(value_green - expected),
-                "route_gap": abs(value_green - quad["value"]),
-                "tail_bound": quad["tail_uncertainty"], "c": 0.0}
-    raise ValueError(f"unknown kind {kind!r}")
+    n = spec.n
+    c = c_closed_form(n, spec.mu_a, spec.mu_b)
+    expected = np.eye(n) - c
+    if spec.lambdas[0] < 1e-13:
+        return {"F": expected, "F_quadrature": expected, "green": None, "c": c,
+                "abs_err_max": 0.0, "route_gap_max": 0.0, "green_route_gap": 0.0,
+                "tail_bound": 0.0, "routes": []}
+    F = f_matrix(spec)
+    G = green_matrix(n, spec.mu_a, spec.mu_b)
+    F_green = 0.5 * (G[:-1, :-1] + G[1:, 1:] - G[1:, :-1] - G[:-1, 1:])
+    quad = f_matrix_quadrature(spec)
+    return {"F": F, "F_quadrature": quad["F"], "green": G, "c": c,
+            "abs_err_max": float(np.max(np.abs(F - expected))),
+            "route_gap_max": float(np.max(np.abs(F - quad["F"]))),
+            "green_route_gap": float(np.max(np.abs(F - F_green))),
+            "tail_bound": quad["tail_bound"], "routes": ["spectral", "green", "expm"]}
+
+
+def halfline_key_identity(x: int, xb: int, mu_a: float) -> dict:
+    """The half-line key identity F(x, xb) = 1{x=xb} at one pair, by two routes.
+
+    The Green route is exact (G = 2/(1-mu) + 2 min(x,y), second differences
+    give the identity); the quadrature route uses Bessel image kernels with
+    a fitted tail, whose uncertainty is reported as `tail_bound`.
+    """
+    g = lambda u, v: halfline_green(u, v, mu_a)
+    value_green = 0.5 * (g(x, xb) + g(x + 1, xb + 1) - g(x + 1, xb) - g(x, xb + 1))
+    expected = 1.0 if x == xb else 0.0
+    quad = halfline_key_quadrature(x, xb, mu_a)
+    return {"identity": "key-identity-half-line", "x": x, "xb": xb,
+            "params": {"mu_a": mu_a},
+            "value": value_green, "value_quadrature": quad["value"],
+            "expected": expected, "abs_err": abs(value_green - expected),
+            "route_gap": abs(value_green - quad["value"]),
+            "tail_bound": quad["tail_uncertainty"], "c": 0.0}
 
 
 # ---------------------------------------------------------------------------

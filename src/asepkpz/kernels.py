@@ -29,7 +29,6 @@ __all__ = [
     "halfline_robin_row",
     "SpectralData",
     "solve_interval_spectrum",
-    "KernelMatrix",
     "interval_kernel_spectral",
     "ImageExpansion",
     "build_image_expansion",
@@ -250,36 +249,12 @@ def solve_interval_spectrum(n: int, mu_a: float, mu_b: float) -> SpectralData:
 # ---------------------------------------------------------------------------
 # interval kernels
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Robin heat kernel p^R_t(x, y) on {0..N} at a fixed time."""
-
-    values: np.ndarray
-    t: float
-    mu_a: float
-    mu_b: float
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0] - 1
-
-    def symmetry_error(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.T)))
-
-    def row_sums(self) -> np.ndarray:
-        return self.values.sum(axis=1)
-
-    def min_entry(self) -> float:
-        return float(self.values.min())
-
-
-def interval_kernel_spectral(spec: SpectralData, t: float) -> KernelMatrix:
-    """p^R_t = sum_k psi_k psi_k^T e^{-t lambda_k}."""
+def interval_kernel_spectral(spec: SpectralData, t: float) -> np.ndarray:
+    """p^R_t(x, y) on {0..N} as sum_k psi_k psi_k^T e^{-t lambda_k}."""
     if t < 0:
         raise ValueError("t must be >= 0")
     w = np.exp(-t * spec.lambdas)
-    vals = (spec.eigvecs * w) @ spec.eigvecs.T
-    return KernelMatrix(values=vals, t=t, mu_a=spec.mu_a, mu_b=spec.mu_b)
+    return (spec.eigvecs * w) @ spec.eigvecs.T
 
 
 @dataclass(frozen=True)
@@ -385,26 +360,23 @@ def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> I
                           offset=off, eps_scale=1.0 / n)
 
 
-def interval_kernel_image(n: int, mu_a: float, mu_b: float, t: float,
-                          depth: int = 6,
-                          expansion: ImageExpansion | None = None) -> KernelMatrix:
-    """Kernel assembled from the truncated generalized image expansion.
+def interval_kernel_image(expansion: ImageExpansion, t: float) -> np.ndarray:
+    """Kernel p^R_t(x, y) on {0..N} from a truncated generalized image expansion.
 
     Raises if the free-walk mass beyond the truncation radius exceeds
-    1e-14 (depth too small for this time).
+    1e-14 (expansion depth too small for this time).
     """
-    exp_ = expansion if expansion is not None else build_image_expansion(n, mu_a, mu_b, depth)
+    n, depth = expansion.n, expansion.depth
     nb = n + 1
-    radius = exp_.depth * nb - n
+    radius = depth * nb - n
     if free_walk_tail_bound(t, max(radius, 1)) > 1e-14:
-        raise ValueError(f"depth {exp_.depth} too small at t={t}: image tail above 1e-14")
-    zs = np.arange(-exp_.depth * nb, (exp_.depth + 1) * nb)
+        raise ValueError(f"depth {depth} too small at t={t}: image tail above 1e-14")
+    zs = np.arange(-depth * nb, (depth + 1) * nb)
     pv = free_walk_row(t, int(zs[-1]) + n + 1)
     xs = np.arange(nb)
     # p_t(x - z) for all lattice x and extension points z
     P = pv[np.abs(xs[:, None] - zs[None, :])]
-    vals = P @ exp_.phi
-    return KernelMatrix(values=vals, t=t, mu_a=mu_a, mu_b=mu_b)
+    return P @ expansion.phi
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +419,6 @@ def continuous_halfline_kernel_quad(T: float, X: float, Y: float, A: float) -> f
 # ---------------------------------------------------------------------------
 # bound audits
 
-def _fit_constant(ratios: np.ndarray) -> float:
-    return float(np.max(ratios))
-
-
 @dataclass
 class BoundAudit:
     name: str
@@ -464,24 +432,21 @@ class BoundAudit:
 
 
 def _audit_from_ratio_fn(name: str, ratio_fn, coarse_grid, fine_grid) -> BoundAudit:
-    c = _fit_constant(np.asarray([ratio_fn(*g) for g in coarse_grid]))
-    cf = _fit_constant(np.asarray([ratio_fn(*g) for g in fine_grid]))
+    c = float(np.max([ratio_fn(*g) for g in coarse_grid]))
+    cf = float(np.max([ratio_fn(*g) for g in fine_grid]))
     return BoundAudit(name=name, constant=c, constant_refined=cf,
                       stable=bool(cf <= 2.0 * max(c, 1e-300)))
 
 
-def kernel_bound_audit(eps: float, slope_a: float, slope_b: float,
-                       t_bar: float = 1.0, n_interval: int | None = None) -> list[BoundAudit]:
+def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> list[BoundAudit]:
     """Numerical audits of the heat-kernel estimates on both geometries.
 
-    Each bound's left side divided by its shape function is maximized over a
-    deterministic grid; the fitted constant must be finite and stable under
-    doubling the grid density.  Times range over [0.05, eps^{-2} t_bar].
+    The interval kernels come from `spec`; the half-line kernels use its
+    mu_A.  Each bound's left side divided by its shape function is maximized
+    over a deterministic grid; the fitted constant must be finite and stable
+    under doubling the grid density.  Times range over [0.05, eps^{-2} t_bar].
     """
-    n = n_interval if n_interval is not None else int(round(1.0 / eps))
-    mu_a = 1.0 - eps * slope_a
-    mu_b = 1.0 - eps * slope_b
-    spec = solve_interval_spectrum(n, mu_a, mu_b)
+    n, mu_a = spec.n, spec.mu_a
     t_max = t_bar / (eps * eps)
 
     def tgrid(m):
@@ -491,7 +456,7 @@ def kernel_bound_audit(eps: float, slope_a: float, slope_b: float,
 
     def K(t):
         if t not in kernels:
-            kernels[t] = interval_kernel_spectral(spec, t).values
+            kernels[t] = interval_kernel_spectral(spec, t)
         return kernels[t]
 
     audits = []

@@ -74,7 +74,7 @@ class SheGrid:
 
     def propagator(self, T: float) -> np.ndarray:
         """Exact Robin propagator over macroscopic time T on the grid."""
-        return interval_kernel_spectral(self.spec, self.micro_time(T)).values
+        return interval_kernel_spectral(self.spec, self.micro_time(T))
 
 
 def build_grid(length: float, m: int, robin_a: float, robin_b: float,
@@ -402,7 +402,7 @@ def lognormal_sampler(grid: SheGrid):
 def asep_mean_prediction(spec: SpectralData, t_micro: float,
                          e_z0: np.ndarray) -> np.ndarray:
     """Exact discrete mean E Z_t = p^R_t E Z_0 (integrated microscopic heat equation)."""
-    return interval_kernel_spectral(spec, t_micro).values @ e_z0
+    return interval_kernel_spectral(spec, t_micro) @ e_z0
 
 
 # batch-means batches behind the variance standard error se_var

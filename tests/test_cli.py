@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from asepkpz.cli import config_hash, fmt, load_config, main, sha256_file, write_compare_csv
 from asepkpz.she import asep_she_compare, run_interval_ensemble
@@ -36,6 +37,27 @@ def test_config_validation_errors(tmp_path, capsys):
     assert run_cli(["params", "--config", str(bad2), "--out", str(tmp_path / "r2")]) == 2
 
 
+@pytest.mark.parametrize("kind, ini, key", [
+    ("compare", "[compare]\ninverse_eps = 0\n", "compare.inverse_eps"),
+    ("compare", "[compare]\ninverse_eps =\n", "compare.inverse_eps"),
+    ("identities", "[identities]\nn_sites = 1\n", "identities.n_sites"),
+    ("compare", "[run]\nreplicas = 1\n[compare]\ninverse_eps = 4, 8\n", "run.replicas"),
+    ("she", "[run]\nreplicas = 1\n[she]\nm = 8\n", "run.replicas"),
+    ("compare", "[run]\nreplicas = 8\n[compare]\ninverse_eps = 4, 8\nx_points = 0\n",
+     "compare.x_points"),
+], ids=["inverse_eps_zero", "inverse_eps_empty", "identities_n_sites_1",
+        "compare_replicas_1", "she_replicas_1", "x_points_zero"])
+def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
+    # each of these once crashed with a traceback (exit 1) or failed a check
+    # on NaN; exit 1 is reserved for a failed check
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "runs"
+    assert run_cli([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_params_kind_and_manifest(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\nn_sites = 16\nslope_a = 1.0\nslope_b = 1.0\n")
@@ -63,7 +85,14 @@ def test_identities_kind(tmp_path):
     assert code == 0
     (run_dir,) = [p for p in out.iterdir()]
     reports = json.loads((run_dir / "identities.json").read_text())
-    assert any(r["identity"] == "key-identity-interval" for r in reports)
+    assert [r["identity"] for r in reports] == ["key-identity-interval"] * 2 + ["c-star"]
+    assert [(r["x"], r["xb"]) for r in reports[:2]] == [(16, 16), (16, 17)]
+    for r in reports[:2]:
+        assert r["abs_err_max"] <= 1e-9 and r["route_gap_max"] <= 1e-7
+        assert r["green_route_gap"] <= 1e-9 and r["abs_err"] <= r["abs_err_max"]
+        assert r["routes"] == ["spectral", "green", "expm"]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["checks"]["key_identity_all_pairs"] is True
 
 
 def test_simulate_kind_hash_stable_across_threads(tmp_path):
@@ -203,3 +232,33 @@ def test_audit_all_manifest_metrics(tmp_path):
     assert manifest["metrics"]["peak_rss_mb"] > 0
     assert 0 < sum(stages.values()) <= manifest["wall_clock_s"]
     assert "manifest.json" not in manifest["files"]
+
+
+def test_audit_all_builds_each_exact_object_once(tmp_path, monkeypatch):
+    # one spectrum per stage that needs one (model, identities, c-star); one
+    # Green solve, one block expm and one image expansion in the whole pass
+    from asepkpz import greens, kernels
+
+    counts = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        for mod in [m for k, m in list(sys.modules.items()) if k.startswith("asepkpz")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    count(greens, "expm")
+    count(greens, "green_matrix")
+    count(kernels, "build_image_expansion")
+    count(kernels, "solve_interval_spectrum")
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\nn_sites = 16\n[identities]\nn_sites = 16\n"
+                   "cstar_n = 12\ncstar_tbar = 0.5\n")
+    assert run_cli(["audit-all", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
+    assert counts == {"expm": 1, "green_matrix": 1, "build_image_expansion": 1,
+                      "solve_interval_spectrum": 3}

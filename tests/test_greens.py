@@ -14,7 +14,7 @@ from asepkpz.quadrature import adaptive_quad, dyadic_panels
 
 def test_green_n1_corner():
     g = green_matrix(1, 0.0, 0.0)
-    assert abs(g.values[0, 0] - 4.0 / 3.0) <= 1e-14
+    assert abs(g[0, 0] - 4.0 / 3.0) <= 1e-14
     assert abs(green_corner_closed_form(1, 0.0, 0.0) - 4.0 / 3.0) <= 1e-14
 
 
@@ -25,9 +25,9 @@ def test_green_symmetry_and_residual():
         mu_a = float(rng.uniform(0.1, 0.999))
         mu_b = float(rng.uniform(0.1, 0.999))
         g = green_matrix(n, mu_a, mu_b)
-        assert np.max(np.abs(g.values - g.values.T)) <= 1e-12 * np.max(np.abs(g.values))
+        assert np.max(np.abs(g - g.T)) <= 1e-12 * np.max(np.abs(g))
         L = robin_laplacian_matrix(n, mu_a, mu_b)
-        assert np.max(np.abs(L @ g.values - np.eye(n + 1))) <= 1e-10
+        assert np.max(np.abs(L @ g - np.eye(n + 1))) <= 1e-10
 
 
 def test_green_closed_form_vs_dense():
@@ -37,7 +37,7 @@ def test_green_closed_form_vs_dense():
             mu_a = float(rng.uniform(0.0, 0.999))
             mu_b = float(rng.uniform(0.0, 0.999))
             g = green_matrix(n, mu_a, mu_b)
-            assert abs(g.values[0, 0] - green_corner_closed_form(n, mu_a, mu_b)) <= 1e-10
+            assert abs(g[0, 0] - green_corner_closed_form(n, mu_a, mu_b)) <= 1e-10
 
 
 def test_green_neumann_singular():
@@ -59,23 +59,23 @@ def test_f_matrix_structure():
     n = 100
     mu = 1 - 1 / n
     spec = solve_interval_spectrum(n, mu, mu)
-    fm = f_matrix(spec)
-    d = np.diag(fm.values)
+    F = f_matrix(spec)
+    d = np.diag(F)
     assert np.max(np.abs(d - d[0])) <= 1e-9
-    off = fm.values[~np.eye(n, dtype=bool)]
+    off = F[~np.eye(n, dtype=bool)]
     assert np.max(np.abs(off - off[0])) <= 1e-9
     assert abs(d[0] - off[0] - 1.0) <= 1e-9
     # F(0,0) at eps = 1/N, A = B = 1: (A+B+AB-AB eps)/(A+B+AB)
     assert abs(d[0] - (3 - 0.01) / 3) <= 1e-9
-    assert fm.green_route_gap <= 1e-9
-    assert abs(fm.c - 1 / 300) <= 1e-9
+    assert key_identity(spec)["green_route_gap"] <= 1e-9
+    assert abs(-F[0, 1] - 1 / 300) <= 1e-9
     assert abs(c_closed_form(n, mu, mu) - 1 / 300) <= 1e-12
 
 
 def test_f_matrix_gradient_structure():
     # grad+_x F(x, y) = 1{x+1=y} - 1{x=y}
     spec = solve_interval_spectrum(40, 1 - 1 / 40, 1 - 0.5 / 40)
-    F = f_matrix(spec).values
+    F = f_matrix(spec)
     g = F[1:, :] - F[:-1, :]
     expect = np.zeros_like(g)
     for x in range(g.shape[0]):
@@ -91,9 +91,9 @@ def test_f_matrix_quadrature_matches_spectral(n, mu_a, mu_b):
     # the block-exponential time integral against the spectral closed form,
     # every pair (x, xb)
     spec = solve_interval_spectrum(n, mu_a, mu_b)
-    quad = f_matrix_quadrature(n, mu_a, mu_b, spec=spec)
+    quad = f_matrix_quadrature(spec)
     assert quad["F"].shape == (n, n)
-    assert np.max(np.abs(quad["F"] - f_matrix(spec).values)) <= 1e-10
+    assert np.max(np.abs(quad["F"] - f_matrix(spec))) <= 1e-10
     assert quad["tail_bound"] <= 1e-9
 
 
@@ -109,11 +109,11 @@ def test_c_consistency_and_scaling():
     for n in (25, 50, 100):
         mu = 1 - 1 / n
         spec = solve_interval_spectrum(n, mu, mu)
-        fm = f_matrix(spec)
-        c_spec = 1.0 - float(fm.values[0, 0])
+        F = f_matrix(spec)
+        c_spec = 1.0 - float(F[0, 0])
         c_form = c_closed_form(n, mu, mu)
         assert abs(c_spec - c_form) <= 1e-9
-        assert abs(fm.c - c_form) <= 1e-9
+        assert abs(-float(F[0, 1]) - c_form) <= 1e-9
         assert 0.0 <= c_form
         ratios.append(c_form * n)
     assert max(ratios) / min(ratios) <= 1.5
@@ -121,27 +121,52 @@ def test_c_consistency_and_scaling():
 
 def test_key_identity_interval_neumann_side():
     # c = 0 whenever one side is Neumann
-    rep = key_identity("interval", 3, 3, n=12, mu_a=1.0, mu_b=0.8)
+    rep = key_identity(solve_interval_spectrum(12, 1.0, 0.8))
     assert rep["c"] == 0.0
-    assert abs(rep["value"] - 1.0) <= 1e-9
-    rep = key_identity("interval", 3, 7, n=12, mu_a=1.0, mu_b=0.8)
-    assert abs(rep["value"]) <= 1e-9
+    assert abs(rep["F"][3, 3] - 1.0) <= 1e-9
+    assert abs(rep["F"][3, 7]) <= 1e-9
+    assert rep["abs_err_max"] <= 1e-9 and rep["route_gap_max"] <= 1e-7
+
+
+def test_key_identity_neumann_neumann_runs_no_route():
+    # F is undefined at lambda_0 = 0: the limit value I is reported and the
+    # record says that no route ran
+    rep = key_identity(solve_interval_spectrum(12, 1.0, 1.0))
+    assert rep["routes"] == [] and rep["green"] is None and rep["c"] == 0.0
+    assert np.array_equal(rep["F"], np.eye(12))
+    assert rep["abs_err_max"] == rep["route_gap_max"] == rep["tail_bound"] == 0.0
 
 
 def test_key_identity_small_interval_routes():
-    rep = key_identity("interval", 5, 5, n=16, mu_a=1 - 1 / 16, mu_b=1 - 1 / 16)
-    assert rep["abs_err"] <= 1e-9
-    assert rep["route_gap"] <= 1e-7
+    rep = key_identity(solve_interval_spectrum(16, 1 - 1 / 16, 1 - 1 / 16))
+    assert rep["abs_err_max"] <= 1e-9
+    assert rep["route_gap_max"] <= 1e-7
     assert rep["tail_bound"] <= 1e-7
 
 
+@pytest.mark.parametrize("n, mu_a, mu_b", [(100, 1 - 1 / 100, 1 - 2 / 100),
+                                          (32, 1 - 0.5 / 32, 1 - 3 / 32),
+                                          (12, 1.0, 1 - 1 / 12)])
+def test_key_identity_all_pairs(n, mu_a, mu_b):
+    # F = I - c 11^T on every pair, by the spectral, Green and expm routes
+    spec = solve_interval_spectrum(n, mu_a, mu_b)
+    rep = key_identity(spec)
+    assert rep["routes"] == ["spectral", "green", "expm"]
+    assert rep["abs_err_max"] <= 1e-9
+    assert rep["route_gap_max"] <= 1e-7
+    assert rep["green_route_gap"] <= 1e-9
+    assert rep["tail_bound"] <= 1e-9
+    assert rep["c"] == c_closed_form(n, mu_a, mu_b)
+    assert np.array_equal(rep["F"], f_matrix(spec))
+    assert np.array_equal(rep["green"], green_matrix(n, mu_a, mu_b))
+
+
 def test_key_identity_half_line_green_route():
-    for (x, xb) in [(0, 0), (1, 1), (4, 4)]:
-        rep = key_identity("half_line", x, xb, mu_a=0.5, t_cut=2e3)
-        assert rep["value"] == 1.0
-    for (x, xb) in [(0, 1), (1, 3)]:
-        rep = key_identity("half_line", x, xb, mu_a=0.5, t_cut=2e3)
-        assert rep["value"] == 0.0
+    # second differences of G = 2/(1-mu) + 2 min(x, y) give the identity exactly
+    g = lambda u, v: halfline_green(u, v, 0.5)
+    for (x, xb) in [(0, 0), (1, 1), (4, 4), (0, 1), (1, 3)]:
+        value = 0.5 * (g(x, xb) + g(x + 1, xb + 1) - g(x + 1, xb) - g(x, xb + 1))
+        assert value == (1.0 if x == xb else 0.0)
 
 
 @pytest.mark.parametrize("n", [16, 32])

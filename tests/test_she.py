@@ -71,7 +71,7 @@ def test_mean_field_identity_and_eigenmode():
 def test_propagator_consistency_and_semigroup():
     grid = build_grid(1.0, 16, 1.0, 2.0)
     P = grid.propagator(0.01)
-    K = interval_kernel_spectral(grid.spec, grid.micro_time(0.01)).values
+    K = interval_kernel_spectral(grid.spec, grid.micro_time(0.01))
     assert np.max(np.abs(P - K)) <= 1e-10
     assert np.max(np.abs(P @ P - grid.propagator(0.02))) <= 1e-10
 
