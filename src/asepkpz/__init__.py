@@ -10,7 +10,7 @@ from .engine import (Lattice, Configuration, HeightField, Trajectory,
                      event_rates, simulate, simulate_replicas, state_etas,
                      exact_generator, stationary_measure, bernoulli_eta,
                      alternating_eta, replica_rng, run_replicas)
-from .gartner import (ZField, ScaledField, z_field, drift_identity_residual,
+from .gartner import (ZField, z_field, drift_identity_residual,
                       bracket_rate, bracket_decomposition, rescale)
 from .kernels import (free_walk_kernel, halfline_robin_kernel, SpectralData,
                       solve_interval_spectrum, interval_kernel_spectral,

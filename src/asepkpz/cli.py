@@ -183,11 +183,10 @@ def _model_from_config(cfg) -> tuple:
 def _validate(cfg, kind: str) -> list[str]:
     problems = []
     try:
-        replicas = cfg["run"].getint("replicas")
-        if replicas < 1:
-            problems.append("run.replicas must be >= 1")
-        elif replicas < 2 and kind in ("compare", "she"):
-            problems.append(f"run.replicas must be >= 2 for {kind}: a standard error needs two")
+        need, why = {"compare": (4, " for compare: the variance error needs two batches of two"),
+                     "she": (2, " for she: a standard error needs two")}.get(kind, (1, ""))
+        if cfg["run"].getint("replicas") < need:
+            problems.append(f"run.replicas must be >= {need}{why}")
     except ValueError:
         problems.append("run.replicas must be an integer")
     if kind in ("params", "simulate", "compare", "audit-all", "she", "kernel"):
@@ -215,9 +214,15 @@ def _validate(cfg, kind: str) -> list[str]:
             problems.append(f"compare: {exc}")
     if kind in ("identities", "audit-all"):
         try:
+            sec = cfg["identities"]
             # the key identity is read at sites n/2 and n/2 + 1 of the N x N matrix F
-            if cfg["identities"].getint("n_sites") < 3:
+            if sec.getint("n_sites") < 3:
                 problems.append("identities.n_sites must be >= 3")
+            # c-star is a maximum over the bulk sites 1..n-1 up to time tbar
+            if sec.getint("cstar_n") < 2:
+                problems.append("identities.cstar_n must be >= 2: c-star needs a bulk site")
+            if not sec.getfloat("cstar_tbar") > 0:
+                problems.append("identities.cstar_tbar must be > 0")
         except ValueError as exc:
             problems.append(f"identities: {exc}")
     return problems
@@ -271,32 +276,28 @@ def run_simulate(cfg, out, seed, threads, checks):
         raise ConfigError(f"unknown initial condition {initial_kind!r}")
 
     t0 = time.perf_counter()
-    trajs = simulate_replicas(init, params, lattice, horizon, sample_micro, replicas, seed,
-                              track_exp_integrals=(-params.lam, params.nu), threads=threads)
+    traj = simulate_replicas(init, params, lattice, horizon, sample_micro, replicas, seed,
+                             track_exp_integrals=(-params.lam, params.nu), threads=threads)
     wall_s = time.perf_counter() - t0
-    for r, tr in enumerate(trajs[: min(replicas, 8)]):  # full dumps for the first few
+    for r in range(min(replicas, 8)):  # full dumps for the first few
         rows_eta, rows_h = [], []
-        for i, t in enumerate(tr.sample_times):
-            for x in range(lattice.n_sites):
-                rows_eta.append([t, x + 1, int(tr.etas[i][x])])
-            for x in range(lattice.n_heights):
-                rows_h.append([t, x, int(tr.heights[i][x])])
+        for t, eta, h in zip(traj.sample_times, traj.etas[r], traj.heights[r]):
+            rows_eta.extend([t, x + 1, int(e)] for x, e in enumerate(eta))
+            rows_h.extend([t, x, int(v)] for x, v in enumerate(h))
         write_csv(os.path.join(out, f"trajectory_eta_r{r:03d}.csv"),
                   ["time", "site", "eta"], rows_eta)
         write_csv(os.path.join(out, f"trajectory_heights_r{r:03d}.csv"),
                   ["time", "site", "h"], rows_h)
     # mean scaled field over replicas, exported on the macroscopic grid
-    rows_z = []
     X = np.arange(lattice.n_heights) * eps
-    for i, t_mac in enumerate(sample_macro):
-        fields = np.stack([rescale(tr, params, [t_mac], X)[0].values for tr in trajs])
-        rows_z.extend([[t_mac, X[j], fields.mean(axis=0)[j]] for j in range(len(X))])
-    write_csv(os.path.join(out, "scaled_field_mean.csv"), ["T", "X", "value"], rows_z)
-    checks["height_consistency"] = all(
-        bool(np.all(np.diff(tr.heights[i]) == tr.etas[i]))
-        for tr in trajs[:8] for i in range(len(tr.sample_times)))
+    mean = rescale(traj, params, sample_macro, X).mean(axis=0)
+    write_csv(os.path.join(out, "scaled_field_mean.csv"), ["T", "X", "value"],
+              [[t_mac, X[j], mean[i, j]] for i, t_mac in enumerate(sample_macro)
+               for j in range(len(X))])
+    checks["height_consistency"] = np.array_equal(np.diff(traj.heights[:8], axis=-1),
+                                                  traj.etas[:8])
     return {"sampler": [_sampler_metrics(f"{lattice.kind} n={lattice.n_sites}", replicas,
-                                        sum(tr.event_count for tr in trajs), wall_s)]}
+                                        int(traj.event_count.sum()), wall_s)]}
 
 
 def run_kernel(cfg, out, seed, threads, checks):

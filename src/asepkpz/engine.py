@@ -24,7 +24,7 @@ times and exponential integrals agree with that loop to a few ulps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,24 +122,22 @@ class HeightField:
 
 @dataclass
 class Trajectory:
-    """Snapshots of one replica at the requested sample times.
+    """Snapshots of R replicas at the requested sample times.
 
-    etas[i], heights[i] are the state at sample_times[i] (right-continuous).
-    When exponential height integrals are tracked, z_int[i][x] equals
+    etas[r, i], heights[r, i] are replica r's state at sample_times[i]
+    (right-continuous) and event_count[r] its number of events.  When
+    exponential height integrals are tracked, z_int[r, i, x] equals
     int_0^{t_i} exp(theta h_s(x) + rho s) ds exactly (event-resolved) and
     z2_int the same with (2 theta, 2 rho).
     """
 
     sample_times: np.ndarray
-    etas: list
-    heights: list
-    event_count: int
+    etas: np.ndarray                     # (R, K, N) int8
+    heights: np.ndarray                  # (R, K, N + 1) int64
+    event_count: np.ndarray              # (R,) int64
     exp_integral_constants: tuple | None = None
-    z_int: list | None = None
-    z2_int: list | None = None
-
-    def height_field(self, i: int) -> HeightField:
-        return HeightField(h=self.heights[i])
+    z_int: np.ndarray | None = None      # (R, K, N + 1)
+    z2_int: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -425,15 +423,6 @@ class _Block:
                                                     2 * self.occ[:, :-1] - 1):
                 raise AssertionError("height/occupation mismatch")
 
-    def trajectories(self, sample_times) -> list[Trajectory]:
-        track = self.track
-        return [Trajectory(sample_times=sample_times, etas=list(self.snap_eta[r]),
-                           heights=list(self.snap_h[r]), event_count=int(self.counts[r]),
-                           exp_integral_constants=track,
-                           z_int=list(self.snap_s[0, r]) if track else None,
-                           z2_int=list(self.snap_s[1, r]) if track else None)
-                for r in range(len(self.counts))]
-
 
 def _check_run(horizon: float, sample_times) -> np.ndarray:
     if horizon < 0:
@@ -446,12 +435,13 @@ def _check_run(horizon: float, sample_times) -> np.ndarray:
 
 
 def _run_block(ch, inits, rngs, lattice, horizon, sample_times, track,
-               debug_checks=False) -> list[Trajectory]:
+               debug_checks=False) -> Trajectory:
     if any(c.n_sites != lattice.n_sites for c in inits):
         raise ValueError("configuration size does not match lattice")
     block = _Block(ch, inits, rngs, sample_times, track)
     block.run(horizon, debug_checks)
-    return block.trajectories(sample_times)
+    return Trajectory(sample_times, block.snap_eta, block.snap_h, block.counts, track,
+                      *(block.snap_s if track else ()))
 
 
 def simulate(initial: Configuration, params: ModelParams, lattice: Lattice,
@@ -460,8 +450,8 @@ def simulate(initial: Configuration, params: ModelParams, lattice: Lattice,
              debug_checks: bool = False) -> Trajectory:
     """Statistically exact continuous-time sample of the open ASEP.
 
-    The one-replica case of `simulate_replicas`; seed is a Generator or a
-    key for `replica_rng(seed, 0)`.  sample_times must be nondecreasing and
+    The one-replica case of `simulate_replicas` (a Trajectory with R = 1);
+    seed is a Generator or a key for `replica_rng(seed, 0)`.  sample_times must be nondecreasing and
     within [0, horizon].  When track_exp_integrals = (theta, rho) is given,
     the per-site integrals int_0^t exp(theta h_s(x) + rho s) ds are
     accumulated exactly between events (closed-form in time, flushed per
@@ -473,20 +463,21 @@ def simulate(initial: Configuration, params: ModelParams, lattice: Lattice,
     sample_times = _check_run(horizon, sample_times)
     rng = seed if isinstance(seed, np.random.Generator) else replica_rng(seed, 0)
     return _run_block(_Channels(params, lattice), [initial], [rng], lattice, horizon,
-                      sample_times, track_exp_integrals, debug_checks)[0]
+                      sample_times, track_exp_integrals, debug_checks)
 
 
 def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: float,
                       sample_times, n_replicas: int, master_seed,
                       track_exp_integrals: tuple[float, float] | None = None,
-                      threads: int = 1) -> list[Trajectory]:
+                      threads: int = 1) -> Trajectory:
     """`simulate` for replicas 0..n_replicas-1, advanced in lockstep blocks.
 
     Replica i draws from rng_i = replica_rng(master_seed, i): first its
     start init(rng_i), then its events, exactly as
     `simulate(init(rng_i), ..., rng_i)` does.  Blocks hold at most _BLOCK
     replicas and are spread over `threads` pool workers; since every
-    replica owns its stream, the trajectories do not depend on either.
+    replica owns its stream, the result does not depend on either: one
+    Trajectory whose axis 0 is the replica index, the blocks joined in order.
 
     Each replica's event sequence (heights, occupations, event count) is
     fixed by its stream: at every step its total rate is the left-to-right
@@ -495,6 +486,8 @@ def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: floa
     exp/expm1 may differ from the C library's in the last bit).
     """
     sample_times = _check_run(horizon, sample_times)
+    if n_replicas < 1:
+        raise ValueError("n_replicas must be >= 1")
     ch = _Channels(params, lattice)
     n_blocks = -(-n_replicas // _BLOCK)
     edges = [n_replicas * b // n_blocks for b in range(n_blocks + 1)]
@@ -504,7 +497,10 @@ def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: floa
         return _run_block(ch, [init(rng) for rng in rngs], rngs, lattice, horizon,
                           sample_times, track_exp_integrals)
 
-    return [tr for trajs in _pool_map(block, range(n_blocks), threads) for tr in trajs]
+    parts = _pool_map(block, range(n_blocks), threads)
+    return replace(parts[0], **{name: np.concatenate([getattr(p, name) for p in parts])
+                                for name in ("etas", "heights", "event_count", "z_int", "z2_int")
+                                if getattr(parts[0], name) is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,8 @@ def halfline_key_quadrature(x: int, xb: int, mu_a: float) -> dict:
     The integrand decays only like t^{-3/2}, so after quadrature to
     HALFLINE_T_CUT the remaining tail is integrated from a power-law fit
     c1 t^{-3/2} + c2 t^{-2} + c3 t^{-5/2} over the last computed decade; the
-    fit residual is reported as the tail uncertainty.
+    fit residual, scaled to the tail, is reported as an estimate of the tail
+    error, not a bound.
     """
     t_cut, tol = HALFLINE_T_CUT, HALFLINE_TOL
 
@@ -182,9 +183,9 @@ def halfline_key_quadrature(x: int, xb: int, mu_a: float) -> dict:
     resid = float(np.max(np.abs(basis @ coef - ys)))
     tail = (coef[0] * 2.0 * t_cut ** -0.5 + coef[1] * t_cut ** -1.0
             + coef[2] * (2.0 / 3.0) * t_cut ** -1.5)
-    tail_uncertainty = resid * t_cut + abs(coef[2]) * (2.0 / 3.0) * t_cut ** -1.5
+    tail_fit_residual = resid * t_cut + abs(coef[2]) * (2.0 / 3.0) * t_cut ** -1.5
     return {"value": total + tail, "quadrature": total, "tail": tail,
-            "tail_uncertainty": tail_uncertainty, "t_cut": t_cut}
+            "tail_fit_residual": tail_fit_residual, "t_cut": t_cut}
 
 
 def key_identity(spec: SpectralData) -> dict:
@@ -225,7 +226,9 @@ def halfline_key_identity(x: int, xb: int, mu_a: float) -> dict:
 
     The Green route is exact (G = 2/(1-mu) + 2 min(x,y), second differences
     give the identity); the quadrature route uses Bessel image kernels with
-    a fitted tail, whose uncertainty is reported as `tail_bound`.
+    a fitted tail.  `tail_fit_residual` estimates the fitted tail's error
+    from the fit residual; it is not a bound (at a short t_cut the route gap
+    has been seen at twice its value).
     """
     g = lambda u, v: halfline_green(u, v, mu_a)
     value_green = 0.5 * (g(x, xb) + g(x + 1, xb + 1) - g(x + 1, xb) - g(x, xb + 1))
@@ -236,7 +239,7 @@ def halfline_key_identity(x: int, xb: int, mu_a: float) -> dict:
             "value": value_green, "value_quadrature": quad["value"],
             "expected": expected, "abs_err": abs(value_green - expected),
             "route_gap": abs(value_green - quad["value"]),
-            "tail_bound": quad["tail_uncertainty"], "c": 0.0}
+            "tail_fit_residual": quad["tail_fit_residual"], "c": 0.0}
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,8 @@ class ScalingParams:
 
     @classmethod
     def interval(cls, n_sites: int, slope_a: float, slope_b: float) -> "ScalingParams":
+        if n_sites < 1:  # before 1/n_sites
+            raise ValueError("n_sites must be >= 1")
         return cls(epsilon=1.0 / n_sites, n_sites=n_sites, slope_a=slope_a, slope_b=slope_b)
 
     @classmethod

@@ -287,8 +287,8 @@ def robin_test_function(A: float, B: float, k: int) -> TestFunction:
 # microscopic martingale functionals
 
 def martingale_functionals(traj: Trajectory, params: ModelParams,
-                           phi: TestFunction, T: float) -> tuple[float, float]:
-    """(N_T(phi), quadratic compensator gap) for one replica.
+                           phis: list[TestFunction], T: float) -> np.ndarray:
+    """values[r, j] = (N_T(phi_j), quadratic compensator gap) of replica r.
 
     N_T(phi) = (Z_t, phi)_eps - (Z_0, phi)_eps - (1/2) int_0^t (Lap Z_s, phi)_eps ds
     at t = eps^{-2} T, with the Robin-ghost Laplacian; the gap is
@@ -311,33 +311,19 @@ def martingale_functionals(traj: Trajectory, params: ModelParams,
     i_0 = int(np.argmin(np.abs(times - 0.0)))
     if times[i_0] != 0.0:
         raise ValueError("trajectory must include a sample at time 0")
-    n_heights = len(traj.heights[0])
-    xs = np.arange(n_heights)
-    w = phi(eps * xs)
-    w2 = w * w
-
-    def pair(vec, weights):
-        return eps * float(weights @ vec)
-
-    def lap_weights(weights):
-        # (Lap Z, phi) = sum_x phi(x) [Z(x-1) + Z(x+1) - 2 Z(x)] with ghosts
-        out = np.zeros(n_heights)
-        out += -2.0 * weights
-        out[1:] += weights[:-1]    # Z(x) appearing as (x+1)-neighbor of x
-        out[:-1] += weights[1:]
-        out[0] += params.mu_a * weights[0]
-        out[-1] += params.mu_b * weights[-1]
-        return out
-
-    z_T = z_field(traj.height_field(i_T), times[i_T], params).z
-    z_0 = z_field(traj.height_field(i_0), 0.0, params).z
-
-    int_lap = eps * float(lap_weights(w) @ traj.z_int[i_T])
-    int_z2 = eps * float(w2 @ traj.z2_int[i_T])
-
-    n_T = pair(z_T, w) - pair(z_0, w) - 0.5 * int_lap
-    gap = n_T * n_T - eps * eps * int_z2
-    return n_T, gap
+    w = np.stack([phi(eps * np.arange(traj.heights.shape[-1])) for phi in phis])
+    # (Lap Z, phi) = sum_x phi(x) [Z(x-1) + Z(x+1) - 2 Z(x)] with the ghosts
+    # Z(-1) = mu_A Z(0), Z(N+1) = mu_B Z(N), as weights on Z
+    lap = -2.0 * w
+    lap[:, 1:] += w[:, :-1]
+    lap[:, :-1] += w[:, 1:]
+    lap[:, 0] += params.mu_a * w[:, 0]
+    lap[:, -1] += params.mu_b * w[:, -1]
+    z_T = z_field(traj.heights[:, i_T], times[i_T], params).z
+    z_0 = z_field(traj.heights[:, i_0], 0.0, params).z
+    n_T = eps * ((z_T - z_0) @ w.T) - 0.5 * eps * (traj.z_int[:, i_T] @ lap.T)
+    gap = n_T * n_T - eps * eps * (eps * (traj.z2_int[:, i_T] @ (w * w).T))
+    return np.stack([n_T, gap], axis=-1)
 
 
 def _z_score(mean: float, se: float) -> float:
@@ -414,8 +400,8 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     """Bernoulli(1/2)-start interval ensemble, reduced to its moments and
     martingale diagnostics at eps^{-2} T in one pass.
 
-    The replicas are sampled by `simulate_replicas` to eps^{-2} T; each is
-    reduced to its Z field there and the (N_T(phi), gap) pairs of
+    The replicas are sampled by `simulate_replicas` to eps^{-2} T and
+    reduced to their Z fields there and the (N_T(phi), gap) pairs of
     `martingale_functionals` for phi = robin_test_function(A, B, k),
     k = 0, 1, 2 (cos(k pi X) when A = B = 0).  Returns per-height-site
     arrays: empirical mean/variance of Z, their standard errors (variance
@@ -432,13 +418,11 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     phis = [robin_test_function(slope_a, slope_b, k) for k in (0, 1, 2)]
 
     t0 = time.perf_counter()
-    trajs = simulate_replicas(lambda rng: bernoulli_eta(n, rng), params, lattice, horizon,
-                              [0.0, horizon], n_replicas, master_seed,
-                              track_exp_integrals=(-params.lam, params.nu), threads=threads)
+    traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), params, lattice, horizon,
+                             [0.0, horizon], n_replicas, master_seed,
+                             track_exp_integrals=(-params.lam, params.nu), threads=threads)
     sampler_s = time.perf_counter() - t0
-    zs = np.stack([z_field(tr.height_field(1), horizon, params).z for tr in trajs])
-    values = np.array([[martingale_functionals(tr, params, phi, T) for phi in phis]
-                       for tr in trajs])
+    zs = z_field(traj.heights[:, 1], horizon, params).z
     e_z0 = np.cosh(math.sqrt(eps)) ** np.arange(n + 1)
     pred = asep_mean_prediction(spec, horizon, e_z0)
     m = zs.shape[0]
@@ -459,8 +443,9 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
         "se_var": se_var,
         "mean_prediction": pred,
         "n_replicas": m,
-        "martingale": martingale_diagnostics(values, phis, T),
-        "events": sum(tr.event_count for tr in trajs),
+        "martingale": martingale_diagnostics(martingale_functionals(traj, params, phis, T),
+                                             phis, T),
+        "events": int(traj.event_count.sum()),
         "sampler_s": sampler_s,
     }
 

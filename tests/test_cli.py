@@ -45,11 +45,21 @@ def test_config_validation_errors(tmp_path, capsys):
     ("she", "[run]\nreplicas = 1\n[she]\nm = 8\n", "run.replicas"),
     ("compare", "[run]\nreplicas = 8\n[compare]\ninverse_eps = 4, 8\nx_points = 0\n",
      "compare.x_points"),
+    ("params", "[model]\nn_sites = 0\n", "model: n_sites"),
+    ("simulate", "[model]\nn_sites = 0\n", "model: n_sites"),
+    ("compare", "[model]\nn_sites = 0\n", "model: n_sites"),
+    ("audit-all", "[model]\nn_sites = 0\n", "model: n_sites"),
+    ("identities", "[identities]\ncstar_n = 1\n", "identities.cstar_n"),
+    ("identities", "[identities]\ncstar_tbar = -1\n", "identities.cstar_tbar"),
+    ("audit-all", "[identities]\ncstar_tbar = 0\n", "identities.cstar_tbar"),
+    ("compare", "[run]\nreplicas = 3\n[compare]\ninverse_eps = 8, 16\n", "run.replicas"),
 ], ids=["inverse_eps_zero", "inverse_eps_empty", "identities_n_sites_1",
-        "compare_replicas_1", "she_replicas_1", "x_points_zero"])
+        "compare_replicas_1", "she_replicas_1", "x_points_zero", "params_n_sites_0",
+        "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
+        "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3"])
 def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
-    # each of these once crashed with a traceback (exit 1) or failed a check
-    # on NaN; exit 1 is reserved for a failed check
+    # each of these once crashed with a traceback (exit 1), failed a check on
+    # NaN or overflow, or passed vacuously; exit 1 is reserved for a failed check
     cfg = tmp_path / "c.ini"
     cfg.write_text(ini)
     out = tmp_path / "runs"

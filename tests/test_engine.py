@@ -44,8 +44,8 @@ def test_blocked_system_is_constant():
     lat = Lattice.interval(5)
     init = Configuration(np.ones(5, dtype=np.int8))
     tr = simulate(init, p, lat, 10.0, [0.0, 5.0, 10.0], 1)
-    assert tr.event_count == 0
-    for eta in tr.etas:
+    assert tr.event_count[0] == 0
+    for eta in tr.etas[0]:
         assert np.array_equal(eta, init.eta)
 
 
@@ -58,7 +58,7 @@ def test_two_state_occupation_fraction():
     horizon = 4000.0
     ts = np.linspace(0.0, horizon, 8001)
     tr = simulate(Configuration(np.array([-1])), p, lat, horizon, ts, 3)
-    occ = np.array([(e[0] + 1) / 2 for e in tr.etas], dtype=float)
+    occ = np.array([(e[0] + 1) / 2 for e in tr.etas[0]], dtype=float)
     batches = occ[1:].reshape(20, -1).mean(axis=1)
     se = batches.std(ddof=1) / math.sqrt(len(batches))
     assert abs(occ[1:].mean() - target) <= 3 * se
@@ -72,13 +72,12 @@ def test_determinism_byte_for_byte():
                  track_exp_integrals=(-p.lam, p.nu))
     b = simulate(init, p, lat, 30.0, [10.0, 30.0], 1234,
                  track_exp_integrals=(-p.lam, p.nu))
-    assert a.event_count == b.event_count
-    for i in range(2):
-        assert np.array_equal(a.etas[i], b.etas[i])
-        assert np.array_equal(a.heights[i], b.heights[i])
-        assert np.array_equal(a.z_int[i], b.z_int[i])
+    assert np.array_equal(a.event_count, b.event_count)
+    assert np.array_equal(a.etas, b.etas)
+    assert np.array_equal(a.heights, b.heights)
+    assert np.array_equal(a.z_int, b.z_int)
     c = simulate(init, p, lat, 30.0, [10.0, 30.0], 1235)
-    assert not all(np.array_equal(a.etas[i], c.etas[i]) for i in range(2))
+    assert not np.array_equal(a.etas, c.etas)
 
 
 def test_height_consistency_and_boundary_locality():
@@ -86,9 +85,8 @@ def test_height_consistency_and_boundary_locality():
     lat = Lattice.interval(12)
     tr = simulate(bernoulli_eta(12, 4), p, lat, 50.0, np.linspace(0, 50, 26), 77,
                   debug_checks=True)
-    for i in range(len(tr.sample_times)):
-        assert np.array_equal(np.diff(tr.heights[i]), tr.etas[i])
-    assert tr.event_count > 0
+    assert np.array_equal(np.diff(tr.heights, axis=-1), tr.etas)
+    assert tr.event_count[0] > 0
 
 
 def test_event_count_rate_long_run():
@@ -99,11 +97,10 @@ def test_event_count_rate_long_run():
     pi = stationary_measure(exact_generator(p, 1))
     rate = pi[0] * (p.alpha + p.delta) + pi[1] * (p.beta + p.gamma)
     empty = lambda rng: Configuration(np.array([-1]))
-    (tr,) = simulate_replicas(empty, p, lat, 25000.0, [25000.0], 1, 77)
-    assert tr.event_count >= 10 ** 4
+    tr = simulate_replicas(empty, p, lat, 25000.0, [25000.0], 1, 77)
+    assert tr.event_count[0] >= 10 ** 4
     # batch estimate of the rate from independent windows
-    samples = np.array([tr.event_count / 1250.0 for tr in
-                        simulate_replicas(empty, p, lat, 1250.0, [1250.0], 20, 78)])
+    samples = simulate_replicas(empty, p, lat, 1250.0, [1250.0], 20, 78).event_count / 1250.0
     se = samples.std(ddof=1) / math.sqrt(len(samples))
     assert abs(samples.mean() - rate) <= 3 * se
 
@@ -115,8 +112,8 @@ def test_event_wait_times_match_rate():
     lat = Lattice.interval(1)
 
     # occupation locks in (no off-events): P(still empty at t) = exp(-1.1 t)
-    outs = np.array([tr.etas[0][0] for tr in simulate_replicas(
-        lambda rng: Configuration(np.array([-1])), p, lat, 3.0, [3.0], 20000, 11)])
+    outs = simulate_replicas(lambda rng: Configuration(np.array([-1])), p, lat, 3.0, [3.0],
+                             20000, 11).etas[:, 0, 0]
     frac_empty = float(np.mean(outs == -1))
     target = math.exp(-1.1 * 3.0)
     se = math.sqrt(target * (1 - target) / len(outs))
@@ -134,8 +131,8 @@ def test_sos_matches_particle_distribution():
     init_eta = alternating_eta(n)
     horizon = 2.0
 
-    hp = np.stack([tr.heights[0] for tr in simulate_replicas(
-        lambda rng: init_eta, p, lat, horizon, [horizon], 10000, 50)])
+    hp = simulate_replicas(lambda rng: init_eta, p, lat, horizon, [horizon], 10000,
+                           50).heights[:, 0]
 
     Q = exact_generator(p, n).toarray()
     m = Q.shape[0]
@@ -300,10 +297,10 @@ def test_mean_current_against_flux_count():
     j_exact = mean_current(pi, p, 2)
 
     horizon = 2000.0
-    trajs = simulate_replicas(lambda rng: bernoulli_eta(2, rng), p, lat, horizon,
-                              [horizon], 24, 17)
+    traj = simulate_replicas(lambda rng: bernoulli_eta(2, rng), p, lat, horizon,
+                             [horizon], 24, 17)
     # net removals at the left boundary = h_T(0)/2; current counts entries
-    vals = np.array([-tr.heights[0][0] / 2.0 / horizon for tr in trajs]) / (p.p - p.q)
+    vals = -traj.heights[:, 0, 0] / 2.0 / horizon / (p.p - p.q)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - j_exact) <= 3 * se
 
@@ -315,9 +312,9 @@ def test_half_line_truncation_doubling():
     horizon = 8.0
 
     def occupation(length, seed):
-        trajs = simulate_replicas(lambda rng: bernoulli_eta(length, rng), p,
-                                  Lattice.half_line(length), horizon, [horizon], 3000, seed)
-        return np.stack([tr.etas[0][:6].astype(float) for tr in trajs])
+        traj = simulate_replicas(lambda rng: bernoulli_eta(length, rng), p,
+                                 Lattice.half_line(length), horizon, [horizon], 3000, seed)
+        return traj.etas[:, 0, :6].astype(float)
 
     a = occupation(24, 21)
     b = occupation(48, 21)
@@ -364,13 +361,13 @@ def stream_configs():
     }
 
 
-def stream_digest(trajs) -> str:
+def stream_digest(traj) -> str:
     h = hashlib.sha256()
-    for tr in trajs:
-        for eta, heights in zip(tr.etas, tr.heights):
+    for etas, heights, count in zip(traj.etas, traj.heights, traj.event_count):
+        for eta, hs in zip(etas, heights):
             h.update(np.asarray(eta, dtype="<i1").tobytes())
-            h.update(np.asarray(heights, dtype="<i8").tobytes())
-        h.update(np.asarray(tr.event_count, dtype="<i8").tobytes())
+            h.update(np.asarray(hs, dtype="<i8").tobytes())
+        h.update(np.asarray(count, dtype="<i8").tobytes())
     return h.hexdigest()
 
 
@@ -379,12 +376,12 @@ def test_replicas_replay_pinned_streams(name):
     # the lockstep sampler replays each replica's event sequence exactly;
     # the integrals may differ from the C library's exp/expm1 in the last bit
     p, lat, init, horizon, times, replicas, seed = stream_configs()[name]
-    trajs = simulate_replicas(init, p, lat, horizon, times, replicas, seed,
-                              track_exp_integrals=(-p.lam, p.nu))
+    traj = simulate_replicas(init, p, lat, horizon, times, replicas, seed,
+                             track_exp_integrals=(-p.lam, p.nu))
     digest, s1, s2 = PINNED_STREAMS[name]
-    assert stream_digest(trajs) == digest
-    assert sum(float(np.sum(z)) for tr in trajs for z in tr.z_int) == pytest.approx(s1, rel=1e-12)
-    assert sum(float(np.sum(z)) for tr in trajs for z in tr.z2_int) == pytest.approx(s2, rel=1e-12)
+    assert stream_digest(traj) == digest
+    assert sum(float(np.sum(z)) for zs in traj.z_int for z in zs) == pytest.approx(s1, rel=1e-12)
+    assert sum(float(np.sum(z)) for zs in traj.z2_int for z in zs) == pytest.approx(s2, rel=1e-12)
 
 
 def test_simulate_replicas_independent_of_threads_and_blocks():
@@ -400,14 +397,18 @@ def test_simulate_replicas_independent_of_threads_and_blocks():
         single.append(simulate(bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0], rng,
                                track_exp_integrals=track))
     for threads in (1, 2):
-        trajs = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0],
-                                  300, 4, track_exp_integrals=track, threads=threads)
-        assert len(trajs) == 300
-        for a, b in zip(trajs, single):
-            assert a.event_count == b.event_count
-            for i in range(2):
-                assert np.array_equal(a.heights[i], b.heights[i])
-                assert np.array_equal(a.z_int[i], b.z_int[i])
+        traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0],
+                                 300, 4, track_exp_integrals=track, threads=threads)
+        # one replica-axis array per field
+        assert traj.etas.shape == (300, 2, n) and traj.etas.dtype == np.int8
+        assert traj.heights.shape == (300, 2, n + 1) and traj.heights.dtype == np.int64
+        assert traj.event_count.shape == (300,) and traj.event_count.dtype == np.int64
+        for z in (traj.z_int, traj.z2_int):
+            assert z.shape == (300, 2, n + 1) and z.dtype == np.float64
+        assert traj.exp_integral_constants == track
+        assert np.array_equal(traj.event_count, np.concatenate([b.event_count for b in single]))
+        assert np.array_equal(traj.heights, np.concatenate([b.heights for b in single]))
+        assert np.array_equal(traj.z_int, np.concatenate([b.z_int for b in single]))
 
 
 def test_invalid_inputs():

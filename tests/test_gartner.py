@@ -40,10 +40,10 @@ def test_event_multiplicativity_exact():
     p = params_n(12)
     lat = Lattice.interval(12)
     tr = simulate(bernoulli_eta(12, 8), p, lat, 20.0, [20.0], 5)
-    h_incremental = tr.heights[0]
-    h_rebuilt = HeightField.from_eta(tr.etas[0], h0=tr.heights[0][0]).h
+    h_incremental = tr.heights[0, 0]
+    h_rebuilt = HeightField.from_eta(tr.etas[0, 0], h0=h_incremental[0]).h
     assert np.array_equal(h_incremental, h_rebuilt)
-    za = z_field(tr.height_field(0), 20.0, p).z
+    za = z_field(HeightField(h=h_incremental), 20.0, p).z
     zb = z_field(HeightField(h=h_rebuilt), 20.0, p).z
     assert np.array_equal(za, zb)
 
@@ -157,11 +157,31 @@ def test_rescale_time_zero_and_flat():
     init = alternating_eta(n)
     tr = simulate(init, p, lat, 0.0, [0.0], 1)
     X = np.linspace(0, 1, 9)
-    (f0,) = rescale(tr, p, [0.0], X)
-    z0 = z_field(tr.height_field(0), 0.0, p)
-    assert np.allclose(f0.values, np.interp(X / p.epsilon, np.arange(n + 1), z0.z))
+    f0 = rescale(tr, p, [0.0], X)[0, 0]
+    z0 = z_field(tr.heights[0, 0], 0.0, p)
+    assert np.allclose(f0, np.interp(X / p.epsilon, np.arange(n + 1), z0.z))
     # zigzag 'flat' start: scaled field within one lattice slope of 1
-    assert np.max(np.abs(f0.values - 1.0)) <= abs(math.expm1(-p.lam))
+    assert np.max(np.abs(f0 - 1.0)) <= abs(math.expm1(-p.lam))
+
+
+def test_rescale_matches_np_interp_per_replica():
+    # the replica-axis rescale reproduces np.interp on each replica's field
+    # bit for bit: between sites, at sites, and just outside either end
+    n = 12
+    p = params_n(n, 1.0, 0.5)
+    eps = p.epsilon
+    traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, Lattice.interval(n), 20.0,
+                             [0.0, 10.0, 20.0], 5, 3)
+    T = [20.0 * eps * eps, 0.0, 10.0 * eps * eps]
+    X = np.array([-1e-11, 0.0, 0.05, 1 / 3, 0.5, 0.77, 1.0, 1.0 + 1e-11])
+    fields = rescale(traj, p, T, X)
+    # C order: a mean over replicas then adds them as np.stack of the
+    # per-replica fields did, so scaled_field_mean.csv keeps its bytes
+    assert fields.shape == (5, 3, len(X)) and fields.flags.c_contiguous
+    for r in range(5):
+        for k, i in enumerate((2, 0, 1)):
+            z = z_field(traj.heights[r, i], traj.sample_times[i], p).z
+            assert np.array_equal(fields[r, k], np.interp(X / eps, np.arange(n + 1), z))
 
 
 def test_rescale_errors():
@@ -185,9 +205,9 @@ def test_rescaled_mean_tracks_kernel_oracle():
     lat = Lattice.interval(n)
     horizon = T * n * n
 
-    trajs = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, horizon, [horizon],
-                              600, 123)
-    zs = np.stack([z_field(tr.height_field(0), horizon, p).z for tr in trajs])
+    traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, horizon, [horizon],
+                             600, 123)
+    zs = z_field(traj.heights[:, 0], horizon, p).z
     spec = solve_interval_spectrum(n, p.mu_a, p.mu_b)
     oracle = asep_mean_prediction(spec, horizon,
                                   np.cosh(math.sqrt(p.epsilon)) ** np.arange(n + 1))

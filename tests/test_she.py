@@ -157,7 +157,8 @@ def test_martingale_functionals_zero_at_t0():
     for seed in range(3):
         tr = eng.simulate(eng.bernoulli_eta(n, seed), params, eng.Lattice.interval(n),
                           0.0, [0.0, 0.0], seed, track_exp_integrals=(-params.lam, params.nu))
-        assert martingale_functionals(tr, params, neumann_cosine(0), 0.0) == (0.0, 0.0)
+        values = martingale_functionals(tr, params, [neumann_cosine(0)], 0.0)
+        assert values.tolist() == [[[0.0, 0.0]]]
     # the in-task reduction of all-zero values is defined (0 sigma), not 0/0
     for r in run_interval_ensemble(n, 0.0, 0.0, 0.0, 3, 11)["martingale"]:
         assert all(math.isfinite(v) for v in r.values() if isinstance(v, float))
@@ -175,7 +176,7 @@ def test_martingale_exact_integrals_match_trapezoid():
     dense = np.linspace(0.0, horizon, 2001)
     tr = eng.simulate(init, params, lat, horizon, dense, 5,
                       track_exp_integrals=(-params.lam, params.nu))
-    zs = np.stack([z_field(tr.height_field(i), t, params).z for i, t in enumerate(dense)])
+    zs = z_field(tr.heights[0], dense[:, None], params).z
     trapezoid = np.trapezoid(zs, dense, axis=0)
     # Tolerance: on a snapshot interval of width dt the trapezoid rule misses
     # the integral of Z(x) by at most dt/2 times Z(x)'s variation there, so
@@ -186,14 +187,47 @@ def test_martingale_exact_integrals_match_trapezoid():
     # with Z_max/Z_min read off the snapshots: 1.2e-2 for this run.
     dt = dense[1] - dense[0]
     z_ratio = float(np.max(zs.max(axis=0) / zs.min(axis=0)))
-    rel_tol = dt / 2 * (tr.event_count * -math.expm1(-2 * abs(params.lam)) * z_ratio / horizon
+    rel_tol = dt / 2 * (tr.event_count[0] * -math.expm1(-2 * abs(params.lam)) * z_ratio / horizon
                         + abs(params.nu))
     assert rel_tol <= 2e-2
-    assert np.all(np.abs(trapezoid - tr.z_int[-1]) <= rel_tol * tr.z_int[-1])
+    assert np.all(np.abs(trapezoid - tr.z_int[0, -1]) <= rel_tol * tr.z_int[0, -1])
     # the martingale functionals read only the exact integrals
     untracked = eng.simulate(init, params, lat, horizon, dense, 5)
     with pytest.raises(ValueError):
-        martingale_functionals(untracked, params, neumann_cosine(1), T)
+        martingale_functionals(untracked, params, [neumann_cosine(1)], T)
+
+
+def test_martingale_functionals_match_per_replica_formula():
+    # A = 1, B = 2 puts both ghost terms in play; 300 replicas span two
+    # lockstep blocks.  The reference evaluates the docstring formula one
+    # replica and one test function at a time with np.dot.  N_T is a
+    # difference of O(1) terms, so each column is compared relative to its
+    # largest entry.
+    n, T, replicas = 16, 0.05, 300
+    params = build_params(ScalingParams.interval(n, 1.0, 2.0))
+    eps = params.epsilon
+    horizon = T * n * n
+    traj = eng.simulate_replicas(lambda rng: eng.bernoulli_eta(n, rng), params,
+                                 eng.Lattice.interval(n), horizon, [0.0, horizon], replicas, 21,
+                                 track_exp_integrals=(-params.lam, params.nu))
+    phis = [robin_test_function(1.0, 2.0, k) for k in (0, 1, 2)]
+    values = martingale_functionals(traj, params, phis, T)
+    assert values.shape == (replicas, 3, 2)
+    ref = np.empty_like(values)
+    for j, phi in enumerate(phis):
+        w = phi(eps * np.arange(n + 1))
+        # ghost Laplacian as weights: Z(-1) = mu_A Z(0), Z(N+1) = mu_B Z(N)
+        lap = np.array([(w[x - 1] if x > 0 else params.mu_a * w[0]) - 2.0 * w[x]
+                        + (w[x + 1] if x < n else params.mu_b * w[n]) for x in range(n + 1)])
+        for r in range(replicas):
+            z_t = z_field(traj.heights[r, 1], horizon, params).z
+            z_0 = z_field(traj.heights[r, 0], 0.0, params).z
+            n_t = (eps * np.dot(w, z_t) - eps * np.dot(w, z_0)
+                   - 0.5 * eps * np.dot(lap, traj.z_int[r, 1]))
+            ref[r, j] = n_t, n_t * n_t - eps ** 3 * np.dot(w * w, traj.z2_int[r, 1])
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(values - ref) <= 1e-12 * scale)
+    assert np.all(scale > 0)
 
 
 def test_martingale_diagnostics_small():
