@@ -9,7 +9,7 @@ from .params import (ScalingParams, ModelParams, PhaseDiagnostics, Phase,
 from .engine import (Lattice, Configuration, HeightField, Trajectory,
                      event_rates, simulate, simulate_replicas, state_etas,
                      exact_generator, stationary_measure, bernoulli_eta,
-                     alternating_eta, replica_rng, run_replicas)
+                     alternating_eta, replica_rng)
 from .gartner import (ZField, z_field, drift_identity_residual,
                       bracket_rate, bracket_decomposition, rescale)
 from .kernels import (free_walk_kernel, halfline_robin_kernel, SpectralData,

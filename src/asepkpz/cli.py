@@ -87,9 +87,8 @@ cstar_n = 32
 cstar_tbar = 1.0
 
 [she]
-; grid cells, horizon, and output times
+; grid cells (mu = 1 - slope/m at each wall) and output times
 m = 32
-horizon = 0.1
 output_times = 0.05, 0.1
 
 [compare]
@@ -212,6 +211,16 @@ def _validate(cfg, kind: str) -> list[str]:
                 problems.append("compare.x_points must be >= 1")
         except ValueError as exc:
             problems.append(f"compare: {exc}")
+    if kind == "she":
+        try:
+            m, times = cfg["she"].getint("m"), _parse_list(cfg["she"]["output_times"])
+            if m < 8 or not all(0.0 < 1.0 - (1.0 / m) * cfg["model"].getfloat(s) <= 1.0
+                                for s in ("slope_a", "slope_b")):  # build_grid's mu
+                problems.append("she.m must be >= 8 and leave mu = 1 - slope/m in (0, 1]")
+            if not times or times[0] < 0 or any(b < a for a, b in zip(times, times[1:])):
+                problems.append("she.output_times must list times >= 0, nondecreasing")
+        except ValueError as exc:
+            problems.append(f"she: {exc}")
     if kind in ("identities", "audit-all"):
         try:
             sec = cfg["identities"]
@@ -316,9 +325,7 @@ def run_kernel(cfg, out, seed, threads, checks):
         gap = float(np.max(np.abs(ker - interval_kernel_image(expansion, t))))
         ok &= (gap <= 1e-8 and float(np.max(np.abs(ker - ker.T))) <= 1e-10
                and ker.min() >= -1e-12)
-        for x in range(n + 1):
-            for y in range(n + 1):
-                rows.append([t, x, y, ker[x, y]])
+        rows.extend([t, x, y, ker[x, y]] for x in range(n + 1) for y in range(n + 1))
     write_csv(os.path.join(out, "kernel.csv"), ["t", "x", "y", "value"], rows)
     audits = kernel_bound_audit(spec, scaling.epsilon)
     with open(os.path.join(out, "bound_audits.json"), "w") as fh:
@@ -379,15 +386,11 @@ def run_she(cfg, out, seed, threads, checks):
     z0 = np.ones(grid.m + 1)
     stats = sample_she_ensemble(z0, grid, cfg["run"].getint("replicas"), seed,
                                 times, threads=threads)
-    rows = []
-    for i, t in enumerate(times):
-        mf = mean_field(z0, grid, t)
-        for j, x in enumerate(grid.x):
-            rows.append([t, x, stats["mean"][i][j], stats["std_error"][i][j], mf[j]])
-    write_csv(os.path.join(out, "she_moments.csv"),
-              ["T", "X", "mean", "se", "mean_field"], rows)
-    z = np.abs(stats["mean"][-1] - mean_field(z0, grid, times[-1])) \
-        / np.maximum(stats["std_error"][-1], 1e-300)
+    mfs = [mean_field(z0, grid, t) for t in times]
+    write_csv(os.path.join(out, "she_moments.csv"), ["T", "X", "mean", "se", "mean_field"],
+              [[t, x, stats["mean"][i][j], stats["std_error"][i][j], mfs[i][j]]
+               for i, t in enumerate(times) for j, x in enumerate(grid.x)])
+    z = np.abs(stats["mean"][-1] - mfs[-1]) / np.maximum(stats["std_error"][-1], 1e-300)
     checks["she_mean_within_3sigma"] = bool(np.max(z) <= 3.0)
     checks["she_fault_rate"] = stats["fault_rate"] < 1e-3
 

@@ -45,7 +45,7 @@ __all__ = [
     "bernoulli_eta",
     "alternating_eta",
     "replica_rng",
-    "run_replicas",
+    "map_replica_blocks",
 ]
 
 _BLOCK = 256           # most replicas one lockstep block advances
@@ -196,6 +196,30 @@ def replica_rng(master_seed, replica_index: int) -> np.random.Generator:
     else:
         key = (int(master_seed), int(replica_index))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def map_replica_blocks(fn, n_replicas: int, master_seed, threads: int = 1) -> list:
+    """[fn(rngs) for each block of replicas], in replica order.
+
+    Replicas 0..n_replicas-1 are split into ceil(n_replicas / _BLOCK)
+    blocks of balanced size, and fn gets each block's streams
+    replica_rng(master_seed, i) in index order.  The blocks are spread over
+    `threads` pool workers; since every replica owns its stream, the
+    results do not depend on the thread count.
+    """
+    if n_replicas < 1:
+        raise ValueError("n_replicas must be >= 1")
+    n_blocks = -(-n_replicas // _BLOCK)
+    edges = [n_replicas * b // n_blocks for b in range(n_blocks + 1)]
+
+    def block(b):
+        return fn([replica_rng(master_seed, i) for i in range(edges[b], edges[b + 1])])
+
+    if threads <= 1:
+        return [block(b) for b in range(n_blocks)]
+    from concurrent.futures import ThreadPoolExecutor  # only here: keeps import time flat
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(block, range(n_blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -486,18 +510,11 @@ def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: floa
     exp/expm1 may differ from the C library's in the last bit).
     """
     sample_times = _check_run(horizon, sample_times)
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
     ch = _Channels(params, lattice)
-    n_blocks = -(-n_replicas // _BLOCK)
-    edges = [n_replicas * b // n_blocks for b in range(n_blocks + 1)]
-
-    def block(b):
-        rngs = [replica_rng(master_seed, i) for i in range(edges[b], edges[b + 1])]
-        return _run_block(ch, [init(rng) for rng in rngs], rngs, lattice, horizon,
-                          sample_times, track_exp_integrals)
-
-    parts = _pool_map(block, range(n_blocks), threads)
+    parts = map_replica_blocks(
+        lambda rngs: _run_block(ch, [init(rng) for rng in rngs], rngs, lattice, horizon,
+                                sample_times, track_exp_integrals),
+        n_replicas, master_seed, threads)
     return replace(parts[0], **{name: np.concatenate([getattr(p, name) for p in parts])
                                 for name in ("etas", "heights", "event_count", "z_int", "z2_int")
                                 if getattr(parts[0], name) is not None})
@@ -583,26 +600,3 @@ def alternating_eta(n: int) -> Configuration:
     """Deterministic density-1/2 zigzag (the dynamical 'flat' interface)."""
     eta = np.array([1 if x % 2 == 0 else -1 for x in range(n)], dtype=np.int8)
     return Configuration(eta)
-
-
-# ---------------------------------------------------------------------------
-# replica orchestration
-
-def _pool_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], spread over `threads` pool workers, in order."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # only here: keeps import time flat
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_replicas(task, n_replicas: int, master_seed, threads: int = 1) -> list:
-    """task(replica_index, rng) -> result, merged in index order.
-
-    Each replica gets its own Philox stream; results are identical for any
-    thread count because the merge is keyed by index.  Sampling ASEP
-    replicas one task at a time is slow: use `simulate_replicas`.
-    """
-    return _pool_map(lambda i: task(i, replica_rng(master_seed, i)), range(n_replicas),
-                     threads)

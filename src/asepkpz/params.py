@@ -94,7 +94,9 @@ class ModelParams:
     """All microscopic rates plus the exponential-transform constants.
 
     lam = log(q/p)/2 < 0 and nu = p + q - 2 sqrt(pq); with the scaling
-    choice pq = 1/4 so nu = p + q - 1.  `in_scaling_class` records whether
+    choice pq = 1/4 so nu = p + q - 1.  epsilon is the scaling input itself
+    (exactly 1/N on the interval), not lam^2 re-derived from (p, q), so that
+    X = x eps lands on site x exactly.  `in_scaling_class` records whether
     both mu's are <= 1 (the weakly asymmetric class); rates can still be
     valid ASEP rates outside it.
     """
@@ -109,6 +111,7 @@ class ModelParams:
     mu_b: float
     lam: float
     nu: float
+    epsilon: float
     in_scaling_class: bool = True
 
     def __post_init__(self):
@@ -117,17 +120,13 @@ class ModelParams:
             if r < 0:
                 raise ValueError(f"negative boundary rate {name} = {r} (epsilon too large for slopes)")
 
-    @property
-    def epsilon(self) -> float:
-        return self.lam * self.lam
-
     @classmethod
     def from_rates(cls, p, q, alpha, beta, gamma, delta) -> "ModelParams":
         """Raw-rate constructor, bypassing the two-parameter boundary family.
 
         Used by generator oracles with arbitrary rates; lam/nu are still
-        derived from (p, q).  mu's are back-computed from alpha, delta when
-        possible, else set to nan.
+        derived from (p, q), and epsilon = lam^2.  mu's are back-computed
+        from alpha, delta when possible, else set to nan.
         """
         lam = 0.5 * math.log(q / p) if (p > 0 and q > 0) else float("nan")
         nu = p + q - 2.0 * math.sqrt(p * q)
@@ -135,7 +134,7 @@ class ModelParams:
         mu_a = (p - alpha * (p - q) / p) / spq if spq > 0 else float("nan")
         mu_b = (q + delta * (p - q) / q) / spq if spq > 0 else float("nan")
         return cls(p=p, q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-                   mu_a=mu_a, mu_b=mu_b, lam=lam, nu=nu,
+                   mu_a=mu_a, mu_b=mu_b, lam=lam, nu=nu, epsilon=lam * lam,
                    in_scaling_class=bool(mu_a <= 1.0 and mu_b <= 1.0))
 
 
@@ -173,7 +172,7 @@ def params_from_mu(epsilon: float, mu_a: float, mu_b: float) -> ModelParams:
     return ModelParams(
         p=p, q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
         mu_a=mu_a, mu_b=mu_b,
-        lam=-se, nu=p + q - 1.0,
+        lam=-se, nu=p + q - 1.0, epsilon=epsilon,
         in_scaling_class=bool(mu_a <= 1.0 and mu_b <= 1.0),
     )
 

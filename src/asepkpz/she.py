@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (Lattice, Trajectory, bernoulli_eta, replica_rng, run_replicas,
+from .engine import (_BLOCK, Lattice, Trajectory, bernoulli_eta, map_replica_blocks,
                      simulate_replicas)
 from .gartner import z_field
 from .kernels import SpectralData, interval_kernel_spectral, solve_interval_spectrum
 from .params import ModelParams, ScalingParams, build_params
+
+_REFILL = 16           # most steps of normals one refill draws per stream
 
 __all__ = [
     "SheGrid",
@@ -96,12 +98,15 @@ def build_grid(length: float, m: int, robin_a: float, robin_b: float,
 
 @dataclass
 class FieldPath:
-    """Solution samples at the requested output times (rows)."""
+    """Sampled paths of R replicas at the requested output times.
+
+    values[r, k] is replica r's field at times[k]; faults[r] marks a replica
+    with a step that drove some site of 1 + xi to 0 or below.
+    """
 
     times: np.ndarray
-    values: np.ndarray
-    seed: object
-    positivity_fault: bool = False
+    values: np.ndarray                   # (R, K, M + 1)
+    faults: np.ndarray                   # (R,) bool
 
 
 def _step_schedule(output_times, dt: float) -> list[list[float]]:
@@ -111,50 +116,65 @@ def _step_schedule(output_times, dt: float) -> list[list[float]]:
         raise ValueError("output times must be nondecreasing")
     segments = []
     for a, b in zip(times, times[1:]):
-        span = b - a
-        if span <= 0:
-            segments.append([])
-            continue
-        n = max(1, int(math.ceil(span / dt - 1e-12)))
-        segments.append([span / n] * n)
+        n = max(1, math.ceil((b - a) / dt - 1e-12)) if b > a else 0
+        segments.append([(b - a) / n] * n if n else [])
     return segments
 
 
-def sample_she(z0: np.ndarray, grid: SheGrid, seed, output_times,
-               zero_noise: bool = False) -> FieldPath:
-    """One Ito path of the multiplicative SHE on the grid.
+def sample_she(z0, grid: SheGrid, n_replicas: int, master_seed, output_times,
+               zero_noise: bool = False, threads: int = 1) -> FieldPath:
+    """Ito paths of the multiplicative SHE on the grid, one per replica.
 
-    The noise multiplies the field before propagation (left-endpoint
-    evaluation); each step applies the exact propagator for its own step
-    size (steps are <= grid.dt and land exactly on the output times).  A
-    step driving any site of 1 + xi below 0 marks the path as a positivity
-    fault (counted by callers, never clamped).  With zero_noise=True the
-    path reduces exactly to the deterministic mean flow.
+    Replica i draws from replica_rng(master_seed, i): its start z0(rng) when
+    z0 is a sampler (else every replica starts at z0), then per step its
+    normals, _REFILL steps at a time, scaled to xi ~ N(0, h/dX) per site.
+    The noise multiplies the field before the exact propagator of the step
+    (left-endpoint evaluation; steps are <= grid.dt and land exactly on the
+    output times).  A step with any 1 + xi <= 0 marks the replica as faulted
+    (counted by callers, never clamped).  zero_noise=True gives the mean flow.
+
+    Each block of `map_replica_blocks` advances as one array by one matrix
+    product per step, padded to _BLOCK rows: the BLAS sums a row by the
+    product's shape, not by its neighbours, so a path depends on its stream
+    alone, not on the thread count or the block split.
     """
-    z = np.asarray(z0, dtype=float).copy()
-    if len(z) != grid.m + 1:
-        raise ValueError("initial data does not match the grid")
-    if np.any(z <= 0):
-        raise ValueError("initial data must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else replica_rng(seed, 0)
     output_times = np.asarray(output_times, dtype=float)
     segments = _step_schedule(output_times, grid.dt)
-    props: dict[float, np.ndarray] = {}
-    out = np.empty((len(output_times), grid.m + 1))
-    fault = False
-    for k, seg in enumerate(segments):
-        for h in seg:
-            if h not in props:
-                props[h] = grid.propagator(h)
-            if zero_noise:
-                z = props[h] @ z
-            else:
-                xi = rng.normal(0.0, math.sqrt(h / grid.dx), size=grid.m + 1)
-                if np.any(xi <= -1.0):
-                    fault = True
-                z = props[h] @ (z * (1.0 + xi))
-        out[k] = z
-    return FieldPath(times=output_times, values=out, seed=seed, positivity_fault=fault)
+    n_steps = sum(len(seg) for seg in segments)
+    props = {h: grid.propagator(h).T for seg in segments for h in set(seg)}
+    width = grid.m + 1
+
+    def block(rngs):
+        starts = np.array([z0(rng) for rng in rngs]) if callable(z0) else np.asarray(z0, float)
+        if starts.shape[-1] != width or np.any(starts <= 0):
+            raise ValueError("initial data must be positive and match the grid")
+        b = len(rngs)
+        z = np.zeros((_BLOCK, width))
+        z[:b] = starts
+        out = np.empty((b, len(output_times), width))
+        faults = np.zeros(b, dtype=bool)
+        noise = np.empty((b, _REFILL, width))
+        pos, step = _REFILL, 0
+        for k, seg in enumerate(segments):
+            for h in seg:
+                if not zero_noise:
+                    if pos == _REFILL:
+                        c = min(_REFILL, n_steps - step)
+                        for rng, rows in zip(rngs, noise):
+                            rng.standard_normal((c, width), out=rows[:c])
+                        pos = 0
+                    xi = noise[:, pos] * math.sqrt(h / grid.dx)
+                    pos += 1
+                    faults |= (xi <= -1.0).any(axis=1)
+                    z[:b] *= 1.0 + xi
+                z = z @ props[h]
+                step += 1
+            out[:, k] = z[:b]
+        return out, faults
+
+    parts = map_replica_blocks(block, n_replicas, master_seed, threads)
+    return FieldPath(times=output_times, values=np.concatenate([p[0] for p in parts]),
+                     faults=np.concatenate([p[1] for p in parts]))
 
 
 def sample_she_ensemble(z0, grid: SheGrid, n_replicas: int, master_seed,
@@ -164,21 +184,15 @@ def sample_she_ensemble(z0, grid: SheGrid, n_replicas: int, master_seed,
     Faulted replicas are excluded from the moments and counted; the fault
     rate must stay below 1e-3 at the default step size.
     """
-    def task(i, rng):
-        z0_i = z0(rng) if callable(z0) else z0
-        return sample_she(z0_i, grid, rng, output_times)
-
-    paths = run_replicas(task, n_replicas, master_seed, threads=threads)
-    ok = [p for p in paths if not p.positivity_fault]
-    faults = n_replicas - len(ok)
-    stack = np.stack([p.values for p in ok])
+    path = sample_she(z0, grid, n_replicas, master_seed, output_times, threads=threads)
+    ok = path.values[~path.faults]
     return {
-        "times": np.asarray(output_times, dtype=float),
-        "mean": stack.mean(axis=0),
-        "second_moment": (stack ** 2).mean(axis=0),
-        "std_error": stack.std(axis=0, ddof=1) / math.sqrt(len(ok)),
+        "times": path.times,
+        "mean": ok.mean(axis=0),
+        "second_moment": (ok ** 2).mean(axis=0),
+        "std_error": ok.std(axis=0, ddof=1) / math.sqrt(len(ok)),
         "n_effective": len(ok),
-        "fault_rate": faults / n_replicas,
+        "fault_rate": int(path.faults.sum()) / n_replicas,
     }
 
 
@@ -348,17 +362,11 @@ def martingale_diagnostics(values: np.ndarray, phis: list[TestFunction],
         n_vals, gaps = values[:, j, 0], values[:, j, 1]
         se_n = float(n_vals.std(ddof=1) / math.sqrt(m))
         se_gap = float(gaps.std(ddof=1) / math.sqrt(m))
-        out.append({
-            "phi": phi.label,
-            "T": T,
-            "n_replicas": m,
-            "mean_N": float(n_vals.mean()),
-            "se_N": se_n,
-            "z_N": _z_score(float(n_vals.mean()), se_n),
-            "mean_gap": float(gaps.mean()),
-            "se_gap": se_gap,
-            "z_gap": _z_score(float(gaps.mean()), se_gap),
-        })
+        out.append({"phi": phi.label, "T": T, "n_replicas": m,
+                    "mean_N": float(n_vals.mean()), "se_N": se_n,
+                    "z_N": _z_score(float(n_vals.mean()), se_n),
+                    "mean_gap": float(gaps.mean()), "se_gap": se_gap,
+                    "z_gap": _z_score(float(gaps.mean()), se_gap)})
     return out
 
 
@@ -466,17 +474,12 @@ def asep_she_compare(ensembles: list[dict], T: float, X: np.ndarray) -> list[dic
     rows = []
     for e in sorted(ensembles, key=lambda e: e["eps"], reverse=True):
         for j, xv, she_var in zip(np.round(X * e["n"]).astype(int), X, she_var_at):
-            rows.append({
-                "epsilon": e["eps"], "T": T, "X": float(xv),
-                "asep_mean": float(e["mean"][j]),
-                "she_mean": float(e["mean_prediction"][j]),
-                "mean_gap": float(abs(e["mean"][j] - e["mean_prediction"][j])),
-                "asep_var": float(e["var"][j]),
-                "she_var": float(she_var),
-                "var_gap": float(abs(e["var"][j] - she_var)),
-                "mc_sigma": float(e["se_mean"][j]),
-                "var_sigma": float(e["se_var"][j]),
-            })
+            mean, pred, var = e["mean"][j], e["mean_prediction"][j], e["var"][j]
+            rows.append({"epsilon": e["eps"], "T": T, "X": float(xv),
+                         "asep_mean": float(mean), "she_mean": float(pred),
+                         "mean_gap": float(abs(mean - pred)), "asep_var": float(var),
+                         "she_var": float(she_var), "var_gap": float(abs(var - she_var)),
+                         "mc_sigma": float(e["se_mean"][j]), "var_sigma": float(e["se_var"][j])})
     return rows
 
 

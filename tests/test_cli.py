@@ -53,10 +53,18 @@ def test_config_validation_errors(tmp_path, capsys):
     ("identities", "[identities]\ncstar_tbar = -1\n", "identities.cstar_tbar"),
     ("audit-all", "[identities]\ncstar_tbar = 0\n", "identities.cstar_tbar"),
     ("compare", "[run]\nreplicas = 3\n[compare]\ninverse_eps = 8, 16\n", "run.replicas"),
+    ("she", "[she]\nm = 4\n", "she.m"),
+    # a valid model (mu_A = 0.99 at N = 1000) whose slope is too steep for 8 cells
+    ("she", "[model]\nn_sites = 1000\nslope_a = 10.0\n[she]\nm = 8\n", "she.m"),
+    ("she", "[she]\noutput_times =\n", "she.output_times"),
+    ("she", "[she]\noutput_times = -0.05, 0.1\n", "she.output_times"),
+    ("she", "[she]\noutput_times = 0.1, 0.05\n", "she.output_times"),
 ], ids=["inverse_eps_zero", "inverse_eps_empty", "identities_n_sites_1",
         "compare_replicas_1", "she_replicas_1", "x_points_zero", "params_n_sites_0",
         "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
-        "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3"])
+        "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3", "she_m_4",
+        "she_mu_outside", "she_output_times_empty", "she_output_times_negative",
+        "she_output_times_decreasing"])
 def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
     # each of these once crashed with a traceback (exit 1), failed a check on
     # NaN or overflow, or passed vacuously; exit 1 is reserved for a failed check
@@ -210,6 +218,7 @@ assert run("simulate", "[run]\\nreplicas = 4\\n"
            "[model]\\nlattice = half_line\\nepsilon = 0.125\\ntruncation = 16\\nslope_a = 1.0\\n"
            "[simulate]\\nhorizon_macro = 0.05\\nsample_times = 0.0, 0.05\\n") == 0
 assert run("params", "[model]\\nn_sites = 16\\nslope_a = 1.0\\nslope_b = 0.5\\n") == 0
+assert run("she", "[run]\\nreplicas = 8\\n[she]\\nm = 8\\n") in (0, 1)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 # the kinds that need scipy import it on first use
@@ -219,8 +228,8 @@ assert run("audit-all", "[model]\\nn_sites = 16\\n[identities]\\nn_sites = 16\\n
 
 
 def test_sampling_kinds_load_no_scipy(tmp_path):
-    # importing the package and running compare (A = B = 0), simulate and params
-    # never loads scipy: its import would add ~0.3 s and 20 MB that they never use
+    # importing the package and running compare (A = B = 0), simulate, params and
+    # she never loads scipy: its import would add ~0.3 s and 20 MB that they never use
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)], env=env,

@@ -164,6 +164,22 @@ def test_rescale_time_zero_and_flat():
     assert np.max(np.abs(f0 - 1.0)) <= abs(math.expm1(-p.lam))
 
 
+def test_rescale_reads_sites_exactly():
+    # epsilon is the scaling input 1/N itself, not lam^2 (which reads
+    # 0.03125000000000001 at N = 32), so X = x/32 lands on site x and
+    # rescale returns z_field's values there bit for bit
+    for n in (8, 32, 100, 128):
+        assert params_n(n).epsilon == 1.0 / n
+    n = 32
+    p = params_n(n)
+    horizon = 0.05 * n * n
+    traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, Lattice.interval(n),
+                             horizon, [0.0, horizon], 3, 9)
+    fields = rescale(traj, p, [0.0, 0.05], np.arange(n + 1) / n)
+    for i, t in enumerate(traj.sample_times):
+        assert np.array_equal(fields[:, i], z_field(traj.heights[:, i], t, p).z)
+
+
 def test_rescale_matches_np_interp_per_replica():
     # the replica-axis rescale reproduces np.interp on each replica's field
     # bit for bit: between sites, at sites, and just outside either end

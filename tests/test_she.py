@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import asepkpz.engine as eng
-from asepkpz.engine import run_replicas
 from asepkpz.gartner import z_field
 from asepkpz.kernels import interval_kernel_spectral
 from asepkpz.params import ScalingParams, build_params
-from asepkpz.she import (build_grid, lognormal_mean, lognormal_sampler,
+from asepkpz.she import (_step_schedule, build_grid, lognormal_mean, lognormal_sampler,
                          lognormal_second_moment, martingale_functionals,
                          mean_field, neumann_cosine,
                          robin_test_function, run_interval_ensemble, sample_she,
@@ -29,17 +28,17 @@ def test_grid_validation():
 def test_zero_noise_equals_mean_field():
     grid = build_grid(1.0, 16, 1.0, 0.5)
     z0 = 1.0 + 0.3 * np.sin(np.pi * grid.x)
-    path = sample_she(z0, grid, 7, [0.03, 0.1], zero_noise=True)
+    path = sample_she(z0, grid, 1, 7, [0.03, 0.1], zero_noise=True)
     for i, T in enumerate([0.03, 0.1]):
-        assert np.max(np.abs(path.values[i] - mean_field(z0, grid, T))) <= 1e-12
+        assert np.max(np.abs(path.values[0, i] - mean_field(z0, grid, T))) <= 1e-12
 
 
 def test_seed_determinism():
     grid = build_grid(1.0, 16, 0.0, 0.0)
     z0 = np.ones(17)
-    a = sample_she(z0, grid, 42, [0.05])
-    b = sample_she(z0, grid, 42, [0.05])
-    c = sample_she(z0, grid, 43, [0.05])
+    a = sample_she(z0, grid, 1, 42, [0.05])
+    b = sample_she(z0, grid, 1, 42, [0.05])
+    c = sample_she(z0, grid, 1, 43, [0.05])
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
 
@@ -104,15 +103,78 @@ def test_second_moment_against_monte_carlo():
     grid = build_grid(1.0, 32, 0.0, 0.0)
     z0 = np.ones(33)
     m2 = second_moment(np.outer(z0, z0), grid, 0.05)
-
-    def task(i, rng):
-        return sample_she(z0, grid, rng, [0.05]).values[0]
-
-    zs = np.stack(run_replicas(task, 4000, 7))
+    zs = sample_she(z0, grid, 4000, 7, [0.05]).values[:, 0]
     z2 = zs ** 2
     se = z2.std(axis=0, ddof=1) / math.sqrt(len(zs))
     zscore = np.abs(z2.mean(axis=0) - np.diag(m2)) / se
     assert np.max(zscore) <= 3.0
+
+
+def test_second_moment_noise_power():
+    # One statistic, fixed in advance: the site average of Z_T^2, against the
+    # oracle's diagonal mean, within 3 SE of the per-replica site averages.
+    # The oracle is the exact law of the unclamped update, so every replica
+    # counts, faulted or not.  A copy of the oracle with its noise factor
+    # h/dX scaled by 0.9 sits about 6 SE off at this size.
+    grid = build_grid(1.0, 16, 0.0, 0.0)
+    z0 = np.ones(17)
+    m2 = second_moment(np.outer(z0, z0), grid, 0.2)
+    site_avg = (sample_she(z0, grid, 40000, 7, [0.2]).values[:, 0] ** 2).mean(axis=1)
+    se = site_avg.std(ddof=1) / math.sqrt(len(site_avg))
+    assert abs(site_avg.mean() - np.diag(m2).mean()) <= 3.0 * se
+
+
+def _per_replica_paths(z0, grid, replicas, seed, times):
+    """The sampler one replica at a time: Z <- P_h [Z (1 + xi)] by gemv,
+    xi = rng.normal(0, sqrt(h/dX)) per step on replica_rng(seed, i)."""
+    values, faults = [], []
+    for i in range(replicas):
+        rng = eng.replica_rng(seed, i)
+        z = z0(rng) if callable(z0) else z0.copy()
+        out, fault = [], False
+        for seg in _step_schedule(times, grid.dt):
+            for h in seg:
+                xi = rng.normal(0.0, math.sqrt(h / grid.dx), size=grid.m + 1)
+                fault |= bool(np.any(xi <= -1.0))
+                z = grid.propagator(h) @ (z * (1.0 + xi))
+            out.append(z)
+        values.append(out)
+        faults.append(fault)
+    return np.array(values), np.array(faults)
+
+
+def test_she_paths_match_per_replica_loop():
+    # 300 replicas run as two blocks; each path matches its own per-replica
+    # loop on the same stream up to the summation order of gemm vs gemv, and
+    # does not depend on the thread count or on the replicas beside it
+    grid = build_grid(1.0, 32, 1.0, 0.5)
+    z0 = lognormal_sampler(grid)
+    times = [0.02, 0.05]
+    ref, ref_faults = _per_replica_paths(z0, grid, 300, 3, times)
+    paths = [sample_she(z0, grid, 300, 3, times, threads=t) for t in (1, 2)]
+    assert paths[0].values.shape == (300, 2, 33) and paths[0].faults.shape == (300,)
+    assert np.array_equal(paths[0].values, paths[1].values)
+    assert np.array_equal(paths[0].faults, paths[1].faults)
+    assert np.array_equal(paths[0].faults, ref_faults)
+    assert np.all(np.abs(paths[0].values - ref) <= 1e-12 * np.abs(ref))
+    assert np.array_equal(sample_she(z0, grid, 1, 3, times).values[0], paths[0].values[0])
+
+    # M = 8 to T = 0.5: sqrt(h/dX) = 1/4, so a few replicas fault; the
+    # ensemble drops exactly those from its moments
+    grid = build_grid(1.0, 8, 0.0, 0.0)
+    z0 = np.ones(9)
+    ref, ref_faults = _per_replica_paths(z0, grid, 300, 11, [0.5])
+    path = sample_she(z0, grid, 300, 11, [0.5])
+    assert np.array_equal(path.faults, ref_faults) and 0 < ref_faults.sum() < 20
+    scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(path.values - ref) <= 1e-12 * scale)
+    st = sample_she_ensemble(z0, grid, 300, 11, [0.5])
+    ok = ref[~ref_faults]
+    assert st["n_effective"] == len(ok) == 300 - ref_faults.sum()
+    assert st["fault_rate"] == ref_faults.sum() / 300
+    for key, want in (("mean", ok.mean(axis=0)), ("second_moment", (ok ** 2).mean(axis=0)),
+                      ("std_error", ok.std(axis=0, ddof=1) / math.sqrt(len(ok)))):
+        assert np.all(np.abs(st[key] - want) <= 1e-12 * np.abs(want)), key
 
 
 def test_grid_refinement_within_error_bar():
