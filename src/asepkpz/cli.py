@@ -6,8 +6,9 @@ Kinds: params | simulate | kernel | identities | she | compare | audit-all,
 plus `config --print-defaults`.  Configuration is a flat INI file with one
 section per module; every run writes its artifacts plus a manifest (config
 snapshot, versions, wall clock, per-check status, file hashes, peak RSS,
-for `simulate` and `compare` the sampler's throughput, for `audit-all` the
-wall time of each stage) into a directory addressed by the config hash.
+for `simulate` and `compare` the sampler's rings, accepted moves and
+throughput, for `she` its faulted replicas, for `audit-all` the wall time
+of each stage) into a directory addressed by the config hash.
 Exit codes: 0 all checks passed, 1 an enabled assertion failed,
 2 configuration error.
 """
@@ -157,10 +158,11 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _sampler_metrics(stage: str, replicas: int, events: int, wall_s: float) -> dict:
-    """One manifest `metrics` record of an ASEP sampling stage (every
-    Gillespie event is accepted)."""
-    return {"stage": stage, "replicas": replicas, "accepted_events": events,
+def _sampler_metrics(stage: str, replicas: int, rings: int, events: int,
+                     wall_s: float) -> dict:
+    """One manifest `metrics` record of an ASEP sampling stage: the clock
+    rings the sampler proposed and the moves it accepted."""
+    return {"stage": stage, "replicas": replicas, "rings": rings, "accepted_events": events,
             "wall_s": wall_s, "events_per_s": events / wall_s if wall_s > 0 else 0.0}
 
 
@@ -306,7 +308,8 @@ def run_simulate(cfg, out, seed, threads, checks):
     checks["height_consistency"] = np.array_equal(np.diff(traj.heights[:8], axis=-1),
                                                   traj.etas[:8])
     return {"sampler": [_sampler_metrics(f"{lattice.kind} n={lattice.n_sites}", replicas,
-                                        int(traj.event_count.sum()), wall_s)]}
+                                        int(traj.ring_count.sum()), int(traj.event_count.sum()),
+                                        wall_s)]}
 
 
 def run_kernel(cfg, out, seed, threads, checks):
@@ -384,8 +387,8 @@ def run_she(cfg, out, seed, threads, checks):
                       model.getfloat("slope_b"))
     times = _parse_list(sec["output_times"])
     z0 = np.ones(grid.m + 1)
-    stats = sample_she_ensemble(z0, grid, cfg["run"].getint("replicas"), seed,
-                                times, threads=threads)
+    replicas = cfg["run"].getint("replicas")
+    stats = sample_she_ensemble(z0, grid, replicas, seed, times, threads=threads)
     mfs = [mean_field(z0, grid, t) for t in times]
     write_csv(os.path.join(out, "she_moments.csv"), ["T", "X", "mean", "se", "mean_field"],
               [[t, x, stats["mean"][i][j], stats["std_error"][i][j], mfs[i][j]]
@@ -393,6 +396,8 @@ def run_she(cfg, out, seed, threads, checks):
     z = np.abs(stats["mean"][-1] - mfs[-1]) / np.maximum(stats["std_error"][-1], 1e-300)
     checks["she_mean_within_3sigma"] = bool(np.max(z) <= 3.0)
     checks["she_fault_rate"] = stats["fault_rate"] < 1e-3
+    return {"she": {"replicas": replicas, "faulted": stats["faulted"],
+                    "fault_rate": stats["fault_rate"]}}
 
 
 def run_compare(cfg, out, seed, threads, checks):
@@ -420,8 +425,8 @@ def run_compare(cfg, out, seed, threads, checks):
     if len(inv) >= 2:
         g_coarse, g_fine, sig = var_gap_trend(rows)
         checks["var_gap_non_increasing"] = g_fine <= g_coarse + 2.0 * sig
-    return {"sampler": [_sampler_metrics(f"interval n={e['n']}", e["n_replicas"], e["events"],
-                                        e["sampler_s"]) for e in ensembles]}
+    return {"sampler": [_sampler_metrics(f"interval n={e['n']}", e["n_replicas"], e["rings"],
+                                        e["events"], e["sampler_s"]) for e in ensembles]}
 
 
 def run_stationary(cfg, out, seed, threads, checks):

@@ -8,18 +8,17 @@ The height function h(0) counts twice the net number of particles removed
 at site 1; h(x) = h(0) + sum_{y<=x} eta(y).  Boundary events move only the
 endpoint height values, interior jumps move only the bond's left height.
 
-The sampler is a Gillespie (1977) loop run in lockstep: one numpy step
-advances every replica of a block by one event of its own.  Per event a
-replica draws a wait uniform u and a pick uniform v from its own Philox
-stream (keyed by master seed and replica index), takes the left-to-right
-prefix sums of its channel rates in the order bonds, left reservoir, right
-reservoir, waits -log(1-u)/total with total the last prefix sum, and fires
-the first channel whose prefix sum exceeds v*total.  The total is thus the
-left-to-right sum of the channel rates at every step, so each replica's
-event sequence is fixed by its stream alone and does not depend on the
-block split or the thread count.  The pinned streams of the tests, recorded
-from the scalar loop this sampler replaced, replay event for event; event
-times and exponential integrals agree with that loop to a few ulps.
+The sampler is Harris's (1978) graphical construction.  The N+1 channels
+LEFT, bond 0, ..., bond N-2, RIGHT form a path, and channel c moves height
+h(c) alone.  Each channel rings at its own Poisson clock at the largest
+rate of its moves, and a uniform mark per ring accepts the move with
+probability rate / clock.  A round fires, in every replica of a block at
+once, each channel whose next ring comes before both path neighbours'
+rings and before the next sample time: fired channels share no site, so
+every round is a piece of the sequential path, applied as dense array
+operations.  Replica i draws its waits and marks from its own Philox
+stream (keyed by master seed and replica index) in (round, channel)
+order, so its path does not depend on the block split or the thread count.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ __all__ = [
     "map_replica_blocks",
 ]
 
-_BLOCK = 256           # most replicas one lockstep block advances
-_CHUNK = 256           # most events per refill of a replica's uniform buffer
+_BLOCK = 256           # most replicas one block advances
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,8 @@ class Trajectory:
     """Snapshots of R replicas at the requested sample times.
 
     etas[r, i], heights[r, i] are replica r's state at sample_times[i]
-    (right-continuous) and event_count[r] its number of events.  When
+    (right-continuous), event_count[r] its number of accepted moves and
+    ring_count[r] the number of clock rings that proposed them.  When
     exponential height integrals are tracked, z_int[r, i, x] equals
     int_0^{t_i} exp(theta h_s(x) + rho s) ds exactly (event-resolved) and
     z2_int the same with (2 theta, 2 rho).
@@ -138,6 +137,7 @@ class Trajectory:
     exp_integral_constants: tuple | None = None
     z_int: np.ndarray | None = None      # (R, K, N + 1)
     z2_int: np.ndarray | None = None
+    ring_count: np.ndarray | None = None  # (R,) int64
 
 
 @dataclass(frozen=True)
@@ -223,229 +223,207 @@ def map_replica_blocks(fn, n_replicas: int, master_seed, threads: int = 1) -> li
 
 
 # ---------------------------------------------------------------------------
-# lockstep Gillespie sampler
+# Harris block sampler
 
-class _Channels:
-    """The event channels of one (params, lattice) as lookup tables.
+_BUFFER = 16   # a replica's buffered (wait, mark) pairs, per channel
+_FLUSH = 32    # rounds between flushes of the logged moves
 
-    Channels: bonds 0..N-2, then LEFT and RIGHT (rate 0 on the half line).
-    Sites: 0..N-1, then a dummy site N that no channel reads.
-    Occupations are 0/1.
+
+def _harris_tables(params: ModelParams, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Clock and acceptance of the N+1 channels LEFT, bonds 0..N-2, RIGHT.
+
+    Channel c moves height h(c) only, and its move is fixed by the local
+    code lap = h(c-1) + h(c+1) - 2 h(c) in {-2, 0, +2}, with the mirror
+    ghosts h(-1) = h(1) and h(N+1) = h(N-1) at the ends: an accepted ring
+    adds lap to h(c).  lap = -2 is a bond's 10 pair, an empty site 1 and an
+    occupied site N; lap = +2 the 01 pair, an occupied site 1 and an empty
+    site N.  clock[c] is the largest rate of channel c's moves, and
+    accept[c, lap/2 + 1] is rate / clock (written here apart from
+    `event_rates`, so the table test compares two codings).
     """
-
-    def __init__(self, params: ModelParams, lattice: Lattice):
-        n = lattice.n_sites
-        nb = n - 1
-        left, right = nb, nb + 1
-        dummy = n
-        bonds = np.arange(nb)
-        self.n = n
-        self.n_chan = nb + 2
-        # rate of channel k: rate[4 k + 2 occ(s1[k]) + occ(s2[k])]
-        self.s1 = s1 = np.concatenate([bonds, [0, n - 1]])
-        self.s2 = s2 = np.concatenate([bonds + 1, [0, n - 1]])
-        rate = np.zeros((self.n_chan, 4))
-        rate[:nb, 1] = params.q                 # (empty, occupied): left jump
-        rate[:nb, 2] = params.p                 # (occupied, empty): right jump
-        rate[left] = (params.alpha, 0.0, 0.0, params.gamma)
-        if lattice.has_right_reservoir:
-            rate[right] = (params.delta, 0.0, 0.0, params.beta)
-        self.rate = rate = rate.ravel()
-        # firing channel c changes the rates of the channels that share a
-        # site with it: at most three on a chain whose ends are the
-        # reservoirs; short rows repeat c itself
-        readers = [np.flatnonzero((s1 == x) | (s2 == x)) for x in range(n)]
-        touch = np.empty((3, self.n_chan), dtype=np.int64)
-        for c in range(self.n_chan):
-            near = np.union1d(readers[s1[c]], readers[s2[c]])
-            touch[:, c] = np.pad(near, (0, 3 - len(near)), constant_values=c)
-        self.touch = tuple(touch)
-        # Firing channel c swaps the occupations of sites a and b (a
-        # reservoir event flips a and parks its old value at the dummy) and
-        # moves height `moved`.  Its touched channels read only a, b and the
-        # outer neighbours l, r, and occ(b) = 1 - occ(a) before a bond event,
-        # so key = 8 c + 4 occ(a) + 2 occ(l) + occ(r) indexes tables of
-        # their new rates and of the height step.
-        self.sites = tuple([
-            s1,                                                                # a
-            np.concatenate([np.where(bonds > 0, bonds - 1, dummy),
-                            [dummy, n - 2 if n > 1 else dummy]]),              # l
-            np.concatenate([np.where(bonds + 2 < n, bonds + 2, dummy),
-                            [1 if n > 1 else dummy, dummy]]),                  # r
-            np.concatenate([bonds + 1, [dummy, dummy]]),                       # b
-            np.concatenate([bonds + 1, [0, n]]),                               # moved
-        ])
-        self.key = 8 * np.arange(self.n_chan)
-        o, occ_l, occ_r = np.arange(8) >> 2, (np.arange(8) >> 1) & 1, np.arange(8) & 1
-        new = np.zeros((3, 8 * self.n_chan))
-        self.dh = np.zeros(8 * self.n_chan, dtype=np.int64)
-        # height step for occ(a) = 0, 1: a left jump raises h(b), a right
-        # jump lowers it; creation at 1 lowers h(0), creation at N raises h(N)
-        steps = {left: (-2, 2)}
-        for c in range(self.n_chan):
-            a, l, r, b = (site[c] for site in self.sites[:4])
-            after = np.zeros((8, n + 1), dtype=np.int64)
-            after[:, l], after[:, r], after[:, b] = occ_l, occ_r, o
-            after[:, a] = 1 - o
-            k = touch[:, c]
-            keys = slice(8 * c, 8 * c + 8)
-            new[:, keys] = rate[4 * k[:, None] + 2 * after[:, s1[k]].T + after[:, s2[k]].T]
-            self.dh[keys] = np.where(o == 0, *steps.get(c, (2, -2)))
-        self.new = tuple(new)
-
-    def rates(self, occ: np.ndarray) -> np.ndarray:
-        """Channel rates, one row per row of occupations occ (dummy included)."""
-        return np.ascontiguousarray(self.rate[4 * np.arange(self.n_chan)
-                                              + 2 * occ[:, self.s1] + occ[:, self.s2]])
-
-
-def _draw(rngs, events: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next `events` (wait, pick) pairs of every stream, one column each."""
-    u = np.array([rng.random(2 * events) for rng in rngs]).T
-    return -np.log(1.0 - u[0::2]), np.ascontiguousarray(u[1::2])
+    n = lattice.n_sites
+    rates = np.zeros((n + 1, 3))
+    rates[0] = params.alpha, 0.0, params.gamma       # creation, annihilation at 1
+    rates[1:n] = params.p, 0.0, params.q             # right jump, left jump
+    if lattice.has_right_reservoir:
+        rates[n] = params.beta, 0.0, params.delta    # annihilation, creation at N
+    clock = rates.max(axis=1)
+    accept = np.divide(rates, clock[:, None], out=np.zeros_like(rates),
+                       where=clock[:, None] > 0)
+    return clock, accept
 
 
 class _Block:
-    """Replicas advanced together, one event each per step.
+    """Replicas advanced together by Harris's graphical construction.
 
-    Rows are the live replicas; a row leaves the block once its next event
-    lies past the horizon.  Snapshots land in arrays indexed by the
-    replica's position in the block (`rid`).  The two exponential integrals
-    of a site are rows 0 and 1 of `s_int`, with exponent constants
-    (theta, rho) and (2 theta, 2 rho).
+    Every channel rings at the times of its own Poisson clock, and a uniform
+    mark per ring accepts the move with probability accept[c, code].  A
+    round fires, in every replica, each channel whose next ring comes before
+    both path neighbours' rings (ties go to the left channel) and before the
+    next barrier: a sample time or the horizon.  Fired channels share no
+    site, so each round is a piece of the sequential path.
+
+    Layout: replica r's slot s = 1..N+1 of a row of S = N+3 holds channel
+    s-1 and height h(s-1); slots 0 and N+2 hold the mirror ghosts of the
+    heights and an infinite ring time.  Flat index r*S + s addresses every
+    per-channel array, and views shifted by one slot give the neighbours.
+
+    Streams: replica r's (wait, mark) pairs are its stream's uniforms in
+    order, buffered per row and topped up when fewer than N+1 remain, so
+    what a replica draws never depends on the block, the buffer size or
+    the other replicas.  Its first N+1 waits start the clocks; each round
+    its fired channels take the next pairs in channel order.
     """
 
-    def __init__(self, ch: _Channels, inits, rngs, sample_times, track):
-        n, m, k = ch.n, len(inits), len(sample_times)
-        self.ch, self.rngs, self.track = ch, rngs, track
-        self.samples = np.append(sample_times, np.inf)
-        self.rid = np.arange(m)
-        self.occ = np.zeros((m, n + 1), dtype=np.int64)
-        self.occ[:, :n] = np.array([c.eta for c in inits]) > 0
-        self.h = np.zeros((m, n + 1), dtype=np.int64)
-        self.h[:, 1:] = np.cumsum(2 * self.occ[:, :n] - 1, axis=1)
-        self.chan = ch.rates(self.occ)
-        self.t = np.zeros(m)
-        self.k_next = np.zeros(m, dtype=np.int64)
-        self.next_sample = np.full(m, self.samples[0])
-        self.events = 0
-        self.counts = np.zeros(m, dtype=np.int64)
+    def __init__(self, params, lattice, inits, rngs, sample_times, horizon, track):
+        n = lattice.n_sites
+        if any(c.n_sites != n for c in inits):
+            raise ValueError("configuration size does not match lattice")
+        m, c, s, k = len(inits), n + 1, n + 3, len(sample_times)
+        self.m, self.c, self.s, self.rngs, self.track = m, c, s, rngs, track
+        self.barriers = [*sample_times, horizon]
+        clock, accept = _harris_tables(params, lattice)
+        scale = np.divide(1.0, clock, out=np.zeros_like(clock), where=clock > 0)
+        self.wait_scale = np.tile(np.concatenate([[0.0], scale, [0.0]]), m)
+        # acceptance by flat index 5 s + 2 + lap
+        table = np.zeros((s, 5))
+        table[1:c + 1, ::2] = accept
+        self.table = table.ravel()
+        self.code_base = np.tile(5 * np.arange(s) + 2, m)
+        self.row_of = np.repeat(np.arange(m), s)
+        self.row_edges = np.arange(m + 1) * s
+        # heights h(0..N) with ghosts; a slot of margin at both ends
+        self.h_buf = np.zeros(m * s + 2, dtype=np.int64)
+        self.h = self.h_buf[1:-1].reshape(m, s)
+        self.h[:, 2:c + 1] = np.cumsum([init.eta for init in inits], axis=1)
+        self._ghosts()
+        self.size = _BUFFER * c
+        u = np.array([rng.random(2 * self.size) for rng in rngs])
+        self.waits = -np.log1p(-u[:, 0::2])
+        self.marks = np.ascontiguousarray(u[:, 1::2])
+        self.drawn = np.full(m, self.size)
+        self.t_buf = np.full(m * s + 2, np.inf)
+        first = self.waits[:, :c] * scale
+        self.t_buf[1:-1].reshape(m, s)[:, 1:c + 1] = np.where(clock > 0, first, np.inf)
+        self.pos = np.full(m, c)
+        self.moves = []              # accepted moves since the last flush
+        self.accepted = np.zeros(m * s, dtype=np.int64)
         self.snap_eta = np.empty((m, k, n), dtype=np.int8)
         self.snap_h = np.empty((m, k, n + 1), dtype=np.int64)
         if track:
-            theta, rho = track
-            self.theta2 = np.array([[theta], [2.0 * theta]])
-            self.rho2 = np.array([[rho], [2.0 * rho]])
-            self.s_int = np.zeros((2, m, n + 1))
-            self.t_last = np.zeros((m, n + 1))
+            self.theta, self.rho = track
+            self.s_int = np.zeros((2, m * s))        # the (theta, rho) and (2 theta, 2 rho) integrals
+            self.t_last = np.zeros(m * s)
             self.snap_s = np.empty((2, m, k, n + 1))
-        # short runs draw little: buffers start at 16 events and double
-        self.waits, self.picks = _draw(rngs, 16)
-        self.pos = 0
-        self._index()
 
-    def _index(self):
-        """Flat views (writes through them land in the state) and row offsets."""
-        m, n = len(self.rid), self.ch.n
-        self.off_site = np.arange(m) * (n + 1)
-        self.off_chan = np.arange(m) * self.ch.n_chan
-        self.prefix = np.empty_like(self.chan)
-        self.occ_f, self.h_f, self.chan_f = (np.reshape(a, -1, copy=False)
-                                             for a in (self.occ, self.h, self.chan))
+    def _ghosts(self):
+        self.h[:, 0] = self.h[:, 2]
+        self.h[:, -1] = self.h[:, -3]
+
+    def _refill(self, rows):
+        """Top rows up with the next pairs of their streams (waits as Exp(1))."""
+        size = self.size
+        for r in rows:
+            used = self.pos[r]
+            for buf in (self.waits, self.marks):
+                buf[r, :size - used] = buf[r, used:]
+            u = self.rngs[r].random(2 * used)
+            np.negative(np.log1p(-u[0::2]), out=self.waits[r, size - used:])
+            self.marks[r, size - used:] = u[1::2]
+            self.drawn[r] += used
+            self.pos[r] = 0
+
+    def _increments(self, hx, t0, t1):
+        """Both exponential integrals of height value hx over [t0, t1]."""
+        z = np.exp(self.theta * hx + self.rho * t0)
+        if self.rho == 0.0:
+            return z * (t1 - t0), z * z * (t1 - t0)
+        e = np.expm1(self.rho * (t1 - t0))
+        return z * e / self.rho, z * z * e * (e + 2.0) / (2.0 * self.rho)
+
+    def _flush(self):
+        """Count the logged moves and add their heights' closed integral pieces."""
+        if not self.moves:
+            return
+        cols = [np.concatenate(col) for col in zip(*self.moves)]
+        size = len(self.accepted)
+        self.accepted += np.bincount(cols[0], minlength=size)
         if self.track:
-            self.int_stride = np.array([[0], [m * (n + 1)]])
-            self.s_int_f, self.t_last_f = (np.reshape(a, -1, copy=False)
-                                           for a in (self.s_int, self.t_last))
+            for row, piece in zip(self.s_int, self._increments(*cols[1:])):
+                row += np.bincount(cols[0], weights=piece, minlength=size)
+        self.moves = []
 
-    def _increments(self, theta, rho, hx, t0, t1):
-        # exp(theta h) int_t0^t1 e^{rho s} ds for both exponent pairs, by the
-        # scalar loop's formula int_a^b e^{r s} ds = e^{r a} expm1(r (b - a)) / r
-        if self.rho2[0, 0] == 0.0:
-            return np.exp(theta * hx) * (t1 - t0)
-        return np.exp(theta * hx) * (np.exp(rho * t0) * np.expm1(rho * (t1 - t0)) / rho)
-
-    def snapshot(self, rows):
-        rid, k = self.rid[rows], self.k_next[rows]
-        self.snap_eta[rid, k] = 2 * self.occ[rows, :self.ch.n] - 1
-        self.snap_h[rid, k] = self.h[rows]
+    def _snapshot(self, k, t):
+        c, s = self.c, self.s
+        h = self.h[:, 1:c + 1]
+        self.snap_h[:, k] = h
+        self.snap_eta[:, k] = np.diff(h, axis=1)
         if self.track:
-            ts = self.next_sample[rows][:, None]
-            self.s_int[:, rows] += self._increments(self.theta2[:, :, None], self.rho2[:, :, None],
-                                                    self.h[rows], self.t_last[rows], ts)
-            self.t_last[rows] = ts
-            self.snap_s[:, rid, k] = self.s_int[:, rows]
-        self.k_next[rows] += 1
-        self.next_sample[rows] = self.samples[self.k_next[rows]]
+            t_last = self.t_last.reshape(self.m, s)[:, 1:c + 1]
+            s_int = self.s_int.reshape(2, self.m, s)[:, :, 1:c + 1]
+            for row, piece in zip(s_int, self._increments(h, t_last, t)):
+                row += piece
+            t_last[:] = t
+            self.snap_s[:, :, k] = s_int
 
-    def drop(self, done):
-        """Retire the rows in `done` (their next event lies past the horizon)."""
-        self.counts[self.rid[done]] = self.events
-        keep = ~done
-        for name in ("rid", "occ", "h", "chan", "t", "k_next", "next_sample"):
-            setattr(self, name, getattr(self, name)[keep])
-        if self.track:
-            self.s_int, self.t_last = np.ascontiguousarray(self.s_int[:, keep]), self.t_last[keep]
-        self.waits, self.picks = self.waits[:, keep], self.picks[:, keep]
-        self._index()
-
-    def fire(self, idx, t):
-        """Apply each row's event on channel idx at time t."""
-        ch, off = self.ch, self.off_site
-        occ, h, chan = self.occ_f, self.h_f, self.chan_f
-        a, l, r, b, moved = (s[idx] + off for s in ch.sites)
-        o = occ[a]
-        key = ch.key[idx] + 4 * o + 2 * occ[l] + occ[r]
-        if self.track:
-            self.s_int_f[moved + self.int_stride] += self._increments(
-                self.theta2, self.rho2, h[moved], self.t_last_f[moved], t)
-            self.t_last_f[moved] = t
-        h[moved] += ch.dh[key]
-        occ[a] = 1 - o
-        occ[b] = o
-        for touch, new in zip(ch.touch, ch.new):
-            chan[self.off_chan + touch[idx]] = new[key]
-
-    def run(self, horizon: float, debug_checks: bool):
-        first_sample = self.samples[0]
-        while len(self.rid):
-            if self.pos == len(self.waits):
-                self.waits, self.picks = _draw([self.rngs[i] for i in self.rid],
-                                               min(2 * self.pos, _CHUNK))
-                self.pos = 0
-            prefix = np.add.accumulate(self.chan, axis=1, out=self.prefix)
-            wait, total = self.waits[self.pos], prefix[:, -1]
-            if total.min() > 0.0:
-                t_next = self.t + wait / total
-            else:  # a replica with no active channel has no next event
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t_next = np.where(total > 0.0, self.t + wait / total, np.inf)
-            t_max = t_next.max()
-            if first_sample <= t_max:
-                limit = np.minimum(t_next, horizon)
-                while len(due := np.flatnonzero(self.next_sample <= limit)):
-                    self.snapshot(due)
-                first_sample = self.next_sample.min()
-            if t_max > horizon:
-                done = t_next > horizon
-                self.drop(done)
-                if not len(self.rid):
+    def run(self, debug_checks: bool = False):
+        m, s = self.m, self.s
+        t, t_left, t_right = self.t_buf[1:-1], self.t_buf[:-2], self.t_buf[2:]
+        h, h_left, h_right = self.h_buf[1:-1], self.h_buf[:-2], self.h_buf[2:]
+        waits, marks = self.waits.reshape(-1), self.marks.reshape(-1)
+        row_start = np.arange(m) * self.size
+        rank = np.arange(m * s)
+        limit = np.empty(m * s)
+        fire, before_right = np.empty(m * s, dtype=bool), np.empty(m * s, dtype=bool)
+        for k, barrier in enumerate(self.barriers):
+            rounds = 0
+            while True:
+                np.minimum(t_left, barrier, out=limit)
+                np.less(t, limit, out=fire)
+                fire &= np.less_equal(t, t_right, out=before_right)
+                i = fire.nonzero()[0]
+                if not len(i):
                     break
-                t_next, prefix, total = t_next[~done], prefix[~done], total[~done]
-            pick = self.picks[self.pos] * total
-            self.pos += 1
-            self.t = t_next
+                rounds += 1
+                # each replica's fired channels take its next pairs, in order
+                edges = i.searchsorted(self.row_edges)
+                pair = (row_start + self.pos - edges[:-1])[self.row_of[i]]
+                pair += rank[:len(i)]
+                self.pos += edges[1:]
+                self.pos -= edges[:-1]
+                ring = t[i]
+                t[i] = ring + waits[pair] * self.wait_scale[i]
+                hi = h[i]
+                lap = h_left[i] + h_right[i]
+                lap -= 2 * hi
+                w = (marks[pair] < self.table[self.code_base[i] + lap]).nonzero()[0]
+                j, hj = i[w], hi[w]
+                h[j] = hj + lap[w]
+                self._ghosts()
+                if self.track:
+                    ring = ring[w]
+                    self.moves.append((j, hj, self.t_last[j], ring))
+                    self.t_last[j] = ring
+                else:
+                    self.moves.append((j,))
+                # rounds count from the barrier, so a replica's moves are
+                # summed in the same groups in any block
+                if rounds % _FLUSH == 0:
+                    self._flush()
+                if (low := self.pos > self.size - self.c).any():
+                    self._refill(low.nonzero()[0])
+                if debug_checks and not np.all(np.abs(np.diff(self.h[:, 1:-1], axis=1)) == 1):
+                    raise AssertionError("heights lost their +-1 slopes")
+            self._flush()
+            if k < len(self.barriers) - 1:
+                self._snapshot(k, barrier)
 
-            # the first channel whose prefix sum exceeds the pick; v * total
-            # can round up to total, and then the last active channel fires
-            idx = (prefix > pick[:, None]).argmax(axis=1)
-            if (stuck := total <= pick).any():
-                for j in np.flatnonzero(stuck):
-                    idx[j] = np.flatnonzero(self.chan[j] > 0.0).max()
-            self.fire(idx, t_next)
-            self.events += 1
-            if debug_checks and not np.array_equal(np.diff(self.h, axis=1),
-                                                    2 * self.occ[:, :-1] - 1):
-                raise AssertionError("height/occupation mismatch")
+    def trajectory(self, sample_times) -> Trajectory:
+        accepted = self.accepted.reshape(self.m, self.s).sum(axis=1)
+        rings = self.drawn - self.size + self.pos - self.c
+        return Trajectory(sample_times, self.snap_eta, self.snap_h, accepted,
+                          self.track, *(self.snap_s if self.track else (None, None)),
+                          ring_count=rings)
 
 
 def _check_run(horizon: float, sample_times) -> np.ndarray:
@@ -458,14 +436,11 @@ def _check_run(horizon: float, sample_times) -> np.ndarray:
     return sample_times
 
 
-def _run_block(ch, inits, rngs, lattice, horizon, sample_times, track,
+def _run_block(params, lattice, inits, rngs, horizon, sample_times, track,
                debug_checks=False) -> Trajectory:
-    if any(c.n_sites != lattice.n_sites for c in inits):
-        raise ValueError("configuration size does not match lattice")
-    block = _Block(ch, inits, rngs, sample_times, track)
-    block.run(horizon, debug_checks)
-    return Trajectory(sample_times, block.snap_eta, block.snap_h, block.counts, track,
-                      *(block.snap_s if track else ()))
+    block = _Block(params, lattice, inits, rngs, sample_times, horizon, track)
+    block.run(debug_checks)
+    return block.trajectory(sample_times)
 
 
 def simulate(initial: Configuration, params: ModelParams, lattice: Lattice,
@@ -475,48 +450,45 @@ def simulate(initial: Configuration, params: ModelParams, lattice: Lattice,
     """Statistically exact continuous-time sample of the open ASEP.
 
     The one-replica case of `simulate_replicas` (a Trajectory with R = 1);
-    seed is a Generator or a key for `replica_rng(seed, 0)`.  sample_times must be nondecreasing and
-    within [0, horizon].  When track_exp_integrals = (theta, rho) is given,
-    the per-site integrals int_0^t exp(theta h_s(x) + rho s) ds are
-    accumulated exactly between events (closed-form in time, flushed per
-    height index on events and at snapshots) and snapshotted with the
-    configuration; the squared-exponent versions with (2 theta, 2 rho) come
-    along for quadratic functionals.  debug_checks re-verifies the heights
-    against the occupations after every event.
+    seed is a Generator or a key for `replica_rng(seed, 0)`.  sample_times
+    must be nondecreasing and within [0, horizon].  When
+    track_exp_integrals = (theta, rho) is given, the per-site integrals
+    int_0^t exp(theta h_s(x) + rho s) ds are accumulated exactly (closed
+    form in time, one piece per accepted move of the height and one at each
+    snapshot) and snapshotted with the configuration; the squared-exponent
+    versions with (2 theta, 2 rho) come along for quadratic functionals.
+    debug_checks re-checks after every round that the heights keep slopes
+    +-1.
     """
     sample_times = _check_run(horizon, sample_times)
     rng = seed if isinstance(seed, np.random.Generator) else replica_rng(seed, 0)
-    return _run_block(_Channels(params, lattice), [initial], [rng], lattice, horizon,
-                      sample_times, track_exp_integrals, debug_checks)
+    return _run_block(params, lattice, [initial], [rng], horizon, sample_times,
+                      track_exp_integrals, debug_checks)
 
 
 def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: float,
                       sample_times, n_replicas: int, master_seed,
                       track_exp_integrals: tuple[float, float] | None = None,
                       threads: int = 1) -> Trajectory:
-    """`simulate` for replicas 0..n_replicas-1, advanced in lockstep blocks.
+    """`simulate` for replicas 0..n_replicas-1, advanced in blocks.
 
     Replica i draws from rng_i = replica_rng(master_seed, i): first its
-    start init(rng_i), then its events, exactly as
+    start init(rng_i), then its waits and marks, exactly as
     `simulate(init(rng_i), ..., rng_i)` does.  Blocks hold at most _BLOCK
     replicas and are spread over `threads` pool workers; since every
-    replica owns its stream, the result does not depend on either: one
-    Trajectory whose axis 0 is the replica index, the blocks joined in order.
-
-    Each replica's event sequence (heights, occupations, event count) is
-    fixed by its stream: at every step its total rate is the left-to-right
-    sum of its channel rates.  Event times and the exponential integrals
-    agree with a scalar loop on the same stream to a few ulps (numpy's
-    exp/expm1 may differ from the C library's in the last bit).
+    replica owns its stream and its rounds, the result does not depend on
+    either, bit for bit: one Trajectory whose axis 0 is the replica index,
+    the blocks joined in order.  event_count counts accepted moves and
+    ring_count the rings that proposed them.
     """
     sample_times = _check_run(horizon, sample_times)
-    ch = _Channels(params, lattice)
     parts = map_replica_blocks(
-        lambda rngs: _run_block(ch, [init(rng) for rng in rngs], rngs, lattice, horizon,
+        lambda rngs: _run_block(params, lattice, [init(rng) for rng in rngs], rngs, horizon,
                                 sample_times, track_exp_integrals),
         n_replicas, master_seed, threads)
     return replace(parts[0], **{name: np.concatenate([getattr(p, name) for p in parts])
-                                for name in ("etas", "heights", "event_count", "z_int", "z2_int")
+                                for name in ("etas", "heights", "event_count", "ring_count",
+                                             "z_int", "z2_int")
                                 if getattr(parts[0], name) is not None})
 
 
@@ -577,13 +549,6 @@ def stationary_measure(generator) -> np.ndarray:
         raise np.linalg.LinAlgError(f"stationary solve residual {resid:.2e} > 1e-12 "
                                     "(generator may be reducible)")
     return pi
-
-
-# Independent cross-check, called only by the tests; not exported.
-def mean_current(pi: np.ndarray, params: ModelParams, n: int) -> float:
-    """J_N = (p-q)^{-1} E_pi[r_A^+ - r_A^-], the net entry rate at site 1."""
-    rates = event_rates(state_etas(n), params, Lattice.interval(n))
-    return float(pi @ (rates.create_left - rates.annihilate_left)) / (params.p - params.q)
 
 
 # ---------------------------------------------------------------------------

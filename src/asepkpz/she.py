@@ -186,13 +186,15 @@ def sample_she_ensemble(z0, grid: SheGrid, n_replicas: int, master_seed,
     """
     path = sample_she(z0, grid, n_replicas, master_seed, output_times, threads=threads)
     ok = path.values[~path.faults]
+    faulted = int(path.faults.sum())
     return {
         "times": path.times,
         "mean": ok.mean(axis=0),
         "second_moment": (ok ** 2).mean(axis=0),
         "std_error": ok.std(axis=0, ddof=1) / math.sqrt(len(ok)),
         "n_effective": len(ok),
-        "fault_rate": int(path.faults.sum()) / n_replicas,
+        "faulted": faulted,
+        "fault_rate": faulted / n_replicas,
     }
 
 
@@ -416,7 +418,8 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     errors via batch means), the exact kernel prediction of the mean,
     E Z_t = p^R_t cosh(sqrt(eps))^x, under "martingale" the
     `martingale_diagnostics` rows of the three test functions, and the
-    sampler's event count and wall seconds under "events" and "sampler_s".
+    sampler's clock rings, accepted moves and wall seconds under "rings",
+    "events" and "sampler_s".
     """
     eps = 1.0 / n
     params = build_params(ScalingParams.interval(n, slope_a, slope_b))
@@ -453,6 +456,7 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
         "n_replicas": m,
         "martingale": martingale_diagnostics(martingale_functionals(traj, params, phis, T),
                                              phis, T),
+        "rings": int(traj.ring_count.sum()),
         "events": int(traj.event_count.sum()),
         "sampler_s": sampler_s,
     }

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from asepkpz.cli import config_hash, fmt, load_config, main, sha256_file, write_compare_csv
-from asepkpz.she import asep_she_compare, run_interval_ensemble
+from asepkpz.she import asep_she_compare, build_grid, run_interval_ensemble, sample_she_ensemble
 
 
 def run_cli(args):
@@ -129,6 +129,11 @@ def test_simulate_kind_hash_stable_across_threads(tmp_path):
     for name in ("trajectory_eta_r000.csv", "trajectory_heights_r003.csv",
                  "scaled_field_mean.csv"):
         assert sha256_file(str(d1 / name)) == sha256_file(str(d2 / name))
+    # rings and accepted moves are the same counts at any thread count
+    counts = [{k: r[k] for k in ("rings", "accepted_events")}
+              for d in (d1, d2)
+              for r in json.loads((d / "manifest.json").read_text())["metrics"]["sampler"]]
+    assert counts[0] == counts[1] and 0 < counts[0]["accepted_events"] < counts[0]["rings"]
 
 
 def test_compare_kind_one_pass(tmp_path):
@@ -156,10 +161,26 @@ def test_compare_kind_one_pass(tmp_path):
     records = manifest["metrics"]["sampler"]
     assert [r["stage"] for r in records] == ["interval n=8", "interval n=16"]
     assert [r["accepted_events"] for r in records] == [e["events"] for e in ensembles]
+    assert [r["rings"] for r in records] == [e["rings"] for e in ensembles]
     assert all(r["replicas"] == 24 and r["wall_s"] > 0 and r["events_per_s"] > 0
-               for r in records)
+               and 0 < r["accepted_events"] < r["rings"] for r in records)
     assert manifest["metrics"]["peak_rss_mb"] > 0
     assert set(manifest["files"]) == {"compare.csv", "diagnostics.json"}
+
+
+def test_she_kind_reports_faults(tmp_path):
+    # the manifest counts the faulted replicas and their rate, outside every hashed file
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run]\nreplicas = 40\n[she]\nm = 16\noutput_times = 0.02\n")
+    assert run_cli(["she", "--config", str(cfg), "--seed", "9", "--out", str(tmp_path)]) == 0
+    (run_dir,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    grid = build_grid(1.0, 16, 0.0, 0.0)
+    direct = sample_she_ensemble(np.ones(17), grid, 40, 9, [0.02])
+    assert manifest["metrics"]["she"] == {"replicas": 40, "faulted": direct["faulted"],
+                                          "fault_rate": direct["fault_rate"]}
+    assert direct["faulted"] == 40 - direct["n_effective"]
+    assert set(manifest["files"]) == {"she_moments.csv"}
 
 
 def test_failed_check_exits_one(tmp_path, monkeypatch):

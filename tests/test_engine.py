@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from asepkpz.engine import (Configuration, HeightField, Lattice, _Block, _Channels,
+from asepkpz.engine import (Configuration, HeightField, Lattice, _harris_tables,
                             alternating_eta, bernoulli_eta, event_rates, exact_generator,
-                            mean_current, replica_rng, simulate, simulate_replicas,
-                            state_etas, stationary_measure)
+                            replica_rng, simulate, simulate_replicas, state_etas,
+                            stationary_measure)
 from asepkpz.params import (ModelParams, ScalingParams, build_params,
                             equal_density_mu, params_from_mu, phase_point)
 
@@ -152,6 +152,34 @@ def test_sos_matches_particle_distribution():
     assert np.max(z) <= 3.0, z
 
 
+def tilted_generator(params, n, theta):
+    """The generator of E[exp(theta h_t(0)) f(eta_t)]: the left-reservoir
+    entries carry exp(theta dh(0)), dh(0) = -2 on creation and +2 on
+    annihilation; the diagonal stays untilted."""
+    q = exact_generator(params, n).toarray()
+    states = np.arange(1 << n)
+    empty = (states & 1) == 0
+    q[states, states ^ 1] *= np.where(empty, math.exp(-2.0 * theta), math.exp(2.0 * theta))
+    return q
+
+
+def test_second_moment_matches_tilted_generator():
+    # E Z_t(x)^2, Z = exp(-lam h + nu t), exactly from the 2^N generator tilted
+    # by theta = -2 lam against 20000 replicas from the Bernoulli(1/2) start.
+    # The statistic, fixed before running: the site average of Z_t^2 over
+    # x = 0..N per replica, gated at 3 per-replica standard errors.
+    n, t = 8, 0.25 * 64
+    p = p_interval(n, 1.0, 0.5)
+    etas = state_etas(n).astype(float)
+    f = np.exp(-2.0 * p.lam * np.column_stack([np.zeros(1 << n), np.cumsum(etas, axis=1)]))
+    exact = math.exp(2.0 * p.nu * t) * (expm(tilted_generator(p, n, -2.0 * p.lam) * t) @ f).mean()
+    traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, Lattice.interval(n), t, [t],
+                             20000, 808)
+    site_avg = np.exp(2.0 * (p.nu * t - p.lam * traj.heights[:, 0])).mean(axis=1)
+    z = (site_avg.mean() - exact) / (site_avg.std(ddof=1) / math.sqrt(len(site_avg)))
+    assert abs(z) <= 3.0, z
+
+
 def test_exact_generator_n1():
     p = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.5, beta=0.35, gamma=0.15, delta=0.2)
     Q = exact_generator(p, 1).toarray()
@@ -191,53 +219,36 @@ def test_generator_pinned_digest():
     assert h.hexdigest() == PINNED_GENERATOR
 
 
-def channel_rates(etas, params, lattice):
-    """`event_rates` per sampler channel: the bonds, then LEFT and RIGHT."""
-    r = event_rates(etas, params, lattice)
-    right = (r.create_right + r.annihilate_right if lattice.has_right_reservoir
-             else np.zeros(len(etas)))
-    return np.column_stack([r.right + r.left, r.create_left + r.annihilate_left, right])
-
-
 def test_channel_tables_match_generator():
-    # exhaustive over N = 1..5: every active channel of every state, fired
-    # through the sampler's tables, makes the generator's move at its rate,
-    # leaves heights consistent and changes rates only in its touch set
+    # exhaustive over N = 1..5: in every state, clock x acceptance of each
+    # channel at the state's local code is the generator's rate of that
+    # channel's move, and adding the code to the channel's height makes it
     rates = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.5, beta=0.35, gamma=0.15, delta=0.2)
     for params in (rates, p_interval(8, 1.0, 2.0)):
         for n in range(1, 6):
             for lat in (Lattice.interval(n), Lattice.half_line(n)):
-                ch = _Channels(params, lat)
+                clock, accept = _harris_tables(params, lat)
                 gen = exact_generator(params, n, lat).toarray()
-                etas = state_etas(n)
-                before = channel_rates(etas, params, lat)
-                # the sampler's left-to-right total is the generator's exit rate
-                assert np.array_equal(np.add.accumulate(before, axis=1)[:, -1], -np.diag(gen))
-                flips = np.array([*(3 << np.arange(n - 1)), 1, 1 << (n - 1)])
-                left = n - 1
-                for c in range(ch.n_chan):
-                    states = np.flatnonzero(before[:, c] > 0)
-                    if not len(states):
-                        continue
-                    block = _Block(ch, [Configuration(e) for e in etas[states]],
-                                   [replica_rng(0, 0)] * len(states), np.array([]), None)
-                    assert np.array_equal(block.chan, before[states])
-                    h_before = block.h.copy()
-                    block.fire(np.full(len(states), c), 0.0)
-                    target = block.occ[:, :n] @ (1 << np.arange(n))
-                    assert np.array_equal(target, states ^ flips[c])
-                    assert np.array_equal(gen[states, target],
-                                          before[states][:, flips == flips[c]].sum(axis=1))
-                    after = channel_rates(etas[target], params, lat)
-                    assert np.array_equal(block.chan, after)
-                    changed = np.flatnonzero((after != before[states]).any(axis=0))
-                    assert set(changed) <= {int(touch[c]) for touch in ch.touch}
-                    # one height moves: h(0) for LEFT (h(1..N) stay), else h(0) stays
-                    eta = etas[target].astype(np.int64)
-                    h0 = h_before[:, 1] - eta[:, 0] if c == left else h_before[:, 0]
-                    expected = np.column_stack([h0, h0[:, None] + np.cumsum(eta, axis=1)])
-                    assert np.array_equal(block.h, expected)
-                    assert np.all((block.h != h_before).sum(axis=1) == 1)
+                etas = state_etas(n).astype(np.int64)
+                states = np.arange(1 << n)
+                h = np.column_stack([np.zeros_like(states), np.cumsum(etas, axis=1)])
+                ghosted = np.column_stack([h[:, 1], h, h[:, n - 1]])   # h(-1) = h(1), h(N+1) = h(N-1)
+                lap = ghosted[:, :-2] + ghosted[:, 2:] - 2 * h
+                assert set(np.unique(lap)) <= {-2, 0, 2}
+                # channels LEFT, bonds 0..N-2, RIGHT and the state bits they flip
+                flips = np.array([1, *(3 << np.arange(n - 1)), 1 << (n - 1)])
+                rate = clock * accept[np.arange(n + 1), lap // 2 + 1]
+                for c in range(n + 1):
+                    target = states ^ flips[c]
+                    # at N = 1 both reservoirs flip site 1: the generator adds them
+                    assert np.allclose(rate[:, flips == flips[c]].sum(axis=1),
+                                       gen[states, target], rtol=1e-15, atol=0.0)
+                    moved = h.copy()
+                    moved[:, c] += lap[:, c]
+                    live = rate[:, c] > 0
+                    assert np.all(np.abs(np.diff(moved[live], axis=1)) == 1)
+                    assert np.array_equal(
+                        (np.diff(moved[live], axis=1) > 0) @ (1 << np.arange(n)), target[live])
 
 
 def test_detailed_balance_symmetric_rates():
@@ -272,6 +283,12 @@ def test_stationary_product_bernoulli_on_equal_density_line():
     rho = phase_point(p).rho_a
     bern = np.prod(np.where(state_etas(5) > 0, rho, 1 - rho), axis=1)
     assert 0.5 * np.abs(pi - bern).sum() <= 1e-10
+
+
+def mean_current(pi: np.ndarray, params: ModelParams, n: int) -> float:
+    """J_N = (p-q)^{-1} E_pi[r_A^+ - r_A^-], the net entry rate at site 1."""
+    rates = event_rates(state_etas(n), params, Lattice.interval(n))
+    return float(pi @ (rates.create_left - rates.annihilate_left)) / (params.p - params.q)
 
 
 def test_mean_current_blocked_and_equal_density():
@@ -323,23 +340,21 @@ def test_half_line_truncation_doubling():
     assert np.max(z) <= 3.0
 
 
-# Streams of the scalar one-replica Gillespie loop that the lockstep sampler
-# replaced: SHA-256 of every replica's snapshots (int8 etas, int64 heights)
-# and event count, and the sums of its exponential integrals, recorded from
-# that loop on replica_rng(seed, i).  The sampler takes each step's total
-# rate as the left-to-right sum of the channel rates, so it replays every
-# event sequence exactly; event times and integrals agree to a few ulps.
+# Streams of the Harris block sampler: SHA-256 of every replica's snapshots
+# (int8 etas, int64 heights), accepted-move and ring counts, and the sums of
+# its exponential integrals, on replica_rng(seed, i).  A change of the
+# sampler's draws or of its rounds changes them.
 PINNED_STREAMS = {
-    "interval16": ("588f369bab6e0ff9684811dcb3c719c72115776681939b6b2d4e30987e2e54f9",
-                   126654.3174958502, 678653.2186880254),
-    "interval12_robin": ("c4f7d49291bca173d8be0920fc69c59c8d5de2b99d468e8f9014c5c27bfe704d",
-                         12687.25895353147, 21724.04171252677),
-    "halfline24": ("3f48d8aad3b4671e7186881b9826cd2942b99fd86e341693c1095105d2d068ba",
-                   256060.53097573787, 86905954.70756868),
-    "interval2": ("db1b6b9fdd6eef05cf25848e59f5b95739310114f22efc4427dfaa8425f9fb38",
-                  2552.1443890543624, 3808.4758345155465),
-    "interval1": ("0b20424b86fd45d1ebeea4d701f39858507594e8c0cc900896ad0f3d9ff0d6f3",
-                  743.9635927258648, 685.2315377394007),
+    "interval16": ("1bedba7255bcaa6d595b8ef98fd6bc2bdaf9491464d7662d8b4e4b031ef83bbd",
+                   77377.22958353652, 315327.90785498277),
+    "interval12_robin": ("4414bf7aee620b5ae67078de159affcd1ce751e468f32f3ddad884064663a653",
+                         12278.581716148421, 19329.158843755213),
+    "halfline24": ("6ec44873a9cde4f4ee7c8dadd9ee8e0d55eb1ff7d51364190b137bcdc8ca4b76",
+                   256352.2934301003, 86808606.02144365),
+    "interval2": ("e0fc3d7b91a04a6c8b14f8cfcd5724a3e37666220f23c4f89a39d68411b5728a",
+                  826.5395938560821, 470.9401067704929),
+    "interval1": ("8147fd66427d09f6f28615f118a7d9bb9695ae8cfa8f3ba34c9a2d67e44aea21",
+                  539.1219566851994, 255.7990323833193),
 }
 
 
@@ -347,7 +362,7 @@ def stream_configs():
     """name -> (params, lattice, init, horizon, sample_times, replicas, seed)."""
     rates = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.5, beta=0.35, gamma=0.15, delta=0.2)
     return {
-        # > 4096 events per replica: a long stream, where a drifting total would show
+        # > 5000 moves per replica: many buffer refills per stream
         "interval16": (p_interval(16, 0.0, 0.0), Lattice.interval(16),
                        lambda rng: bernoulli_eta(16, rng), 1200.0, [600.0, 1200.0], 4, 11),
         "interval12_robin": (p_interval(12, 1.0, 2.0), Lattice.interval(12),
@@ -363,18 +378,19 @@ def stream_configs():
 
 def stream_digest(traj) -> str:
     h = hashlib.sha256()
-    for etas, heights, count in zip(traj.etas, traj.heights, traj.event_count):
+    for etas, heights, count, rings in zip(traj.etas, traj.heights, traj.event_count,
+                                           traj.ring_count):
         for eta, hs in zip(etas, heights):
             h.update(np.asarray(eta, dtype="<i1").tobytes())
             h.update(np.asarray(hs, dtype="<i8").tobytes())
-        h.update(np.asarray(count, dtype="<i8").tobytes())
+        h.update(np.asarray([count, rings], dtype="<i8").tobytes())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
 def test_replicas_replay_pinned_streams(name):
-    # the lockstep sampler replays each replica's event sequence exactly;
-    # the integrals may differ from the C library's exp/expm1 in the last bit
+    # each replica's path is fixed by its stream; the integrals may move in
+    # the last bits with numpy's exp/expm1
     p, lat, init, horizon, times, replicas, seed = stream_configs()[name]
     traj = simulate_replicas(init, p, lat, horizon, times, replicas, seed,
                              track_exp_integrals=(-p.lam, p.nu))
@@ -385,7 +401,7 @@ def test_replicas_replay_pinned_streams(name):
 
 
 def test_simulate_replicas_independent_of_threads_and_blocks():
-    # 300 replicas run as two lockstep blocks; each must equal its own
+    # 300 replicas run as two blocks; each must equal its own
     # one-replica run on replica_rng(seed, i), for 1 and 2 threads
     n = 8
     p = p_interval(n, 1.0, 0.5)

@@ -261,7 +261,7 @@ def test_martingale_exact_integrals_match_trapezoid():
 
 def test_martingale_functionals_match_per_replica_formula():
     # A = 1, B = 2 puts both ghost terms in play; 300 replicas span two
-    # lockstep blocks.  The reference evaluates the docstring formula one
+    # sampler blocks.  The reference evaluates the docstring formula one
     # replica and one test function at a time with np.dot.  N_T is a
     # difference of O(1) terms, so each column is compared relative to its
     # largest entry.
