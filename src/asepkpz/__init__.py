@@ -10,15 +10,11 @@ from .engine import (Lattice, Configuration, HeightField, Trajectory,
                      event_rates, simulate, simulate_replicas, state_etas,
                      exact_generator, stationary_measure, bernoulli_eta,
                      alternating_eta, replica_rng)
-from .gartner import (ZField, z_field, drift_identity_residual,
-                      bracket_rate, bracket_decomposition, rescale)
-from .kernels import (free_walk_kernel, halfline_robin_kernel, SpectralData,
-                      solve_interval_spectrum, interval_kernel_spectral,
-                      interval_kernel_image, build_image_expansion,
-                      continuous_halfline_kernel, kernel_bound_audit)
-from .greens import (green_matrix, green_corner_closed_form, halfline_green,
-                     f_matrix, c_closed_form, key_identity, halfline_key_identity,
-                     c_star_estimate, c_star_weighted, summation_by_parts_audit)
+from .gartner import ZField, z_field, drift_identity_residual, rescale
+from .kernels import (SpectralData, solve_interval_spectrum, interval_kernel_spectral,
+                      interval_kernel_image, build_image_expansion, kernel_bound_audit)
+from .greens import (green_matrix, green_corner_closed_form, f_matrix, c_closed_form,
+                     key_identity, c_star_estimate, summation_by_parts_audit)
 from .she import (SheGrid, build_grid, sample_she, sample_she_ensemble,
                   mean_field, second_moment, TestFunction, neumann_cosine,
                   robin_test_function, martingale_diagnostics, asep_she_compare,

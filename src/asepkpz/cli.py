@@ -33,7 +33,7 @@ from .engine import (Lattice, alternating_eta, bernoulli_eta, exact_generator,
 from .gartner import rescale
 from .greens import (c_star_estimate, green_corner_closed_form, key_identity,
                      report_to_json, summation_by_parts_audit)
-from .kernels import (build_image_expansion, interval_kernel_image,
+from .kernels import (build_image_expansion, image_depth_suffices, interval_kernel_image,
                       interval_kernel_spectral, kernel_bound_audit, solve_interval_spectrum)
 from .params import (ScalingParams, build_params, equal_density_mu, expansion_audit,
                      params_from_mu, phase_point)
@@ -190,11 +190,25 @@ def _validate(cfg, kind: str) -> list[str]:
             problems.append(f"run.replicas must be >= {need}{why}")
     except ValueError:
         problems.append("run.replicas must be an integer")
+    lattice = None
     if kind in ("params", "simulate", "compare", "audit-all", "she", "kernel"):
         try:
-            _model_from_config(cfg)
+            lattice = _model_from_config(cfg)[2]
         except (ValueError, ConfigError) as exc:
             problems.append(f"model: {exc}")
+    if kind in ("kernel", "audit-all"):
+        try:
+            times, depth = _parse_list(cfg["kernel"]["times"]), cfg["kernel"].getint("depth")
+            if depth < 1:
+                problems.append("kernel.depth must be >= 1")
+            elif any(t < 0 for t in times):
+                problems.append("kernel.times must be >= 0")
+            elif lattice is not None and not all(
+                    image_depth_suffices(lattice.n_sites, depth, t) for t in times):
+                problems.append(f"kernel.times must lie within the reach of depth-{depth} "
+                                f"images at n = {lattice.n_sites}")
+        except ValueError as exc:
+            problems.append(f"kernel: {exc}")
     if kind in ("simulate", "compare", "audit-all"):
         try:
             if cfg["simulate"].getfloat("horizon_macro") < 0:
@@ -226,14 +240,22 @@ def _validate(cfg, kind: str) -> list[str]:
     if kind in ("identities", "audit-all"):
         try:
             sec = cfg["identities"]
+            n, ncs = sec.getint("n_sites"), sec.getint("cstar_n")
             # the key identity is read at sites n/2 and n/2 + 1 of the N x N matrix F
-            if sec.getint("n_sites") < 3:
+            if n < 3:
                 problems.append("identities.n_sites must be >= 3")
             # c-star is a maximum over the bulk sites 1..n-1 up to time tbar
-            if sec.getint("cstar_n") < 2:
+            if ncs < 2:
                 problems.append("identities.cstar_n must be >= 2: c-star needs a bulk site")
             if not sec.getfloat("cstar_tbar") > 0:
                 problems.append("identities.cstar_tbar must be > 0")
+            # run_identities' mu at the key-identity size, then at the c-star size
+            slopes = (sec.getfloat("slope_a"), sec.getfloat("slope_b"))
+            mus = ([1.0 - (1.0 / n) * a for a in slopes] + [1.0 - a / ncs for a in slopes]
+                   if n >= 3 and ncs >= 2 else [])
+            if not all(0.0 <= mu <= 1.0 for mu in mus) or mus[:2] == [1.0, 1.0]:
+                problems.append("identities.slope_a, slope_b must leave mu = 1 - slope/n in "
+                                "[0, 1] and not 1 at both walls (F needs a spectral gap)")
         except ValueError as exc:
             problems.append(f"identities: {exc}")
     return problems

@@ -5,12 +5,10 @@ The central object is
     F(x, xb) = sum_y int_0^infty grad+ p^R_t(x, y) grad+ p^R_t(xb, y) dt
 
 which on the interval equals (1-c) on the diagonal and -c off it, with
-0 <= c <= C eps, and on the half line is exactly the identity (c = 0).
-F is computed by three routes: the spectral closed form
+0 <= c <= C eps.  F is computed by three routes: the spectral closed form
 sum_k grad psi_k(x) grad psi_k(xb) / (2 lambda_k), the second difference of
 the Green's function of -Laplacian/2, and the time integral of kernel
-products (on the interval by one block matrix exponential, on the half line
-by quadrature of Bessel image kernels).
+products by one block matrix exponential.
 """
 
 from __future__ import annotations
@@ -20,22 +18,17 @@ import math
 
 import numpy as np
 
-from .kernels import (SpectralData, solve_interval_spectrum, robin_laplacian_matrix,
-                      halfline_robin_row, _support_radius)
-from .quadrature import adaptive_quad, dyadic_panels, integrate_decaying
+from .kernels import SpectralData, solve_interval_spectrum, robin_laplacian_matrix
+from .quadrature import integrate_decaying
 
 __all__ = [
     "green_matrix",
     "green_corner_closed_form",
-    "halfline_green",
     "f_matrix",
     "c_closed_form",
     "key_identity",
-    "halfline_key_identity",
     "f_matrix_quadrature",
-    "halfline_key_quadrature",
     "c_star_estimate",
-    "c_star_weighted",
     "summation_by_parts_audit",
 ]
 
@@ -68,29 +61,6 @@ def green_corner_closed_form(n: int, mu_a: float, mu_b: float) -> float:
     return 2.0 * (n + 1 - n * mu_b) / den
 
 
-def halfline_green(x: int, y: int, mu_a: float) -> float:
-    """Half-line Green's function: G(x, y) = 2/(1-mu_A) + 2 min(x, y)."""
-    if not mu_a < 1.0:
-        raise ZeroDivisionError("half-line Green's function requires mu_A < 1")
-    return 2.0 / (1.0 - mu_a) + 2.0 * min(x, y)
-
-
-# Independent cross-check, called only by the tests; not exported.
-def halfline_green_limit(n_base: int, mu_a: float) -> float:
-    """Numerical N -> infinity limit of the interval corner value at mu_B = 0.
-
-    The direct value at finite N misses the limit by Theta(1/N); since the
-    corner value is a Mobius function of h = 1/(N+1), its reciprocal is
-    linear in h and a two-point linear extrapolation of 1/G to h = 0 takes
-    the limit exactly (up to roundoff).
-    """
-    ns = (n_base, n_base // 2)
-    hs = [1.0 / (m + 1) for m in ns]
-    recips = [1.0 / green_corner_closed_form(m, mu_a, 0.0) for m in ns]
-    slope = (recips[0] - recips[1]) / (hs[0] - hs[1])
-    return 1.0 / (recips[0] - slope * hs[0])
-
-
 # ---------------------------------------------------------------------------
 # F matrix
 
@@ -116,9 +86,7 @@ def c_closed_form(n: int, mu_a: float, mu_b: float) -> float:
 # ---------------------------------------------------------------------------
 # quadrature routes
 
-F_TAIL_TOL = 1e-9         # interval: bound on the omitted time tail of F
-HALFLINE_T_CUT = 1.2e5    # half line: end of the quadrature, then a fitted tail
-HALFLINE_TOL = 1e-7       # half line: quadrature tolerance
+F_TAIL_TOL = 1e-9         # bound on the omitted time tail of F
 
 
 def f_matrix_quadrature(spec: SpectralData) -> dict:
@@ -146,46 +114,6 @@ def f_matrix_quadrature(spec: SpectralData) -> dict:
     total = np.diff(np.diff(expm(block)[:m, m:], axis=0), axis=1)
     tail = amp * math.exp(-2.0 * lam0 * t_cut) / (2.0 * lam0)
     return {"F": total, "t_cut": t_cut, "tail_bound": tail}
-
-
-def halfline_key_quadrature(x: int, xb: int, mu_a: float) -> dict:
-    """sum_{y>=0} int grad+ p^R_t(x,y) grad+ p^R_t(xb,y) dt on the half line.
-
-    The integrand decays only like t^{-3/2}, so after quadrature to
-    HALFLINE_T_CUT the remaining tail is integrated from a power-law fit
-    c1 t^{-3/2} + c2 t^{-2} + c3 t^{-5/2} over the last computed decade; the
-    fit residual, scaled to the tail, is reported as an estimate of the tail
-    error, not a bound.
-    """
-    t_cut, tol = HALFLINE_T_CUT, HALFLINE_TOL
-
-    def integrand(t):
-        if t == 0.0:
-            return 2.0 if x == xb else (-1.0 if abs(x - xb) == 1 else 0.0)
-        ymax = max(x, xb) + _support_radius(t) + 8
-        gx = halfline_robin_row(t, x + 1, mu_a, ymax) - halfline_robin_row(t, x, mu_a, ymax)
-        if xb == x:
-            gxb = gx
-        else:
-            gxb = (halfline_robin_row(t, xb + 1, mu_a, ymax)
-                   - halfline_robin_row(t, xb, mu_a, ymax))
-        return float(np.dot(gx, gxb))
-
-    total = adaptive_quad(integrand, 0.0, 1.0, tol=tol / 10.0)
-    for a, b in dyadic_panels(1.0, t_cut):
-        total += adaptive_quad(integrand, a, b, tol=tol / 40.0)
-
-    # algebraic tail from a 3-term power-law fit on [t_cut/16, t_cut]
-    ts = np.exp(np.linspace(math.log(t_cut / 16.0), math.log(t_cut), 25))
-    ys = np.array([integrand(t) for t in ts])
-    basis = np.vstack([ts ** -1.5, ts ** -2.0, ts ** -2.5]).T
-    coef, *_ = np.linalg.lstsq(basis, ys, rcond=None)
-    resid = float(np.max(np.abs(basis @ coef - ys)))
-    tail = (coef[0] * 2.0 * t_cut ** -0.5 + coef[1] * t_cut ** -1.0
-            + coef[2] * (2.0 / 3.0) * t_cut ** -1.5)
-    tail_fit_residual = resid * t_cut + abs(coef[2]) * (2.0 / 3.0) * t_cut ** -1.5
-    return {"value": total + tail, "quadrature": total, "tail": tail,
-            "tail_fit_residual": tail_fit_residual, "t_cut": t_cut}
 
 
 def key_identity(spec: SpectralData) -> dict:
@@ -221,27 +149,6 @@ def key_identity(spec: SpectralData) -> dict:
             "tail_bound": quad["tail_bound"], "routes": ["spectral", "green", "expm"]}
 
 
-def halfline_key_identity(x: int, xb: int, mu_a: float) -> dict:
-    """The half-line key identity F(x, xb) = 1{x=xb} at one pair, by two routes.
-
-    The Green route is exact (G = 2/(1-mu) + 2 min(x,y), second differences
-    give the identity); the quadrature route uses Bessel image kernels with
-    a fitted tail.  `tail_fit_residual` estimates the fitted tail's error
-    from the fit residual; it is not a bound (at a short t_cut the route gap
-    has been seen at twice its value).
-    """
-    g = lambda u, v: halfline_green(u, v, mu_a)
-    value_green = 0.5 * (g(x, xb) + g(x + 1, xb + 1) - g(x + 1, xb) - g(x, xb + 1))
-    expected = 1.0 if x == xb else 0.0
-    quad = halfline_key_quadrature(x, xb, mu_a)
-    return {"identity": "key-identity-half-line", "x": x, "xb": xb,
-            "params": {"mu_a": mu_a},
-            "value": value_green, "value_quadrature": quad["value"],
-            "expected": expected, "abs_err": abs(value_green - expected),
-            "route_gap": abs(value_green - quad["value"]),
-            "tail_fit_residual": quad["tail_fit_residual"], "c": 0.0}
-
-
 # ---------------------------------------------------------------------------
 # c-star sums
 
@@ -270,27 +177,6 @@ def c_star_estimate(n: int, mu_a: float, mu_b: float, t_bar: float, eps: float) 
     i = int(np.argmax(total))
     return {"max": float(total[i]), "argmax_x": i + 1, "per_x": total,
             "horizon": horizon}
-
-
-def c_star_weighted(n: int, mu_a: float, mu_b: float, s_macro: float, eps: float) -> dict:
-    """max_x of sum_y int_0^s |grad+ p grad- p| (s-t)^{-1/2} dt at s = eps^{-2} s_macro.
-
-    The (s-t)^{-1/2} endpoint singularity is removed by the substitution
-    t = s - u^2 on the last unit of time.  The bound scales like eps.
-    """
-    spec = solve_interval_spectrum(n, mu_a, mu_b)
-    s = s_macro / (eps * eps)
-
-    def core(t):
-        return _interval_grad_products(spec, t)[:, 1:n].sum(axis=1)
-
-    def regular(t):
-        return core(t) / math.sqrt(s - t)
-
-    total = integrate_decaying(regular, s - 1.0, tol=1e-8)
-    # t = s - u^2, dt = -2u du, (s-t)^{-1/2} dt -> 2 du
-    total = total + adaptive_quad(lambda u: 2.0 * core(s - u * u), 0.0, 1.0, tol=1e-8)
-    return {"max": float(np.max(total)), "per_x": total, "s": s}
 
 
 # ---------------------------------------------------------------------------

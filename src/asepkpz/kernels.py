@@ -1,4 +1,4 @@
-"""Discrete and continuous heat kernels with Robin boundary conditions.
+"""Lattice heat kernels with Robin boundary conditions.
 
 Three constructions of the same object on the lattice interval {0,...,N}:
 
@@ -17,23 +17,21 @@ which is uniformly stable for large times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "free_walk_kernel",
     "free_walk_row",
     "free_walk_tail_bound",
-    "halfline_robin_kernel",
     "halfline_robin_row",
     "SpectralData",
     "solve_interval_spectrum",
     "interval_kernel_spectral",
     "ImageExpansion",
     "build_image_expansion",
+    "image_depth_suffices",
     "interval_kernel_image",
-    "continuous_halfline_kernel",
     "kernel_bound_audit",
 ]
 
@@ -41,39 +39,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # free walk on Z
 
-def free_walk_kernel(t: float, x) -> np.ndarray | float:
-    """p_t(x) for the continuous-time simple walk on Z (rate 1/2 per side).
+def free_walk_row(t: float, n_max: int) -> np.ndarray:
+    """Array p_t(0..n_max) for the continuous-time simple walk on Z (rate 1/2 per side).
 
-    Equals e^{-t} I_{|x|}(t); `ive` evaluates the product directly so no
+    p_t(x) = e^{-t} I_{|x|}(t); `ive` evaluates the product directly, so no
     overflow occurs for large t.
     """
     from scipy.special import ive  # not at module level: ~0.3 s and 25 MB at import
     if t < 0:
         raise ValueError("t must be >= 0")
-    return ive(np.abs(x), t)
-
-
-def free_walk_row(t: float, n_max: int) -> np.ndarray:
-    """Array p_t(0..n_max)."""
-    from scipy.special import ive
     return ive(np.arange(n_max + 1), t)
-
-
-# Independent cross-check, called only by the tests; not exported.
-def free_walk_series(t: float, x: int, n_terms: int = 200) -> float:
-    """Poisson mixture of binomial discrete-time walk steps (series oracle)."""
-    x = abs(int(x))
-    total = 0.0
-    log_fact = 0.0
-    for n in range(n_terms + 1):
-        if n > 0:
-            log_fact += math.log(n)
-        if n >= x and (n - x) % 2 == 0:
-            pn = math.comb(n, (n + x) // 2) / 2.0 ** n
-            total += math.exp(n * math.log(t) - t - log_fact) * pn if t > 0 else (1.0 if n == 0 else 0.0)
-    if t == 0:
-        return 1.0 if x == 0 else 0.0
-    return total
 
 
 def free_walk_tail_bound(t: float, r: float) -> float:
@@ -104,33 +79,6 @@ def _geometric_tail(pv: np.ndarray, mu: float, start: int) -> np.ndarray:
         acc = pv[m] + mu * acc
         g[m] = acc
     return g
-
-
-def halfline_robin_kernel(t: float, x: int, y: int, mu_a: float) -> float:
-    """Robin heat kernel on Z_{>=0} via the one-boundary image series.
-
-    The series tail is summed until a term drops below 1e-16 times the
-    partial sum.  The formula extends to x = -1 and there satisfies the
-    ghost relation p(-1, y) = mu_A p(0, y) identically.
-    """
-    if not 0.0 < mu_a <= 1.0:
-        raise ValueError("mu_a must be in (0, 1]")
-    val = float(free_walk_kernel(t, x - y)) + mu_a * float(free_walk_kernel(t, x + y + 1))
-    if mu_a == 1.0:
-        return val
-    s = 0.0
-    w = 0
-    coeff = 1.0
-    base = x + y + 2
-    cap = _support_radius(t) + base + 8
-    while True:
-        term = coeff * float(free_walk_kernel(t, base + w))
-        s += term
-        coeff *= mu_a
-        w += 1
-        if (term <= 1e-16 * max(s, 1e-300) and w > 4) or base + w > cap:
-            break
-    return val + (mu_a * mu_a - 1.0) * s
 
 
 def halfline_robin_row(t: float, x: int, mu_a: float, y_max: int) -> np.ndarray:
@@ -169,13 +117,6 @@ class SpectralData:
     omegas: np.ndarray
     lambdas: np.ndarray
     eigvecs: np.ndarray          # shape (N+1, N+1), columns psi_k
-    coeffs: np.ndarray           # shape (N+1, 2), normalized (C1, C2) per k
-
-    def eigvec_at(self, k: int, x) -> np.ndarray | float:
-        """psi_k evaluated at arbitrary (possibly ghost) integer positions."""
-        c1, c2 = self.coeffs[k]
-        om = self.omegas[k]
-        return c1 * np.cos(om * np.asarray(x, dtype=float)) + c2 * np.sin(om * np.asarray(x, dtype=float))
 
 
 def robin_laplacian_matrix(n: int, mu_a: float, mu_b: float) -> np.ndarray:
@@ -231,19 +172,15 @@ def solve_interval_spectrum(n: int, mu_a: float, mu_b: float) -> SpectralData:
 
     xs = np.arange(n + 1, dtype=float)
     eigvecs = np.empty((n + 1, n + 1))
-    coeffs = np.empty((n + 1, 2))
     for k, om in enumerate(omegas):
         if om == 0.0:
             v = np.ones(n + 1)
-            c1, c2 = 1.0, 0.0
         else:
-            c1, c2 = 1.0, (math.cos(om) - mu_a) / math.sin(om)
-            v = c1 * np.cos(om * xs) + c2 * np.sin(om * xs)
-        nrm = np.linalg.norm(v)
-        eigvecs[:, k] = v / nrm
-        coeffs[k] = (c1 / nrm, c2 / nrm)
+            c = (math.cos(om) - mu_a) / math.sin(om)
+            v = np.cos(om * xs) + c * np.sin(om * xs)
+        eigvecs[:, k] = v / np.linalg.norm(v)
     return SpectralData(n=n, mu_a=mu_a, mu_b=mu_b, omegas=omegas,
-                        lambdas=lambdas, eigvecs=eigvecs, coeffs=coeffs)
+                        lambdas=lambdas, eigvecs=eigvecs)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +199,9 @@ class ImageExpansion:
     """Robin extension of delta functions across both walls of {0..N}.
 
     phi[z, y] is the extended value at z in [-K(N+1), (K+1)(N+1)) of the
-    delta at y; on block k it decomposes as I_k * delta at the reflected
-    point iota(y; k) plus eps_scale * E_k corrections, with I_{-m-1} =
-    mu_A I_m, I_{m+1} = mu_B I_{-m}, and |E_k| growing at most like C0^|k|.
-    eps_scale = 1/N matches the interval scaling under which the E bound is
-    stated.
+    delta at y; on block k it is the delta at the reflected point times the
+    image coefficient I_k (I_{-m-1} = mu_A I_m, I_{m+1} = mu_B I_{-m}) plus
+    an O(1/N) correction.
     """
 
     n: int
@@ -275,48 +210,6 @@ class ImageExpansion:
     depth: int
     phi: np.ndarray              # shape ((2K+1)(N+1), N+1)
     offset: int                  # row index of z = 0
-    eps_scale: float = field(default=0.0)
-
-    @property
-    def nbar(self) -> int:
-        return self.n + 1
-
-    def x_star(self, x: int) -> int:
-        k = x // self.nbar
-        if k % 2 == 0:
-            return x - k * self.nbar
-        return (k + 1) * self.nbar - x - 1
-
-    def iota(self, y_star: int, k: int) -> int:
-        if k % 2 == 0:
-            return y_star + k * self.nbar
-        return (k + 1) * self.nbar - y_star - 1
-
-    def image_coeff(self, k: int) -> float:
-        """I_k: products of mu's accumulated one reflection per block."""
-        m = abs(k)
-        if k <= 0:
-            return self.mu_a ** ((m + 1) // 2) * self.mu_b ** (m // 2)
-        return self.mu_b ** ((m + 1) // 2) * self.mu_a ** (m // 2)
-
-    def correction(self, k: int) -> np.ndarray:
-        """E_k(x, y) for x in block k (shape (N+1, N+1))."""
-        nb = self.nbar
-        block = self.phi[self.offset + k * nb: self.offset + (k + 1) * nb].copy()
-        ik = self.image_coeff(k)
-        for ys in range(nb):
-            block[self.iota(ys, k) - k * nb, ys] -= ik
-        return block / self.eps_scale
-
-    def correction_bound_base(self) -> float:
-        """Fitted C0 with max_k |E_k|_inf <= C0^|k|."""
-        c0 = 1.0
-        for k in range(1, self.depth + 1):
-            for kk in (k, -k):
-                m = float(np.max(np.abs(self.correction(kk))))
-                if m > 1.0:
-                    c0 = max(c0, m ** (1.0 / k))
-        return c0
 
 
 def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> ImageExpansion:
@@ -356,20 +249,22 @@ def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> I
                 weights = pow_b[ys - lo]
                 row = row + (mu_b * mu_b - 1.0) * (weights @ phi[off + lo: off + nb])
             phi[off + x] = row
-    return ImageExpansion(n=n, mu_a=mu_a, mu_b=mu_b, depth=depth, phi=phi,
-                          offset=off, eps_scale=1.0 / n)
+    return ImageExpansion(n=n, mu_a=mu_a, mu_b=mu_b, depth=depth, phi=phi, offset=off)
+
+
+def image_depth_suffices(n: int, depth: int, t: float) -> bool:
+    """Whether the depth-K images of {0..N} hold all but 1e-14 of the free-walk mass at time t."""
+    return free_walk_tail_bound(t, max(depth * (n + 1) - n, 1)) <= 1e-14
 
 
 def interval_kernel_image(expansion: ImageExpansion, t: float) -> np.ndarray:
     """Kernel p^R_t(x, y) on {0..N} from a truncated generalized image expansion.
 
-    Raises if the free-walk mass beyond the truncation radius exceeds
-    1e-14 (expansion depth too small for this time).
+    Raises if the expansion is too shallow for this time (`image_depth_suffices`).
     """
     n, depth = expansion.n, expansion.depth
     nb = n + 1
-    radius = depth * nb - n
-    if free_walk_tail_bound(t, max(radius, 1)) > 1e-14:
+    if not image_depth_suffices(n, depth, t):
         raise ValueError(f"depth {depth} too small at t={t}: image tail above 1e-14")
     zs = np.arange(-depth * nb, (depth + 1) * nb)
     pv = free_walk_row(t, int(zs[-1]) + n + 1)
@@ -377,43 +272,6 @@ def interval_kernel_image(expansion: ImageExpansion, t: float) -> np.ndarray:
     # p_t(x - z) for all lattice x and extension points z
     P = pv[np.abs(xs[:, None] - zs[None, :])]
     return P @ expansion.phi
-
-
-# ---------------------------------------------------------------------------
-# continuous half-line kernel
-
-def continuous_halfline_kernel(T: float, X, Y, A: float):
-    """Robin kernel on R_+: P_T(X-Y) + P_T(X+Y) - 2A int_{-infty}^0 P_T(X+Y-Z) e^{AZ} dZ.
-
-    The integral has the stable closed form
-    -A e^{-(X+Y)^2/(2T)} erfcx((X+Y+AT)/sqrt(2T)).
-    """
-    from scipy.special import erfcx
-    if T <= 0:
-        raise ValueError("T must be > 0")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    c = 1.0 / math.sqrt(2.0 * math.pi * T)
-    heat = lambda u: c * np.exp(-u * u / (2.0 * T))
-    w = X + Y
-    out = heat(X - Y) + heat(w)
-    if A != 0.0:
-        out = out - A * np.exp(-w * w / (2.0 * T)) * erfcx((w + A * T) / math.sqrt(2.0 * T))
-    return out if out.shape else float(out)
-
-
-# Independent cross-check, called only by the tests; not exported.
-def continuous_halfline_kernel_quad(T: float, X: float, Y: float, A: float) -> float:
-    """Adaptive-quadrature evaluation of the boundary integral (cross-check)."""
-    from scipy.integrate import quad
-    c = 1.0 / math.sqrt(2.0 * math.pi * T)
-    heat = lambda u: c * math.exp(-u * u / (2.0 * T))
-    base = heat(X - Y) + heat(X + Y)
-    if A == 0.0:
-        return base
-    val, _ = quad(lambda z: heat(X + Y - z) * math.exp(A * z), -np.inf, 0.0,
-                  epsabs=1e-14, epsrel=1e-12)
-    return base - 2.0 * A * val
 
 
 # ---------------------------------------------------------------------------

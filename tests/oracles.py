@@ -1,0 +1,90 @@
+"""Test oracles shared by several test modules: the half-line Green's function
+and key identity, its spectral integrals, and the weighted c-star sum."""
+
+import math
+
+import numpy as np
+
+from asepkpz.greens import _interval_grad_products, green_corner_closed_form
+from asepkpz.kernels import solve_interval_spectrum
+from asepkpz.quadrature import adaptive_quad, integrate_decaying
+
+
+def halfline_green(x: int, y: int, mu_a: float) -> float:
+    """Half-line Green's function: G(x, y) = 2/(1-mu_A) + 2 min(x, y)."""
+    if not mu_a < 1.0:
+        raise ZeroDivisionError("half-line Green's function requires mu_A < 1")
+    return 2.0 / (1.0 - mu_a) + 2.0 * min(x, y)
+
+
+def halfline_green_limit(n_base: int, mu_a: float) -> float:
+    """Numerical N -> infinity limit of the interval corner value at mu_B = 0.
+
+    The direct value at finite N misses the limit by Theta(1/N); since the
+    corner value is a Mobius function of h = 1/(N+1), its reciprocal is
+    linear in h and a two-point linear extrapolation of 1/G to h = 0 takes
+    the limit exactly (up to roundoff).
+    """
+    ns = (n_base, n_base // 2)
+    hs = [1.0 / (m + 1) for m in ns]
+    recips = [1.0 / green_corner_closed_form(m, mu_a, 0.0) for m in ns]
+    slope = (recips[0] - recips[1]) / (hs[0] - hs[1])
+    return 1.0 / (recips[0] - slope * hs[0])
+
+
+def halfline_s(x, k, mu: float):
+    """s_x(k) = sin((x+1)k) - mu sin(xk) = sin(k) psi_k(x), for the half-line Robin
+    eigenfunctions psi_k(x) = cos(kx) + c sin(kx), c = (cos k - mu)/sin k, of
+    eigenvalue 1 - cos k and spectral density (2/pi) sin^2 k / (1 - 2 mu cos k + mu^2)."""
+    return np.sin((x + 1) * k) - mu * np.sin(x * k)
+
+
+def halfline_spectral_mean(mu: float, degree: int, g):
+    """(1/pi) int_0^pi g(k) / (1 - 2 mu cos k + mu^2) dk, 0 < mu < 1, by the midpoint rule.
+
+    g is an even trigonometric polynomial of the given degree (or negligible
+    past it), averaged along its last axis if array-valued.  The m-node rule
+    is exact on cos(nk) for n < 2m and the weight's cosine coefficients fall
+    like mu^n, so the aliasing error, of order mu^(2m - degree), is put below
+    the float resolution.  The weight is (1-mu)^2 + 4 mu sin^2(k/2), exact near 0."""
+    m = degree + 1 + math.ceil(math.log(np.finfo(float).eps) / (2.0 * math.log(mu)))
+    k = (np.arange(m) + 0.5) * (math.pi / m)
+    return np.mean(g(k) / ((1.0 - mu) ** 2 + 4.0 * mu * np.sin(k / 2) ** 2), axis=-1)
+
+
+def halfline_key_identity(x: int, xb: int, mu_a: float) -> dict:
+    """The half-line key identity F(x, xb) = 1{x=xb} at one pair, by two routes.
+
+    The Green route takes second differences of G = 2/(1-mu) + 2 min(x,y)
+    (exact).  The spectral route integrates grad psi_k(x) grad psi_k(xb) / (2 lambda_k)
+    over the spectral measure, grad psi_k = ds_x / sin k with ds_x = s_{x+1} - s_x:
+    F = (1/pi) int_0^pi ds_x ds_xb / ((1 - 2 mu cos k + mu^2)(1 - cos k)) dk."""
+    g = lambda u, v: halfline_green(u, v, mu_a)
+    value_green = 0.5 * (g(x, xb) + g(x + 1, xb + 1) - g(x + 1, xb) - g(x, xb + 1))
+    ds = lambda u, k: halfline_s(u + 1, k, mu_a) - halfline_s(u, k, mu_a)
+    value_spectral = halfline_spectral_mean(
+        mu_a, x + xb + 3, lambda k: ds(x, k) * ds(xb, k) / (2.0 * np.sin(k / 2) ** 2))
+    return {"value": value_green, "value_spectral": value_spectral,
+            "expected": 1.0 if x == xb else 0.0,
+            "route_gap": abs(value_green - value_spectral)}
+
+
+def c_star_weighted(n: int, mu_a: float, mu_b: float, s_macro: float, eps: float) -> dict:
+    """max_x of sum_y int_0^s |grad+ p grad- p| (s-t)^{-1/2} dt at s = eps^{-2} s_macro.
+
+    The (s-t)^{-1/2} endpoint singularity is removed by the substitution
+    t = s - u^2 on the last unit of time.  The bound scales like eps.
+    """
+    spec = solve_interval_spectrum(n, mu_a, mu_b)
+    s = s_macro / (eps * eps)
+
+    def core(t):
+        return _interval_grad_products(spec, t)[:, 1:n].sum(axis=1)
+
+    def regular(t):
+        return core(t) / math.sqrt(s - t)
+
+    total = integrate_decaying(regular, s - 1.0, tol=1e-8)
+    # t = s - u^2, dt = -2u du, (s-t)^{-1/2} dt -> 2 du
+    total = total + adaptive_quad(lambda u: 2.0 * core(s - u * u), 0.0, 1.0, tol=1e-8)
+    return {"max": float(np.max(total)), "per_x": total, "s": s}

@@ -59,12 +59,19 @@ def test_config_validation_errors(tmp_path, capsys):
     ("she", "[she]\noutput_times =\n", "she.output_times"),
     ("she", "[she]\noutput_times = -0.05, 0.1\n", "she.output_times"),
     ("she", "[she]\noutput_times = 0.1, 0.05\n", "she.output_times"),
+    ("kernel", "[kernel]\ntimes = -1.0\n", "kernel.times"),
+    ("audit-all", "[kernel]\ndepth = 0\n", "kernel.depth"),
+    # the free walk outruns six images of {0..32} by t = 10^4
+    ("audit-all", "[kernel]\ntimes = 1.0, 10000.0\ndepth = 6\n", "kernel.times"),
+    ("identities", "[identities]\nslope_a = 200.0\n", "identities.slope_a"),
+    ("audit-all", "[identities]\nslope_a = 0.0\nslope_b = 0.0\n", "identities.slope_a"),
 ], ids=["inverse_eps_zero", "inverse_eps_empty", "identities_n_sites_1",
         "compare_replicas_1", "she_replicas_1", "x_points_zero", "params_n_sites_0",
         "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
         "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3", "she_m_4",
         "she_mu_outside", "she_output_times_empty", "she_output_times_negative",
-        "she_output_times_decreasing"])
+        "she_output_times_decreasing", "kernel_time_negative", "kernel_depth_0",
+        "kernel_time_beyond_images", "identities_mu_negative", "identities_neumann_neumann"])
 def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
     # each of these once crashed with a traceback (exit 1), failed a check on
     # NaN or overflow, or passed vacuously; exit 1 is reserved for a failed check

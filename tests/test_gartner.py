@@ -1,15 +1,71 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from asepkpz.engine import (HeightField, Lattice, alternating_eta,
                             bernoulli_eta, simulate, simulate_replicas)
-from asepkpz.gartner import (bracket_decomposition, bracket_rate,
-                             drift_identity_residual, rescale, z_field)
+from asepkpz.gartner import _height_moves, drift_identity_residual, rescale, z_field
 from asepkpz.kernels import solve_interval_spectrum
-from asepkpz.params import ScalingParams, build_params
+from asepkpz.params import ModelParams, ScalingParams, build_params
 from asepkpz.she import asep_mean_prediction
+
+
+# Martingale bracket rates and their small-eps split; only these tests read them.
+
+@dataclass(frozen=True)
+class BracketDecomposition:
+    """Martingale bracket rate at one site, normalized by Z(x)^2.
+
+    rate_over_z2 is the exact bracket rate / Z^2; the expansion splits it as
+    eps - grad_term (bulk; grad_term = (grad+ Z)(grad- Z)/Z^2 with the
+    backward difference Z(x) - Z(x-1)) or eps (boundary), plus a remainder
+    that is o(eps) uniformly over configurations.
+    """
+
+    rate_over_z2: float
+    eps: float
+    grad_term_over_z2: float
+    remainder_over_z2: float
+    is_boundary: bool
+
+
+def _bracket_over_z2(eta, params: ModelParams, lattice: Lattice) -> np.ndarray:
+    """Exact bracket rate / Z(x)^2 per height site."""
+    down, up = _height_moves(eta, params, lattice)
+    p, q = params.p, params.q
+    return (q / p - 1.0) ** 2 * down + (p / q - 1.0) ** 2 * up
+
+
+def bracket_decomposition(eta: np.ndarray, params: ModelParams, lattice: Lattice,
+                          x: int) -> BracketDecomposition:
+    """Exact bracket rate and its small-eps split at height site x."""
+    rates = _bracket_over_z2(eta, params, lattice)
+    if not 0 <= x < len(rates):
+        raise ValueError(f"height site {x} outside the bracket domain")
+    lam, eps = params.lam, params.epsilon
+    rate = rates[x]
+    boundary = x == 0 or x == lattice.n_sites
+    if boundary:
+        grad = 0.0
+    else:
+        e1, e2 = float(eta[x - 1]), float(eta[x])
+        grad = (math.exp(-lam * e2) - 1.0) * (1.0 - math.exp(lam * e1))
+    return BracketDecomposition(rate_over_z2=rate, eps=eps, grad_term_over_z2=grad,
+                                remainder_over_z2=rate - eps + grad,
+                                is_boundary=boundary)
+
+
+def bracket_rate(height: HeightField, t: float, params: ModelParams,
+                 lattice: Lattice) -> np.ndarray:
+    """Exact d<M(x)>/dt per height site, in absolute units.
+
+    On the truncated half line the closed edge carries no martingale and is
+    excluded (length L array).
+    """
+    rates = _bracket_over_z2(height.to_eta(), params, lattice)
+    return rates * z_field(height, t, params).z[:len(rates)] ** 2
 
 
 def params_n(n, a=1.0, b=2.0):

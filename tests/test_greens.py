@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from asepkpz.greens import (_interval_grad_products, c_closed_form,
-                            c_star_estimate, c_star_weighted, f_matrix,
-                            f_matrix_quadrature, green_corner_closed_form, green_matrix,
-                            halfline_green, halfline_green_limit, key_identity,
-                            summation_by_parts_audit)
+from asepkpz.greens import (_interval_grad_products, c_closed_form, c_star_estimate,
+                            f_matrix, f_matrix_quadrature, green_corner_closed_form,
+                            green_matrix, key_identity, summation_by_parts_audit)
 from asepkpz.kernels import (free_walk_row, robin_laplacian_matrix,
                              solve_interval_spectrum, _support_radius)
 from asepkpz.quadrature import adaptive_quad, dyadic_panels
+
+from oracles import c_star_weighted, halfline_green, halfline_green_limit, halfline_key_identity
 
 
 def test_green_n1_corner():
@@ -162,11 +162,11 @@ def test_key_identity_all_pairs(n, mu_a, mu_b):
 
 
 def test_key_identity_half_line_green_route():
-    # second differences of G = 2/(1-mu) + 2 min(x, y) give the identity exactly
-    g = lambda u, v: halfline_green(u, v, 0.5)
+    # second differences of G = 2/(1-mu) + 2 min(x, y) give the identity exactly;
+    # the spectral integral over the half-line eigenfunctions agrees
     for (x, xb) in [(0, 0), (1, 1), (4, 4), (0, 1), (1, 3)]:
-        value = 0.5 * (g(x, xb) + g(x + 1, xb + 1) - g(x + 1, xb) - g(x, xb + 1))
-        assert value == (1.0 if x == xb else 0.0)
+        rep = halfline_key_identity(x, xb, 0.5)
+        assert rep["value"] == rep["expected"] and rep["route_gap"] <= 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 32])

@@ -2,44 +2,162 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfcx, ive
 
-from asepkpz.kernels import (build_image_expansion, continuous_halfline_kernel,
-                             continuous_halfline_kernel_quad, free_walk_kernel,
-                             free_walk_row, free_walk_series, free_walk_tail_bound,
-                             halfline_robin_kernel, halfline_robin_row,
-                             interval_kernel_image, interval_kernel_spectral,
-                             kernel_bound_audit, robin_laplacian_matrix,
+from asepkpz.kernels import (build_image_expansion, free_walk_row, free_walk_tail_bound,
+                             halfline_robin_row, interval_kernel_image,
+                             interval_kernel_spectral, kernel_bound_audit, robin_laplacian_matrix,
                              solve_interval_spectrum, _support_radius)
+
+from oracles import halfline_s, halfline_spectral_mean
+
+
+# ---------------------------------------------------------------------------
+# test oracles: independent evaluations that only these tests read
+
+def free_walk_series(t: float, x: int, n_terms: int = 200) -> float:
+    """Poisson mixture of binomial discrete-time walk steps (series oracle)."""
+    x = abs(int(x))
+    total = 0.0
+    log_fact = 0.0
+    for n in range(n_terms + 1):
+        if n > 0:
+            log_fact += math.log(n)
+        if n >= x and (n - x) % 2 == 0:
+            pn = math.comb(n, (n + x) // 2) / 2.0 ** n
+            total += math.exp(n * math.log(t) - t - log_fact) * pn if t > 0 else (1.0 if n == 0 else 0.0)
+    if t == 0:
+        return 1.0 if x == 0 else 0.0
+    return total
+
+
+def halfline_robin_kernel(t: float, x: int, y: int, mu_a: float) -> float:
+    """Robin heat kernel on Z_{>=0} by the image series, one Bessel term at a time,
+    until a term drops below 1e-16 times the partial sum."""
+    if not 0.0 < mu_a <= 1.0:
+        raise ValueError("mu_a must be in (0, 1]")
+    val = float(ive(abs(x - y), t)) + mu_a * float(ive(abs(x + y + 1), t))
+    if mu_a == 1.0:
+        return val
+    s = 0.0
+    w = 0
+    coeff = 1.0
+    base = x + y + 2
+    cap = _support_radius(t) + base + 8
+    while True:
+        term = coeff * float(ive(base + w, t))
+        s += term
+        coeff *= mu_a
+        w += 1
+        if (term <= 1e-16 * max(s, 1e-300) and w > 4) or base + w > cap:
+            break
+    return val + (mu_a * mu_a - 1.0) * s
+
+
+def eigvec_at(spec, k: int, x) -> float:
+    """psi_k at any (possibly ghost) integer x: psi_k(0) (cos wx + c sin wx), c = (cos w - mu_A)/sin w."""
+    om = spec.omegas[k]
+    c = (math.cos(om) - spec.mu_a) / math.sin(om)
+    return spec.eigvecs[0, k] * (math.cos(om * x) + c * math.sin(om * x))
+
+
+def x_star(exp_, x: int) -> int:
+    nb = exp_.n + 1
+    k = x // nb
+    return x - k * nb if k % 2 == 0 else (k + 1) * nb - x - 1
+
+
+def iota(exp_, y_star: int, k: int) -> int:
+    nb = exp_.n + 1
+    return y_star + k * nb if k % 2 == 0 else (k + 1) * nb - y_star - 1
+
+
+def image_coeff(exp_, k: int) -> float:
+    """I_k: products of mu's accumulated one reflection per block."""
+    m = abs(k)
+    if k <= 0:
+        return exp_.mu_a ** ((m + 1) // 2) * exp_.mu_b ** (m // 2)
+    return exp_.mu_b ** ((m + 1) // 2) * exp_.mu_a ** (m // 2)
+
+
+def correction(exp_, k: int) -> np.ndarray:
+    """E_k(x, y) for x in block k: (phi - I_k delta at iota(y; k)) / eps with eps = 1/N."""
+    nb = exp_.n + 1
+    block = exp_.phi[exp_.offset + k * nb: exp_.offset + (k + 1) * nb].copy()
+    for ys in range(nb):
+        block[iota(exp_, ys, k) - k * nb, ys] -= image_coeff(exp_, k)
+    return block * exp_.n
+
+
+def correction_bound_base(exp_) -> float:
+    """Fitted C0 with max_k |E_k|_inf <= C0^|k|."""
+    c0 = 1.0
+    for k in range(1, exp_.depth + 1):
+        for kk in (k, -k):
+            m = float(np.max(np.abs(correction(exp_, kk))))
+            if m > 1.0:
+                c0 = max(c0, m ** (1.0 / k))
+    return c0
+
+
+def continuous_halfline_kernel(T: float, X, Y, A: float):
+    """Robin kernel on R_+: P_T(X-Y) + P_T(X+Y) - 2A int_{-infty}^0 P_T(X+Y-Z) e^{AZ} dZ.
+
+    The integral has the stable closed form
+    -A e^{-(X+Y)^2/(2T)} erfcx((X+Y+AT)/sqrt(2T)).
+    """
+    if T <= 0:
+        raise ValueError("T must be > 0")
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    c = 1.0 / math.sqrt(2.0 * math.pi * T)
+    heat = lambda u: c * np.exp(-u * u / (2.0 * T))
+    w = X + Y
+    out = heat(X - Y) + heat(w)
+    if A != 0.0:
+        out = out - A * np.exp(-w * w / (2.0 * T)) * erfcx((w + A * T) / math.sqrt(2.0 * T))
+    return out if out.shape else float(out)
+
+
+def continuous_halfline_kernel_quad(T: float, X: float, Y: float, A: float) -> float:
+    """Adaptive-quadrature evaluation of the boundary integral (cross-check)."""
+    from scipy.integrate import quad
+    c = 1.0 / math.sqrt(2.0 * math.pi * T)
+    heat = lambda u: c * math.exp(-u * u / (2.0 * T))
+    base = heat(X - Y) + heat(X + Y)
+    if A == 0.0:
+        return base
+    val, _ = quad(lambda z: heat(X + Y - z) * math.exp(A * z), -np.inf, 0.0,
+                  epsabs=1e-14, epsrel=1e-12)
+    return base - 2.0 * A * val
 
 
 # ---------------------------------------------------------------------------
 # free walk
 
 def test_free_walk_delta_at_zero_time():
-    assert free_walk_kernel(0.0, 0) == 1.0
-    assert free_walk_kernel(0.0, 3) == 0.0
+    assert free_walk_row(0.0, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):  # no kernel before time 0
+        free_walk_row(-1.0, 3)
 
 
 @pytest.mark.parametrize("t", [1.0, 10.0, 1000.0])
 def test_free_walk_symmetry_and_mass(t):
-    r = _support_radius(t)
-    xs = np.arange(-r, r + 1)
-    p = free_walk_kernel(t, xs)
-    assert np.allclose(p, p[::-1])
-    assert abs(p.sum() - 1.0) <= 1e-12
+    p = free_walk_row(t, _support_radius(t))
+    assert abs(p[0] + 2.0 * p[1:].sum() - 1.0) <= 1e-12  # p_t(-x) = p_t(x)
 
 
 def test_free_walk_series_oracle():
     # Poisson-mixture series with n <= 200 terms against the Bessel form
     for x in (0, 1, 3, 7):
         series = free_walk_series(4.0, x, n_terms=200)
-        assert abs(series - float(free_walk_kernel(4.0, x))) <= 1e-12
+        assert abs(series - free_walk_row(4.0, x)[x]) <= 1e-12
 
 
 def test_free_walk_series_across_crossover():
     for t in (0.5, 5.0, 40.0):
         series = free_walk_series(t, 2, n_terms=400)
-        assert abs(series - float(free_walk_kernel(t, 2))) <= 1e-11
+        assert abs(series - free_walk_row(t, 2)[2]) <= 1e-11
 
 
 def test_tail_bound_dominates():
@@ -54,18 +172,17 @@ def test_tail_bound_dominates():
 
 def test_halfline_neumann_reduction():
     t, x, y = 3.0, 2, 5
-    v = halfline_robin_kernel(t, x, y, 1.0)
-    expect = float(free_walk_kernel(t, x - y) + free_walk_kernel(t, x + y + 1))
-    assert abs(v - expect) <= 1e-15
+    v = halfline_robin_row(t, x, 1.0, y)[y]
+    pv = free_walk_row(t, x + y + 1)
+    assert abs(v - (pv[abs(x - y)] + pv[x + y + 1])) <= 1e-15
 
 
 @pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
 def test_halfline_ghost_relation(t):
     mu = 1.0 - 1.0 / 32
-    for y in range(0, 31, 5):
-        lhs = halfline_robin_kernel(t, -1, y, mu)
-        rhs = mu * halfline_robin_kernel(t, 0, y, mu)
-        assert abs(lhs - rhs) <= 1e-12
+    lhs = halfline_robin_row(t, -1, mu, 30)[::5]
+    rhs = mu * halfline_robin_row(t, 0, mu, 30)[::5]
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_halfline_chapman_kolmogorov():
@@ -74,8 +191,8 @@ def test_halfline_chapman_kolmogorov():
     for (x, y) in [(0, 0), (2, 5), (7, 1)]:
         zmax = 80
         rows = halfline_robin_row(s, x, mu, zmax)
-        conv = sum(rows[z] * halfline_robin_kernel(t, z, y, mu) for z in range(zmax + 1))
-        assert abs(conv - halfline_robin_kernel(s + t, x, y, mu)) <= 1e-10
+        conv = sum(rows[z] * halfline_robin_row(t, z, mu, y)[y] for z in range(zmax + 1))
+        assert abs(conv - halfline_robin_row(s + t, x, mu, y)[y]) <= 1e-10
 
 
 def test_halfline_mass_bounded():
@@ -93,6 +210,33 @@ def test_halfline_row_matches_scalar():
     row = halfline_robin_row(4.0, 2, mu, 40)
     for y in (0, 1, 17, 40):
         assert abs(row[y] - halfline_robin_kernel(4.0, 2, y, mu)) <= 1e-14
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.9, 1 - 1 / 64])
+def test_halfline_row_matches_spectral_measure(mu):
+    # p_t(x, y) = int_0^pi psi_k(x) psi_k(y) e^{-t(1-cos k)} rho(k) dk, with rho the
+    # spectral density (see oracles.halfline_s): no Bessel function involved
+    y = np.arange(0, 41, 8)
+    for t in (1.0, 10.0, 100.0):
+        for x in (-1, 0, 3, 10):
+            weight = lambda k: (halfline_s(x, k, mu) * halfline_s(y[:, None], k, mu)
+                                * np.exp(-t * (1.0 - np.cos(k))))
+            spectral = 2.0 * halfline_spectral_mean(mu, x + 42 + _support_radius(t), weight)
+            assert np.max(np.abs(halfline_robin_row(t, x, mu, 40)[y] - spectral)) <= 1e-13
+
+
+@pytest.mark.parametrize("A", [0.0, 1.0, 3.0])
+def test_halfline_kernel_scaling_limit(A):
+    # eps^{-1} p^R_{eps^-2 T}(X/eps, Y/eps) at mu = 1 - eps A tends to the continuous
+    # Robin kernel at first order: each halving of eps cuts the worst gap over X 1.6-2.4x
+    T, Y, X = 0.1, 0.25, np.array([0.0, 0.25, 0.5, 1.0])
+    gaps = []
+    for inv in (16, 32, 64, 128, 256):
+        lattice = [inv * halfline_robin_row(T * inv * inv, round(x * inv), 1.0 - A / inv,
+                                            round(Y * inv))[-1] for x in X]
+        gaps.append(np.max(np.abs(np.array(lattice) - continuous_halfline_kernel(T, X, Y, A))))
+    ratios = np.array(gaps[:-1]) / gaps[1:]
+    assert np.all((ratios >= 1.6) & (ratios <= 2.4)), (gaps, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +280,9 @@ def test_spectrum_random_residuals_and_brackets():
 def test_spectrum_ghost_relation():
     spec = solve_interval_spectrum(12, 0.9, 0.7)
     for k in (0, 3, 12):
-        psi_m1 = spec.eigvec_at(k, -1)
+        psi_m1 = eigvec_at(spec, k, -1)
         assert abs(psi_m1 - 0.9 * spec.eigvecs[0, k]) <= 1e-12
-        psi_np1 = spec.eigvec_at(k, 13)
+        psi_np1 = eigvec_at(spec, k, 13)
         assert abs(psi_np1 - 0.7 * spec.eigvecs[12, k]) <= 1e-12
 
 
@@ -197,15 +341,15 @@ def test_image_expansion_neumann_pure_reflections():
     for k in range(-3, 4):
         if k == 0:
             continue
-        assert exp_.image_coeff(k) == 1.0
-        assert np.max(np.abs(exp_.correction(k))) == 0.0
+        assert image_coeff(exp_, k) == 1.0
+        assert np.max(np.abs(correction(exp_, k))) == 0.0
 
 
 def test_image_coefficient_recursion():
     exp_ = build_image_expansion(8, 0.9, 0.7, depth=4)
     for m in range(0, 4):
-        assert abs(exp_.image_coeff(-m - 1) - 0.9 * exp_.image_coeff(m)) <= 1e-15
-        assert abs(exp_.image_coeff(m + 1) - 0.7 * exp_.image_coeff(-m)) <= 1e-15
+        assert abs(image_coeff(exp_, -m - 1) - 0.9 * image_coeff(exp_, m)) <= 1e-15
+        assert abs(image_coeff(exp_, m + 1) - 0.7 * image_coeff(exp_, -m)) <= 1e-15
 
 
 def test_image_first_order_leading_terms():
@@ -246,11 +390,11 @@ def test_image_vs_spectral():
 
 def test_image_correction_growth_bound():
     exp_ = build_image_expansion(16, 1 - 1 / 16, 1 - 1 / 16, depth=6)
-    c0 = exp_.correction_bound_base()
+    c0 = correction_bound_base(exp_)
     assert np.isfinite(c0)
     for k in range(1, 7):
         for kk in (k, -k):
-            assert np.max(np.abs(exp_.correction(kk))) <= c0 ** abs(k) + 1e-9
+            assert np.max(np.abs(correction(exp_, kk))) <= c0 ** abs(k) + 1e-9
 
 
 def test_image_depth_flag():
@@ -262,10 +406,10 @@ def test_reflection_map_and_iota():
     exp_ = build_image_expansion(4, 0.9, 0.8, depth=2)
     nb = 5
     for x in range(-2 * nb, 3 * nb):
-        assert 0 <= exp_.x_star(x) <= nb - 1
+        assert 0 <= x_star(exp_, x) <= nb - 1
     for k in range(-2, 3):
         for ys in range(nb):
-            assert exp_.x_star(exp_.iota(ys, k)) == ys
+            assert x_star(exp_, iota(exp_, ys, k)) == ys
 
 
 # ---------------------------------------------------------------------------
