@@ -81,14 +81,17 @@ def _geometric_tail(pv: np.ndarray, mu: float, start: int) -> np.ndarray:
     return g
 
 
-def halfline_robin_row(t: float, x: int, mu_a: float, y_max: int) -> np.ndarray:
-    """Vector p^R_t(x, y) for y = 0..y_max (shared Bessel table + tail recursion)."""
+def halfline_robin_row(t: float, x: int, mu_a: float, y_max: int,
+                       pv: np.ndarray | None = None) -> np.ndarray:
+    """Vector p^R_t(x, y) for y = 0..y_max; `pv` may pass a longer free_walk_row(t, m)."""
     if not 0.0 < mu_a <= 1.0:
         raise ValueError("mu_a must be in (0, 1]")
     n_max = x + y_max + 2 + _support_radius(t)
     if mu_a < 1.0:
         n_max += min(int(40.0 / max(1.0 - mu_a, 1e-12)) + 8, _support_radius(t) + 8)
-    pv = free_walk_row(t, n_max)
+    pv = free_walk_row(t, n_max) if pv is None else pv[:n_max + 1]
+    if len(pv) <= n_max:
+        raise ValueError(f"free-walk row too short: {len(pv)} entries, need {n_max + 1}")
     y = np.arange(y_max + 1)
     row = pv[np.abs(x - y)] + mu_a * pv[x + y + 1]
     if mu_a < 1.0:
@@ -318,6 +321,7 @@ def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> li
         return kernels[t]
 
     audits = []
+    dist = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))   # |x - y|
 
     # p_t <= e^{t'-t} p_{t'} with constant exactly 1; entries below the
     # spectral-sum roundoff floor carry no information and are skipped
@@ -341,10 +345,8 @@ def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> li
 
     # p_t(x,y) <= C (1 ^ t^{-1/2}) exp(-b |x-y| (1 ^ t^{-1/2}))
     def r_gauss(t, b):
-        xs = np.arange(n + 1)
-        d = np.abs(xs[:, None] - xs[None, :])
         sc = min(1.0, t ** -0.5)
-        shape = sc * np.exp(-b * d * sc)
+        shape = sc * np.exp(-b * dist * sc)
         return float(np.max(K(t) / shape))
     audits.append(_audit_from_ratio_fn("kernel-gaussian-envelope", r_gauss,
                                        [(t, b) for t in tgrid(6) for b in (0.0, 1.0)],
@@ -354,10 +356,8 @@ def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> li
     def r_grad(t, v, b=1.0):
         nn = max(1, int(math.ceil(math.sqrt(t))) // 2)
         ker = K(t)
-        xs = np.arange(n + 1 - nn)
-        d = np.abs(xs[:, None] - np.arange(n + 1)[None, :])
         sc = min(1.0, t ** -0.5)
-        shape = min(1.0, t ** (-(1 + v) / 2)) * nn ** v * np.exp(-b * d * sc)
+        shape = min(1.0, t ** (-(1 + v) / 2)) * nn ** v * np.exp(-b * dist[:n + 1 - nn] * sc)
         return float(np.max(np.abs(ker[nn:, :] - ker[:-nn, :]) / shape))
     audits.append(_audit_from_ratio_fn("kernel-gradient-envelope", r_grad,
                                        [(t, v) for t in tgrid(6) for v in (0.5, 1.0)],
@@ -372,42 +372,35 @@ def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> li
     def r_sum_dp(t, a=1.0):
         ker = K(t)
         g = ker[1:, :] - ker[:-1, :]
-        xs = np.arange(n)
-        d = np.abs(xs[:, None] - np.arange(n + 1)[None, :])
         sc = min(1.0, t ** -0.5)
-        s = (np.abs(g) * np.exp(a * d * sc)).sum(axis=1)
+        s = (np.abs(g) * np.exp(a * dist[:n] * sc)).sum(axis=1)
         return float(np.max(s)) * math.sqrt(t)
     audits.append(_audit_from_ratio_fn("interval-gradient-sum", r_sum_dp,
                                        [(t,) for t in tgrid(6)], [(t,) for t in tgrid(12)]))
 
-    # half-line weighted sums (Corollary for Z_{>=0})
+    # half-line weighted sums (Corollary for Z_{>=0}) of p and of its gradient. The
+    # rows at t read free_walk_row(t, m) with m <= x + ymax + 2r + 10 <= 3r + 40 (x <= 11,
+    # ymax <= r + 19), so one row per time serves all: ive is elementwise, prefixes are exact
     xs_h = [0, 1, 3, 10]
+    bessel: dict[float, np.ndarray] = {}
 
-    def r_sum_h(t, a=1.0):
+    def r_sum_h(t, grad, a=1.0):
+        r = _support_radius(t)
+        if t not in bessel:
+            bessel[t] = free_walk_row(t, 3 * r + 40)
         best = 0.0
         for x in xs_h:
-            ymax = x + _support_radius(t) + 8
-            row = halfline_robin_row(t, x, mu_a, ymax)
+            ymax = x + r + 8 + grad
+            row = halfline_robin_row(t, x, mu_a, ymax, pv=bessel[t])
+            if grad:
+                row = np.abs(halfline_robin_row(t, x + 1, mu_a, ymax, pv=bessel[t]) - row)
             y = np.arange(ymax + 1)
             sc = min(1.0, t ** -0.5)
             w = np.exp(a * eps * y + a * np.abs(x - y) * sc)
-            best = max(best, float((row * w).sum()) * math.exp(-a * eps * x))
+            s = float((row * w).sum()) * math.exp(-a * eps * x)
+            best = max(best, s * math.sqrt(t) if grad else s)
         return best
-    audits.append(_audit_from_ratio_fn("halfline-weighted-mass-sum", r_sum_h,
-                                       [(t,) for t in tgrid(5)], [(t,) for t in tgrid(10)]))
-
-    def r_sum_dh(t, a=1.0):
-        best = 0.0
-        for x in xs_h:
-            ymax = x + _support_radius(t) + 9
-            row0 = halfline_robin_row(t, x, mu_a, ymax)
-            row1 = halfline_robin_row(t, x + 1, mu_a, ymax)
-            y = np.arange(ymax + 1)
-            sc = min(1.0, t ** -0.5)
-            w = np.exp(a * eps * y + a * np.abs(x - y) * sc)
-            s = float((np.abs(row1 - row0) * w).sum()) * math.exp(-a * eps * x)
-            best = max(best, s * math.sqrt(t))
-        return best
-    audits.append(_audit_from_ratio_fn("halfline-weighted-gradient-sum", r_sum_dh,
-                                       [(t,) for t in tgrid(5)], [(t,) for t in tgrid(10)]))
+    for name, grad in (("halfline-weighted-mass-sum", 0), ("halfline-weighted-gradient-sum", 1)):
+        audits.append(_audit_from_ratio_fn(name, r_sum_h, [(t, grad) for t in tgrid(5)],
+                                           [(t, grad) for t in tgrid(10)]))
     return audits

@@ -120,6 +120,20 @@ def test_identities_kind(tmp_path):
     assert manifest["checks"]["key_identity_all_pairs"] is True
 
 
+def test_audit_all_bound_audits_pinned(tmp_path):
+    # the half-line sums at mu_A = 1 - 1/16 run the geometric-tail path; the
+    # hash was taken before the audit shared one Bessel row per time, and is
+    # the same with OpenBLAS at one and two threads
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\nn_sites = 16\nslope_a = 1\n[identities]\nn_sites = 16\n"
+                   "cstar_n = 12\ncstar_tbar = 0.5\n")
+    out = tmp_path / "runs"
+    assert run_cli(["audit-all", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    assert sha256_file(str(run_dir / "bound_audits.json")) == (
+        "94a2c5947b14b55478d5471f869b407a023975f011aeaadf37b70643f28c9f7e")
+
+
 def test_simulate_kind_hash_stable_across_threads(tmp_path):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[run]\nreplicas = 12\n"

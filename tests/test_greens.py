@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from asepkpz.greens import (_interval_grad_products, c_closed_form, c_star_estimate,
+from asepkpz import greens
+from asepkpz.greens import (_grad_product_integrand, c_closed_form, c_star_estimate,
                             f_matrix, f_matrix_quadrature, green_corner_closed_form,
                             green_matrix, key_identity, summation_by_parts_audit)
 from asepkpz.kernels import (free_walk_row, robin_laplacian_matrix,
                              solve_interval_spectrum, _support_radius)
-from asepkpz.quadrature import adaptive_quad, dyadic_panels
+from asepkpz.quadrature import _NODES, adaptive_quad, integrate_decaying
 
-from oracles import c_star_weighted, halfline_green, halfline_green_limit, halfline_key_identity
+from oracles import (c_star_weighted, halfline_green, halfline_green_limit, halfline_key_identity,
+                     interval_grad_products)
 
 
 def test_green_n1_corner():
@@ -172,13 +174,62 @@ def test_key_identity_half_line_green_route():
 @pytest.mark.parametrize("n", [16, 32])
 @pytest.mark.parametrize("mu_a, mu_b", [(1.0, 1.0), (1 - 1 / 32, 1 - 1 / 32), (0.9, 0.7)])
 def test_grad_products_match_dense_expm(n, mu_a, mu_b):
-    # reference: Pade exponential of the Robin Laplacian at each time
+    # reference: Pade exponential of the Robin Laplacian at each time; the
+    # integrand takes all four times as one node vector
     spec = solve_interval_spectrum(n, mu_a, mu_b)
     L = robin_laplacian_matrix(n, mu_a, mu_b)
-    for t in (0.0, 0.5, 30.0, 1024.0):
+    ts = np.array([0.0, 0.5, 30.0, 1024.0])
+    ref = []
+    for t in ts:
         M = expm(-t * L)
-        ref = np.abs((M[2:, :] - M[1:-1, :]) * (M[1:-1, :] - M[:-2, :]))
-        assert np.max(np.abs(_interval_grad_products(spec, t) - ref)) <= 1e-12
+        ref.append(np.abs((M[2:, :] - M[1:-1, :]) * (M[1:-1, :] - M[:-2, :]))[:, 1:n].sum(axis=1))
+    assert np.max(np.abs(_grad_product_integrand(spec)(ts) - np.array(ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 32])
+def test_grad_product_integrand_layouts_agree(n, monkeypatch):
+    # the one-gemm table layout and the per-node products give the same sums,
+    # and both match the pointwise oracle summed over y = 1..N-1
+    spec = solve_interval_spectrum(n, 0.9, 0.7)
+    ts = 0.5 * _NODES + 3.0
+    table = _grad_product_integrand(spec)(ts)
+    monkeypatch.setattr(greens, "_PRODUCT_DOUBLES", 0)
+    per_node = _grad_product_integrand(spec)(ts)
+    oracle = np.array([interval_grad_products(spec, t)[:, 1:n].sum(axis=1) for t in ts])
+    assert table.shape == per_node.shape == (len(ts), n - 1)
+    assert np.max(np.abs(table - per_node)) <= 1e-15
+    assert np.max(np.abs(table - oracle)) <= 1e-14
+
+
+def test_adaptive_quad_vector_rates_one_call_per_panel():
+    # int_0^T e^{-a t} dt = (1 - e^{-a T}) / a for a vector of rates; each call
+    # gets the 31 nodes of one panel, and no panel is evaluated twice
+    rates = np.array([0.01, 0.3, 1.0, 7.0, 40.0])
+    T = 5.0
+    panels = []
+
+    def f(ts):
+        h = (ts[-1] - ts[0]) / (_NODES[-1] - _NODES[0])
+        mid = ts[0] - h * _NODES[0]
+        assert ts.shape == (31,) and np.allclose(ts, mid + h * _NODES, rtol=0, atol=1e-14)
+        panels.append((round(mid - h, 12), round(mid + h, 12)))
+        return np.exp(-np.outer(ts, rates))
+
+    total = adaptive_quad(f, 0.0, T, tol=1e-12)
+    assert np.max(np.abs(total - (1.0 - np.exp(-rates * T)) / rates)) <= 1e-12
+    assert panels[0] == (0.0, T) and len(panels) > 1
+    assert len(set(panels)) == len(panels)
+    # every split panel's halves were evaluated: the leaves tile [0, T]
+    split = {p for p in panels if (p[0], round(0.5 * (p[0] + p[1]), 12)) in set(panels)}
+    leaves = sorted(set(panels) - split)
+    assert leaves[0][0] == 0.0 and leaves[-1][1] == T
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+
+
+def test_integrate_decaying_scalar_integrand():
+    # a scalar integrand returns one value per node
+    total = integrate_decaying(lambda ts: 1.0 / (1.0 + ts) ** 2, 100.0, tol=1e-12)
+    assert abs(total - 100.0 / 101.0) <= 1e-12
 
 
 def test_cstar_interval_below_one():
@@ -187,20 +238,75 @@ def test_cstar_interval_below_one():
     assert np.all(res["per_x"] >= 0.0)
 
 
+# c_star_estimate per_x from the per-node integrand (31 integrand calls per
+# panel) before the one-call-per-panel quadrature, keyed by (N, A, B, t_bar)
+# with mu = 1 - A/N, 1 - B/N and eps = 1/N, and the panel count of each run
+_CSTAR_PINS = {
+    (16, 0.0, 0.0, 1.0): (117, [
+        0.47654666358428666, 0.6332302762811386, 0.6768965184515872, 0.6950865657220832,
+        0.7040754689791482, 0.7087972844516829, 0.7111363232552023, 0.7118608067941042,
+        0.7111363232552023, 0.7087972844516831, 0.7040754689791491, 0.6950865657220826,
+        0.6768965184515873, 0.6332302762811388, 0.47654666358428616
+    ]),
+    (32, 1.0, 1.0, 1.0): (153, [
+        0.48129838300690214, 0.6315671739135399, 0.6729163763844347, 0.6901637746494529,
+        0.6989647889784689, 0.704037103192543, 0.7072132805239728, 0.7093240202999888,
+        0.7107877148036947, 0.7118316624532821, 0.7125876961661236, 0.713135552223772,
+        0.7135235102500798, 0.713783242305153, 0.7139327173578625, 0.7139830149112419,
+        0.7139327173578601, 0.7137832423051491, 0.713523510250076, 0.7131355522237709,
+        0.7125876961661238, 0.7118316624532831, 0.7107877148036966, 0.7093240202999909,
+        0.7072132805239763, 0.704037103192545, 0.6989647889784694, 0.690163774649453,
+        0.6729163763844317, 0.6315671739135394, 0.4812983830069034
+    ]),
+    (32, 0.5, 2.0, 1.0): (229, [
+        0.4763255876487208, 0.629922457745663, 0.6726006348965972, 0.690559754604466,
+        0.6997738430362144, 0.7050884693215852, 0.7084005650715274, 0.7105772106959936,
+        0.7120549861395801, 0.7130794992195976, 0.7137919068453696, 0.7142784936679649,
+        0.7145941265194404, 0.7147742803838537, 0.7148418729480936, 0.7148110179318509,
+        0.7146880699761307, 0.7144727650619435, 0.7141620363840563, 0.7137431260673291,
+        0.7131901698400611, 0.7124626058441436, 0.7114933837422123, 0.710167419192671,
+        0.7082808633387575, 0.7054536442277155, 0.7009198982912909, 0.6929650916663023,
+        0.6771155084105362, 0.6383416715108066, 0.49462241422289904
+    ]),
+    (12, 1.0, 1.0, 0.5): (110, [
+        0.47877020310082397, 0.6207192647300163, 0.6594438785582689, 0.6750062117781837,
+        0.681816184488845, 0.6838326943707953, 0.6818161844888443, 0.6750062117781832,
+        0.6594438785582678, 0.6207192647300166, 0.47877020310082397
+    ]),
+}
+
+
+@pytest.mark.parametrize("key", list(_CSTAR_PINS), ids=lambda k: "n{}-A{}-B{}-tbar{}".format(*k))
+def test_cstar_pinned_per_x_and_panels(key, monkeypatch):
+    n, A, B, t_bar = key
+    panels, per_x = _CSTAR_PINS[key]
+    calls = []
+
+    def counted_integrand(spec):
+        f = _grad_product_integrand(spec)
+        return lambda ts: calls.append(len(ts)) or f(ts)
+
+    monkeypatch.setattr(greens, "_grad_product_integrand", counted_integrand)
+    res = c_star_estimate(n, 1 - A / n, 1 - B / n, t_bar, 1 / n)
+    assert len(calls) == panels and set(calls) == {31}
+    assert np.max(np.abs(res["per_x"] - np.array(per_x))) <= 1e-12
+
+
 def test_cstar_neumann_matches_full_line_far_from_wall():
     # full-line translation-invariant oracle over the same horizon
     horizon = 256.0
 
-    def full_line(t):
+    def full_line_at(t):
         r = _support_radius(max(t, 1e-9)) + 4
         pv = free_walk_row(t, r + 2)
         p = np.concatenate([pv[::-1], pv[1:]])  # p_t on [-r-2, r+2]
         g_plus = p[1:] - p[:-1]
         return float(np.sum(np.abs(g_plus[1:] * g_plus[:-1])))
 
-    oracle = adaptive_quad(full_line, 0.0, 1.0, tol=1e-9)
-    for a, b in dyadic_panels(1.0, horizon):
-        oracle += adaptive_quad(full_line, a, b, tol=1e-9)
+    def full_line(ts):
+        return np.array([full_line_at(t) for t in ts])
+
+    oracle = integrate_decaying(full_line, horizon, tol=1e-9)
     res = c_star_estimate(64, 1.0, 1.0, horizon / 64 ** 2, 1 / 64)
     mid = res["per_x"][len(res["per_x"]) // 2]
     assert res["max"] < 1.0

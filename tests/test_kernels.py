@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfcx, ive
 
+from asepkpz import kernels
 from asepkpz.kernels import (build_image_expansion, free_walk_row, free_walk_tail_bound,
                              halfline_robin_row, interval_kernel_image,
                              interval_kernel_spectral, kernel_bound_audit, robin_laplacian_matrix,
@@ -203,6 +204,17 @@ def test_halfline_mass_bounded():
         assert row.min() >= 0.0
     row = halfline_robin_row(10.0, 3, 1.0, 3 + _support_radius(10.0))
     assert abs(row.sum() - 1.0) <= 1e-12  # Neumann conserves mass
+
+
+def test_halfline_row_reads_prefix_of_longer_bessel_row():
+    # a precomputed free-walk row longer than needed gives the same row bit for
+    # bit (ive is elementwise); one too short is rejected
+    for t, x, mu in ((0.3, 0, 0.9), (7.0, 11, 0.97), (400.0, 3, 1.0)):
+        y_max = x + _support_radius(t) + 8
+        row = halfline_robin_row(t, x, mu, y_max)
+        assert np.array_equal(halfline_robin_row(t, x, mu, y_max, pv=free_walk_row(t, 4000)), row)
+        with pytest.raises(ValueError, match="too short"):
+            halfline_robin_row(t, x, mu, y_max, pv=free_walk_row(t, y_max))
 
 
 def test_halfline_row_matches_scalar():
@@ -474,3 +486,17 @@ def test_bound_audits_stable():
         assert a.stable, a.name
     sup = next(a for a in audits if a.name == "kernel-time-comparison")
     assert sup.constant <= 1.0 + 1e-12
+
+
+def test_bound_audit_one_bessel_row_per_time(monkeypatch):
+    # the half-line sums read 4 x-values (8 rows for the gradient) at the 13
+    # distinct times of the 5- and 10-point grids, which share both ends
+    calls = []
+
+    def counted(t, n_max):
+        calls.append(t)
+        return free_walk_row(t, n_max)
+
+    monkeypatch.setattr(kernels, "free_walk_row", counted)
+    kernel_bound_audit(solve_interval_spectrum(16, 1 - 1 / 16, 1 - 1 / 16), 1 / 16, t_bar=0.5)
+    assert len(calls) == len(set(calls)) == 13
