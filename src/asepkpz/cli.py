@@ -6,9 +6,10 @@ Kinds: params | simulate | kernel | identities | she | compare | audit-all,
 plus `config --print-defaults`.  Configuration is a flat INI file with one
 section per module; every run writes its artifacts plus a manifest (config
 snapshot, versions, wall clock, per-check status, file hashes, peak RSS,
-for `simulate` and `compare` the sampler's rings, accepted moves and
-throughput, for `she` its faulted replicas, for `audit-all` the wall time
-of each stage) into a directory addressed by the config hash.
+BLAS thread count, for `simulate` and `compare` the sampler's rings,
+accepted moves and throughput, for `she` its faulted replicas, for
+`audit-all` the wall time of each stage) into a directory addressed by the
+config hash.
 Exit codes: 0 all checks passed, 1 an enabled assertion failed,
 2 configuration error.
 """
@@ -135,10 +136,15 @@ def fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """One `%` template per file, typed by the first row: "%.17g" is `fmt` of a
+    float and "%s" of anything else; a row of other value types takes `fmt`.
+    The file is written in one call."""
+    types = [type(v) for v in rows[0]] if rows else []
+    line = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(
+            line % tuple(row) if list(map(type, row)) == types
+            else ",".join(fmt(v) for v in row) + "\n" for row in rows))
 
 
 COMPARE_COLUMNS = ["epsilon", "T", "X", "asep_mean", "she_mean", "mean_gap",
@@ -156,6 +162,23 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def blas_threads() -> dict:
+    """Thread count of the OpenBLAS that numpy loaded, read now (it can change at run
+    time), or None with the reason it could not be read."""
+    import ctypes
+    import glob
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)   # numpy's own copy: dlopen returns the loaded handle
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return {"threads": fn(), "library": os.path.basename(path)}
+    return {"threads": None, "reason": f"no OpenBLAS thread-count symbol under {libdir}"}
 
 
 def _sampler_metrics(stage: str, replicas: int, rings: int, events: int,
@@ -565,9 +588,11 @@ def _write_manifest(cfg, kind, seed, threads, out, checks, t0, status, metrics):
         "config": buf.getvalue(),
         "checks": {k: bool(v) for k, v in checks.items()},
         "files": inventory,
-        # ru_maxrss is the process high-water mark in KiB (Linux)
+        # ru_maxrss is the process high-water mark in KiB (Linux); the BLAS thread
+        # count can move the last bits of BLAS-reduced values such as identities.json's
         "metrics": {**(metrics or {}),
-                    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024},
+                    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                    "blas": blas_threads()},
     }
     tmp = os.path.join(out, "manifest.json.tmp")
     with open(tmp, "w") as fh:

@@ -8,7 +8,7 @@ which on the interval equals (1-c) on the diagonal and -c off it, with
 0 <= c <= C eps.  F is computed by three routes: the spectral closed form
 sum_k grad psi_k(x) grad psi_k(xb) / (2 lambda_k), the second difference of
 the Green's function of -Laplacian/2, and the time integral of kernel
-products by one block matrix exponential.
+products by the Van Loan block exponential, built by doubling.
 """
 
 from __future__ import annotations
@@ -93,12 +93,16 @@ def f_matrix_quadrature(spec: SpectralData) -> dict:
     """Time-domain evaluation of F on the interval.
 
     F = D (int_0^{t_cut} e^{-2 t L} dt) D^T for all pairs at once.  The time
-    integral is the upper-right block of one Pade matrix exponential of the
-    block matrix [[-2L, I], [0, 0]] t_cut (Van Loan 1978), independent of
-    the spectral route; the spectrum sets only t_cut, chosen so the spectral
-    tail bound sum_k |grad psi_k|^2_max e^{-2 lam_0 t}/(2 lam_0) falls below
-    F_TAIL_TOL/3.  The returned value omits the tail, which is reported as
-    the truncation certificate.
+    integral is the upper-right block of the exponential of the block matrix
+    [[-2L, I], [0, 0]] t_cut (Van Loan 1978), independent of the spectral
+    route; the spectrum sets only t_cut, chosen so the spectral tail bound
+    sum_k |grad psi_k|^2_max e^{-2 lam_0 t}/(2 lam_0) falls below
+    F_TAIL_TOL/3.  At t_0 = t_cut/2^s, with |2 t_0 L|_inf <= 1/2, the block's
+    exponential holds E = e^{-2 t_0 L} (one Pade exponential) and
+    I = t_0 phi_1(-2 t_0 L) (its Taylor series); the block is upper
+    triangular, so each of the s squarings up to t_cut is I <- I + E I,
+    E <- E E on (N+1)-sized blocks.  The returned value omits the tail,
+    which is reported as the truncation certificate.
     """
     n = spec.n
     lam0 = float(spec.lambdas[0])
@@ -107,11 +111,18 @@ def f_matrix_quadrature(spec: SpectralData) -> dict:
     D = spec.eigvecs[1:, :] - spec.eigvecs[:-1, :]
     amp = float((np.abs(D) ** 2).sum())  # bounds sum_k |grad psi_k(x) grad psi_k(xb)|
     t_cut = math.log(max(amp / (2.0 * lam0 * (F_TAIL_TOL / 3.0)), 10.0)) / (2.0 * lam0)
-    m = n + 1
-    block = np.zeros((2 * m, 2 * m))
-    block[:m, :m] = -2.0 * t_cut * robin_laplacian_matrix(n, spec.mu_a, spec.mu_b)
-    block[:m, m:] = t_cut * np.eye(m)
-    total = np.diff(np.diff(expm(block)[:m, m:], axis=0), axis=1)
+    L = robin_laplacian_matrix(n, spec.mu_a, spec.mu_b)
+    s = max(0, math.ceil(math.log2(8.0 * t_cut)))   # |L|_inf <= 2: |2 t_0 L|_inf <= 1/2
+    t0 = math.ldexp(t_cut, -s)
+    A, eye = -2.0 * t0 * L, np.eye(n + 1)
+    E, phi = expm(A), eye
+    for k in range(14, 1, -1):   # phi_1(A) = sum_j A^j/(j+1)! to j = 13: < 2^-53 at |A| <= 1/2
+        phi = eye + (A @ phi) / k
+    integral = t0 * phi
+    for _ in range(s):
+        integral = integral + E @ integral
+        E = E @ E
+    total = np.diff(np.diff(integral, axis=0), axis=1)
     tail = amp * math.exp(-2.0 * lam0 * t_cut) / (2.0 * lam0)
     return {"F": total, "t_cut": t_cut, "tail_bound": tail}
 
@@ -121,7 +132,7 @@ def key_identity(spec: SpectralData) -> dict:
 
     From one spectrum: F by the spectral closed form, by the second
     differences of one Green's function solve,
-    (G(x,xb) + G(x+1,xb+1) - G(x+1,xb) - G(x,xb+1)) / 2, and by one block
+    (G(x,xb) + G(x+1,xb+1) - G(x+1,xb) - G(x,xb+1)) / 2, and by the block
     matrix exponential (`f_matrix_quadrature`); c comes from the Green
     closed form.  Returns the worst deviation from I - c 11^T, the worst
     spectral-vs-expm and spectral-vs-Green gaps, the tail certificate, and
@@ -155,14 +166,18 @@ def key_identity(spec: SpectralData) -> dict:
 _PRODUCT_DOUBLES = 2 ** 18   # largest D-by-V table (2 MB, N <= 64) that one gemm reads per panel
 
 
-def _grad_product_integrand(spec: SpectralData):
+def _grad_product_integrand(spec: SpectralData, t_max: float):
     """f(ts)[k, x-1] = sum_{y=1}^{N-1} |grad+_x p_t grad-_x p_t(x, y)| at t = ts[k], bulk x.
 
     G_t = (D e^{-t lam}) V^T, D = V[1:] - V[:-1], holds grad+ p_t at x = 0..N-1
     and grad- at x is grad+ at x-1, so no kernel is formed.  While the table
     DV[j, x, y] = D[x, j] V[y, j] stays cache-sized one gemm e^{-t lam} DV
-    takes all nodes of a panel; past it, one product per node."""
-    n, V = spec.n, spec.eigvecs
+    takes all nodes of a panel; past it, one product per node.  Decay factors
+    below the smallest normal float, which times up to t_max can reach, are
+    set to 0 first: subnormal operands stall the gemm."""
+    n, V, neg_lambdas = spec.n, spec.eigvecs, -spec.lambdas
+    tiny = np.finfo(float).tiny
+    flush = t_max * spec.lambdas[-1] > -math.log(tiny)
     D = V[1:, :] - V[:-1, :]
     W = V[1:n, :].T               # columns y = 1..N-1
     fits = D.size * (n - 1) <= _PRODUCT_DOUBLES
@@ -173,7 +188,9 @@ def _grad_product_integrand(spec: SpectralData):
         return np.einsum("...xy,...xy->...x", G[..., 1:, :], G[..., :-1, :])
 
     def f(ts):
-        decay = np.exp(-np.outer(ts, spec.lambdas))
+        decay = np.exp(np.outer(ts, neg_lambdas))
+        if flush:
+            decay[decay < tiny] = 0.0
         if DV is None:
             return np.array([sums((D * e) @ W) for e in decay])
         return sums((decay @ DV).reshape(len(decay), n, n - 1))
@@ -188,15 +205,20 @@ def c_star_estimate(n: int, mu_a: float, mu_b: float, t_bar: float, eps: float) 
     observed maximum and the sum at each bulk x, on the spectral kernel.
     """
     spec = solve_interval_spectrum(n, mu_a, mu_b)
-    total = integrate_decaying(_grad_product_integrand(spec), t_bar / (eps * eps), tol=1e-8)
+    t_max = t_bar / (eps * eps)
+    total = integrate_decaying(_grad_product_integrand(spec, t_max), t_max, tol=1e-8)
     return {"max": float(np.max(total)), "per_x": total}
 
 
 # ---------------------------------------------------------------------------
 # summation by parts
 
-def _fwd(u):
-    return u[1:] - u[:-1]
+def _lap(w):
+    return w[:, :-2] - 2.0 * w[:, 1:-1] + w[:, 2:]
+
+
+def _dot(a, b):
+    return np.einsum("ij,ij->i", a, b)
 
 
 def summation_by_parts_audit(n: int, n_trials: int = 100, seed: int = 0) -> dict:
@@ -204,36 +226,28 @@ def summation_by_parts_audit(n: int, n_trials: int = 100, seed: int = 0) -> dict
 
     Functions live on {-1, ..., N+1}; the backward difference at 0 is
     v(-1) - v(0).  (The half-line identity is checked on compactly supported
-    sequences.)  Returns the worst absolute residual per identity.
+    sequences.)  Each trial draws u, v (N+3 values each) and the supports of
+    the half-line uu, vv (N+2 each) in that order; all trials come from one
+    draw, one trial per row.  Returns the worst absolute residual per identity.
     """
-    rng = np.random.default_rng(seed)
-    worst = {"sum_by_parts0": 0.0, "sum_by_parts1": 0.0, "sum_by_parts2": 0.0}
-    for _ in range(n_trials):
-        u = rng.normal(size=n + 3)   # indices -1..N+1 -> 0..n+2
-        v = rng.normal(size=n + 3)
-        lap_v = v[:-2] - 2.0 * v[1:-1] + v[2:]       # Delta v at 0..N
-        lap_u = u[:-2] - 2.0 * u[1:-1] + u[2:]
-        lhs = float(u[1:-1] @ lap_v)
-        rhs0 = (u[-1] * (v[-1] - v[-2]) + u[0] * (v[0] - v[1])
-                - float(_fwd(u) @ _fwd(v)))
-        worst["sum_by_parts0"] = max(worst["sum_by_parts0"], abs(lhs - rhs0))
-        rhs1 = (float(v[1:-1] @ lap_u)
-                + u[-1] * (v[-1] - v[-2]) + u[0] * (v[0] - v[1])
-                - v[-1] * (u[-1] - u[-2]) - v[0] * (u[0] - u[1]))
-        worst["sum_by_parts1"] = max(worst["sum_by_parts1"], abs(lhs - rhs1))
-        # half line: compact support well inside a window of length m
-        m = 4 * n
-        uu = np.zeros(m + 2)
-        vv = np.zeros(m + 2)
-        uu[:n + 2] = rng.normal(size=n + 2)   # positions -1..n random, zero beyond
-        vv[:n + 2] = rng.normal(size=n + 2)
-        lap_vv = vv[:-2] - 2.0 * vv[1:-1] + vv[2:]
-        lap_uu = uu[:-2] - 2.0 * uu[1:-1] + uu[2:]
-        lhs2 = float(uu[1:-1] @ lap_vv)
-        rhs2 = (float(vv[1:-1] @ lap_uu)
-                + uu[0] * (vv[0] - vv[1]) - vv[0] * (uu[0] - uu[1]))
-        worst["sum_by_parts2"] = max(worst["sum_by_parts2"], abs(lhs2 - rhs2))
-    return worst
+    z = np.random.default_rng(seed).normal(size=(n_trials, 4 * n + 10))
+    u, v = z[:, :n + 3], z[:, n + 3:2 * n + 6]   # indices -1..N+1 -> 0..n+2
+    lhs = _dot(u[:, 1:-1], _lap(v))
+    rhs0 = (u[:, -1] * (v[:, -1] - v[:, -2]) + u[:, 0] * (v[:, 0] - v[:, 1])
+            - _dot(u[:, 1:] - u[:, :-1], v[:, 1:] - v[:, :-1]))
+    rhs1 = (_dot(v[:, 1:-1], _lap(u))
+            + u[:, -1] * (v[:, -1] - v[:, -2]) + u[:, 0] * (v[:, 0] - v[:, 1])
+            - v[:, -1] * (u[:, -1] - u[:, -2]) - v[:, 0] * (u[:, 0] - u[:, 1]))
+    # half line: compact support (positions -1..n) well inside a window of length 4n
+    uu = np.zeros((n_trials, 4 * n + 2))
+    vv = np.zeros((n_trials, 4 * n + 2))
+    uu[:, :n + 2], vv[:, :n + 2] = z[:, 2 * n + 6:3 * n + 8], z[:, 3 * n + 8:]
+    lhs2 = _dot(uu[:, 1:-1], _lap(vv))
+    rhs2 = (_dot(vv[:, 1:-1], _lap(uu))
+            + uu[:, 0] * (vv[:, 0] - vv[:, 1]) - vv[:, 0] * (uu[:, 0] - uu[:, 1]))
+    return {name: float(np.max(np.abs(a - b), initial=0.0))
+            for name, a, b in (("sum_by_parts0", lhs, rhs0), ("sum_by_parts1", lhs, rhs1),
+                               ("sum_by_parts2", lhs2, rhs2))}
 
 
 def report_to_json(report: dict) -> str:

@@ -224,7 +224,9 @@ def second_moment(m2_0: np.ndarray, grid: SheGrid, T: float) -> np.ndarray:
     P = grid.propagator(h)
     lam = h / grid.dx
     for _ in seg:
-        m2 = P @ (m2 + lam * np.diag(np.diag(m2))) @ P.T
+        noisy = m2.copy()
+        noisy.flat[::len(m2) + 1] += lam * np.diag(m2)
+        m2 = P @ noisy @ P.T
     return m2
 
 

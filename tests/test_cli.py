@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asepkpz.cli import config_hash, fmt, load_config, main, sha256_file, write_compare_csv
+from asepkpz import cli
+from asepkpz.cli import (config_hash, fmt, load_config, main, sha256_file, write_compare_csv,
+                         write_csv)
 from asepkpz.she import asep_she_compare, build_grid, run_interval_ensemble, sample_she_ensemble
 
 
@@ -24,6 +26,61 @@ def test_print_defaults(capsys):
 def test_float_format_roundtrip():
     for x in (1 / 3, 1e-17, 123456.789, 0.1):
         assert float(fmt(x)) == x
+
+
+def write_csv_per_value(path: str, header: list, rows: list) -> None:
+    """The writer with one `fmt` call per value."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def test_write_csv_rows_of_other_types(tmp_path):
+    # a float in a column that holds an int in the first row takes fmt, where
+    # str(0.1) and "%.17g" differ; strings, bools and numpy floats keep theirs
+    rows = [[1, 0.5, "a", True, np.float64(0.25)], [0.1, 0.5, "b", False, np.float64(1 / 3)],
+            [2, 1 / 3, "c", True, np.float64(0.1)], [3, np.nan, "d", False, np.float64(-0.0)]]
+    for body in (rows, []):
+        path, ref = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        write_csv(path, ["i", "x", "s", "b", "y"], body)
+        write_csv_per_value(ref, ["i", "x", "s", "b", "y"], body)
+        assert Path(path).read_bytes() == Path(ref).read_bytes()
+    assert Path(path).read_text() == "i,x,s,b,y\n"
+    write_csv(path, ["i", "x", "s", "b", "y"], rows)
+    assert Path(path).read_text().splitlines()[2].startswith("0.10000000000000001,0.5,b,False,")
+
+
+def test_cli_csvs_match_per_value_writer(tmp_path, monkeypatch):
+    # every CSV that audit-all, simulate (interval and half line), she and
+    # compare write is byte-identical to the per-value writer's output
+    written = {}
+
+    def checked(path, header, rows):
+        write_csv(path, header, rows)
+        ref = str(tmp_path / "reference.csv")
+        write_csv_per_value(ref, header, rows)
+        written[path] = Path(path).read_bytes() == Path(ref).read_bytes()
+
+    monkeypatch.setattr(cli, "write_csv", checked)
+    runs = [("audit-all", "[model]\nn_sites = 16\nslope_a = 1\n[identities]\nn_sites = 16\n"
+                          "cstar_n = 12\ncstar_tbar = 0.5\n"),
+            ("simulate", "[run]\nreplicas = 3\n[model]\nn_sites = 12\n"
+                         "[simulate]\nhorizon_macro = 0.05\nsample_times = 0.0, 0.05\n"),
+            ("simulate", "[run]\nreplicas = 2\n[model]\nlattice = half_line\nepsilon = 0.125\n"
+                         "truncation = 16\nslope_a = 1.0\n"
+                         "[simulate]\nhorizon_macro = 0.05\nsample_times = 0.0, 0.05\n"),
+            ("she", "[run]\nreplicas = 8\n[she]\nm = 8\n"),
+            ("compare", "[run]\nreplicas = 8\n[compare]\ninverse_eps = 4, 8\n")]
+    for i, (kind, ini) in enumerate(runs):
+        cfg = tmp_path / f"c{i}.ini"
+        cfg.write_text(ini)
+        assert run_cli([kind, "--config", str(cfg), "--seed", "7",
+                        "--out", str(tmp_path / f"r{i}")]) in (0, 1)
+    assert {"expansion_audit.csv", "spectrum.csv", "kernel.csv", "trajectory_eta_r000.csv",
+            "trajectory_heights_r001.csv", "scaled_field_mean.csv", "she_moments.csv",
+            "compare.csv"} <= {os.path.basename(p) for p in written}
+    assert all(written.values()), [k for k, ok in written.items() if not ok]
 
 
 def test_config_validation_errors(tmp_path, capsys):
@@ -222,6 +279,44 @@ def test_failed_check_exits_one(tmp_path, monkeypatch):
     assert manifest["checks"]["always_fails"] is False
 
 
+def test_manifest_records_blas_threads(tmp_path):
+    # read when the manifest is written, so a thread count set at run time
+    # shows; the record is outside every hashed file
+    import ctypes
+    before = cli.blas_threads()
+    if before["threads"] is None:
+        pytest.skip(f"numpy loaded no readable OpenBLAS: {before['reason']}")
+    lib = ctypes.CDLL(str(Path(np.__file__).parents[1] / "numpy.libs" / before["library"]))
+    setter = next(getattr(lib, sym) for sym in ("scipy_openblas_set_num_threads64_",
+                                                "scipy_openblas_set_num_threads",
+                                                "openblas_set_num_threads64_",
+                                                "openblas_set_num_threads")
+                  if hasattr(lib, sym))
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\nn_sites = 8\n")
+    setter(1)
+    try:
+        assert run_cli(["params", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    finally:
+        setter(before["threads"])
+    (run_dir,) = (tmp_path / "r").iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["metrics"]["blas"] == {"threads": 1, "library": before["library"]}
+    assert set(manifest["files"]) == {"params.json", "expansion_audit.csv"}
+
+
+def test_manifest_blas_threads_unreadable(tmp_path, monkeypatch):
+    # a count that cannot be read is written as null with the reason
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\nn_sites = 8\n")
+    assert run_cli(["params", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    (run_dir,) = (tmp_path / "r").iterdir()
+    blas = json.loads((run_dir / "manifest.json").read_text())["metrics"]["blas"]
+    assert blas["threads"] is None and "no OpenBLAS" in blas["reason"]
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("ASEPKPZ_THREADS", "3")
     cfg = tmp_path / "c.ini"
@@ -291,13 +386,14 @@ def test_audit_all_manifest_metrics(tmp_path):
     assert list(stages) == ["params", "kernel", "identities", "stationary"]
     assert all(s > 0 for s in stages.values())
     assert manifest["metrics"]["peak_rss_mb"] > 0
+    assert manifest["metrics"]["blas"]["threads"] >= 1
     assert 0 < sum(stages.values()) <= manifest["wall_clock_s"]
     assert "manifest.json" not in manifest["files"]
 
 
 def test_audit_all_builds_each_exact_object_once(tmp_path, monkeypatch):
     # one spectrum per stage that needs one (model, identities, c-star); one
-    # Green solve, one block expm and one image expansion in the whole pass
+    # Green solve, one expm and one image expansion in the whole pass
     from asepkpz import greens, kernels
 
     counts = {}

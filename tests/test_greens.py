@@ -99,6 +99,27 @@ def test_f_matrix_quadrature_matches_spectral(n, mu_a, mu_b):
     assert quad["tail_bound"] <= 1e-9
 
 
+def full_block_f_matrix(spec, t_cut: float) -> np.ndarray:
+    """F by scipy's scaling and squaring of the whole 2(N+1) Van Loan block at t_cut."""
+    n, m = spec.n, spec.n + 1
+    block = np.zeros((2 * m, 2 * m))
+    block[:m, :m] = -2.0 * t_cut * robin_laplacian_matrix(n, spec.mu_a, spec.mu_b)
+    block[:m, m:] = t_cut * np.eye(m)
+    return np.diff(np.diff(expm(block)[:m, m:], axis=0), axis=1)
+
+
+@pytest.mark.parametrize("n, mu_a, mu_b", [(12, 1 - 1 / 12, 1 - 1 / 12), (32, 0.5, 0.9),
+                                          (100, 0.99, 0.99)])
+def test_f_matrix_quadrature_doublings_match_full_block(n, mu_a, mu_b):
+    # E and I at t_cut / 2^s (Pade and Taylor) and their s doublings on
+    # (N+1)-sized blocks against the full-block exponential at t_cut; one
+    # doubling too few is off by 7e-11 or more at these sizes, dropping E I
+    # by far more
+    spec = solve_interval_spectrum(n, mu_a, mu_b)
+    quad = f_matrix_quadrature(spec)
+    assert np.max(np.abs(quad["F"] - full_block_f_matrix(spec, quad["t_cut"]))) <= 1e-12
+
+
 def test_f_matrix_rejects_neumann():
     with pytest.raises(ValueError):
         f_matrix(solve_interval_spectrum(10, 1.0, 1.0))
@@ -183,7 +204,7 @@ def test_grad_products_match_dense_expm(n, mu_a, mu_b):
     for t in ts:
         M = expm(-t * L)
         ref.append(np.abs((M[2:, :] - M[1:-1, :]) * (M[1:-1, :] - M[:-2, :]))[:, 1:n].sum(axis=1))
-    assert np.max(np.abs(_grad_product_integrand(spec)(ts) - np.array(ref))) <= 1e-12
+    assert np.max(np.abs(_grad_product_integrand(spec, ts[-1])(ts) - np.array(ref))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 32])
@@ -192,13 +213,24 @@ def test_grad_product_integrand_layouts_agree(n, monkeypatch):
     # and both match the pointwise oracle summed over y = 1..N-1
     spec = solve_interval_spectrum(n, 0.9, 0.7)
     ts = 0.5 * _NODES + 3.0
-    table = _grad_product_integrand(spec)(ts)
+    table = _grad_product_integrand(spec, ts.max())(ts)
     monkeypatch.setattr(greens, "_PRODUCT_DOUBLES", 0)
-    per_node = _grad_product_integrand(spec)(ts)
+    per_node = _grad_product_integrand(spec, ts.max())(ts)
     oracle = np.array([interval_grad_products(spec, t)[:, 1:n].sum(axis=1) for t in ts])
     assert table.shape == per_node.shape == (len(ts), n - 1)
     assert np.max(np.abs(table - per_node)) <= 1e-15
     assert np.max(np.abs(table - oracle)) <= 1e-14
+
+
+def test_grad_product_integrand_flush_keeps_values():
+    # at N = 32 and t near 1000 some decay factors e^{-t lam_k} are subnormal;
+    # setting them to 0 leaves every sum bit-identical
+    spec = solve_interval_spectrum(32, 1 - 1 / 32, 1 - 1 / 32)
+    ts = 60.0 * _NODES + 960.0
+    decay = np.exp(-np.outer(ts, spec.lambdas))
+    assert np.any((decay > 0) & (decay < np.finfo(float).tiny))
+    flushed = _grad_product_integrand(spec, ts.max())(ts)
+    assert np.array_equal(flushed, _grad_product_integrand(spec, 0.0)(ts))
 
 
 def test_adaptive_quad_vector_rates_one_call_per_panel():
@@ -282,8 +314,8 @@ def test_cstar_pinned_per_x_and_panels(key, monkeypatch):
     panels, per_x = _CSTAR_PINS[key]
     calls = []
 
-    def counted_integrand(spec):
-        f = _grad_product_integrand(spec)
+    def counted_integrand(spec, t_max):
+        f = _grad_product_integrand(spec, t_max)
         return lambda ts: calls.append(len(ts)) or f(ts)
 
     monkeypatch.setattr(greens, "_grad_product_integrand", counted_integrand)
@@ -322,11 +354,71 @@ def test_cstar_weighted_linear_in_eps():
     assert spread < 2.0
 
 
-def test_summation_by_parts():
-    worst = summation_by_parts_audit(24, n_trials=100, seed=12)
-    assert worst["sum_by_parts0"] <= 1e-12
-    assert worst["sum_by_parts1"] <= 1e-12
-    assert worst["sum_by_parts2"] <= 1e-12
+def summation_by_parts_per_trial(n: int, n_trials: int = 100, seed: int = 0,
+                                 boundary_sign: float = 1.0) -> dict:
+    """The audit one trial at a time; boundary_sign -1 plants a sign flip of the
+    u(N+1) boundary term of the first identity."""
+    rng = np.random.default_rng(seed)
+    worst = {"sum_by_parts0": 0.0, "sum_by_parts1": 0.0, "sum_by_parts2": 0.0}
+    for _ in range(n_trials):
+        u = rng.normal(size=n + 3)   # indices -1..N+1 -> 0..n+2
+        v = rng.normal(size=n + 3)
+        lap_v = v[:-2] - 2.0 * v[1:-1] + v[2:]       # Delta v at 0..N
+        lap_u = u[:-2] - 2.0 * u[1:-1] + u[2:]
+        lhs = float(u[1:-1] @ lap_v)
+        rhs0 = (boundary_sign * u[-1] * (v[-1] - v[-2]) + u[0] * (v[0] - v[1])
+                - float(np.diff(u) @ np.diff(v)))
+        worst["sum_by_parts0"] = max(worst["sum_by_parts0"], abs(lhs - rhs0))
+        rhs1 = (float(v[1:-1] @ lap_u)
+                + u[-1] * (v[-1] - v[-2]) + u[0] * (v[0] - v[1])
+                - v[-1] * (u[-1] - u[-2]) - v[0] * (u[0] - u[1]))
+        worst["sum_by_parts1"] = max(worst["sum_by_parts1"], abs(lhs - rhs1))
+        # half line: compact support well inside a window of length m
+        m = 4 * n
+        uu = np.zeros(m + 2)
+        vv = np.zeros(m + 2)
+        uu[:n + 2] = rng.normal(size=n + 2)   # positions -1..n random, zero beyond
+        vv[:n + 2] = rng.normal(size=n + 2)
+        lap_vv = vv[:-2] - 2.0 * vv[1:-1] + vv[2:]
+        lap_uu = uu[:-2] - 2.0 * uu[1:-1] + uu[2:]
+        lhs2 = float(uu[1:-1] @ lap_vv)
+        rhs2 = (float(vv[1:-1] @ lap_uu)
+                + uu[0] * (vv[0] - vv[1]) - vv[0] * (uu[0] - uu[1]))
+        worst["sum_by_parts2"] = max(worst["sum_by_parts2"], abs(lhs2 - rhs2))
+    return worst
+
+
+def test_summation_by_parts(monkeypatch):
+    # the one-draw audit reads the per-trial loop's normals in the same order,
+    # and its residuals agree with the loop's; (32, 7) is the audit-all call
+    default_rng = np.random.default_rng
+
+    def recording(draws):
+        def make(seed_):
+            rng = default_rng(seed_)
+
+            class Recorder:
+                def normal(self, size):
+                    x = rng.normal(size=size)
+                    draws.append(x.ravel())
+                    return x
+            return Recorder()
+        return make
+
+    for n, seed in ((24, 12), (32, 7)):
+        audit_draws, loop_draws = [], []
+        monkeypatch.setattr(np.random, "default_rng", recording(audit_draws))
+        worst = summation_by_parts_audit(n, n_trials=100, seed=seed)
+        monkeypatch.setattr(np.random, "default_rng", recording(loop_draws))
+        loop = summation_by_parts_per_trial(n, n_trials=100, seed=seed)
+        monkeypatch.undo()
+        assert len(audit_draws) == 1 and len(loop_draws) == 400
+        assert np.array_equal(audit_draws[0], np.concatenate(loop_draws))
+        for key in ("sum_by_parts0", "sum_by_parts1", "sum_by_parts2"):
+            assert worst[key] <= 1e-12 and abs(worst[key] - loop[key]) <= 1e-12
+        # a sign flip of one boundary term is reported far above the gate
+        flipped = summation_by_parts_per_trial(n, n_trials=100, seed=seed, boundary_sign=-1.0)
+        assert flipped["sum_by_parts0"] > 1e-12
 
 
 def test_summation_by_parts_constants():

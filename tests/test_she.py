@@ -88,6 +88,19 @@ def test_second_moment_zero_noise_and_symmetry():
         second_moment(np.eye(200), build_grid(1.0, 16, 0.0, 0.0), 0.01)
 
 
+@pytest.mark.parametrize("robin_a, robin_b", [(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)])
+def test_second_moment_matches_diag_matrix_form(robin_a, robin_b):
+    # the noise term added on the diagonal in place is the same float operation
+    # as adding the matrix diag(diag m2): the recursion is bit-identical
+    grid = build_grid(1.0, 32, robin_a, robin_b)
+    m2 = m2_0 = lognormal_second_moment(grid.x)
+    (seg,) = _step_schedule([0.05], grid.dt)
+    P = grid.propagator(seg[0])
+    for _ in seg:
+        m2 = P @ (m2 + seg[0] / grid.dx * np.diag(np.diag(m2))) @ P.T
+    assert np.array_equal(second_moment(m2_0, grid, 0.05), m2)
+
+
 def test_second_moment_large_grid():
     # M > 128: the one-pass recursion holds one matrix, so no size cap
     grid = build_grid(1.0, 160, 0.0, 0.0)
