@@ -164,20 +164,19 @@ def key_identity(spec: SpectralData) -> dict:
 # c-star sums
 
 _PRODUCT_DOUBLES = 2 ** 18   # largest D-by-V table (2 MB, N <= 64) that one gemm reads per panel
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
-def _grad_product_integrand(spec: SpectralData, t_max: float):
+def _grad_product_integrand(spec: SpectralData):
     """f(ts)[k, x-1] = sum_{y=1}^{N-1} |grad+_x p_t grad-_x p_t(x, y)| at t = ts[k], bulk x.
 
     G_t = (D e^{-t lam}) V^T, D = V[1:] - V[:-1], holds grad+ p_t at x = 0..N-1
     and grad- at x is grad+ at x-1, so no kernel is formed.  While the table
     DV[j, x, y] = D[x, j] V[y, j] stays cache-sized one gemm e^{-t lam} DV
     takes all nodes of a panel; past it, one product per node.  Decay factors
-    below the smallest normal float, which times up to t_max can reach, are
-    set to 0 first: subnormal operands stall the gemm."""
-    n, V, neg_lambdas = spec.n, spec.eigvecs, -spec.lambdas
-    tiny = np.finfo(float).tiny
-    flush = t_max * spec.lambdas[-1] > -math.log(tiny)
+    below the smallest normal float are set to 0 first: subnormal operands
+    stall the gemm."""
+    n, V = spec.n, spec.eigvecs
     D = V[1:, :] - V[:-1, :]
     W = V[1:n, :].T               # columns y = 1..N-1
     fits = D.size * (n - 1) <= _PRODUCT_DOUBLES
@@ -188,9 +187,8 @@ def _grad_product_integrand(spec: SpectralData, t_max: float):
         return np.einsum("...xy,...xy->...x", G[..., 1:, :], G[..., :-1, :])
 
     def f(ts):
-        decay = np.exp(np.outer(ts, neg_lambdas))
-        if flush:
-            decay[decay < tiny] = 0.0
+        decay = np.exp(-np.outer(ts, spec.lambdas))
+        decay[decay < _TINY] = 0.0
         if DV is None:
             return np.array([sums((D * e) @ W) for e in decay])
         return sums((decay @ DV).reshape(len(decay), n, n - 1))
@@ -205,8 +203,7 @@ def c_star_estimate(n: int, mu_a: float, mu_b: float, t_bar: float, eps: float) 
     observed maximum and the sum at each bulk x, on the spectral kernel.
     """
     spec = solve_interval_spectrum(n, mu_a, mu_b)
-    t_max = t_bar / (eps * eps)
-    total = integrate_decaying(_grad_product_integrand(spec, t_max), t_max, tol=1e-8)
+    total = integrate_decaying(_grad_product_integrand(spec), t_bar / (eps * eps), tol=1e-8)
     return {"max": float(np.max(total)), "per_x": total}
 
 

@@ -84,29 +84,20 @@ def _geometric_tail(pv: np.ndarray, mu: float, start: int) -> np.ndarray:
 def halfline_robin_row(t: float, x: int, mu_a: float, y_max: int,
                        pv: np.ndarray | None = None) -> np.ndarray:
     """Vector p^R_t(x, y) for y = 0..y_max; `pv` may pass a longer free_walk_row(t, m)."""
-    return _halfline_robin_rows(t, [x], mu_a, [y_max], pv)[0]
-
-
-def _halfline_robin_rows(t: float, xs, mu_a: float, y_maxs, pv=None) -> list[np.ndarray]:
-    """halfline_robin_row(t, xs[i], mu_a, y_maxs[i], pv) for each i, from one gather."""
     if not 0.0 < mu_a <= 1.0:
         raise ValueError("mu_a must be in (0, 1]")
-    xs, y_maxs = np.asarray(xs), np.asarray(y_maxs)
-    n_max = xs + y_maxs + 2 + _support_radius(t)
+    n_max = x + y_max + 2 + _support_radius(t)
     if mu_a < 1.0:
         n_max += min(int(40.0 / max(1.0 - mu_a, 1e-12)) + 8, _support_radius(t) + 8)
-    top = int(n_max.max())
-    pv = free_walk_row(t, top) if pv is None else pv[:top + 1]
-    if len(pv) <= top:
-        raise ValueError(f"free-walk row too short: {len(pv)} entries, need {top + 1}")
-    y = np.arange(y_maxs.max() + 1)
-    rows = pv[np.abs(xs[:, None] - y)] + mu_a * pv[xs[:, None] + y + 1]
-    rows = [row[:k + 1] for row, k in zip(rows, y_maxs)]
-    if mu_a < 1.0:   # each row's tail sums pv only up to that row's own n_max
-        rows = [row + (mu_a * mu_a - 1.0)
-                * _geometric_tail(pv[:m + 1], mu_a, x + 2)[x + y[:len(row)] + 2]
-                for row, x, m in zip(rows, xs, n_max)]
-    return rows
+    pv = free_walk_row(t, n_max) if pv is None else pv[:n_max + 1]
+    if len(pv) <= n_max:
+        raise ValueError(f"free-walk row too short: {len(pv)} entries, need {n_max + 1}")
+    y = np.arange(y_max + 1)
+    row = pv[np.abs(x - y)] + mu_a * pv[x + y + 1]
+    if mu_a < 1.0:
+        g = _geometric_tail(pv, mu_a, x + 2)
+        row = row + (mu_a * mu_a - 1.0) * g[x + y + 2]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -390,23 +381,23 @@ def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> li
     # half-line weighted sums (Corollary for Z_{>=0}) of p and of its gradient. The
     # rows at t read free_walk_row(t, m) with m <= x + ymax + 2r + 10 <= 3r + 40 (x <= 11,
     # ymax <= r + 19), so one row per time serves all: ive is elementwise, prefixes are exact
-    xs_h = np.array([0, 1, 3, 10])
+    xs_h = [0, 1, 3, 10]
     bessel: dict[float, np.ndarray] = {}
 
     def r_sum_h(t, grad, a=1.0):
         r = _support_radius(t)
         if t not in bessel:
             bessel[t] = free_walk_row(t, 3 * r + 40)
-        ymax = xs_h + r + 8 + grad
-        rows = _halfline_robin_rows(t, xs_h, mu_a, ymax, pv=bessel[t])
-        if grad:
-            rows = [np.abs(r1 - r0) for r1, r0
-                    in zip(_halfline_robin_rows(t, xs_h + 1, mu_a, ymax, pv=bessel[t]), rows)]
-        y = np.arange(ymax[-1] + 1)
-        w = np.exp(a * eps * y + a * np.abs(xs_h[:, None] - y) * min(1.0, t ** -0.5))
         best = 0.0
-        for x, row, w_x in zip(xs_h, rows, w):   # each x sums its own y range only
-            s = float((row * w_x[:len(row)]).sum()) * math.exp(-a * eps * x)
+        for x in xs_h:
+            ymax = x + r + 8 + grad
+            row = halfline_robin_row(t, x, mu_a, ymax, pv=bessel[t])
+            if grad:
+                row = np.abs(halfline_robin_row(t, x + 1, mu_a, ymax, pv=bessel[t]) - row)
+            y = np.arange(ymax + 1)
+            sc = min(1.0, t ** -0.5)
+            w = np.exp(a * eps * y + a * np.abs(x - y) * sc)
+            s = float((row * w).sum()) * math.exp(-a * eps * x)
             best = max(best, s * math.sqrt(t) if grad else s)
         return best
     for name, grad in (("halfline-weighted-mass-sum", 0), ("halfline-weighted-gradient-sum", 1)):

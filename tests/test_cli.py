@@ -280,41 +280,51 @@ def test_failed_check_exits_one(tmp_path, monkeypatch):
 
 
 def test_manifest_records_blas_threads(tmp_path):
-    # read when the manifest is written, so a thread count set at run time
-    # shows; the record is outside every hashed file
+    # numpy's and scipy's OpenBLAS are read when the manifest is written, so a
+    # thread count set at run time shows; the record is outside every hashed file
     import ctypes
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS, which expm runs on)
     before = cli.blas_threads()
-    if before["threads"] is None:
-        pytest.skip(f"numpy loaded no readable OpenBLAS: {before['reason']}")
-    lib = ctypes.CDLL(str(Path(np.__file__).parents[1] / "numpy.libs" / before["library"]))
-    setter = next(getattr(lib, sym) for sym in ("scipy_openblas_set_num_threads64_",
-                                                "scipy_openblas_set_num_threads",
-                                                "openblas_set_num_threads64_",
-                                                "openblas_set_num_threads")
-                  if hasattr(lib, sym))
-    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setters = {}
+    for name, rec in before.items():
+        if rec["threads"] is None:
+            pytest.skip(f"{name}: {rec['reason']}")
+        lib = ctypes.CDLL(str(Path(sys.modules[name].__file__).parents[1] / f"{name}.libs"
+                              / rec["library"]))
+        setters[name] = next(getattr(lib, sym) for sym in (
+            "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+            "openblas_set_num_threads64_", "openblas_set_num_threads") if hasattr(lib, sym))
+        setters[name].argtypes, setters[name].restype = [ctypes.c_int], None
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\nn_sites = 8\n")
-    setter(1)
+    for setter in setters.values():
+        setter(1)
     try:
         assert run_cli(["params", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
     finally:
-        setter(before["threads"])
+        for name, setter in setters.items():
+            setter(before[name]["threads"])
     (run_dir,) = (tmp_path / "r").iterdir()
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["metrics"]["blas"] == {"threads": 1, "library": before["library"]}
+    assert manifest["metrics"]["blas"] == {
+        name: {"threads": 1, "library": rec["library"]} for name, rec in before.items()}
     assert set(manifest["files"]) == {"params.json", "expansion_audit.csv"}
 
 
 def test_manifest_blas_threads_unreadable(tmp_path, monkeypatch):
     # a count that cannot be read is written as null with the reason
+    import scipy
     monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\nn_sites = 8\n")
     assert run_cli(["params", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
     (run_dir,) = (tmp_path / "r").iterdir()
     blas = json.loads((run_dir / "manifest.json").read_text())["metrics"]["blas"]
-    assert blas["threads"] is None and "no OpenBLAS" in blas["reason"]
+    for name in ("numpy", "scipy"):
+        assert blas[name]["threads"] is None and "no loaded OpenBLAS" in blas[name]["reason"]
+    monkeypatch.delitem(sys.modules, "scipy")
+    assert cli.blas_threads()["scipy"] == {"threads": None, "reason": "scipy not imported"}
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
@@ -386,7 +396,8 @@ def test_audit_all_manifest_metrics(tmp_path):
     assert list(stages) == ["params", "kernel", "identities", "stationary"]
     assert all(s > 0 for s in stages.values())
     assert manifest["metrics"]["peak_rss_mb"] > 0
-    assert manifest["metrics"]["blas"]["threads"] >= 1
+    # audit-all runs expm, so scipy's OpenBLAS is loaded too
+    assert all(rec["threads"] >= 1 for rec in manifest["metrics"]["blas"].values())
     assert 0 < sum(stages.values()) <= manifest["wall_clock_s"]
     assert "manifest.json" not in manifest["files"]
 

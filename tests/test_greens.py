@@ -204,7 +204,7 @@ def test_grad_products_match_dense_expm(n, mu_a, mu_b):
     for t in ts:
         M = expm(-t * L)
         ref.append(np.abs((M[2:, :] - M[1:-1, :]) * (M[1:-1, :] - M[:-2, :]))[:, 1:n].sum(axis=1))
-    assert np.max(np.abs(_grad_product_integrand(spec, ts[-1])(ts) - np.array(ref))) <= 1e-12
+    assert np.max(np.abs(_grad_product_integrand(spec)(ts) - np.array(ref))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 32])
@@ -213,24 +213,25 @@ def test_grad_product_integrand_layouts_agree(n, monkeypatch):
     # and both match the pointwise oracle summed over y = 1..N-1
     spec = solve_interval_spectrum(n, 0.9, 0.7)
     ts = 0.5 * _NODES + 3.0
-    table = _grad_product_integrand(spec, ts.max())(ts)
+    table = _grad_product_integrand(spec)(ts)
     monkeypatch.setattr(greens, "_PRODUCT_DOUBLES", 0)
-    per_node = _grad_product_integrand(spec, ts.max())(ts)
+    per_node = _grad_product_integrand(spec)(ts)
     oracle = np.array([interval_grad_products(spec, t)[:, 1:n].sum(axis=1) for t in ts])
     assert table.shape == per_node.shape == (len(ts), n - 1)
     assert np.max(np.abs(table - per_node)) <= 1e-15
     assert np.max(np.abs(table - oracle)) <= 1e-14
 
 
-def test_grad_product_integrand_flush_keeps_values():
+def test_grad_product_integrand_flush_keeps_values(monkeypatch):
     # at N = 32 and t near 1000 some decay factors e^{-t lam_k} are subnormal;
-    # setting them to 0 leaves every sum bit-identical
+    # setting them to 0 leaves every sum bit-identical (a threshold of 0 flushes nothing)
     spec = solve_interval_spectrum(32, 1 - 1 / 32, 1 - 1 / 32)
     ts = 60.0 * _NODES + 960.0
     decay = np.exp(-np.outer(ts, spec.lambdas))
     assert np.any((decay > 0) & (decay < np.finfo(float).tiny))
-    flushed = _grad_product_integrand(spec, ts.max())(ts)
-    assert np.array_equal(flushed, _grad_product_integrand(spec, 0.0)(ts))
+    flushed = _grad_product_integrand(spec)(ts)
+    monkeypatch.setattr(greens, "_TINY", 0.0)
+    assert np.array_equal(flushed, _grad_product_integrand(spec)(ts))
 
 
 def test_adaptive_quad_vector_rates_one_call_per_panel():
@@ -314,8 +315,8 @@ def test_cstar_pinned_per_x_and_panels(key, monkeypatch):
     panels, per_x = _CSTAR_PINS[key]
     calls = []
 
-    def counted_integrand(spec, t_max):
-        f = _grad_product_integrand(spec, t_max)
+    def counted_integrand(spec):
+        f = _grad_product_integrand(spec)
         return lambda ts: calls.append(len(ts)) or f(ts)
 
     monkeypatch.setattr(greens, "_grad_product_integrand", counted_integrand)
