@@ -346,7 +346,7 @@ def run_simulate(cfg, out, seed, threads, checks):
 
     t0 = time.perf_counter()
     traj = simulate_replicas(init, params, lattice, horizon, sample_micro, replicas, seed,
-                             track_exp_integrals=(-params.lam, params.nu), threads=threads)
+                             threads=threads)
     wall_s = time.perf_counter() - t0
     for r in range(min(replicas, 8)):  # full dumps for the first few
         rows_eta, rows_h = [], []
@@ -466,11 +466,12 @@ def run_compare(cfg, out, seed, threads, checks):
     A, B = model.getfloat("slope_a"), model.getfloat("slope_b")
     replicas = cfg["run"].getint("replicas")
     X = np.linspace(0.0, 1.0, sec.getint("x_points"))
-    ensembles = [run_interval_ensemble(n, A, B, T, replicas, (seed, n), threads=threads)
+    # martingale diagnostics of the coarsest ensemble only, reduced in the same pass
+    ensembles = [run_interval_ensemble(n, A, B, T, replicas, (seed, n), threads=threads,
+                                       martingale=(n == min(inv)))
                  for n in inv]
     rows = asep_she_compare(ensembles, T, X)
     write_compare_csv(os.path.join(out, "compare.csv"), rows)
-    # martingale diagnostics of the coarsest ensemble, reduced in the same pass
     diag = max(ensembles, key=lambda e: e["eps"])["martingale"]
     with open(os.path.join(out, "diagnostics.json"), "w") as fh:
         json.dump(diag, fh, indent=2)

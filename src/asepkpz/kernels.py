@@ -161,13 +161,18 @@ def solve_interval_spectrum(n: int, mu_a: float, mu_b: float) -> SpectralData:
         lo = ks * np.pi / (n + 1)
         hi = (ks + 1) * np.pi / (n + 1)
         left_sign = np.where(ks % 2 == 0, 1.0, -1.0)
-        for _ in range(90):  # halves the bracket past float resolution
+        # 90 sweeps halve the bracket past float resolution; a sweep that
+        # moves no end is a fixed point of the loop, so stop there
+        for _ in range(90):
             mid = 0.5 * (lo + hi)
             val = _secular(mid, n, mu_a, mu_b)
             same = np.sign(val) == left_sign
             exact = val == 0.0
-            lo = np.where(same & ~exact, mid, lo)
-            hi = np.where(~same | exact, mid, hi)
+            new_lo = np.where(same & ~exact, mid, lo)
+            new_hi = np.where(~same | exact, mid, hi)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
         omegas = 0.5 * (lo + hi)
         if not (np.all(omegas > 0) and np.all(omegas < np.pi)):
             raise RuntimeError("bracketing failure: root escaped (0, pi); check mu values")

@@ -216,17 +216,23 @@ def second_moment(m2_0: np.ndarray, grid: SheGrid, T: float) -> np.ndarray:
     m2 = (P (x) P) m2(0) + sum_S (P_{T-S} (x) P_{T-S}) diag(m2(S)) h/dX
     with no truncation.
     """
-    m2 = np.asarray(m2_0, dtype=float).copy()
+    m2 = np.array(m2_0, dtype=float, order="C")
     (seg,) = _step_schedule([T], grid.dt)
     if not seg:
         return m2
     h = seg[0]
     P = grid.propagator(h)
     lam = h / grid.dx
+    # each step rewrites m2 in place: its diagonal through a strided view,
+    # then P m2 into one buffer and (P m2) P^T back into m2
+    diag = m2.ravel()[::len(m2) + 1]
+    noise = np.empty(len(m2))
+    pm2 = np.empty_like(m2)
     for _ in seg:
-        noisy = m2.copy()
-        noisy.flat[::len(m2) + 1] += lam * np.diag(m2)
-        m2 = P @ noisy @ P.T
+        np.multiply(lam, diag, out=noise)
+        diag += noise
+        np.matmul(P, m2, out=pm2)
+        np.matmul(pm2, P.T, out=m2)
     return m2
 
 
@@ -408,32 +414,37 @@ _VAR_BATCHES = 10
 
 
 def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
-                          n_replicas: int, master_seed, threads: int = 1) -> dict:
-    """Bernoulli(1/2)-start interval ensemble, reduced to its moments and
-    martingale diagnostics at eps^{-2} T in one pass.
+                          n_replicas: int, master_seed, threads: int = 1,
+                          martingale: bool = False) -> dict:
+    """Bernoulli(1/2)-start interval ensemble, reduced to its moments and,
+    with martingale=True, its martingale diagnostics at eps^{-2} T in one pass.
 
     The replicas are sampled by `simulate_replicas` to eps^{-2} T and
-    reduced to their Z fields there and the (N_T(phi), gap) pairs of
+    reduced to their Z fields there.  Returns per-height-site arrays:
+    empirical mean/variance of Z, their standard errors (variance errors
+    via batch means), the exact kernel prediction of the mean,
+    E Z_t = p^R_t cosh(sqrt(eps))^x, the sampler's clock rings, accepted
+    moves and wall seconds under "rings", "events" and "sampler_s", and
+    under "martingale" None or, with martingale=True, the
+    `martingale_diagnostics` rows of the (N_T(phi), gap) pairs of
     `martingale_functionals` for phi = robin_test_function(A, B, k),
-    k = 0, 1, 2 (cos(k pi X) when A = B = 0).  Returns per-height-site
-    arrays: empirical mean/variance of Z, their standard errors (variance
-    errors via batch means), the exact kernel prediction of the mean,
-    E Z_t = p^R_t cosh(sqrt(eps))^x, under "martingale" the
-    `martingale_diagnostics` rows of the three test functions, and the
-    sampler's clock rings, accepted moves and wall seconds under "rings",
-    "events" and "sampler_s".
+    k = 0, 1, 2 (cos(k pi X) when A = B = 0).  Only then does the sampler
+    track the exponential integrals those read, which moves no stream.
     """
     eps = 1.0 / n
     params = build_params(ScalingParams.interval(n, slope_a, slope_b))
     lattice = Lattice.interval(n)
     horizon = T / (eps * eps)
     spec = solve_interval_spectrum(n, params.mu_a, params.mu_b)
-    phis = [robin_test_function(slope_a, slope_b, k) for k in (0, 1, 2)]
+    track = phis = None
+    if martingale:
+        track = (-params.lam, params.nu)
+        phis = [robin_test_function(slope_a, slope_b, k) for k in (0, 1, 2)]
 
     t0 = time.perf_counter()
     traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), params, lattice, horizon,
                              [0.0, horizon], n_replicas, master_seed,
-                             track_exp_integrals=(-params.lam, params.nu), threads=threads)
+                             track_exp_integrals=track, threads=threads)
     sampler_s = time.perf_counter() - t0
     zs = z_field(traj.heights[:, 1], horizon, params).z
     e_z0 = np.cosh(math.sqrt(eps)) ** np.arange(n + 1)
@@ -456,8 +467,8 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
         "se_var": se_var,
         "mean_prediction": pred,
         "n_replicas": m,
-        "martingale": martingale_diagnostics(martingale_functionals(traj, params, phis, T),
-                                             phis, T),
+        "martingale": (martingale_diagnostics(martingale_functionals(traj, params, phis, T),
+                                              phis, T) if martingale else None),
         "rings": int(traj.ring_count.sum()),
         "events": int(traj.event_count.sum()),
         "sampler_s": sampler_s,

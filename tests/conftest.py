@@ -15,9 +15,10 @@ ENSEMBLE_T = 0.1
 ENSEMBLE_REPLICAS = 2000
 
 
-def _ensemble(n: int) -> dict:
+def _ensemble(n: int, martingale: bool = False) -> dict:
     t0 = time.time()
-    ens = run_interval_ensemble(n, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS, (ENSEMBLE_SEED, n))
+    ens = run_interval_ensemble(n, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS, (ENSEMBLE_SEED, n),
+                                martingale=martingale)
     print(f"\n[fixture] eps=1/{n} ensemble: {ENSEMBLE_REPLICAS} replicas "
           f"in {time.time() - t0:.1f}s ({ens['events'] / ens['sampler_s']:.3g} events/s)")
     return ens
@@ -25,7 +26,8 @@ def _ensemble(n: int) -> dict:
 
 @pytest.fixture(scope="session")
 def ensemble32():
-    return _ensemble(32)
+    # the coarsest ensemble carries the martingale diagnostics, as in `compare`
+    return _ensemble(32, martingale=True)
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,16 @@
 """Test oracles shared by several test modules: the half-line Green's function
 and key identity, its spectral integrals, and the weighted c-star sum with its
-pointwise gradient products."""
+pointwise gradient products; and the plain-loop references of two optimized
+routines, the Robin spectrum's bisection and the SHE second-moment recursion."""
 
 import math
 
 import numpy as np
 
 from asepkpz.greens import green_corner_closed_form
-from asepkpz.kernels import solve_interval_spectrum
+from asepkpz.kernels import _secular, solve_interval_spectrum
 from asepkpz.quadrature import adaptive_quad, integrate_decaying
+from asepkpz.she import _step_schedule
 
 
 def halfline_green(x: int, y: int, mu_a: float) -> float:
@@ -100,3 +102,37 @@ def c_star_weighted(n: int, mu_a: float, mu_b: float, s_macro: float, eps: float
     # t = s - u^2, dt = -2u du, (s-t)^{-1/2} dt -> 2 du
     total = total + adaptive_quad(lambda us: 2.0 * core(s - us * us), 0.0, 1.0, tol=1e-8)
     return {"max": float(np.max(total)), "per_x": total, "s": s}
+
+
+def interval_omegas_bisected(n: int, mu_a: float, mu_b: float) -> np.ndarray:
+    """Robin frequencies on {0..N} by all 90 bisection sweeps of
+    `solve_interval_spectrum` (mu_A mu_B < 1), with no early stop."""
+    ks = np.arange(n + 1)
+    lo = ks * np.pi / (n + 1)
+    hi = (ks + 1) * np.pi / (n + 1)
+    left_sign = np.where(ks % 2 == 0, 1.0, -1.0)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        val = _secular(mid, n, mu_a, mu_b)
+        same = np.sign(val) == left_sign
+        exact = val == 0.0
+        lo = np.where(same & ~exact, mid, lo)
+        hi = np.where(~same | exact, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def second_moment_loop(m2_0: np.ndarray, grid, T: float) -> np.ndarray:
+    """`she.second_moment` by the recursion m2 <- P (m2 + (h/dX) diag m2) P^T
+    with fresh arrays every step."""
+    m2 = np.asarray(m2_0, dtype=float).copy()
+    (seg,) = _step_schedule([T], grid.dt)
+    if not seg:
+        return m2
+    h = seg[0]
+    P = grid.propagator(h)
+    lam = h / grid.dx
+    for _ in seg:
+        noisy = m2.copy()
+        noisy.flat[::len(m2) + 1] += lam * np.diag(m2)
+        m2 = P @ noisy @ P.T
+    return m2

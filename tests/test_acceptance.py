@@ -261,7 +261,7 @@ def test_criterion_12_reproducibility(ensemble32, ensemble64, tmp_path):
         h_ref = _compare_csv_sha256([ensemble32, ensemble64], tmp_path / "ref.csv")
         # full rerun of the criteria 9-11 pipeline with a different thread count
         e32 = run_interval_ensemble(32, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
-                                    (ENSEMBLE_SEED, 32), threads=2)
+                                    (ENSEMBLE_SEED, 32), threads=2, martingale=True)
         e64 = run_interval_ensemble(64, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
                                     (ENSEMBLE_SEED, 64), threads=2)
         h_new = _compare_csv_sha256([e32, e64], tmp_path / "new.csv")

@@ -229,11 +229,14 @@ def test_compare_kind_one_pass(tmp_path):
         files.append([(run_dir / name).read_bytes()
                       for name in ("compare.csv", "diagnostics.json")])
     assert files[0] == files[1]
-    ensembles = [run_interval_ensemble(n, 0.0, 0.0, 0.1, 24, (5, n)) for n in (8, 16)]
+    # only the coarsest ensemble samples the exponential integrals its rows read
+    ensembles = [run_interval_ensemble(n, 0.0, 0.0, 0.1, 24, (5, n), martingale=(n == 8))
+                 for n in (8, 16)]
     direct = tmp_path / "direct.csv"
     write_compare_csv(str(direct), asep_she_compare(ensembles, 0.1, np.linspace(0.0, 1.0, 9)))
     assert direct.read_bytes() == files[0][0]
     assert json.loads(files[0][1]) == ensembles[0]["martingale"]
+    assert ensembles[1]["martingale"] is None
     # the manifest reports what the sampler did, outside every hashed file
     manifest = json.loads((run_dir / "manifest.json").read_text())
     records = manifest["metrics"]["sampler"]

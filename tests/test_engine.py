@@ -398,6 +398,10 @@ def test_replicas_replay_pinned_streams(name):
     assert stream_digest(traj) == digest
     assert sum(float(np.sum(z)) for zs in traj.z_int for z in zs) == pytest.approx(s1, rel=1e-12)
     assert sum(float(np.sum(z)) for zs in traj.z2_int for z in zs) == pytest.approx(s2, rel=1e-12)
+    # tracking the integrals draws nothing from the stream
+    untracked = simulate_replicas(init, p, lat, horizon, times, replicas, seed)
+    assert stream_digest(untracked) == digest
+    assert untracked.z_int is None and untracked.z2_int is None
 
 
 def test_simulate_replicas_independent_of_threads_and_blocks():

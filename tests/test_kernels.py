@@ -10,7 +10,7 @@ from asepkpz.kernels import (build_image_expansion, free_walk_row, free_walk_tai
                              interval_kernel_spectral, kernel_bound_audit, robin_laplacian_matrix,
                              solve_interval_spectrum, _support_radius)
 
-from oracles import halfline_s, halfline_spectral_mean
+from oracles import halfline_s, halfline_spectral_mean, interval_omegas_bisected
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +287,20 @@ def test_spectrum_random_residuals_and_brackets():
         ks = np.arange(n + 1)
         assert np.all(spec.omegas >= ks * math.pi / (n + 1) - 1e-14)
         assert np.all(spec.omegas <= (ks + 1) * math.pi / (n + 1) + 1e-14)
+
+
+@pytest.mark.parametrize("n, mu_a, mu_b", [
+    (100, 0.99, 0.99), (32, 31 / 32, 31 / 32), (32, 1 - 0.5 / 32, 1 - 2 / 32),
+    (12, 0.9, 1.0), (200, 0.995, 0.99), (64, 0.0, 1.0)])
+def test_spectrum_bisection_stops_at_fixed_point(n, mu_a, mu_b, monkeypatch):
+    # the first sweep that moves no bracket end ends the bisection; all 90
+    # sweeps give the same frequencies bit for bit
+    reference = interval_omegas_bisected(n, mu_a, mu_b)
+    sweeps = []
+    secular = kernels._secular
+    monkeypatch.setattr(kernels, "_secular", lambda *a: sweeps.append(1) or secular(*a))
+    assert np.array_equal(solve_interval_spectrum(n, mu_a, mu_b).omegas, reference)
+    assert len(sweeps) < 60
 
 
 def test_spectrum_ghost_relation():

@@ -13,6 +13,8 @@ from asepkpz.she import (_step_schedule, build_grid, lognormal_mean, lognormal_s
                          robin_test_function, run_interval_ensemble, sample_she,
                          sample_she_ensemble, second_moment)
 
+from oracles import second_moment_loop
+
 
 def test_grid_validation():
     with pytest.raises(ValueError):
@@ -99,6 +101,8 @@ def test_second_moment_matches_diag_matrix_form(robin_a, robin_b):
     for _ in seg:
         m2 = P @ (m2 + seg[0] / grid.dx * np.diag(np.diag(m2))) @ P.T
     assert np.array_equal(second_moment(m2_0, grid, 0.05), m2)
+    # the in-place recursion on preallocated buffers is the fresh-array loop's
+    assert np.array_equal(second_moment(m2_0, grid, 0.05), second_moment_loop(m2_0, grid, 0.05))
 
 
 def test_second_moment_large_grid():
@@ -235,7 +239,7 @@ def test_martingale_functionals_zero_at_t0():
         values = martingale_functionals(tr, params, [neumann_cosine(0)], 0.0)
         assert values.tolist() == [[[0.0, 0.0]]]
     # the in-task reduction of all-zero values is defined (0 sigma), not 0/0
-    for r in run_interval_ensemble(n, 0.0, 0.0, 0.0, 3, 11)["martingale"]:
+    for r in run_interval_ensemble(n, 0.0, 0.0, 0.0, 3, 11, martingale=True)["martingale"]:
         assert all(math.isfinite(v) for v in r.values() if isinstance(v, float))
         assert r["z_N"] == 0.0 and r["z_gap"] == 0.0
 
@@ -306,7 +310,7 @@ def test_martingale_functionals_match_per_replica_formula():
 
 
 def test_martingale_diagnostics_small():
-    ens = run_interval_ensemble(16, 0.0, 0.0, 0.1, 400, 123)
+    ens = run_interval_ensemble(16, 0.0, 0.0, 0.1, 400, 123, martingale=True)
     for r in ens["martingale"][:2]:     # cos(0 pi X), cos(1 pi X)
         assert r["z_N"] <= 3.0
         assert r["z_gap"] <= 3.0
@@ -328,7 +332,14 @@ def test_lognormal_oracles():
 
 
 def test_ensemble_runner_deterministic_across_threads():
-    a = run_interval_ensemble(12, 0.0, 0.0, 0.05, 40, 5, threads=1)
-    b = run_interval_ensemble(12, 0.0, 0.0, 0.05, 40, 5, threads=4)
-    assert np.array_equal(a["mean"], b["mean"])
-    assert np.array_equal(a["var"], b["var"])
+    # neither the thread count nor sampling the exponential integrals moves a
+    # replica's stream: the moments and counts agree bit for bit
+    a = run_interval_ensemble(12, 0.0, 0.0, 0.05, 40, 5, threads=1, martingale=True)
+    assert len(a["martingale"]) == 3
+    for threads, martingale in ((4, True), (1, False), (4, False)):
+        b = run_interval_ensemble(12, 0.0, 0.0, 0.05, 40, 5, threads=threads,
+                                  martingale=martingale)
+        for key in ("mean", "var", "se_mean", "se_var"):
+            assert np.array_equal(a[key], b[key])
+        assert (a["rings"], a["events"]) == (b["rings"], b["events"])
+        assert b["martingale"] == (a["martingale"] if martingale else None)
