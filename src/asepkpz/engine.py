@@ -16,9 +16,9 @@ probability rate / clock.  A round fires, in every replica of a block at
 once, each channel whose next ring comes before both path neighbours'
 rings and before the next sample time: fired channels share no site, so
 every round is a piece of the sequential path, applied as dense array
-operations.  Replica i draws its waits and marks from its own Philox
-stream (keyed by master seed and replica index) in (round, channel)
-order, so its path does not depend on the block split or the thread count.
+operations.  Replica i draws Exp(1) waits and uniform marks in `_Block`'s
+order from its SFC64 stream keyed by (master seed, replica index): its path
+is fixed by that key and `_BUFFER`, not by the block split or thread count.
 """
 
 from __future__ import annotations
@@ -190,12 +190,12 @@ def event_rates(config, params: ModelParams, lattice: Lattice) -> EventRates:
 
 
 def replica_rng(master_seed, replica_index: int) -> np.random.Generator:
-    """Counter-based stream keyed by (master seed, replica index)."""
+    """SFC64 stream keyed by (master seed, replica index), for both samplers."""
     if isinstance(master_seed, (tuple, list)):
         key = (*[int(v) for v in master_seed], int(replica_index))
     else:
         key = (int(master_seed), int(replica_index))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
 def map_replica_blocks(fn, n_replicas: int, master_seed, threads: int = 1) -> list:
@@ -268,11 +268,12 @@ class _Block:
     heights and an infinite ring time.  Flat index r*S + s addresses every
     per-channel array, and views shifted by one slot give the neighbours.
 
-    Streams: replica r's (wait, mark) pairs are its stream's uniforms in
-    order, buffered per row and topped up when fewer than N+1 remain, so
-    what a replica draws never depends on the block, the buffer size or
-    the other replicas.  Its first N+1 waits start the clocks; each round
-    its fired channels take the next pairs in channel order.
+    Streams: after its start, replica r's stream fills its row with size =
+    _BUFFER (N+1) Exp(1) waits, then as many uniform marks; when fewer than
+    N+1 remain, `used` new waits, then `used` new marks replace the used
+    ones, so its path is fixed by its key and _BUFFER, whatever the block.
+    Its first N+1 waits start the clocks; each round its fired channels take
+    the next (wait, mark) pairs in channel order.
     """
 
     def __init__(self, params, lattice, inits, rngs, sample_times, horizon, track):
@@ -298,10 +299,9 @@ class _Block:
         self.h[:, 2:c + 1] = np.cumsum([init.eta for init in inits], axis=1)
         self._ghosts()
         self.size = _BUFFER * c
-        u = np.array([rng.random(2 * self.size) for rng in rngs])
-        self.waits = -np.log1p(-u[:, 0::2])
-        self.marks = np.ascontiguousarray(u[:, 1::2])
-        self.drawn = np.full(m, self.size)
+        self.waits, self.marks = np.empty((2, m, self.size))
+        self.drawn, self.pos = np.zeros(m, dtype=np.int64), np.full(m, self.size)
+        self._refill(range(m))       # every pair counts as used: fill the rows
         self.t_buf = np.full(m * s + 2, np.inf)
         first = self.waits[:, :c] * scale
         self.t_buf[1:-1].reshape(m, s)[:, 1:c + 1] = np.where(clock > 0, first, np.inf)
@@ -321,15 +321,13 @@ class _Block:
         self.h[:, -1] = self.h[:, -3]
 
     def _refill(self, rows):
-        """Top rows up with the next pairs of their streams (waits as Exp(1))."""
+        """Top rows up: `used` new waits, then `used` new marks, from each stream."""
         size = self.size
         for r in rows:
-            used = self.pos[r]
-            for buf in (self.waits, self.marks):
+            used, rng = self.pos[r], self.rngs[r]
+            for buf, draw in ((self.waits, rng.standard_exponential), (self.marks, rng.random)):
                 buf[r, :size - used] = buf[r, used:]
-            u = self.rngs[r].random(2 * used)
-            np.negative(np.log1p(-u[0::2]), out=self.waits[r, size - used:])
-            self.marks[r, size - used:] = u[1::2]
+                draw(out=buf[r, size - used:])
             self.drawn[r] += used
             self.pos[r] = 0
 

@@ -87,6 +87,7 @@ def c_closed_form(n: int, mu_a: float, mu_b: float) -> float:
 # quadrature routes
 
 F_TAIL_TOL = 1e-9         # bound on the omitted time tail of F
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 def f_matrix_quadrature(spec: SpectralData) -> dict:
@@ -101,8 +102,9 @@ def f_matrix_quadrature(spec: SpectralData) -> dict:
     exponential holds E = e^{-2 t_0 L} (one Pade exponential) and
     I = t_0 phi_1(-2 t_0 L) (its Taylor series); the block is upper
     triangular, so each of the s squarings up to t_cut is I <- I + E I,
-    E <- E E on (N+1)-sized blocks.  The returned value omits the tail,
-    which is reported as the truncation certificate.
+    E <- E E on (N+1)-sized blocks, after entries of E and I smaller in size
+    than the smallest normal float are set to 0: subnormals stall the gemm.
+    The returned value omits the tail, reported as the truncation certificate.
     """
     n = spec.n
     lam0 = float(spec.lambdas[0])
@@ -120,6 +122,8 @@ def f_matrix_quadrature(spec: SpectralData) -> dict:
         phi = eye + (A @ phi) / k
     integral = t0 * phi
     for _ in range(s):
+        for a in (E, integral):
+            a[np.abs(a) < _TINY] = 0.0
         integral = integral + E @ integral
         E = E @ E
     total = np.diff(np.diff(integral, axis=0), axis=1)
@@ -164,7 +168,6 @@ def key_identity(spec: SpectralData) -> dict:
 # c-star sums
 
 _PRODUCT_DOUBLES = 2 ** 18   # largest D-by-V table (2 MB, N <= 64) that one gemm reads per panel
-_TINY = np.finfo(float).tiny  # smallest normal float
 
 
 def _grad_product_integrand(spec: SpectralData):

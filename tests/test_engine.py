@@ -120,6 +120,23 @@ def test_event_wait_times_match_rate():
     assert abs(frac_empty - target) <= 3 * se
 
 
+def test_ring_counts_are_poisson():
+    # A channel rings at its clock whatever the state, so a replica's
+    # ring_count over [0, H) is exactly Poisson(H sum_c clock_c).  This pins
+    # the count drawn - size + pos - (N+1) across refills and barriers and
+    # the Exp(1) law of the waits.  Gate, set in advance: the mean and the
+    # dispersion var/mean each within 4 standard errors, sqrt(mu/R) and
+    # sqrt((2 + 1/mu)/R) (Poisson: fourth central moment mu + 3 mu^2).
+    n, horizon, replicas = 8, 100.0, 4000
+    p = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.5, beta=0.35, gamma=0.15, delta=0.2)
+    lat = Lattice.interval(n)
+    mu = horizon * float(_harris_tables(p, lat)[0].sum())    # 100 * 5.05
+    rings = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, horizon,
+                              [horizon / 2, horizon], replicas, 31).ring_count
+    assert abs(rings.mean() - mu) <= 4 * math.sqrt(mu / replicas)
+    assert abs(rings.var(ddof=1) / mu - 1) <= 4 * math.sqrt((2 + 1 / mu) / replicas)
+
+
 def test_sos_matches_particle_distribution():
     # Mean heights of the particle sampler against the exact transient law,
     # asymmetric boundaries.  One expm of [[Q, I], [0, 0]] t gives the law
@@ -345,16 +362,16 @@ def test_half_line_truncation_doubling():
 # its exponential integrals, on replica_rng(seed, i).  A change of the
 # sampler's draws or of its rounds changes them.
 PINNED_STREAMS = {
-    "interval16": ("1bedba7255bcaa6d595b8ef98fd6bc2bdaf9491464d7662d8b4e4b031ef83bbd",
-                   77377.22958353652, 315327.90785498277),
-    "interval12_robin": ("4414bf7aee620b5ae67078de159affcd1ce751e468f32f3ddad884064663a653",
-                         12278.581716148421, 19329.158843755213),
-    "halfline24": ("6ec44873a9cde4f4ee7c8dadd9ee8e0d55eb1ff7d51364190b137bcdc8ca4b76",
-                   256352.2934301003, 86808606.02144365),
-    "interval2": ("e0fc3d7b91a04a6c8b14f8cfcd5724a3e37666220f23c4f89a39d68411b5728a",
-                  826.5395938560821, 470.9401067704929),
-    "interval1": ("8147fd66427d09f6f28615f118a7d9bb9695ae8cfa8f3ba34c9a2d67e44aea21",
-                  539.1219566851994, 255.7990323833193),
+    "interval16": ("1ef047e2d3c8680b9e34293c9bd12a603634321ba905f9a3fac0b84d7e44c1a8",
+                   176560.94003141404, 900774.6638002349),
+    "interval12_robin": ("bc4e76415ae09d74c38eeef56490eaed95c44c25d4208fa7a8a467cf7cea8832",
+                         8138.241564031017, 11661.341759725756),
+    "halfline24": ("8667999506bd79491cdc814cd4c1dd78f3c108b8810adf79343f7a2aa5720ed2",
+                   313484.1036351243, 67292228.86494206),
+    "interval2": ("eee33f4080e431efa1c02a3d3db9ba7303015e08147f9e5aa58d66510bdba8fc",
+                  1731.0857048720416, 1670.9818515816623),
+    "interval1": ("2131eb71a188297f21f571e6b38300fe639e356d142679e06643345e8ddd295f",
+                  521.4085893719055, 336.3500036656838),
 }
 
 

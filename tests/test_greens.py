@@ -168,6 +168,7 @@ def test_key_identity_small_interval_routes():
 
 
 @pytest.mark.parametrize("n, mu_a, mu_b", [(100, 1 - 1 / 100, 1 - 2 / 100),
+                                          (200, 1 - 1 / 200, 1 - 1 / 200),
                                           (32, 1 - 0.5 / 32, 1 - 3 / 32),
                                           (12, 1.0, 1 - 1 / 12)])
 def test_key_identity_all_pairs(n, mu_a, mu_b):
