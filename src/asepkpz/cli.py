@@ -386,7 +386,7 @@ def run_kernel(cfg, out, seed, threads, checks):
         gap = float(np.max(np.abs(ker - interval_kernel_image(expansion, t))))
         ok &= (gap <= 1e-8 and float(np.max(np.abs(ker - ker.T))) <= 1e-10
                and ker.min() >= -1e-12)
-        rows.extend([t, x, y, ker[x, y]] for x in range(n + 1) for y in range(n + 1))
+        rows.extend([t, x, y, v] for x, row in enumerate(ker.tolist()) for y, v in enumerate(row))
     write_csv(os.path.join(out, "kernel.csv"), ["t", "x", "y", "value"], rows)
     audits = kernel_bound_audit(spec, scaling.epsilon)
     with open(os.path.join(out, "bound_audits.json"), "w") as fh:
@@ -401,7 +401,9 @@ def run_identities(cfg, out, seed, threads, checks):
     A, B = sec.getfloat("slope_a"), sec.getfloat("slope_b")
     eps = 1.0 / n
     mu_a, mu_b = 1.0 - eps * A, 1.0 - eps * B
+    t0 = time.perf_counter()
     ki = key_identity(solve_interval_spectrum(n, mu_a, mu_b))
+    seconds = {"key_identity_s": time.perf_counter() - t0}
     c = ki["c"]
     reports = []
     for x, xb in ((n // 2, n // 2), (n // 2, n // 2 + 1)):
@@ -427,15 +429,18 @@ def run_identities(cfg, out, seed, threads, checks):
     sbp = summation_by_parts_audit(32, seed=seed)
     checks["summation_by_parts"] = max(sbp.values()) <= 1e-12
     ncs = sec.getint("cstar_n")
+    t0 = time.perf_counter()
     cs = c_star_estimate(ncs, 1.0 - A / ncs, 1.0 - B / ncs, sec.getfloat("cstar_tbar"), 1.0 / ncs)
+    seconds["c_star_s"] = time.perf_counter() - t0
     checks["c_star_below_one"] = cs["max"] < 1.0
     reports.append({"identity": "c-star", "params": {"n": ncs}, "value": cs["max"],
                     "expected": "< 1", "abs_err": None, "route_gap": None,
-                    "tail_bound": None})
+                    "tail_bound": cs["tail_bound"], "roots": cs["roots"]})
     with open(os.path.join(out, "identities.json"), "w") as fh:
         fh.write("[\n" + ",\n".join(
             report_to_json({k: v for k, v in r.items() if k != "per_x"})
             for r in reports) + "\n]\n")
+    return {"identities": seconds}
 
 
 def run_she(cfg, out, seed, threads, checks):
@@ -502,13 +507,13 @@ def run_stationary(cfg, out, seed, threads, checks):
 
 
 def run_audit_all(cfg, out, seed, threads, checks):
-    stages = {}
+    metrics, stages = {}, {}
     for name, stage in (("params", run_params), ("kernel", run_kernel),
                         ("identities", run_identities), ("stationary", run_stationary)):
         t0 = time.perf_counter()
-        stage(cfg, out, seed, threads, checks)
+        metrics.update(stage(cfg, out, seed, threads, checks) or {})
         stages[name] = time.perf_counter() - t0
-    return {"stages": stages}
+    return {**metrics, "stages": stages}
 
 
 KINDS = {

@@ -8,7 +8,9 @@ which on the interval equals (1-c) on the diagonal and -c off it, with
 0 <= c <= C eps.  F is computed by three routes: the spectral closed form
 sum_k grad psi_k(x) grad psi_k(xb) / (2 lambda_k), the second difference of
 the Green's function of -Laplacian/2, and the time integral of kernel
-products by the Van Loan block exponential, built by doubling.
+products by the Van Loan block exponential, built by doubling.  The c-star
+sums of |grad+ p_t grad- p_t| are integrated in closed form between the sign
+changes of the two gradients.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 import numpy as np
 
 from .kernels import SpectralData, solve_interval_spectrum, robin_laplacian_matrix
-from .quadrature import integrate_decaying
 
 __all__ = [
     "green_matrix",
@@ -167,47 +168,94 @@ def key_identity(spec: SpectralData) -> dict:
 # ---------------------------------------------------------------------------
 # c-star sums
 
-_PRODUCT_DOUBLES = 2 ** 18   # largest D-by-V table (2 MB, N <= 64) that one gemm reads per panel
+_U = np.finfo(float).eps / 2   # unit roundoff
 
 
-def _grad_product_integrand(spec: SpectralData):
-    """f(ts)[k, x-1] = sum_{y=1}^{N-1} |grad+_x p_t grad-_x p_t(x, y)| at t = ts[k], bulk x.
+def _sign_changes(spec: SpectralData, times: np.ndarray):
+    """The table A[x (N-1) + y-1] = D[x] V[y] of g_{x,y}(t) = grad+ p_t(x, y) =
+    sum_k A_k e^{-t lam_k} (x < N, 0 < y < N), the roots of each g_f in [0, times[-1]]
+    (function indices, times), and per bulk x a bound on sum_y int |g_{x,y} g_{x-1,y}|
+    over the cells where a sign is unknown.
 
-    G_t = (D e^{-t lam}) V^T, D = V[1:] - V[:-1], holds grad+ p_t at x = 0..N-1
-    and grad- at x is grad+ at x-1, so no kernel is formed.  While the table
-    DV[j, x, y] = D[x, j] V[y, j] stays cache-sized one gemm e^{-t lam} DV
-    takes all nodes of a panel; past it, one product per node.  Decay factors
-    below the smallest normal float are set to 0 first: subnormal operands
-    stall the gemm."""
-    n, V = spec.n, spec.eigvecs
-    D = V[1:, :] - V[:-1, :]
-    W = V[1:n, :].T               # columns y = 1..N-1
-    fits = D.size * (n - 1) <= _PRODUCT_DOUBLES
-    DV = (D.T[:, :, None] * W[:, None, :]).reshape(n + 1, -1) if fits else None
-
-    def sums(G):                  # grad+ p_t (..., N, N-1) -> per-x sums (..., N-1)
-        G = np.abs(G, out=G)
-        return np.einsum("...xy,...xy->...x", G[..., 1:, :], G[..., :-1, :])
-
-    def f(ts):
-        decay = np.exp(-np.outer(ts, spec.lambdas))
-        decay[decay < _TINY] = 0.0
-        if DV is None:
-            return np.array([sums((D * e) @ W) for e in decay])
-        return sums((decay @ DV).reshape(len(decay), n, n - 1))
-
-    return f
+    g is scanned at the increasing `times`, one x (N-1 functions) at a time; a
+    value inside the rounding band 2 K u sum_k |A_k| e^{-lam_0 t} of the K-term
+    sum has unknown sign.  A cell [t_{i-1}, t_i] (t_{-1} = 0) whose ends have
+    opposite known signs holds one root: bisected in log t to a ratio 1 + u^(1/4),
+    then placed by a secant step.  A cell with an unknown end is not searched;
+    there |g_{x,y}| <= |p_t(x+1, y)| + |p_t(x, y)| at its right end, with the Chernoff
+    bound |p_t(x, y)| <= min(1, 2 exp(t (cosh th - 1) - th d)) at distance d, sinh th
+    = d/t (M = I - L, off-diagonal 1/2 and corners mu/2, |mu| <= 1, has |M| w <=
+    cosh(th) w for w(z) = cosh(th (z + 1/2)) and its mirror image), and
+    |g_{x,y}| <= sum_k |A_k| e^{-lam_0 t} at its left end.
+    """
+    n, lam, V = spec.n, spec.lambdas, spec.eigvecs
+    A = ((V[1:] - V[:-1])[:, None, :] * V[None, 1:n, :]).reshape(n * (n - 1), n + 1)
+    E = np.exp(-np.outer(lam, times))
+    E[E < _TINY] = 0.0                     # subnormal operands stall the product
+    decay0 = np.exp(-lam[0] * np.concatenate(([0.0], times)))
+    v = np.arange(n + 1)[:, None] / times  # distance over time
+    chernoff = np.minimum(2 * np.exp(times * (np.hypot(1, v) - 1 - v * np.arcsinh(v))), 1.0)
+    y, dt = np.arange(1, n), np.diff(times, prepend=0.0)
+    brackets, tails = [], []
+    for x in range(n):
+        rows = A[x * (n - 1):(x + 1) * (n - 1)]
+        vals = rows @ E
+        size = np.abs(rows).sum(axis=1)[:, None] * decay0
+        sign = np.where(np.abs(vals) > 2 * len(lam) * _U * size[:, 1:], np.sign(vals), 0.0)
+        i, c = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+        brackets.append((i + x * (n - 1), c, vals[i, c], vals[i, c + 1]))
+        unknown = sign == 0
+        unknown[:, 1:] |= unknown[:, :-1]
+        bound = np.minimum(chernoff[np.abs(x + 1 - y)] + chernoff[np.abs(x - y)], size[:, :-1])
+        if x:
+            tails.append(np.where(unknown | prev[0], bound * prev[1], 0.0).sum(axis=0) @ dt)
+        prev = unknown, bound
+    f, c, g_lo, g_hi = (np.concatenate(z) for z in zip(*brackets))
+    lo, hi, Af = times[c], times[c + 1], A[f]
+    ratio = float(np.max(np.log(times[1:] / times[:-1]), initial=0.0)) / _U ** 0.25
+    for _ in range(math.ceil(math.log2(ratio)) if ratio > 1 else 0):
+        mid = np.sqrt(lo * hi)
+        g = np.einsum("ik,ik->i", Af, np.exp(-mid[:, None] * lam))
+        right = (g > 0) != (g_lo > 0)
+        lo, g_lo = np.where(right, lo, mid), np.where(right, g_lo, g)
+        hi, g_hi = np.where(right, mid, hi), np.where(right, g, g_hi)
+    return A, f, lo - g_lo * (hi - lo) / (g_hi - g_lo), np.array(tails)
 
 
 def c_star_estimate(n: int, mu_a: float, mu_b: float, t_bar: float, eps: float) -> dict:
     """max over bulk x of sum_{y=1}^{N-1} int_0^{eps^{-2} t_bar} |grad+ p grad- p| dt.
 
     A uniform bound c_star < 1 holds for these sums; the audit reports the
-    observed maximum and the sum at each bulk x, on the spectral kernel.
+    observed maximum and the sum at each bulk x, on the spectral kernel.  With
+    grad+ p_t(x, y) = sum_j a_j e^{-t lam_j} and grad- p_t(x, y) = grad+ p_t(x-1, y)
+    = sum_k b_k e^{-t lam_k}, their product integrates to Q(t) = a^T [(1 - e^{-st})/s] b,
+    s_jk = lam_j + lam_k, so the sum is sum |Q(t_{i+1}) - Q(t_i)| between 0, the
+    roots of both (`_sign_changes` at 4(N+1) geometric times from 10^-2) and the
+    horizon.  Also returns the number of `roots` and `tail_bound`: per_x may miss
+    at most that much (twice the integral bound) where a sign was unknown.
     """
     spec = solve_interval_spectrum(n, mu_a, mu_b)
-    total = integrate_decaying(_grad_product_integrand(spec), t_bar / (eps * eps), tol=1e-8)
-    return {"max": float(np.max(total)), "per_x": total}
+    lam, m, P, t_max = spec.lambdas, n - 1, (n - 1) ** 2, t_bar / (eps * eps)
+    A, f, roots, tails = _sign_changes(spec, np.geomspace(min(1e-2, t_max), t_max, 4 * (n + 1)))
+    # pair p = (x-1)(N-1) + y-1 has a = A[p + N-1] and b = A[p]; the Neumann
+    # zero mode (s = 0) has no gradient, so a_0 = b_0 = 0 there
+    S = lam[:, None] + lam[None, :]
+    H = np.divide(1.0, S, out=np.zeros_like(S), where=S > 0)
+    breaks = np.concatenate(([0.0, t_max], roots))
+    e = np.exp(-np.outer(breaks, lam))
+    e[e < _TINY] = 0.0
+    pair = np.concatenate([np.arange(P), np.arange(P), f[f >= m] - m, f[f < P]])
+    at = np.concatenate([np.zeros(P, int), np.ones(P, int),
+                         2 + np.flatnonzero(f >= m), 2 + np.flatnonzero(f < P)])
+    order = np.lexsort((breaks[at], pair))
+    pair, at = pair[order], at[order]
+    # n pieces keep the (breaks, K) products as small as one x of the scan
+    q = np.concatenate([np.einsum("ik,ik->i", (A[p + m] * e[t]) @ H, A[p] * e[t])  # Q(0) - Q(t)
+                        for p, t in zip(np.array_split(pair, n), np.array_split(at, n))])
+    same = pair[1:] == pair[:-1]
+    per_x = np.bincount(pair[1:][same], np.abs(np.diff(q))[same], minlength=P).reshape(m, m).sum(1)
+    return {"max": float(np.max(per_x)), "per_x": per_x, "roots": len(f),
+            "tail_bound": 2.0 * float(np.max(tails))}
 
 
 # ---------------------------------------------------------------------------

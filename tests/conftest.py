@@ -1,8 +1,12 @@
+import ctypes
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from asepkpz.cli import blas_threads
 from asepkpz.she import run_interval_ensemble
 
 # Acceptance-scale ensembles (A = B = 0, Bernoulli(1/2) start, T = 0.1) shared
@@ -37,3 +41,19 @@ def ensemble64():
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def openblas_thread_setter(name: str):
+    """The run-time thread-count setter of the OpenBLAS that `name` (numpy or
+    scipy, imported) loaded, and its count now; skips the test where that
+    count cannot be read (no OpenBLAS of the package's own)."""
+    rec = blas_threads()[name]
+    if rec["threads"] is None:
+        pytest.skip(f"{name}: {rec['reason']}")
+    lib = ctypes.CDLL(str(Path(sys.modules[name].__file__).parents[1] / f"{name}.libs"
+                          / rec["library"]))
+    setter = next(getattr(lib, sym) for sym in (
+        "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+        "openblas_set_num_threads64_", "openblas_set_num_threads") if hasattr(lib, sym))
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter, rec["threads"]

@@ -1,7 +1,8 @@
 """Test oracles shared by several test modules: the half-line Green's function
-and key identity, its spectral integrals, and the weighted c-star sum with its
-pointwise gradient products; and the plain-loop references of two optimized
-routines, the Robin spectrum's bisection and the SHE second-moment recursion."""
+and key identity, its spectral integrals, the c-star integrand and the weighted
+c-star sum with its pointwise gradient products; and the plain-loop references
+of two optimized routines, the Robin spectrum's bisection and the SHE
+second-moment recursion."""
 
 import math
 
@@ -9,8 +10,8 @@ import numpy as np
 
 from asepkpz.greens import green_corner_closed_form
 from asepkpz.kernels import _secular, solve_interval_spectrum
-from asepkpz.quadrature import adaptive_quad, integrate_decaying
 from asepkpz.she import _step_schedule
+from quadrature import adaptive_quad, integrate_decaying
 
 
 def halfline_green(x: int, y: int, mu_a: float) -> float:
@@ -79,6 +80,32 @@ def interval_grad_products(spec, t: float) -> np.ndarray:
     gp = M[2:, :] - M[1:-1, :]    # grad+ at x = 1..N-1
     gm = M[1:-1, :] - M[:-2, :]   # x - (x-1), sign-free under abs
     return np.abs(gp * gm)
+
+
+_TINY = np.finfo(float).tiny  # smallest normal float
+
+
+def grad_product_integrand(spec):
+    """f(ts)[k, x-1] = sum_{y=1}^{N-1} |grad+_x p_t grad-_x p_t(x, y)| at t = ts[k], bulk x.
+
+    G_t = (D e^{-t lam}) V^T, D = V[1:] - V[:-1], holds grad+ p_t at x = 0..N-1
+    and grad- at x is grad+ at x-1, so no kernel is formed: one gemm
+    e^{-t lam} DV with the table DV[j, x, y] = D[x, j] V[y, j] takes all nodes
+    of a panel.  Decay factors below the smallest normal float are set to 0
+    first: subnormal operands stall the gemm.  Integrated by
+    `quadrature.integrate_decaying`, it is the adaptive oracle of
+    `greens.c_star_estimate`."""
+    n, V = spec.n, spec.eigvecs
+    D = V[1:, :] - V[:-1, :]
+    DV = (D.T[:, :, None] * V[1:n, :].T[:, None, :]).reshape(n + 1, -1)
+
+    def f(ts):
+        decay = np.exp(-np.outer(ts, spec.lambdas))
+        decay[decay < _TINY] = 0.0
+        G = np.abs((decay @ DV).reshape(len(decay), n, n - 1))
+        return np.einsum("...xy,...xy->...x", G[..., 1:, :], G[..., :-1, :])
+
+    return f
 
 
 def c_star_weighted(n: int, mu_a: float, mu_b: float, s_macro: float, eps: float) -> dict:

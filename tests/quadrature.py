@@ -1,6 +1,7 @@
-"""Adaptive Gauss-Legendre panel quadrature.  Integrand contract: `f(t)` takes a
-1-D array of nodes and returns an array with the node axis first, (len(t),) or
-(len(t), ...); `adaptive_quad` calls it once per panel."""
+"""Adaptive Gauss-Legendre panel quadrature, the reference integrator of the test
+oracles (the c-star sums of `greens.c_star_estimate` among them).  Integrand
+contract: `f(t)` takes a 1-D array of nodes and returns an array with the node
+axis first, (len(t),) or (len(t), ...); `adaptive_quad` calls it once per panel."""
 
 from __future__ import annotations
 

@@ -12,6 +12,8 @@ from asepkpz.cli import (config_hash, fmt, load_config, main, sha256_file, write
                          write_csv)
 from asepkpz.she import asep_she_compare, build_grid, run_interval_ensemble, sample_she_ensemble
 
+from conftest import openblas_thread_setter
+
 
 def run_cli(args):
     return main(args)
@@ -173,8 +175,12 @@ def test_identities_kind(tmp_path):
         assert r["abs_err_max"] <= 1e-9 and r["route_gap_max"] <= 1e-7
         assert r["green_route_gap"] <= 1e-9 and r["abs_err"] <= r["abs_err_max"]
         assert r["routes"] == ["spectral", "green", "expm"]
+    # the c-star record counts its sign changes and bounds the sign-unknown cells
+    assert reports[2]["roots"] == 30 and 0.0 <= reports[2]["tail_bound"] <= 1e-15
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["checks"]["key_identity_all_pairs"] is True
+    assert set(manifest["metrics"]["identities"]) == {"key_identity_s", "c_star_s"}
+    assert all(s > 0 for s in manifest["metrics"]["identities"].values())
 
 
 def test_audit_all_bound_audits_pinned(tmp_path):
@@ -285,19 +291,9 @@ def test_failed_check_exits_one(tmp_path, monkeypatch):
 def test_manifest_records_blas_threads(tmp_path):
     # numpy's and scipy's OpenBLAS are read when the manifest is written, so a
     # thread count set at run time shows; the record is outside every hashed file
-    import ctypes
     import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS, which expm runs on)
     before = cli.blas_threads()
-    setters = {}
-    for name, rec in before.items():
-        if rec["threads"] is None:
-            pytest.skip(f"{name}: {rec['reason']}")
-        lib = ctypes.CDLL(str(Path(sys.modules[name].__file__).parents[1] / f"{name}.libs"
-                              / rec["library"]))
-        setters[name] = next(getattr(lib, sym) for sym in (
-            "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-            "openblas_set_num_threads64_", "openblas_set_num_threads") if hasattr(lib, sym))
-        setters[name].argtypes, setters[name].restype = [ctypes.c_int], None
+    setters = {name: openblas_thread_setter(name)[0] for name in before}
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\nn_sites = 8\n")
     for setter in setters.values():
@@ -398,6 +394,7 @@ def test_audit_all_manifest_metrics(tmp_path):
     stages = manifest["metrics"]["stages"]
     assert list(stages) == ["params", "kernel", "identities", "stationary"]
     assert all(s > 0 for s in stages.values())
+    assert sum(manifest["metrics"]["identities"].values()) <= stages["identities"]
     assert manifest["metrics"]["peak_rss_mb"] > 0
     # audit-all runs expm, so scipy's OpenBLAS is loaded too
     assert all(rec["threads"] >= 1 for rec in manifest["metrics"]["blas"].values())

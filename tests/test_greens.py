@@ -3,15 +3,17 @@ import pytest
 from scipy.linalg import expm
 
 from asepkpz import greens
-from asepkpz.greens import (_grad_product_integrand, c_closed_form, c_star_estimate,
-                            f_matrix, f_matrix_quadrature, green_corner_closed_form,
-                            green_matrix, key_identity, summation_by_parts_audit)
+from asepkpz.greens import (c_closed_form, c_star_estimate, f_matrix, f_matrix_quadrature,
+                            green_corner_closed_form, green_matrix, key_identity,
+                            summation_by_parts_audit)
 from asepkpz.kernels import (free_walk_row, robin_laplacian_matrix,
                              solve_interval_spectrum, _support_radius)
-from asepkpz.quadrature import _NODES, adaptive_quad, integrate_decaying
 
-from oracles import (c_star_weighted, halfline_green, halfline_green_limit, halfline_key_identity,
-                     interval_grad_products)
+import oracles
+from conftest import openblas_thread_setter
+from oracles import (c_star_weighted, grad_product_integrand, halfline_green,
+                     halfline_green_limit, halfline_key_identity, interval_grad_products)
+from quadrature import _NODES, adaptive_quad, integrate_decaying
 
 
 def test_green_n1_corner():
@@ -205,21 +207,17 @@ def test_grad_products_match_dense_expm(n, mu_a, mu_b):
     for t in ts:
         M = expm(-t * L)
         ref.append(np.abs((M[2:, :] - M[1:-1, :]) * (M[1:-1, :] - M[:-2, :]))[:, 1:n].sum(axis=1))
-    assert np.max(np.abs(_grad_product_integrand(spec)(ts) - np.array(ref))) <= 1e-12
+    assert np.max(np.abs(grad_product_integrand(spec)(ts) - np.array(ref))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 32])
-def test_grad_product_integrand_layouts_agree(n, monkeypatch):
-    # the one-gemm table layout and the per-node products give the same sums,
-    # and both match the pointwise oracle summed over y = 1..N-1
+def test_grad_product_integrand_layouts_agree(n):
+    # the one-gemm table layout matches the pointwise products summed over y = 1..N-1
     spec = solve_interval_spectrum(n, 0.9, 0.7)
     ts = 0.5 * _NODES + 3.0
-    table = _grad_product_integrand(spec)(ts)
-    monkeypatch.setattr(greens, "_PRODUCT_DOUBLES", 0)
-    per_node = _grad_product_integrand(spec)(ts)
+    table = grad_product_integrand(spec)(ts)
     oracle = np.array([interval_grad_products(spec, t)[:, 1:n].sum(axis=1) for t in ts])
-    assert table.shape == per_node.shape == (len(ts), n - 1)
-    assert np.max(np.abs(table - per_node)) <= 1e-15
+    assert table.shape == (len(ts), n - 1)
     assert np.max(np.abs(table - oracle)) <= 1e-14
 
 
@@ -230,9 +228,9 @@ def test_grad_product_integrand_flush_keeps_values(monkeypatch):
     ts = 60.0 * _NODES + 960.0
     decay = np.exp(-np.outer(ts, spec.lambdas))
     assert np.any((decay > 0) & (decay < np.finfo(float).tiny))
-    flushed = _grad_product_integrand(spec)(ts)
-    monkeypatch.setattr(greens, "_TINY", 0.0)
-    assert np.array_equal(flushed, _grad_product_integrand(spec)(ts))
+    flushed = grad_product_integrand(spec)(ts)
+    monkeypatch.setattr(oracles, "_TINY", 0.0)
+    assert np.array_equal(flushed, grad_product_integrand(spec)(ts))
 
 
 def test_adaptive_quad_vector_rates_one_call_per_panel():
@@ -272,17 +270,16 @@ def test_cstar_interval_below_one():
     assert np.all(res["per_x"] >= 0.0)
 
 
-# c_star_estimate per_x from the per-node integrand (31 integrand calls per
-# panel) before the one-call-per-panel quadrature, keyed by (N, A, B, t_bar)
-# with mu = 1 - A/N, 1 - B/N and eps = 1/N, and the panel count of each run
+# c_star_estimate per_x from the adaptive quadrature at tol 1e-8 (whose own
+# error is 1-2e-9), keyed by (N, A, B, t_bar) with mu = 1 - A/N, 1 - B/N and eps = 1/N
 _CSTAR_PINS = {
-    (16, 0.0, 0.0, 1.0): (117, [
+    (16, 0.0, 0.0, 1.0): [
         0.47654666358428666, 0.6332302762811386, 0.6768965184515872, 0.6950865657220832,
         0.7040754689791482, 0.7087972844516829, 0.7111363232552023, 0.7118608067941042,
         0.7111363232552023, 0.7087972844516831, 0.7040754689791491, 0.6950865657220826,
         0.6768965184515873, 0.6332302762811388, 0.47654666358428616
-    ]),
-    (32, 1.0, 1.0, 1.0): (153, [
+    ],
+    (32, 1.0, 1.0, 1.0): [
         0.48129838300690214, 0.6315671739135399, 0.6729163763844347, 0.6901637746494529,
         0.6989647889784689, 0.704037103192543, 0.7072132805239728, 0.7093240202999888,
         0.7107877148036947, 0.7118316624532821, 0.7125876961661236, 0.713135552223772,
@@ -291,8 +288,8 @@ _CSTAR_PINS = {
         0.7125876961661238, 0.7118316624532831, 0.7107877148036966, 0.7093240202999909,
         0.7072132805239763, 0.704037103192545, 0.6989647889784694, 0.690163774649453,
         0.6729163763844317, 0.6315671739135394, 0.4812983830069034
-    ]),
-    (32, 0.5, 2.0, 1.0): (229, [
+    ],
+    (32, 0.5, 2.0, 1.0): [
         0.4763255876487208, 0.629922457745663, 0.6726006348965972, 0.690559754604466,
         0.6997738430362144, 0.7050884693215852, 0.7084005650715274, 0.7105772106959936,
         0.7120549861395801, 0.7130794992195976, 0.7137919068453696, 0.7142784936679649,
@@ -301,29 +298,63 @@ _CSTAR_PINS = {
         0.7131901698400611, 0.7124626058441436, 0.7114933837422123, 0.710167419192671,
         0.7082808633387575, 0.7054536442277155, 0.7009198982912909, 0.6929650916663023,
         0.6771155084105362, 0.6383416715108066, 0.49462241422289904
-    ]),
-    (12, 1.0, 1.0, 0.5): (110, [
+    ],
+    (12, 1.0, 1.0, 0.5): [
         0.47877020310082397, 0.6207192647300163, 0.6594438785582689, 0.6750062117781837,
         0.681816184488845, 0.6838326943707953, 0.6818161844888443, 0.6750062117781832,
         0.6594438785582678, 0.6207192647300166, 0.47877020310082397
-    ]),
+    ],
 }
 
 
-@pytest.mark.parametrize("key", list(_CSTAR_PINS), ids=lambda k: "n{}-A{}-B{}-tbar{}".format(*k))
-def test_cstar_pinned_per_x_and_panels(key, monkeypatch):
+_CSTAR_IDS = ["n{}-A{}-B{}-tbar{}".format(*k) for k in _CSTAR_PINS]
+
+
+@pytest.mark.parametrize("key", list(_CSTAR_PINS), ids=_CSTAR_IDS)
+def test_cstar_pinned_per_x(key):
     n, A, B, t_bar = key
-    panels, per_x = _CSTAR_PINS[key]
-    calls = []
-
-    def counted_integrand(spec):
-        f = _grad_product_integrand(spec)
-        return lambda ts: calls.append(len(ts)) or f(ts)
-
-    monkeypatch.setattr(greens, "_grad_product_integrand", counted_integrand)
     res = c_star_estimate(n, 1 - A / n, 1 - B / n, t_bar, 1 / n)
-    assert len(calls) == panels and set(calls) == {31}
-    assert np.max(np.abs(res["per_x"] - np.array(per_x))) <= 1e-12
+    assert np.max(np.abs(res["per_x"] - np.array(_CSTAR_PINS[key]))) <= 1e-8
+
+
+@pytest.mark.parametrize("key", list(_CSTAR_PINS), ids=_CSTAR_IDS)
+def test_cstar_matches_adaptive_oracle(key):
+    # the closed form against the adaptive Gauss-Legendre quadrature of the
+    # |grad+ p grad- p| sums at tol 1e-12; (16, 0, 0) is Neumann (lambda_0 = 0)
+    n, A, B, t_bar = key
+    spec = solve_interval_spectrum(n, 1 - A / n, 1 - B / n)
+    oracle = integrate_decaying(grad_product_integrand(spec), t_bar * n * n, tol=1e-12)
+    res = c_star_estimate(n, 1 - A / n, 1 - B / n, t_bar, 1 / n)
+    assert np.max(np.abs(res["per_x"] - oracle)) <= 1e-10
+    assert res["max"] == np.max(res["per_x"]) and 0.0 <= res["tail_bound"] <= 1e-15
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_cstar_refined_scan_finds_same_roots(n):
+    # four times the scan points, from 1e-4 instead of 1e-2, find the same sign
+    # changes of the same functions; the roots themselves move by the secant's error
+    spec = solve_interval_spectrum(n, 1 - 1 / n, 1 - 1 / n)
+    _, f, roots, tails = greens._sign_changes(spec, np.geomspace(1e-2, n * n, 4 * (n + 1)))
+    _, f_fine, roots_fine, _ = greens._sign_changes(spec, np.geomspace(1e-4, n * n, 16 * (n + 1)))
+    assert np.array_equal(f, f_fine)
+    assert np.max(np.abs(roots / roots_fine - 1)) <= 1e-7
+    assert len(f) == c_star_estimate(n, 1 - 1 / n, 1 - 1 / n, 1.0, 1 / n)["roots"]
+    assert tails.shape == (n - 1,) and np.all(tails >= 0)
+
+
+def test_cstar_per_x_same_at_one_and_two_blas_threads():
+    # every reduction order of the closed form is fixed: numpy's OpenBLAS at one
+    # and at two threads gives the same bits (set at run time)
+    setter, before = openblas_thread_setter("numpy")
+    runs = []
+    try:
+        for threads in (1, 2):
+            setter(threads)
+            runs.append([c_star_estimate(n, 1 - 1 / n, 1 - 1 / n, 1.0, 1 / n) for n in (32, 64)])
+    finally:
+        setter(before)
+    for one, two in zip(*runs):
+        assert np.array_equal(one["per_x"], two["per_x"]) and one["roots"] == two["roots"]
 
 
 def test_cstar_neumann_matches_full_line_far_from_wall():
