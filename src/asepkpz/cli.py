@@ -166,8 +166,8 @@ def sha256_file(path: str) -> str:
 
 def blas_threads() -> dict:
     """Per package, the thread count of the OpenBLAS that numpy and scipy each loaded
-    (scipy's runs expm), read now (it can change at run time), or None with the reason
-    it could not be read."""
+    (numpy's runs the dense products; scipy's runs none and comes with scipy.optimize),
+    read now (it can change at run time), or None with the reason it could not be read."""
     import ctypes
     import glob
     out = {}

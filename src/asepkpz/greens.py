@@ -8,7 +8,8 @@ which on the interval equals (1-c) on the diagonal and -c off it, with
 0 <= c <= C eps.  F is computed by three routes: the spectral closed form
 sum_k grad psi_k(x) grad psi_k(xb) / (2 lambda_k), the second difference of
 the Green's function of -Laplacian/2, and the time integral of kernel
-products by the Van Loan block exponential, built by doubling.  The c-star
+products by the Van Loan block exponential, a Taylor series of phi_1 at a
+small time step followed by doubling.  The c-star
 sums of |grad+ p_t grad- p_t| are integrated in closed form between the sign
 changes of the two gradients.
 """
@@ -32,12 +33,6 @@ __all__ = [
     "c_star_estimate",
     "summation_by_parts_audit",
 ]
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on first use: ~0.3 s and 28 MB at import."""
-    from scipy.linalg import expm
-    return expm(a)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +94,9 @@ def f_matrix_quadrature(spec: SpectralData) -> dict:
     [[-2L, I], [0, 0]] t_cut (Van Loan 1978), independent of the spectral
     route; the spectrum sets only t_cut, chosen so the spectral tail bound
     sum_k |grad psi_k|^2_max e^{-2 lam_0 t}/(2 lam_0) falls below
-    F_TAIL_TOL/3.  At t_0 = t_cut/2^s, with |2 t_0 L|_inf <= 1/2, the block's
-    exponential holds E = e^{-2 t_0 L} (one Pade exponential) and
-    I = t_0 phi_1(-2 t_0 L) (its Taylor series); the block is upper
+    F_TAIL_TOL/3.  At t_0 = t_cut/2^s, with A = -2 t_0 L and |A|_inf <= 1/2, the
+    block's exponential holds I = t_0 phi_1(A), phi_1(A) = sum_j A^j/(j+1)! by
+    its Taylor series, and E = e^A = Id + A phi_1(A); the block is upper
     triangular, so each of the s squarings up to t_cut is I <- I + E I,
     E <- E E on (N+1)-sized blocks, after entries of E and I smaller in size
     than the smallest normal float are set to 0: subnormals stall the gemm.
@@ -118,10 +113,10 @@ def f_matrix_quadrature(spec: SpectralData) -> dict:
     s = max(0, math.ceil(math.log2(8.0 * t_cut)))   # |L|_inf <= 2: |2 t_0 L|_inf <= 1/2
     t0 = math.ldexp(t_cut, -s)
     A, eye = -2.0 * t0 * L, np.eye(n + 1)
-    E, phi = expm(A), eye
-    for k in range(14, 1, -1):   # phi_1(A) = sum_j A^j/(j+1)! to j = 13: < 2^-53 at |A| <= 1/2
+    phi = eye
+    for k in range(14, 1, -1):   # to j = 13: the omitted terms of A phi_1(A) < 2.3e-17 at |A| <= 1/2
         phi = eye + (A @ phi) / k
-    integral = t0 * phi
+    E, integral = eye + A @ phi, t0 * phi
     for _ in range(s):
         for a in (E, integral):
             a[np.abs(a) < _TINY] = 0.0
@@ -138,9 +133,9 @@ def key_identity(spec: SpectralData) -> dict:
     From one spectrum: F by the spectral closed form, by the second
     differences of one Green's function solve,
     (G(x,xb) + G(x+1,xb+1) - G(x+1,xb) - G(x,xb+1)) / 2, and by the block
-    matrix exponential (`f_matrix_quadrature`); c comes from the Green
-    closed form.  Returns the worst deviation from I - c 11^T, the worst
-    spectral-vs-expm and spectral-vs-Green gaps, the tail certificate, and
+    matrix exponential (`f_matrix_quadrature`, the route named "expm"); c comes
+    from the Green closed form.  Returns the worst deviation from I - c 11^T, the
+    worst spectral-vs-expm and spectral-vs-Green gaps, the tail certificate, and
     the matrices themselves so callers can read single entries.
 
     In the Neumann-Neumann case F is undefined (lambda_0 = 0) and no route

@@ -9,9 +9,10 @@ Three constructions of the same object on the lattice interval {0,...,N}:
 * half line: closed-form image series p_t(x-y) + mu p_t(x+y+1)
   + (mu^2-1) sum_{w>=0} mu^w p_t(x+y+2+w).
 
-The free walk is the rate-1/2-each-side continuous-time walk on Z, evaluated
-through the exponentially scaled modified Bessel function (scipy `ive`),
-which is uniformly stable for large times.
+The free walk is the rate-1/2-each-side continuous-time walk on Z,
+p_t(x) = e^{-t} I_{|x|}(t), evaluated by the backward ratio recurrence of the
+modified Bessel functions and normalized by its total mass, which is
+uniformly stable for large times and needs no special-function library.
 """
 
 from __future__ import annotations
@@ -39,16 +40,33 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # free walk on Z
 
+_SUBNORMAL = math.ulp(0.0)   # smallest positive float
+
+
 def free_walk_row(t: float, n_max: int) -> np.ndarray:
     """Array p_t(0..n_max) for the continuous-time simple walk on Z (rate 1/2 per side).
 
-    p_t(x) = e^{-t} I_{|x|}(t); `ive` evaluates the product directly, so no
-    overflow occurs for large t.
+    p_t(x) = e^{-t} I_{|x|}(t).  The ratios r_n = I_n/I_{n-1} = 1/(2n/t + r_{n+1})
+    are run backward from r_{L+1} = 0, a stable direction for the decaying
+    solution, and p = cumprod(1, r_1..r_L) / (1 + 2 sum_{n>=1} prod r), since the
+    walk's mass sum_{n in Z} p_t(n) is 1.  L depends on t alone (`_row_length`),
+    so a longer row agrees bit for bit with a shorter one on their common entries.
     """
-    from scipy.special import ive  # not at module level: ~0.3 s and 25 MB at import
     if t < 0:
         raise ValueError("t must be >= 0")
-    return ive(np.arange(n_max + 1), t)
+    row = np.zeros(n_max + 1)
+    if t == 0:
+        row[0] = 1.0
+        return row
+    ratio, ratios = 0.0, []
+    for n in range(_row_length(t), 0, -1):
+        ratio = 1.0 / (2.0 * n / t + ratio)
+        ratios.append(ratio)
+    p = np.cumprod([1.0] + ratios[::-1])
+    p /= p[0] + 2.0 * p[1:].sum()
+    m = min(len(p), n_max + 1)
+    row[:m] = p[:m]
+    return row
 
 
 def free_walk_tail_bound(t: float, r: float) -> float:
@@ -66,6 +84,18 @@ def _support_radius(t: float, tol: float = 1e-16) -> int:
     while free_walk_tail_bound(t, r) > tol:
         r *= 1.5
     return int(math.ceil(r))
+
+
+def _row_length(t: float) -> int:
+    """Least L >= 1 with free_walk_tail_bound(t, L) below the smallest subnormal float:
+    past L every p_t(n) rounds to 0."""
+    lo, hi = 0, 1   # bound(lo) >= _SUBNORMAL > bound(hi) once the doubling stops
+    while free_walk_tail_bound(t, hi) >= _SUBNORMAL:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if free_walk_tail_bound(t, mid) >= _SUBNORMAL else (lo, mid)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +208,13 @@ def solve_interval_spectrum(n: int, mu_a: float, mu_b: float) -> SpectralData:
             raise RuntimeError("bracketing failure: root escaped (0, pi); check mu values")
     lambdas = 1.0 - np.cos(omegas)
 
-    xs = np.arange(n + 1, dtype=float)
-    eigvecs = np.empty((n + 1, n + 1))
-    for k, om in enumerate(omegas):
-        if om == 0.0:
-            v = np.ones(n + 1)
-        else:
-            c = (math.cos(om) - mu_a) / math.sin(om)
-            v = np.cos(om * xs) + c * np.sin(om * xs)
-        eigvecs[:, k] = v / np.linalg.norm(v)
+    # row k is psi_k = cos(w x) + c sin(w x); the Neumann w_0 = 0 takes c = 0
+    c = np.divide(np.cos(omegas) - mu_a, np.sin(omegas), out=np.zeros(n + 1), where=omegas > 0)
+    wx = np.outer(omegas, np.arange(n + 1))
+    rows = np.cos(wx) + c[:, None] * np.sin(wx)
+    # one norm per contiguous row: a norm along an axis sums in another order
+    norms = np.array([np.linalg.norm(v) for v in rows])
+    eigvecs = np.ascontiguousarray((rows / norms[:, None]).T)
     return SpectralData(n=n, mu_a=mu_a, mu_b=mu_b, omegas=omegas,
                         lambdas=lambdas, eigvecs=eigvecs)
 
@@ -385,7 +413,7 @@ def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> li
 
     # half-line weighted sums (Corollary for Z_{>=0}) of p and of its gradient. The
     # rows at t read free_walk_row(t, m) with m <= x + ymax + 2r + 10 <= 3r + 40 (x <= 11,
-    # ymax <= r + 19), so one row per time serves all: ive is elementwise, prefixes are exact
+    # ymax <= r + 19), so one row per time serves all: its entries depend on t alone
     xs_h = [0, 1, 3, 10]
     bessel: dict[float, np.ndarray] = {}
 

@@ -185,8 +185,8 @@ def test_identities_kind(tmp_path):
 
 def test_audit_all_bound_audits_pinned(tmp_path):
     # the half-line sums at mu_A = 1 - 1/16 run the geometric-tail path; the
-    # hash was taken before the audit shared one Bessel row per time, and is
-    # the same with OpenBLAS at one and two threads
+    # hash is the same with OpenBLAS at one and two threads, and the two half-line
+    # constants are within 6e-16 of those from 40-digit mpmath Bessel rows
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\nn_sites = 16\nslope_a = 1\n[identities]\nn_sites = 16\n"
                    "cstar_n = 12\ncstar_tbar = 0.5\n")
@@ -194,7 +194,7 @@ def test_audit_all_bound_audits_pinned(tmp_path):
     assert run_cli(["audit-all", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
     (run_dir,) = out.iterdir()
     assert sha256_file(str(run_dir / "bound_audits.json")) == (
-        "94a2c5947b14b55478d5471f869b407a023975f011aeaadf37b70643f28c9f7e")
+        "ccb85dc9b6fdf38c9c824e36334f1b28e267caa71093c029731a9979b322f753")
 
 
 def test_simulate_kind_hash_stable_across_threads(tmp_path):
@@ -346,7 +346,7 @@ def test_config_hash_sensitivity(tmp_path):
     assert len({h1, h2, h3}) == 3
 
 
-_SCIPY_GUARD = """
+_GUARD_RUN = """
 import sys
 from pathlib import Path
 
@@ -358,7 +358,9 @@ def run(kind, ini):
     cfg = tmp / f"{kind}.ini"
     cfg.write_text(ini)
     return cli.main([kind, "--config", str(cfg), "--seed", "3", "--out", str(tmp / kind)])
+"""
 
+_SCIPY_GUARD = _GUARD_RUN + """
 assert run("compare", "[run]\\nreplicas = 24\\n[compare]\\ninverse_eps = 8, 16\\n") in (0, 1)
 assert run("simulate", "[run]\\nreplicas = 4\\n"
            "[model]\\nlattice = half_line\\nepsilon = 0.125\\ntruncation = 16\\nslope_a = 1.0\\n"
@@ -373,14 +375,36 @@ assert run("audit-all", "[model]\\nn_sites = 16\\n[identities]\\nn_sites = 16\\n
 """
 
 
+_EXACT_GUARD = _GUARD_RUN + """
+ini = ("[model]\\nn_sites = 16\\nslope_a = 1.0\\n[identities]\\nn_sites = 16\\n"
+       "cstar_n = 12\\ncstar_tbar = 0.5\\n")
+for kind in ("kernel", "identities", "audit-all"):
+    assert run(kind, ini) == 0
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.special", "scipy.linalg")))
+assert not loaded, loaded
+"""
+
+
+def _run_guard(script: str, tmp_path) -> None:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sampling_kinds_load_no_scipy(tmp_path):
     # importing the package and running compare (A = B = 0), simulate, params and
     # she never loads scipy: its import would add ~0.3 s and 20 MB that they never use
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _run_guard(_SCIPY_GUARD, tmp_path)
+
+
+def test_exact_kinds_load_no_scipy_special_or_linalg(tmp_path):
+    # kernel, identities and audit-all take free-walk rows from a ratio recurrence
+    # and the block exponential from its own series: neither scipy.special nor
+    # scipy.linalg (~0.2 s and 26 MB) is loaded; audit-all's exact generator still
+    # loads scipy.sparse
+    _run_guard(_EXACT_GUARD, tmp_path)
 
 
 def test_audit_all_manifest_metrics(tmp_path):
@@ -396,15 +420,18 @@ def test_audit_all_manifest_metrics(tmp_path):
     assert all(s > 0 for s in stages.values())
     assert sum(manifest["metrics"]["identities"].values()) <= stages["identities"]
     assert manifest["metrics"]["peak_rss_mb"] > 0
-    # audit-all runs expm, so scipy's OpenBLAS is loaded too
-    assert all(rec["threads"] >= 1 for rec in manifest["metrics"]["blas"].values())
+    # audit-all loads no scipy module that loads scipy's OpenBLAS, but an earlier
+    # test in this process may have
+    blas = manifest["metrics"]["blas"]
+    assert blas["numpy"]["threads"] >= 1
+    assert blas["scipy"].get("threads") or "no loaded OpenBLAS" in blas["scipy"]["reason"]
     assert 0 < sum(stages.values()) <= manifest["wall_clock_s"]
     assert "manifest.json" not in manifest["files"]
 
 
 def test_audit_all_builds_each_exact_object_once(tmp_path, monkeypatch):
     # one spectrum per stage that needs one (model, identities, c-star); one
-    # Green solve, one expm and one image expansion in the whole pass
+    # Green solve, one block exponential and one image expansion in the whole pass
     from asepkpz import greens, kernels
 
     counts = {}
@@ -420,7 +447,7 @@ def test_audit_all_builds_each_exact_object_once(tmp_path, monkeypatch):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
 
-    count(greens, "expm")
+    count(greens, "f_matrix_quadrature")
     count(greens, "green_matrix")
     count(kernels, "build_image_expansion")
     count(kernels, "solve_interval_spectrum")
@@ -428,5 +455,5 @@ def test_audit_all_builds_each_exact_object_once(tmp_path, monkeypatch):
     cfg.write_text("[model]\nn_sites = 16\n[identities]\nn_sites = 16\n"
                    "cstar_n = 12\ncstar_tbar = 0.5\n")
     assert run_cli(["audit-all", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
-    assert counts == {"expm": 1, "green_matrix": 1, "build_image_expansion": 1,
+    assert counts == {"f_matrix_quadrature": 1, "green_matrix": 1, "build_image_expansion": 1,
                       "solve_interval_spectrum": 3}

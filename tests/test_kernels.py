@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfcx, ive
@@ -148,6 +149,21 @@ def test_free_walk_symmetry_and_mass(t):
     assert abs(p[0] + 2.0 * p[1:].sum() - 1.0) <= 1e-12  # p_t(-x) = p_t(x)
 
 
+@pytest.mark.parametrize("t", [0.05, 1.0, 4.0, 10.0, 112.0, 400.0, 1024.0])
+def test_free_walk_row_matches_mpmath(t):
+    # e^{-t} I_n(t) at 40 digits: every entry above 1e-300 within 5e-14 relative,
+    # and within 2e-15 where it is at least 1e-3 of the row maximum
+    n_max = 3 * _support_radius(t) + 40
+    with mpmath.workdps(40):
+        scale = mpmath.exp(-mpmath.mpf(t))
+        exact = np.array([float(scale * mpmath.besseli(n, t)) for n in range(n_max + 1)])
+    row = free_walk_row(t, n_max)
+    big = exact >= 1e-300
+    rel = np.abs(row[big] - exact[big]) / exact[big]
+    assert np.max(rel) <= 5e-14
+    assert np.max(rel[exact[big] >= 1e-3 * exact.max()]) <= 2e-15
+
+
 def test_free_walk_series_oracle():
     # Poisson-mixture series with n <= 200 terms against the Bessel form
     for x in (0, 1, 3, 7):
@@ -208,7 +224,7 @@ def test_halfline_mass_bounded():
 
 def test_halfline_row_reads_prefix_of_longer_bessel_row():
     # a precomputed free-walk row longer than needed gives the same row bit for
-    # bit (ive is elementwise); one too short is rejected
+    # bit (the recurrence's length depends on t alone); one too short is rejected
     for t, x, mu in ((0.3, 0, 0.9), (7.0, 11, 0.97), (400.0, 3, 1.0)):
         y_max = x + _support_radius(t) + 8
         row = halfline_robin_row(t, x, mu, y_max)
