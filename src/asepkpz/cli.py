@@ -165,33 +165,27 @@ def sha256_file(path: str) -> str:
 
 
 def blas_threads() -> dict:
-    """Per package, the thread count of the OpenBLAS that numpy and scipy each loaded
-    (numpy's runs the dense products; scipy's runs none and comes with scipy.optimize),
-    read now (it can change at run time), or None with the reason it could not be read."""
+    """The thread count of the OpenBLAS that numpy loaded (it runs the dense
+    products), read now (it can change at run time), as {"numpy": record}; the
+    record is None with the reason where the count could not be read."""
     import ctypes
     import glob
-    out = {}
-    for name in ("numpy", "scipy"):
-        if name not in sys.modules:   # scipy is imported on first use only
-            out[name] = {"threads": None, "reason": f"{name} not imported"}
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    rec = {"threads": None, "reason": f"no loaded OpenBLAS under {libdir}"}
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:   # RTLD_NOLOAD: the copy already loaded, never a fresh one
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_NOW)
+        except OSError:
             continue
-        libdir = os.path.join(os.path.dirname(os.path.dirname(sys.modules[name].__file__)),
-                              f"{name}.libs")
-        out[name] = {"threads": None, "reason": f"no loaded OpenBLAS under {libdir}"}
-        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
-            try:   # RTLD_NOLOAD: the copy already loaded, never a fresh one
-                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_NOW)
-            except OSError:
-                continue
-            fn = next((getattr(lib, sym) for sym in (
-                "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                "openblas_get_num_threads64_", "openblas_get_num_threads")
-                if hasattr(lib, sym)), None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                out[name] = {"threads": fn(), "library": os.path.basename(path)}
-                break
-    return out
+        fn = next((getattr(lib, sym) for sym in (
+            "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_", "openblas_get_num_threads")
+            if hasattr(lib, sym)), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            rec = {"threads": fn(), "library": os.path.basename(path)}
+            break
+    return {"numpy": rec}
 
 
 def _sampler_metrics(stage: str, replicas: int, rings: int, events: int,

@@ -502,15 +502,19 @@ def state_etas(n: int) -> np.ndarray:
     return (2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) - 1).astype(np.int8)
 
 
-def exact_generator(params: ModelParams, n: int, lattice: Lattice | None = None):
-    """Sparse CTMC generator over {-1,+1}^N (state bits: bit x <-> site x+1 occupied).
+def exact_generator(params: ModelParams, n: int, lattice: Lattice | None = None) -> np.ndarray:
+    """Dense CTMC generator over {-1,+1}^N (state bits: bit x <-> site x+1 occupied).
 
     Built from one `event_rates` call on all 2^N states.  Each move's rate
     (the sum of the two rates across a bond or at a reservoir) becomes an
-    off-diagonal entry when positive, and each diagonal entry is minus the
-    left-to-right sum of its row's moves: bonds, left reservoir, right one.
+    off-diagonal entry, and each diagonal entry is minus the left-to-right
+    sum of its row's moves: bonds, left reservoir, right one.  At N = 1 both
+    reservoirs flip the one site and their entries add.  N is capped at 12
+    (2^12 states, the limit of `stationary_measure`); a larger N raises
+    ValueError before anything is allocated.
     """
-    from scipy import sparse
+    if n > 12:
+        raise ValueError(f"dense generator limited to 2^12 states, got 2^{n}")
     lattice = lattice if lattice is not None else Lattice.interval(n)
     rates = event_rates(state_etas(n), params, lattice)
     moves = [rates.right + rates.left, (rates.create_left + rates.annihilate_left)[:, None]]
@@ -524,19 +528,18 @@ def exact_generator(params: ModelParams, n: int, lattice: Lattice | None = None)
     # entries of a per-state loop (np.cumsum adds left to right)
     vals = np.concatenate([moves, -np.cumsum(moves, axis=1)[:, -1:]], axis=1)
     cols = states[:, None] ^ np.concatenate([*flips, [0]])
-    keep = np.ones(vals.shape, dtype=bool)
-    keep[:, :-1] = moves > 0
-    rows = np.broadcast_to(states[:, None], vals.shape)
-    return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(1 << n, 1 << n))
+    Q = np.zeros((1 << n, 1 << n))
+    np.add.at(Q, (np.broadcast_to(states[:, None], vals.shape), cols), vals)
+    return Q
 
 
-def stationary_measure(generator) -> np.ndarray:
-    """pi with pi Q = 0, solved densely with a normalization row (at most 2^12 states)."""
+def stationary_measure(generator: np.ndarray) -> np.ndarray:
+    """pi with pi Q = 0 for a dense generator, solved with a normalization row
+    (at most 2^12 states)."""
     m = generator.shape[0]
     if m > 1 << 12:
         raise ValueError(f"dense stationary solve limited to 2^12 states, got {m}")
-    Q = np.asarray(generator.todense() if hasattr(generator, "todense") else generator,
-                   dtype=float)
+    Q = np.asarray(generator, dtype=float)
     A = Q.T.copy()
     A[-1, :] = 1.0
     b = np.zeros(m)

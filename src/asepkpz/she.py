@@ -280,23 +280,38 @@ def neumann_cosine(k: int) -> TestFunction:
                         robin_a=0.0, robin_b=0.0, label=f"cos({k} pi X)")
 
 
-def robin_test_function(A: float, B: float, k: int) -> TestFunction:
-    """k-th trigonometric mode c1 cos(w X) + c2 sin(w X) matching both slopes.
-
-    The frequencies solve the continuum secular equation
-    (w^2 - AB) sin w = (A + B) w cos w, bracketed inside (k pi, (k+1) pi).
-    """
-    if A == 0.0 and B == 0.0:
-        return neumann_cosine(k)
-    from scipy.optimize import brentq  # after the early return: costs ~15 MB of RSS
-
+def _robin_frequency(A: float, B: float, k: int) -> float:
+    """The frequency of `robin_test_function(A, B, k)`: its secular equation's
+    root in (k pi, (k+1) pi), bisected until the midpoint stops moving."""
     def secular(w):
         return (w * w - A * B) * math.sin(w) - (A + B) * w * math.cos(w)
 
     lo, hi = k * math.pi + 1e-9, (k + 1) * math.pi - 1e-9
-    if secular(lo) * secular(hi) > 0:
+    f_lo = secular(lo)
+    if f_lo * secular(hi) > 0:
         raise ValueError(f"no Robin mode bracketed in (k pi, (k+1) pi) for k={k}")
-    w = brentq(secular, lo, hi, xtol=1e-14)
+    w = 0.5 * (lo + hi)
+    while lo < w < hi:
+        f = secular(w)
+        if f == 0.0:
+            break
+        if (f > 0) == (f_lo > 0):
+            lo = w
+        else:
+            hi = w
+        w = 0.5 * (lo + hi)
+    return w
+
+
+def robin_test_function(A: float, B: float, k: int) -> TestFunction:
+    """k-th trigonometric mode c1 cos(w X) + c2 sin(w X) matching both slopes.
+
+    The frequencies solve the continuum secular equation
+    (w^2 - AB) sin w = (A + B) w cos w, bisected inside (k pi, (k+1) pi).
+    """
+    if A == 0.0 and B == 0.0:
+        return neumann_cosine(k)
+    w = _robin_frequency(A, B, k)
     c1, c2 = 1.0, A / w
 
     def fn(x, w=w, c1=c1, c2=c2):

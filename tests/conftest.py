@@ -1,5 +1,4 @@
 import ctypes
-import sys
 import time
 from pathlib import Path
 
@@ -43,15 +42,14 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def openblas_thread_setter(name: str):
-    """The run-time thread-count setter of the OpenBLAS that `name` (numpy or
-    scipy, imported) loaded, and its count now; skips the test where that
-    count cannot be read (no OpenBLAS of the package's own)."""
-    rec = blas_threads()[name]
+def openblas_thread_setter():
+    """The run-time thread-count setter of the OpenBLAS that numpy loaded, and
+    its count now; skips the test where that count cannot be read (no
+    OpenBLAS of numpy's own)."""
+    rec = blas_threads()["numpy"]
     if rec["threads"] is None:
-        pytest.skip(f"{name}: {rec['reason']}")
-    lib = ctypes.CDLL(str(Path(sys.modules[name].__file__).parents[1] / f"{name}.libs"
-                          / rec["library"]))
+        pytest.skip(f"numpy: {rec['reason']}")
+    lib = ctypes.CDLL(str(Path(np.__file__).parents[1] / "numpy.libs" / rec["library"]))
     setter = next(getattr(lib, sym) for sym in (
         "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
         "openblas_set_num_threads64_", "openblas_set_num_threads") if hasattr(lib, sym))

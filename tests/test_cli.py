@@ -289,41 +289,33 @@ def test_failed_check_exits_one(tmp_path, monkeypatch):
 
 
 def test_manifest_records_blas_threads(tmp_path):
-    # numpy's and scipy's OpenBLAS are read when the manifest is written, so a
-    # thread count set at run time shows; the record is outside every hashed file
-    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS, which expm runs on)
-    before = cli.blas_threads()
-    setters = {name: openblas_thread_setter(name)[0] for name in before}
+    # numpy's OpenBLAS is read when the manifest is written, so a thread count
+    # set at run time shows; the record is outside every hashed file
+    library = cli.blas_threads()["numpy"].get("library")
+    setter, before = openblas_thread_setter()
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\nn_sites = 8\n")
-    for setter in setters.values():
-        setter(1)
+    setter(1)
     try:
         assert run_cli(["params", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
     finally:
-        for name, setter in setters.items():
-            setter(before[name]["threads"])
+        setter(before)
     (run_dir,) = (tmp_path / "r").iterdir()
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["metrics"]["blas"] == {
-        name: {"threads": 1, "library": rec["library"]} for name, rec in before.items()}
+    assert manifest["metrics"]["blas"] == {"numpy": {"threads": 1, "library": library}}
     assert set(manifest["files"]) == {"params.json", "expansion_audit.csv"}
 
 
 def test_manifest_blas_threads_unreadable(tmp_path, monkeypatch):
     # a count that cannot be read is written as null with the reason
-    import scipy
     monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\nn_sites = 8\n")
     assert run_cli(["params", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
     (run_dir,) = (tmp_path / "r").iterdir()
     blas = json.loads((run_dir / "manifest.json").read_text())["metrics"]["blas"]
-    for name in ("numpy", "scipy"):
-        assert blas[name]["threads"] is None and "no loaded OpenBLAS" in blas[name]["reason"]
-    monkeypatch.delitem(sys.modules, "scipy")
-    assert cli.blas_threads()["scipy"] == {"threads": None, "reason": "scipy not imported"}
+    assert list(blas) == ["numpy"]
+    assert blas["numpy"]["threads"] is None and "no loaded OpenBLAS" in blas["numpy"]["reason"]
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
@@ -346,65 +338,46 @@ def test_config_hash_sensitivity(tmp_path):
     assert len({h1, h2, h3}) == 3
 
 
-_GUARD_RUN = """
+_SCIPY_GUARD = """
 import sys
 from pathlib import Path
 
-import asepkpz
 from asepkpz import cli
 
 tmp = Path(sys.argv[1])
-def run(kind, ini):
-    cfg = tmp / f"{kind}.ini"
+exact = ("[model]\\nn_sites = 16\\nslope_a = 1.0\\n[identities]\\nn_sites = 16\\n"
+         "cstar_n = 12\\ncstar_tbar = 0.5\\n")
+runs = [
+    ("params", "[model]\\nn_sites = 16\\nslope_a = 1.0\\nslope_b = 0.5\\n", (0,)),
+    ("simulate", "[run]\\nreplicas = 4\\n[model]\\nlattice = half_line\\nepsilon = 0.125\\n"
+                 "truncation = 16\\nslope_a = 1.0\\n"
+                 "[simulate]\\nhorizon_macro = 0.05\\nsample_times = 0.0, 0.05\\n", (0,)),
+    ("she", "[run]\\nreplicas = 8\\n[she]\\nm = 8\\n", (0, 1)),
+    ("kernel", exact, (0,)),
+    ("identities", exact, (0,)),
+    ("audit-all", exact, (0,)),
+    ("compare", "[run]\\nreplicas = 24\\n[compare]\\ninverse_eps = 8, 16\\n", (0, 1)),
+    ("compare", "[run]\\nreplicas = 24\\n[model]\\nslope_a = 1.0\\nslope_b = 0.5\\n"
+                "[compare]\\ninverse_eps = 8, 16\\n", (0, 1)),
+]
+for i, (kind, ini, codes) in enumerate(runs):
+    cfg = tmp / f"c{i}.ini"
     cfg.write_text(ini)
-    return cli.main([kind, "--config", str(cfg), "--seed", "3", "--out", str(tmp / kind)])
-"""
-
-_SCIPY_GUARD = _GUARD_RUN + """
-assert run("compare", "[run]\\nreplicas = 24\\n[compare]\\ninverse_eps = 8, 16\\n") in (0, 1)
-assert run("simulate", "[run]\\nreplicas = 4\\n"
-           "[model]\\nlattice = half_line\\nepsilon = 0.125\\ntruncation = 16\\nslope_a = 1.0\\n"
-           "[simulate]\\nhorizon_macro = 0.05\\nsample_times = 0.0, 0.05\\n") == 0
-assert run("params", "[model]\\nn_sites = 16\\nslope_a = 1.0\\nslope_b = 0.5\\n") == 0
-assert run("she", "[run]\\nreplicas = 8\\n[she]\\nm = 8\\n") in (0, 1)
+    code = cli.main([kind, "--config", str(cfg), "--seed", "3", "--out", str(tmp / f"r{i}")])
+    assert code in codes, (kind, code)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-# the kinds that need scipy import it on first use
-assert run("audit-all", "[model]\\nn_sites = 16\\n[identities]\\nn_sites = 16\\n"
-           "cstar_n = 12\\ncstar_tbar = 0.5\\n") == 0
 """
 
 
-_EXACT_GUARD = _GUARD_RUN + """
-ini = ("[model]\\nn_sites = 16\\nslope_a = 1.0\\n[identities]\\nn_sites = 16\\n"
-       "cstar_n = 12\\ncstar_tbar = 0.5\\n")
-for kind in ("kernel", "identities", "audit-all"):
-    assert run(kind, ini) == 0
-loaded = sorted(m for m in sys.modules if m.startswith(("scipy.special", "scipy.linalg")))
-assert not loaded, loaded
-"""
-
-
-def _run_guard(script: str, tmp_path) -> None:
+def test_cli_kinds_load_no_scipy(tmp_path):
+    # every CLI kind, compare at zero and nonzero slopes included, runs on numpy
+    # alone: a fresh process that ran them all has loaded no scipy module
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_sampling_kinds_load_no_scipy(tmp_path):
-    # importing the package and running compare (A = B = 0), simulate, params and
-    # she never loads scipy: its import would add ~0.3 s and 20 MB that they never use
-    _run_guard(_SCIPY_GUARD, tmp_path)
-
-
-def test_exact_kinds_load_no_scipy_special_or_linalg(tmp_path):
-    # kernel, identities and audit-all take free-walk rows from a ratio recurrence
-    # and the block exponential from its own series: neither scipy.special nor
-    # scipy.linalg (~0.2 s and 26 MB) is loaded; audit-all's exact generator still
-    # loads scipy.sparse
-    _run_guard(_EXACT_GUARD, tmp_path)
 
 
 def test_audit_all_manifest_metrics(tmp_path):
@@ -420,11 +393,9 @@ def test_audit_all_manifest_metrics(tmp_path):
     assert all(s > 0 for s in stages.values())
     assert sum(manifest["metrics"]["identities"].values()) <= stages["identities"]
     assert manifest["metrics"]["peak_rss_mb"] > 0
-    # audit-all loads no scipy module that loads scipy's OpenBLAS, but an earlier
-    # test in this process may have
+    # numpy's OpenBLAS alone, whatever an earlier test in this process imported
     blas = manifest["metrics"]["blas"]
-    assert blas["numpy"]["threads"] >= 1
-    assert blas["scipy"].get("threads") or "no loaded OpenBLAS" in blas["scipy"]["reason"]
+    assert list(blas) == ["numpy"] and blas["numpy"]["threads"] >= 1
     assert 0 < sum(stages.values()) <= manifest["wall_clock_s"]
     assert "manifest.json" not in manifest["files"]
 

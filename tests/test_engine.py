@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from asepkpz import engine
 from asepkpz.engine import (Configuration, HeightField, Lattice, _harris_tables,
                             alternating_eta, bernoulli_eta, event_rates, exact_generator,
                             replica_rng, simulate, simulate_replicas, state_etas,
@@ -151,7 +152,7 @@ def test_sos_matches_particle_distribution():
     hp = simulate_replicas(lambda rng: init_eta, p, lat, horizon, [horizon], 10000,
                            50).heights[:, 0]
 
-    Q = exact_generator(p, n).toarray()
+    Q = exact_generator(p, n)
     m = Q.shape[0]
     block = np.zeros((2 * m, 2 * m))
     block[:m, :m] = Q
@@ -173,7 +174,7 @@ def tilted_generator(params, n, theta):
     """The generator of E[exp(theta h_t(0)) f(eta_t)]: the left-reservoir
     entries carry exp(theta dh(0)), dh(0) = -2 on creation and +2 on
     annihilation; the diagonal stays untilted."""
-    q = exact_generator(params, n).toarray()
+    q = exact_generator(params, n)
     states = np.arange(1 << n)
     empty = (states & 1) == 0
     q[states, states ^ 1] *= np.where(empty, math.exp(-2.0 * theta), math.exp(2.0 * theta))
@@ -199,7 +200,7 @@ def test_second_moment_matches_tilted_generator():
 
 def test_exact_generator_n1():
     p = ModelParams.from_rates(p=0.6, q=0.4, alpha=0.5, beta=0.35, gamma=0.15, delta=0.2)
-    Q = exact_generator(p, 1).toarray()
+    Q = exact_generator(p, 1)
     on = p.alpha + p.delta
     off = p.beta + p.gamma
     assert np.allclose(Q, [[-on, on], [off, -off]], atol=1e-15)
@@ -208,17 +209,30 @@ def test_exact_generator_n1():
 def test_generator_row_sums_and_size_guard():
     p = p_interval(6, 1.0, 2.0)
     Q = exact_generator(p, 6)
-    assert np.max(np.abs(np.asarray(Q.sum(axis=1)).ravel())) <= 1e-14
-    # the dense stationary solve refuses 2^13 states before densifying Q
+    assert np.max(np.abs(Q.sum(axis=1))) <= 1e-14
+    # the generator refuses N = 13 itself (test_generator_size_cap); the dense
+    # stationary solve refuses any matrix above 2^12 states before solving
+    # (np.zeros maps the pages without touching them)
     with pytest.raises(ValueError):
-        stationary_measure(exact_generator(p, 13))
+        stationary_measure(np.zeros(((1 << 12) + 1, (1 << 12) + 1)))
 
 
-def test_generator_sixteen_sites():
-    p = p_interval(16, 1.0, 2.0)
-    Q = exact_generator(p, 16)
-    assert Q.shape == (1 << 16, 1 << 16)
-    assert np.max(np.abs(np.asarray(Q.sum(axis=1)).ravel())) <= 1e-14
+def test_generator_size_cap(monkeypatch):
+    # 2^12 states is the largest dense generator; N = 13 and 16 raise before
+    # the states, their rates or the matrix are built
+    Q = exact_generator(p_interval(12, 1.0, 2.0), 12)
+    assert Q.shape == (1 << 12, 1 << 12)
+    assert np.max(np.abs(Q.sum(axis=1))) <= 1e-14
+    del Q
+
+    def built(*args, **kwargs):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(engine, "state_etas", built)
+    monkeypatch.setattr(engine, "event_rates", built)
+    for n in (13, 16):
+        with pytest.raises(ValueError, match=r"2\^12"):
+            exact_generator(p_interval(n, 1.0, 2.0), n)
 
 
 # SHA-256 of the dense generator (little-endian float64) at the rates below
@@ -232,7 +246,7 @@ def test_generator_pinned_digest():
     h = hashlib.sha256()
     for n in range(1, 11):
         for lat in (Lattice.interval(n), Lattice.half_line(n)):
-            h.update(np.asarray(exact_generator(p, n, lat).toarray(), dtype="<f8").tobytes())
+            h.update(np.asarray(exact_generator(p, n, lat), dtype="<f8").tobytes())
     assert h.hexdigest() == PINNED_GENERATOR
 
 
@@ -245,7 +259,7 @@ def test_channel_tables_match_generator():
         for n in range(1, 6):
             for lat in (Lattice.interval(n), Lattice.half_line(n)):
                 clock, accept = _harris_tables(params, lat)
-                gen = exact_generator(params, n, lat).toarray()
+                gen = exact_generator(params, n, lat)
                 etas = state_etas(n).astype(np.int64)
                 states = np.arange(1 << n)
                 h = np.column_stack([np.zeros_like(states), np.cumsum(etas, axis=1)])
@@ -271,7 +285,7 @@ def test_channel_tables_match_generator():
 def test_detailed_balance_symmetric_rates():
     # p = q with alpha = gamma, beta = delta: Q symmetric, uniform reversible
     p = ModelParams.from_rates(p=0.5, q=0.5, alpha=0.3, beta=0.2, gamma=0.3, delta=0.2)
-    Q = exact_generator(p, 4).toarray()
+    Q = exact_generator(p, 4)
     assert np.max(np.abs(Q - Q.T)) <= 1e-15
     pi = stationary_measure(Q)
     assert np.max(np.abs(pi - 1 / 16)) <= 1e-12

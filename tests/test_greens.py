@@ -345,7 +345,7 @@ def test_cstar_refined_scan_finds_same_roots(n):
 def test_cstar_per_x_same_at_one_and_two_blas_threads():
     # every reduction order of the closed form is fixed: numpy's OpenBLAS at one
     # and at two threads gives the same bits (set at run time)
-    setter, before = openblas_thread_setter("numpy")
+    setter, before = openblas_thread_setter()
     runs = []
     try:
         for threads in (1, 2):

@@ -7,8 +7,8 @@ import asepkpz.engine as eng
 from asepkpz.gartner import z_field
 from asepkpz.kernels import interval_kernel_spectral
 from asepkpz.params import ScalingParams, build_params
-from asepkpz.she import (_step_schedule, build_grid, lognormal_mean, lognormal_sampler,
-                         lognormal_second_moment, martingale_functionals,
+from asepkpz.she import (_robin_frequency, _step_schedule, build_grid, lognormal_mean,
+                         lognormal_sampler, lognormal_second_moment, martingale_functionals,
                          mean_field, neumann_cosine,
                          robin_test_function, run_interval_ensemble, sample_she,
                          sample_she_ensemble, second_moment)
@@ -228,6 +228,22 @@ def test_test_function_boundary_slopes():
         bad = neumann_cosine(1)
         object.__setattr__(bad, "robin_a", 5.0)
         bad.validate()
+
+
+def test_robin_frequencies_match_brentq():
+    # the bisected roots against scipy's brentq on the same bracket
+    from scipy.optimize import brentq
+    for A, B in ((1.0, 2.0), (1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.0, 1.0), (1.0, 0.0),
+                 (3.0, 3.0), (0.1, 0.2)):
+        def secular(w):
+            return (w * w - A * B) * math.sin(w) - (A + B) * w * math.cos(w)
+        for k in range(4):
+            ref = brentq(secular, k * math.pi + 1e-9, (k + 1) * math.pi - 1e-9, xtol=1e-14)
+            assert abs(_robin_frequency(A, B, k) - ref) <= 4e-15, (A, B, k)
+            robin_test_function(A, B, k).validate()
+    # negative slopes with AB > 1 give the k = 0 mode no root in (0, pi)
+    with pytest.raises(ValueError, match="no Robin mode"):
+        robin_test_function(-3.0, -3.0, 0)
 
 
 def test_martingale_functionals_zero_at_t0():
