@@ -338,46 +338,63 @@ def test_config_hash_sensitivity(tmp_path):
     assert len({h1, h2, h3}) == 3
 
 
-_SCIPY_GUARD = """
+_GUARD_RUN = """
 import sys
 from pathlib import Path
 
 from asepkpz import cli
 
 tmp = Path(sys.argv[1])
-exact = ("[model]\\nn_sites = 16\\nslope_a = 1.0\\n[identities]\\nn_sites = 16\\n"
-         "cstar_n = 12\\ncstar_tbar = 0.5\\n")
-runs = [
-    ("params", "[model]\\nn_sites = 16\\nslope_a = 1.0\\nslope_b = 0.5\\n", (0,)),
-    ("simulate", "[run]\\nreplicas = 4\\n[model]\\nlattice = half_line\\nepsilon = 0.125\\n"
-                 "truncation = 16\\nslope_a = 1.0\\n"
-                 "[simulate]\\nhorizon_macro = 0.05\\nsample_times = 0.0, 0.05\\n", (0,)),
-    ("she", "[run]\\nreplicas = 8\\n[she]\\nm = 8\\n", (0, 1)),
-    ("kernel", exact, (0,)),
-    ("identities", exact, (0,)),
-    ("audit-all", exact, (0,)),
-    ("compare", "[run]\\nreplicas = 24\\n[compare]\\ninverse_eps = 8, 16\\n", (0, 1)),
-    ("compare", "[run]\\nreplicas = 24\\n[model]\\nslope_a = 1.0\\nslope_b = 0.5\\n"
-                "[compare]\\ninverse_eps = 8, 16\\n", (0, 1)),
-]
-for i, (kind, ini, codes) in enumerate(runs):
+def run(kind, ini, codes=(0,)):
+    i = len(list(tmp.glob("*.ini")))
     cfg = tmp / f"c{i}.ini"
     cfg.write_text(ini)
     code = cli.main([kind, "--config", str(cfg), "--seed", "3", "--out", str(tmp / f"r{i}")])
     assert code in codes, (kind, code)
+"""
+
+_NO_SCIPY = """
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 """
 
+_SAMPLING_GUARD = _GUARD_RUN + """
+run("params", "[model]\\nn_sites = 16\\nslope_a = 1.0\\nslope_b = 0.5\\n")
+run("simulate", "[run]\\nreplicas = 4\\n[model]\\nlattice = half_line\\nepsilon = 0.125\\n"
+                "truncation = 16\\nslope_a = 1.0\\n"
+                "[simulate]\\nhorizon_macro = 0.05\\nsample_times = 0.0, 0.05\\n")
+run("she", "[run]\\nreplicas = 8\\n[she]\\nm = 8\\n", (0, 1))
+run("compare", "[run]\\nreplicas = 24\\n[compare]\\ninverse_eps = 8, 16\\n", (0, 1))
+run("compare", "[run]\\nreplicas = 24\\n[model]\\nslope_a = 1.0\\nslope_b = 0.5\\n"
+               "[compare]\\ninverse_eps = 8, 16\\n", (0, 1))
+""" + _NO_SCIPY
 
-def test_cli_kinds_load_no_scipy(tmp_path):
-    # every CLI kind, compare at zero and nonzero slopes included, runs on numpy
-    # alone: a fresh process that ran them all has loaded no scipy module
+_EXACT_GUARD = _GUARD_RUN + """
+ini = ("[model]\\nn_sites = 16\\nslope_a = 1.0\\n[identities]\\nn_sites = 16\\n"
+       "cstar_n = 12\\ncstar_tbar = 0.5\\n")
+for kind in ("kernel", "identities", "audit-all"):
+    run(kind, ini)
+""" + _NO_SCIPY
+
+
+def _run_guard(script: str, tmp_path) -> None:
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sampling_kinds_load_no_scipy(tmp_path):
+    # params, simulate, she and compare (at zero and nonzero slopes) run on numpy
+    # alone: a fresh process that ran them has loaded no scipy module
+    _run_guard(_SAMPLING_GUARD, tmp_path)
+
+
+def test_exact_kinds_load_no_scipy_special_or_linalg(tmp_path):
+    # kernel, identities and audit-all, the dense exact generator included, load
+    # no scipy module at all, so neither scipy.special nor scipy.linalg
+    _run_guard(_EXACT_GUARD, tmp_path)
 
 
 def test_audit_all_manifest_metrics(tmp_path):
