@@ -211,6 +211,18 @@ def _model_from_config(cfg) -> tuple:
     return build_params(scaling), scaling, lattice
 
 
+# [simulate] initial -> the start of a replica of n sites drawn from its stream
+_INITIAL = {"bernoulli_half": bernoulli_eta, "alternating": lambda n, rng: alternating_eta(n)}
+
+
+def _identities_mus(sec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(mu_A, mu_B) of the key identity, 1 - (1/n) slope at n_sites, and of
+    c-star, 1 - slope/cstar_n."""
+    n, ncs = sec.getint("n_sites"), sec.getint("cstar_n")
+    slopes = (sec.getfloat("slope_a"), sec.getfloat("slope_b"))
+    return tuple(1.0 - (1.0 / n) * a for a in slopes), tuple(1.0 - a / ncs for a in slopes)
+
+
 def _validate(cfg, kind: str) -> list[str]:
     problems = []
     try:
@@ -241,15 +253,22 @@ def _validate(cfg, kind: str) -> list[str]:
             problems.append(f"kernel: {exc}")
     if kind in ("simulate", "compare", "audit-all"):
         try:
-            if cfg["simulate"].getfloat("horizon_macro") < 0:
+            horizon = cfg["simulate"].getfloat("horizon_macro")
+            if horizon < 0:
                 problems.append("simulate.horizon_macro must be >= 0")
             st = _parse_list(cfg["simulate"]["sample_times"])
             if any(b < a for a, b in zip(st, st[1:])):
                 problems.append("simulate.sample_times must be nondecreasing")
+            elif st and not 0.0 <= st[0] <= st[-1] <= horizon:
+                problems.append("simulate.sample_times must lie in [0, horizon_macro]")
+            if cfg["simulate"].get("initial") not in _INITIAL:
+                problems.append(f"simulate.initial must be one of {', '.join(_INITIAL)}")
         except ValueError as exc:
             problems.append(f"simulate: {exc}")
     if kind == "compare":
         try:
+            if cfg["compare"].getfloat("t_macro") < 0:
+                problems.append("compare.t_macro must be >= 0")
             inv = _parse_list(cfg["compare"]["inverse_eps"], int)
             if not inv or min(inv) < 1:
                 problems.append("compare.inverse_eps must list one or more sizes >= 1")
@@ -279,11 +298,8 @@ def _validate(cfg, kind: str) -> list[str]:
                 problems.append("identities.cstar_n must be >= 2: c-star needs a bulk site")
             if not sec.getfloat("cstar_tbar") > 0:
                 problems.append("identities.cstar_tbar must be > 0")
-            # run_identities' mu at the key-identity size, then at the c-star size
-            slopes = (sec.getfloat("slope_a"), sec.getfloat("slope_b"))
-            mus = ([1.0 - (1.0 / n) * a for a in slopes] + [1.0 - a / ncs for a in slopes]
-                   if n >= 3 and ncs >= 2 else [])
-            if not all(0.0 <= mu <= 1.0 for mu in mus) or mus[:2] == [1.0, 1.0]:
+            key, cstar = _identities_mus(sec) if n >= 3 and ncs >= 2 else ((), ())
+            if not all(0.0 <= mu <= 1.0 for mu in key + cstar) or key == (1.0, 1.0):
                 problems.append("identities.slope_a, slope_b must leave mu = 1 - slope/n in "
                                 "[0, 1] and not 1 at both walls (F needs a spectral gap)")
         except ValueError as exc:
@@ -327,24 +343,16 @@ def run_simulate(cfg, out, seed, threads, checks):
     sample_micro = [t / (eps * eps) for t in sample_macro]
     horizon = horizon_macro / (eps * eps)
     replicas = cfg["run"].getint("replicas")
-    initial_kind = cfg["simulate"].get("initial", "bernoulli_half")
-
-    if initial_kind == "bernoulli_half":
-        def init(rng):
-            return bernoulli_eta(lattice.n_sites, rng)
-    elif initial_kind == "alternating":
-        def init(rng):
-            return alternating_eta(lattice.n_sites)
-    else:
-        raise ConfigError(f"unknown initial condition {initial_kind!r}")
+    start = _INITIAL[cfg["simulate"]["initial"]]
 
     t0 = time.perf_counter()
-    traj = simulate_replicas(init, params, lattice, horizon, sample_micro, replicas, seed,
-                             threads=threads)
+    traj = simulate_replicas(lambda rng: start(lattice.n_sites, rng), params, lattice, horizon,
+                             sample_micro, replicas, seed, threads=threads)
     wall_s = time.perf_counter() - t0
+    slopes = np.diff(traj.heights, axis=-1)
     for r in range(min(replicas, 8)):  # full dumps for the first few
         rows_eta, rows_h = [], []
-        for t, eta, h in zip(traj.sample_times, traj.etas[r], traj.heights[r]):
+        for t, eta, h in zip(traj.sample_times, slopes[r], traj.heights[r]):
             rows_eta.extend([t, x + 1, int(e)] for x, e in enumerate(eta))
             rows_h.extend([t, x, int(v)] for x, v in enumerate(h))
         write_csv(os.path.join(out, f"trajectory_eta_r{r:03d}.csv"),
@@ -357,8 +365,8 @@ def run_simulate(cfg, out, seed, threads, checks):
     write_csv(os.path.join(out, "scaled_field_mean.csv"), ["T", "X", "value"],
               [[t_mac, X[j], mean[i, j]] for i, t_mac in enumerate(sample_macro)
                for j in range(len(X))])
-    checks["height_consistency"] = np.array_equal(np.diff(traj.heights[:8], axis=-1),
-                                                  traj.etas[:8])
+    # every snapshot of every replica is a height function: slopes +-1
+    checks["height_consistency"] = bool(np.all(np.abs(slopes) == 1))
     return {"sampler": [_sampler_metrics(f"{lattice.kind} n={lattice.n_sites}", replicas,
                                         int(traj.ring_count.sum()), int(traj.event_count.sum()),
                                         wall_s)]}
@@ -392,9 +400,7 @@ def run_kernel(cfg, out, seed, threads, checks):
 def run_identities(cfg, out, seed, threads, checks):
     sec = cfg["identities"]
     n = sec.getint("n_sites")
-    A, B = sec.getfloat("slope_a"), sec.getfloat("slope_b")
-    eps = 1.0 / n
-    mu_a, mu_b = 1.0 - eps * A, 1.0 - eps * B
+    (mu_a, mu_b), cstar_mus = _identities_mus(sec)
     t0 = time.perf_counter()
     ki = key_identity(solve_interval_spectrum(n, mu_a, mu_b))
     seconds = {"key_identity_s": time.perf_counter() - t0}
@@ -424,7 +430,7 @@ def run_identities(cfg, out, seed, threads, checks):
     checks["summation_by_parts"] = max(sbp.values()) <= 1e-12
     ncs = sec.getint("cstar_n")
     t0 = time.perf_counter()
-    cs = c_star_estimate(ncs, 1.0 - A / ncs, 1.0 - B / ncs, sec.getfloat("cstar_tbar"), 1.0 / ncs)
+    cs = c_star_estimate(ncs, *cstar_mus, sec.getfloat("cstar_tbar"), 1.0 / ncs)
     seconds["c_star_s"] = time.perf_counter() - t0
     checks["c_star_below_one"] = cs["max"] < 1.0
     reports.append({"identity": "c-star", "params": {"n": ncs}, "value": cs["max"],

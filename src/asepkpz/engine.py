@@ -31,12 +31,9 @@ from .params import ModelParams
 
 __all__ = [
     "Lattice",
-    "Configuration",
-    "HeightField",
     "Trajectory",
     "EventRates",
     "event_rates",
-    "simulate",
     "simulate_replicas",
     "state_etas",
     "exact_generator",
@@ -81,57 +78,20 @@ class Lattice:
         return cls("half_line", length)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Centered occupations eta(1..N) stored as an int8 array of +-1."""
-
-    eta: np.ndarray
-
-    def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=np.int8)
-        if not np.all(np.abs(eta) == 1):
-            raise ValueError("every site must hold exactly one of {-1, +1}")
-        object.__setattr__(self, "eta", eta)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.eta)
-
-
-@dataclass(frozen=True)
-class HeightField:
-    """Heights h(0..N) with slopes +-1."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.int64)
-        object.__setattr__(self, "h", h)
-        if len(h) > 1 and not np.all(np.abs(np.diff(h)) == 1):
-            raise ValueError("height increments must be +-1")
-
-    @classmethod
-    def from_eta(cls, eta: np.ndarray, h0: int = 0) -> "HeightField":
-        return cls(h=np.concatenate([[h0], h0 + np.cumsum(eta, dtype=np.int64)]))
-
-    def to_eta(self) -> np.ndarray:
-        return np.diff(self.h).astype(np.int8)
-
-
 @dataclass
 class Trajectory:
     """Snapshots of R replicas at the requested sample times.
 
-    etas[r, i], heights[r, i] are replica r's state at sample_times[i]
-    (right-continuous), event_count[r] its number of accepted moves and
-    ring_count[r] the number of clock rings that proposed them.  When
+    heights[r, i] is replica r's height function h(0..N) at sample_times[i]
+    (right-continuous), the whole state: its occupations are
+    np.diff(heights[r, i]).  event_count[r] is its number of accepted moves
+    and ring_count[r] the number of clock rings that proposed them.  When
     exponential height integrals are tracked, z_int[r, i, x] equals
     int_0^{t_i} exp(theta h_s(x) + rho s) ds exactly (event-resolved) and
     z2_int the same with (2 theta, 2 rho).
     """
 
     sample_times: np.ndarray
-    etas: np.ndarray                     # (R, K, N) int8
     heights: np.ndarray                  # (R, K, N + 1) int64
     event_count: np.ndarray              # (R,) int64
     exp_integral_constants: tuple | None = None
@@ -157,8 +117,18 @@ class EventRates:
     annihilate_right: np.ndarray | None
 
 
-def event_rates(config, params: ModelParams, lattice: Lattice) -> EventRates:
-    """All event rates for a Configuration or a stack of +-1 rows (last axis = sites).
+def _pm1(eta, n_sites: int, ndim: int | None = None) -> np.ndarray:
+    """eta as an array of +-1 rows of n_sites (with ndim axes, if given)."""
+    eta = np.asarray(eta)
+    if eta.shape[-1:] != (n_sites,) or ndim not in (None, eta.ndim):
+        raise ValueError("configuration size does not match lattice")
+    if not np.all(np.abs(eta) == 1):
+        raise ValueError("every site must hold exactly one of {-1, +1}")
+    return eta
+
+
+def event_rates(eta, params: ModelParams, lattice: Lattice) -> EventRates:
+    """All event rates for one +-1 row or a stack of them (last axis = sites).
 
     c^R = (p/4)(1+eta(x))(1-eta(x+1)), c^L = (q/4)(1-eta(x))(1+eta(x+1));
     r_A^+ = (alpha/2)(1-eta(1)), r_A^- = (gamma/2)(1+eta(1));
@@ -168,12 +138,7 @@ def event_rates(config, params: ModelParams, lattice: Lattice) -> EventRates:
     written separately, so the sampler-vs-generator tests compare two
     independent codings).
     """
-    eta = np.asarray(config.eta if isinstance(config, Configuration) else config)
-    if eta.shape[-1] != lattice.n_sites:
-        raise ValueError("configuration size does not match lattice")
-    if not np.all(np.abs(eta) == 1):
-        raise ValueError("every site must hold exactly one of {-1, +1}")
-    eta = eta.astype(np.float64)
+    eta = _pm1(eta, lattice.n_sites).astype(np.float64)
     first, last = eta[..., 0], eta[..., -1]
     right = params.p / 4.0 * (1.0 + eta[..., :-1]) * (1.0 - eta[..., 1:])
     left = params.q / 4.0 * (1.0 - eta[..., :-1]) * (1.0 + eta[..., 1:])
@@ -274,15 +239,17 @@ class _Block:
     ones, so its path is fixed by its key and _BUFFER, whatever the block.
     Its first N+1 waits start the clocks; each round its fired channels take
     the next (wait, mark) pairs in channel order.
+
+    inits holds one +-1 start of N sites per stream; the stack is checked
+    once, for its shape and its values.
     """
 
     def __init__(self, params, lattice, inits, rngs, sample_times, horizon, track):
         n = lattice.n_sites
-        if any(c.n_sites != n for c in inits):
-            raise ValueError("configuration size does not match lattice")
-        m, c, s, k = len(inits), n + 1, n + 3, len(sample_times)
+        eta = _pm1(inits, n, ndim=2)
+        m, c, s, k = len(eta), n + 1, n + 3, len(sample_times)
         self.m, self.c, self.s, self.rngs, self.track = m, c, s, rngs, track
-        self.barriers = [*sample_times, horizon]
+        self.sample_times, self.barriers = sample_times, [*sample_times, horizon]
         clock, accept = _harris_tables(params, lattice)
         scale = np.divide(1.0, clock, out=np.zeros_like(clock), where=clock > 0)
         self.wait_scale = np.tile(np.concatenate([[0.0], scale, [0.0]]), m)
@@ -296,7 +263,7 @@ class _Block:
         # heights h(0..N) with ghosts; a slot of margin at both ends
         self.h_buf = np.zeros(m * s + 2, dtype=np.int64)
         self.h = self.h_buf[1:-1].reshape(m, s)
-        self.h[:, 2:c + 1] = np.cumsum([init.eta for init in inits], axis=1)
+        self.h[:, 2:c + 1] = np.cumsum(eta, axis=1)
         self._ghosts()
         self.size = _BUFFER * c
         self.waits, self.marks = np.empty((2, m, self.size))
@@ -308,7 +275,6 @@ class _Block:
         self.pos = np.full(m, c)
         self.moves = []              # accepted moves since the last flush
         self.accepted = np.zeros(m * s, dtype=np.int64)
-        self.snap_eta = np.empty((m, k, n), dtype=np.int8)
         self.snap_h = np.empty((m, k, n + 1), dtype=np.int64)
         if track:
             self.theta, self.rho = track
@@ -355,7 +321,6 @@ class _Block:
         c, s = self.c, self.s
         h = self.h[:, 1:c + 1]
         self.snap_h[:, k] = h
-        self.snap_eta[:, k] = np.diff(h, axis=1)
         if self.track:
             t_last = self.t_last.reshape(self.m, s)[:, 1:c + 1]
             s_int = self.s_int.reshape(2, self.m, s)[:, :, 1:c + 1]
@@ -364,7 +329,9 @@ class _Block:
             t_last[:] = t
             self.snap_s[:, :, k] = s_int
 
-    def run(self, debug_checks: bool = False):
+    def run(self, debug_checks: bool = False) -> Trajectory:
+        """Advance every replica to the horizon; debug_checks re-checks after
+        every round that the heights keep slopes +-1."""
         m, s = self.m, self.s
         t, t_left, t_right = self.t_buf[1:-1], self.t_buf[:-2], self.t_buf[2:]
         h, h_left, h_right = self.h_buf[1:-1], self.h_buf[:-2], self.h_buf[2:]
@@ -415,77 +382,45 @@ class _Block:
             self._flush()
             if k < len(self.barriers) - 1:
                 self._snapshot(k, barrier)
-
-    def trajectory(self, sample_times) -> Trajectory:
-        accepted = self.accepted.reshape(self.m, self.s).sum(axis=1)
+        accepted = self.accepted.reshape(m, s).sum(axis=1)
         rings = self.drawn - self.size + self.pos - self.c
-        return Trajectory(sample_times, self.snap_eta, self.snap_h, accepted,
-                          self.track, *(self.snap_s if self.track else (None, None)),
-                          ring_count=rings)
-
-
-def _check_run(horizon: float, sample_times) -> np.ndarray:
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    sample_times = np.asarray(sample_times, dtype=float)
-    if len(sample_times) and (np.any(np.diff(sample_times) < 0)
-                              or sample_times[0] < 0 or sample_times[-1] > horizon):
-        raise ValueError("sample_times must be nondecreasing inside [0, horizon]")
-    return sample_times
-
-
-def _run_block(params, lattice, inits, rngs, horizon, sample_times, track,
-               debug_checks=False) -> Trajectory:
-    block = _Block(params, lattice, inits, rngs, sample_times, horizon, track)
-    block.run(debug_checks)
-    return block.trajectory(sample_times)
-
-
-def simulate(initial: Configuration, params: ModelParams, lattice: Lattice,
-             horizon: float, sample_times, seed,
-             track_exp_integrals: tuple[float, float] | None = None,
-             debug_checks: bool = False) -> Trajectory:
-    """Statistically exact continuous-time sample of the open ASEP.
-
-    The one-replica case of `simulate_replicas` (a Trajectory with R = 1);
-    seed is a Generator or a key for `replica_rng(seed, 0)`.  sample_times
-    must be nondecreasing and within [0, horizon].  When
-    track_exp_integrals = (theta, rho) is given, the per-site integrals
-    int_0^t exp(theta h_s(x) + rho s) ds are accumulated exactly (closed
-    form in time, one piece per accepted move of the height and one at each
-    snapshot) and snapshotted with the configuration; the squared-exponent
-    versions with (2 theta, 2 rho) come along for quadratic functionals.
-    debug_checks re-checks after every round that the heights keep slopes
-    +-1.
-    """
-    sample_times = _check_run(horizon, sample_times)
-    rng = seed if isinstance(seed, np.random.Generator) else replica_rng(seed, 0)
-    return _run_block(params, lattice, [initial], [rng], horizon, sample_times,
-                      track_exp_integrals, debug_checks)
+        return Trajectory(self.sample_times, self.snap_h, accepted, self.track,
+                          *(self.snap_s if self.track else (None, None)), ring_count=rings)
 
 
 def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: float,
                       sample_times, n_replicas: int, master_seed,
                       track_exp_integrals: tuple[float, float] | None = None,
                       threads: int = 1) -> Trajectory:
-    """`simulate` for replicas 0..n_replicas-1, advanced in blocks.
+    """Statistically exact continuous-time samples of the open ASEP, for
+    replicas 0..n_replicas-1.
 
     Replica i draws from rng_i = replica_rng(master_seed, i): first its
-    start init(rng_i), then its waits and marks, exactly as
-    `simulate(init(rng_i), ..., rng_i)` does.  Blocks hold at most _BLOCK
-    replicas and are spread over `threads` pool workers; since every
-    replica owns its stream and its rounds, the result does not depend on
-    either, bit for bit: one Trajectory whose axis 0 is the replica index,
-    the blocks joined in order.  event_count counts accepted moves and
-    ring_count the rings that proposed them.
+    start init(rng_i), an array of N values +-1, then its waits and marks.
+    sample_times must be nondecreasing and within [0, horizon].  Blocks
+    hold at most _BLOCK replicas and are spread over `threads` pool
+    workers; since every replica owns its stream and its rounds, the result
+    does not depend on either, bit for bit: one Trajectory whose axis 0 is
+    the replica index, the blocks joined in order.  event_count counts
+    accepted moves and ring_count the rings that proposed them.  When
+    track_exp_integrals = (theta, rho) is given, the per-site integrals
+    int_0^t exp(theta h_s(x) + rho s) ds are accumulated exactly (closed
+    form in time, one piece per accepted move of the height and one at each
+    snapshot) and snapshotted with the heights; the squared-exponent
+    versions with (2 theta, 2 rho) come along for quadratic functionals.
     """
-    sample_times = _check_run(horizon, sample_times)
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    sample_times = np.asarray(sample_times, dtype=float)
+    if len(sample_times) and (np.any(np.diff(sample_times) < 0)
+                              or sample_times[0] < 0 or sample_times[-1] > horizon):
+        raise ValueError("sample_times must be nondecreasing inside [0, horizon]")
     parts = map_replica_blocks(
-        lambda rngs: _run_block(params, lattice, [init(rng) for rng in rngs], rngs, horizon,
-                                sample_times, track_exp_integrals),
+        lambda rngs: _Block(params, lattice, [init(rng) for rng in rngs], rngs, sample_times,
+                            horizon, track_exp_integrals).run(),
         n_replicas, master_seed, threads)
     return replace(parts[0], **{name: np.concatenate([getattr(p, name) for p in parts])
-                                for name in ("etas", "heights", "event_count", "ring_count",
+                                for name in ("heights", "event_count", "ring_count",
                                              "z_int", "z2_int")
                                 if getattr(parts[0], name) is not None})
 
@@ -555,14 +490,12 @@ def stationary_measure(generator: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # initial conditions
 
-def bernoulli_eta(n: int, seed) -> Configuration:
-    """Product Bernoulli(1/2) measure: eta(x) = +1 with probability 1/2."""
+def bernoulli_eta(n: int, seed) -> np.ndarray:
+    """Product Bernoulli(1/2) measure: eta(x) = +1 with probability 1/2, as int8 +-1."""
     rng = seed if isinstance(seed, np.random.Generator) else replica_rng(seed, 0)
-    eta = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
-    return Configuration(eta)
+    return np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
 
 
-def alternating_eta(n: int) -> Configuration:
-    """Deterministic density-1/2 zigzag (the dynamical 'flat' interface)."""
-    eta = np.array([1 if x % 2 == 0 else -1 for x in range(n)], dtype=np.int8)
-    return Configuration(eta)
+def alternating_eta(n: int) -> np.ndarray:
+    """Deterministic density-1/2 zigzag (the dynamical 'flat' interface), as int8 +-1."""
+    return np.array([1 if x % 2 == 0 else -1 for x in range(n)], dtype=np.int8)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import HeightField, Lattice, Trajectory, event_rates
+from .engine import Lattice, Trajectory, event_rates
 from .params import ModelParams
 
 __all__ = [
@@ -43,9 +43,9 @@ class ZField:
 
 
 def z_field(h, t: float, params: ModelParams) -> ZField:
-    """Z(x) = exp(-lam h(x) + nu t) from a HeightField or raw integer array."""
-    harr = h.h if isinstance(h, HeightField) else np.asarray(h)
-    log_z = -params.lam * harr.astype(float) + params.nu * t
+    """Z(x) = exp(-lam h(x) + nu t) from an integer height array (any leading
+    axes; t broadcasts against it)."""
+    log_z = -params.lam * np.asarray(h).astype(float) + params.nu * t
     return ZField(log_z=log_z, t=t)
 
 

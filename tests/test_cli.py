@@ -10,6 +10,7 @@ import pytest
 from asepkpz import cli
 from asepkpz.cli import (config_hash, fmt, load_config, main, sha256_file, write_compare_csv,
                          write_csv)
+from asepkpz.engine import simulate_replicas
 from asepkpz.she import asep_she_compare, build_grid, run_interval_ensemble, sample_she_ensemble
 
 from conftest import openblas_thread_setter
@@ -124,13 +125,20 @@ def test_config_validation_errors(tmp_path, capsys):
     ("audit-all", "[kernel]\ntimes = 1.0, 10000.0\ndepth = 6\n", "kernel.times"),
     ("identities", "[identities]\nslope_a = 200.0\n", "identities.slope_a"),
     ("audit-all", "[identities]\nslope_a = 0.0\nslope_b = 0.0\n", "identities.slope_a"),
+    # sample times past the default horizon_macro = 0.1, or before 0
+    ("simulate", "[simulate]\nsample_times = 0.0, 0.2\n", "simulate.sample_times"),
+    ("simulate", "[simulate]\nsample_times = -0.05, 0.1\n", "simulate.sample_times"),
+    ("simulate", "[simulate]\ninitial = flat\n", "simulate.initial"),
+    ("compare", "[compare]\nt_macro = -0.1\n", "compare.t_macro"),
 ], ids=["inverse_eps_zero", "inverse_eps_empty", "identities_n_sites_1",
         "compare_replicas_1", "she_replicas_1", "x_points_zero", "params_n_sites_0",
         "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
         "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3", "she_m_4",
         "she_mu_outside", "she_output_times_empty", "she_output_times_negative",
         "she_output_times_decreasing", "kernel_time_negative", "kernel_depth_0",
-        "kernel_time_beyond_images", "identities_mu_negative", "identities_neumann_neumann"])
+        "kernel_time_beyond_images", "identities_mu_negative", "identities_neumann_neumann",
+        "simulate_sample_time_beyond_horizon", "simulate_sample_time_negative",
+        "simulate_initial_unknown", "compare_t_macro_negative"])
 def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
     # each of these once crashed with a traceback (exit 1), failed a check on
     # NaN or overflow, or passed vacuously; exit 1 is reserved for a failed check
@@ -218,6 +226,52 @@ def test_simulate_kind_hash_stable_across_threads(tmp_path):
               for d in (d1, d2)
               for r in json.loads((d / "manifest.json").read_text())["metrics"]["sampler"]]
     assert counts[0] == counts[1] and 0 < counts[0]["accepted_events"] < counts[0]["rings"]
+
+
+def test_height_consistency_fails_on_a_broken_slope(tmp_path, monkeypatch, capsys):
+    # one step of 3 in the last snapshot of replica 9, past the eight dumped
+    # replicas: the slope check reads every snapshot of every replica
+    def broken(*args, **kwargs):
+        traj = simulate_replicas(*args, **kwargs)
+        h = traj.heights[9, -1]
+        h[5:] += h[4] + 3 - h[5]
+        return traj
+
+    monkeypatch.setattr(cli, "simulate_replicas", broken)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run]\nreplicas = 10\n[model]\nn_sites = 12\n"
+                   "[simulate]\nhorizon_macro = 0.05\nsample_times = 0.0, 0.05\n")
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert "[FAIL] height_consistency" in capsys.readouterr().out
+
+
+def test_hashed_files_independent_of_blas_threads(tmp_path):
+    # every hashed file of audit-all, compare, simulate and she is the same
+    # with numpy's OpenBLAS at one and at two threads, set at run time
+    runs = [("audit-all", ""), ("compare", "[run]\nreplicas = 4\n[compare]\ninverse_eps = 4, 8\n"),
+            ("simulate", "[run]\nreplicas = 4\n"), ("she", "[run]\nreplicas = 4\n")]
+    setter, before = openblas_thread_setter()
+    files = {}
+    try:
+        for threads in (1, 2):
+            setter(threads)
+            for kind, ini in runs:
+                cfg = tmp_path / f"{kind}.ini"
+                cfg.write_text(ini)
+                out = tmp_path / f"{kind}-{threads}"
+                # exit 1 is a failed 3-sigma line, which 4 replicas may show
+                assert run_cli([kind, "--config", str(cfg), "--seed", "7",
+                                "--out", str(out)]) in (0, 1)
+                (run_dir,) = out.iterdir()
+                files[kind, threads] = json.loads((run_dir / "manifest.json").read_text())["files"]
+    finally:
+        setter(before)
+    for kind, _ in runs:
+        # identities.json's key-identity quadrature still rounds with the BLAS
+        # thread count (ROADMAP item 8); the fix of item 8 removes this exclusion
+        one, two = ({k: v for k, v in files[kind, t].items() if k != "identities.json"}
+                    for t in (1, 2))
+        assert one and one == two, kind
 
 
 def test_compare_kind_one_pass(tmp_path):

@@ -6,10 +6,9 @@ import pytest
 from scipy.linalg import expm
 
 from asepkpz import engine
-from asepkpz.engine import (Configuration, HeightField, Lattice, _harris_tables,
-                            alternating_eta, bernoulli_eta, event_rates, exact_generator,
-                            replica_rng, simulate, simulate_replicas, state_etas,
-                            stationary_measure)
+from asepkpz.engine import (Lattice, _harris_tables, alternating_eta, bernoulli_eta,
+                            event_rates, exact_generator, replica_rng, simulate_replicas,
+                            state_etas, stationary_measure)
 from asepkpz.params import (ModelParams, ScalingParams, build_params,
                             equal_density_mu, params_from_mu, phase_point)
 
@@ -21,13 +20,13 @@ def p_interval(n, a=1.0, b=1.0):
 def test_event_rates_exclusion_and_boundary():
     p = p_interval(4)
     lat = Lattice.interval(4)
-    r = event_rates(Configuration(np.array([1, 1, -1, 1])), p, lat)
+    r = event_rates(np.array([1, 1, -1, 1]), p, lat)
     assert r.right[0] == 0 and r.left[0] == 0          # (+,+): blocked
     assert r.right[1] == p.p and r.left[1] == 0        # (+,-): right jump at p
     assert r.right[2] == 0 and r.left[2] == p.q        # (-,+): left jump at q
     assert r.create_left == 0 and r.annihilate_left == p.gamma   # occupied site 1
     assert r.create_right == 0 and r.annihilate_right == p.beta  # occupied site N
-    r = event_rates(Configuration(np.array([-1, 1, -1, -1])), p, lat)
+    r = event_rates(np.array([-1, 1, -1, -1]), p, lat)
     assert r.create_left == p.alpha and r.annihilate_left == 0
     assert r.create_right == p.delta and r.annihilate_right == 0
 
@@ -35,7 +34,7 @@ def test_event_rates_exclusion_and_boundary():
 def test_half_line_has_no_right_reservoir():
     p = p_interval(8, 1.0, 0.0)
     lat = Lattice.half_line(8)
-    r = event_rates(Configuration(alternating_eta(8).eta), p, lat)
+    r = event_rates(alternating_eta(8), p, lat)
     assert r.create_right is None and r.annihilate_right is None
 
 
@@ -43,11 +42,11 @@ def test_blocked_system_is_constant():
     # all rates zero: full lattice with zero reservoir exchange
     p = ModelParams.from_rates(p=0.7, q=0.3, alpha=0.0, beta=0.0, gamma=0.0, delta=0.0)
     lat = Lattice.interval(5)
-    init = Configuration(np.ones(5, dtype=np.int8))
-    tr = simulate(init, p, lat, 10.0, [0.0, 5.0, 10.0], 1)
+    init = np.ones(5, dtype=np.int8)
+    tr = simulate_replicas(lambda rng: init, p, lat, 10.0, [0.0, 5.0, 10.0], 1, 1)
     assert tr.event_count[0] == 0
-    for eta in tr.etas[0]:
-        assert np.array_equal(eta, init.eta)
+    for h in tr.heights[0]:
+        assert np.array_equal(np.diff(h), init)
 
 
 def test_two_state_occupation_fraction():
@@ -58,8 +57,8 @@ def test_two_state_occupation_fraction():
     target = (p.alpha + p.delta) / (p.alpha + p.beta + p.gamma + p.delta)
     horizon = 4000.0
     ts = np.linspace(0.0, horizon, 8001)
-    tr = simulate(Configuration(np.array([-1])), p, lat, horizon, ts, 3)
-    occ = np.array([(e[0] + 1) / 2 for e in tr.etas[0]], dtype=float)
+    tr = simulate_replicas(lambda rng: np.array([-1]), p, lat, horizon, ts, 1, 3)
+    occ = np.array([(h[1] - h[0] + 1) / 2 for h in tr.heights[0]], dtype=float)
     batches = occ[1:].reshape(20, -1).mean(axis=1)
     se = batches.std(ddof=1) / math.sqrt(len(batches))
     assert abs(occ[1:].mean() - target) <= 3 * se
@@ -69,24 +68,25 @@ def test_determinism_byte_for_byte():
     p = p_interval(16)
     lat = Lattice.interval(16)
     init = bernoulli_eta(16, 9)
-    a = simulate(init, p, lat, 30.0, [10.0, 30.0], 1234,
-                 track_exp_integrals=(-p.lam, p.nu))
-    b = simulate(init, p, lat, 30.0, [10.0, 30.0], 1234,
-                 track_exp_integrals=(-p.lam, p.nu))
+    a = simulate_replicas(lambda rng: init, p, lat, 30.0, [10.0, 30.0], 1, 1234,
+                          track_exp_integrals=(-p.lam, p.nu))
+    b = simulate_replicas(lambda rng: init, p, lat, 30.0, [10.0, 30.0], 1, 1234,
+                          track_exp_integrals=(-p.lam, p.nu))
     assert np.array_equal(a.event_count, b.event_count)
-    assert np.array_equal(a.etas, b.etas)
     assert np.array_equal(a.heights, b.heights)
     assert np.array_equal(a.z_int, b.z_int)
-    c = simulate(init, p, lat, 30.0, [10.0, 30.0], 1235)
-    assert not np.array_equal(a.etas, c.etas)
+    c = simulate_replicas(lambda rng: init, p, lat, 30.0, [10.0, 30.0], 1, 1235)
+    assert not np.array_equal(np.diff(a.heights), np.diff(c.heights))
 
 
 def test_height_consistency_and_boundary_locality():
+    # one replica on replica_rng(77, 0), its slopes re-checked after every round
     p = p_interval(12, 2.0, 1.0)
     lat = Lattice.interval(12)
-    tr = simulate(bernoulli_eta(12, 4), p, lat, 50.0, np.linspace(0, 50, 26), 77,
-                  debug_checks=True)
-    assert np.array_equal(np.diff(tr.heights, axis=-1), tr.etas)
+    block = engine._Block(p, lat, [bernoulli_eta(12, 4)], [replica_rng(77, 0)],
+                          np.linspace(0, 50, 26), 50.0, None)
+    tr = block.run(debug_checks=True)
+    assert np.all(np.abs(np.diff(tr.heights, axis=-1)) == 1)
     assert tr.event_count[0] > 0
 
 
@@ -97,7 +97,7 @@ def test_event_count_rate_long_run():
     lat = Lattice.interval(1)
     pi = stationary_measure(exact_generator(p, 1))
     rate = pi[0] * (p.alpha + p.delta) + pi[1] * (p.beta + p.gamma)
-    empty = lambda rng: Configuration(np.array([-1]))
+    empty = lambda rng: np.array([-1])
     tr = simulate_replicas(empty, p, lat, 25000.0, [25000.0], 1, 77)
     assert tr.event_count[0] >= 10 ** 4
     # batch estimate of the rate from independent windows
@@ -113,8 +113,8 @@ def test_event_wait_times_match_rate():
     lat = Lattice.interval(1)
 
     # occupation locks in (no off-events): P(still empty at t) = exp(-1.1 t)
-    outs = simulate_replicas(lambda rng: Configuration(np.array([-1])), p, lat, 3.0, [3.0],
-                             20000, 11).etas[:, 0, 0]
+    h = simulate_replicas(lambda rng: np.array([-1]), p, lat, 3.0, [3.0], 20000, 11).heights
+    outs = h[:, 0, 1] - h[:, 0, 0]
     frac_empty = float(np.mean(outs == -1))
     target = math.exp(-1.1 * 3.0)
     se = math.sqrt(target * (1 - target) / len(outs))
@@ -158,7 +158,7 @@ def test_sos_matches_particle_distribution():
     block[:m, :m] = Q
     block[:m, m:] = np.eye(m)
     E = expm(block * horizon)
-    s0 = sum(1 << x for x in range(n) if init_eta.eta[x] == 1)
+    s0 = sum(1 << x for x in range(n) if init_eta[x] == 1)
     law, occupation = E[s0, :m], E[s0, m:]
     etas = state_etas(n)
     first = etas[:, 0] == 1
@@ -362,7 +362,7 @@ def test_half_line_truncation_doubling():
     def occupation(length, seed):
         traj = simulate_replicas(lambda rng: bernoulli_eta(length, rng), p,
                                  Lattice.half_line(length), horizon, [horizon], 3000, seed)
-        return traj.etas[:, 0, :6].astype(float)
+        return np.diff(traj.heights[:, 0, :7], axis=-1).astype(float)
 
     a = occupation(24, 21)
     b = occupation(48, 21)
@@ -372,7 +372,7 @@ def test_half_line_truncation_doubling():
 
 
 # Streams of the Harris block sampler: SHA-256 of every replica's snapshots
-# (int8 etas, int64 heights), accepted-move and ring counts, and the sums of
+# (int8 slopes, int64 heights), accepted-move and ring counts, and the sums of
 # its exponential integrals, on replica_rng(seed, i).  A change of the
 # sampler's draws or of its rounds changes them.
 PINNED_STREAMS = {
@@ -402,17 +402,16 @@ def stream_configs():
                        lambda rng: bernoulli_eta(24, rng), 200.0, [0.0, 50.0, 200.0], 3, 13),
         "interval2": (rates, Lattice.interval(2), lambda rng: bernoulli_eta(2, rng),
                       500.0, [250.0, 500.0], 3, 14),
-        "interval1": (rates, Lattice.interval(1), lambda rng: Configuration(np.array([-1])),
+        "interval1": (rates, Lattice.interval(1), lambda rng: np.array([-1]),
                       500.0, [250.0, 500.0], 3, 15),
     }
 
 
 def stream_digest(traj) -> str:
     h = hashlib.sha256()
-    for etas, heights, count, rings in zip(traj.etas, traj.heights, traj.event_count,
-                                           traj.ring_count):
-        for eta, hs in zip(etas, heights):
-            h.update(np.asarray(eta, dtype="<i1").tobytes())
+    for heights, count, rings in zip(traj.heights, traj.event_count, traj.ring_count):
+        for hs in heights:
+            h.update(np.asarray(np.diff(hs), dtype="<i1").tobytes())
             h.update(np.asarray(hs, dtype="<i8").tobytes())
         h.update(np.asarray([count, rings], dtype="<i8").tobytes())
     return h.hexdigest()
@@ -435,41 +434,39 @@ def test_replicas_replay_pinned_streams(name):
     assert untracked.z_int is None and untracked.z2_int is None
 
 
-def test_simulate_replicas_independent_of_threads_and_blocks():
-    # 300 replicas run as two blocks; each must equal its own
-    # one-replica run on replica_rng(seed, i), for 1 and 2 threads
+def test_simulate_replicas_independent_of_threads_and_blocks(monkeypatch):
+    # 300 replicas run as two blocks; each must equal its own one-replica
+    # block on replica_rng(seed, i) (blocks of one), for 1 and 2 threads
     n = 8
     p = p_interval(n, 1.0, 0.5)
     lat = Lattice.interval(n)
     track = (-p.lam, p.nu)
-    single = []
-    for i in range(300):
-        rng = replica_rng(4, i)
-        single.append(simulate(bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0], rng,
-                               track_exp_integrals=track))
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_BLOCK", 1)
+        single = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0],
+                                   300, 4, track_exp_integrals=track)
     for threads in (1, 2):
         traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0],
                                  300, 4, track_exp_integrals=track, threads=threads)
         # one replica-axis array per field
-        assert traj.etas.shape == (300, 2, n) and traj.etas.dtype == np.int8
         assert traj.heights.shape == (300, 2, n + 1) and traj.heights.dtype == np.int64
         assert traj.event_count.shape == (300,) and traj.event_count.dtype == np.int64
         for z in (traj.z_int, traj.z2_int):
             assert z.shape == (300, 2, n + 1) and z.dtype == np.float64
         assert traj.exp_integral_constants == track
-        assert np.array_equal(traj.event_count, np.concatenate([b.event_count for b in single]))
-        assert np.array_equal(traj.heights, np.concatenate([b.heights for b in single]))
-        assert np.array_equal(traj.z_int, np.concatenate([b.z_int for b in single]))
+        assert np.array_equal(traj.event_count, single.event_count)
+        assert np.array_equal(traj.heights, single.heights)
+        assert np.array_equal(traj.z_int, single.z_int)
 
 
 def test_invalid_inputs():
     p = p_interval(4)
     lat = Lattice.interval(4)
+    # a start needs N values +-1, one row per replica
+    for start in (np.array([1, 0, -1, 1]), np.ones(5), np.ones((1, 4))):
+        with pytest.raises(ValueError):
+            simulate_replicas(lambda rng: start, p, lat, 1.0, [1.0], 1, 1)
     with pytest.raises(ValueError):
-        Configuration(np.array([1, 0, -1, 1]))
-    with pytest.raises(ValueError):
-        simulate(Configuration(np.array([1, -1, 1, -1])), p, lat, 1.0, [0.5, 0.2], 1)
-    with pytest.raises(ValueError):
-        HeightField(h=np.array([0, 2, 1, 0, 1]))
+        simulate_replicas(lambda rng: np.array([1, -1, 1, -1]), p, lat, 1.0, [0.5, 0.2], 1, 1)
     with pytest.raises(ValueError):
         Lattice("ring", 4)

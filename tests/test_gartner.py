@@ -4,12 +4,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from asepkpz.engine import (HeightField, Lattice, alternating_eta,
-                            bernoulli_eta, simulate, simulate_replicas)
+from asepkpz.engine import Lattice, alternating_eta, bernoulli_eta, simulate_replicas
 from asepkpz.gartner import _height_moves, drift_identity_residual, rescale, z_field
 from asepkpz.kernels import solve_interval_spectrum
 from asepkpz.params import ModelParams, ScalingParams, build_params
 from asepkpz.she import asep_mean_prediction
+
+
+def heights_of(eta, h0: int = 0) -> np.ndarray:
+    """h(0..N) = h0 + partial sums of eta."""
+    return np.concatenate([[h0], h0 + np.cumsum(eta, dtype=np.int64)])
 
 
 # Martingale bracket rates and their small-eps split; only these tests read them.
@@ -57,15 +61,15 @@ def bracket_decomposition(eta: np.ndarray, params: ModelParams, lattice: Lattice
                                 is_boundary=boundary)
 
 
-def bracket_rate(height: HeightField, t: float, params: ModelParams,
+def bracket_rate(h: np.ndarray, t: float, params: ModelParams,
                  lattice: Lattice) -> np.ndarray:
     """Exact d<M(x)>/dt per height site, in absolute units.
 
     On the truncated half line the closed edge carries no martingale and is
     excluded (length L array).
     """
-    rates = _bracket_over_z2(height.to_eta(), params, lattice)
-    return rates * z_field(height, t, params).z[:len(rates)] ** 2
+    rates = _bracket_over_z2(np.diff(h), params, lattice)
+    return rates * z_field(h, t, params).z[:len(rates)] ** 2
 
 
 def params_n(n, a=1.0, b=2.0):
@@ -82,7 +86,7 @@ def test_z_field_constant_and_geometric():
 
 def test_z_bond_ratio_quantization():
     p = params_n(16)
-    h = HeightField.from_eta(bernoulli_eta(16, 3).eta)
+    h = heights_of(bernoulli_eta(16, 3))
     z = z_field(h, 0.3, p).z
     ratios = z[1:] / z[:-1]
     targets = {math.exp(-p.lam), math.exp(p.lam)}
@@ -95,12 +99,13 @@ def test_event_multiplicativity_exact():
     # so Z built from either agrees bit for bit
     p = params_n(12)
     lat = Lattice.interval(12)
-    tr = simulate(bernoulli_eta(12, 8), p, lat, 20.0, [20.0], 5)
+    start = bernoulli_eta(12, 8)
+    tr = simulate_replicas(lambda rng: start, p, lat, 20.0, [20.0], 1, 5)
     h_incremental = tr.heights[0, 0]
-    h_rebuilt = HeightField.from_eta(tr.etas[0, 0], h0=h_incremental[0]).h
+    h_rebuilt = heights_of(np.diff(h_incremental), h0=h_incremental[0])
     assert np.array_equal(h_incremental, h_rebuilt)
-    za = z_field(HeightField(h=h_incremental), 20.0, p).z
-    zb = z_field(HeightField(h=h_rebuilt), 20.0, p).z
+    za = z_field(h_incremental, 20.0, p).z
+    zb = z_field(h_rebuilt, 20.0, p).z
     assert np.array_equal(za, zb)
 
 
@@ -174,8 +179,7 @@ def test_bracket_rates():
     rng = np.random.default_rng(1)
     for _ in range(20):
         eta = np.where(rng.random(n) < 0.5, 1, -1)
-        h = HeightField.from_eta(eta)
-        assert np.all(bracket_rate(h, 0.0, p, lat) >= 0.0)
+        assert np.all(bracket_rate(heights_of(eta), 0.0, p, lat) >= 0.0)
 
 
 def test_bracket_remainder_vanishes_with_eps():
@@ -211,7 +215,7 @@ def test_rescale_time_zero_and_flat():
     p = params_n(n, 0.0, 0.0)
     lat = Lattice.interval(n)
     init = alternating_eta(n)
-    tr = simulate(init, p, lat, 0.0, [0.0], 1)
+    tr = simulate_replicas(lambda rng: init, p, lat, 0.0, [0.0], 1, 1)
     X = np.linspace(0, 1, 9)
     f0 = rescale(tr, p, [0.0], X)[0, 0]
     z0 = z_field(tr.heights[0, 0], 0.0, p)
@@ -260,7 +264,7 @@ def test_rescale_errors():
     n = 16
     p = params_n(n, 0.0, 0.0)
     lat = Lattice.interval(n)
-    tr = simulate(alternating_eta(n), p, lat, 10.0, [0.0, 10.0], 1)
+    tr = simulate_replicas(lambda rng: alternating_eta(n), p, lat, 10.0, [0.0, 10.0], 1, 1)
     with pytest.raises(ValueError):
         rescale(tr, p, [0.5], np.array([0.5]))   # time not sampled
     with pytest.raises(ValueError):
@@ -293,8 +297,8 @@ def test_initial_condition_moment_bounds():
     # increments for the Bernoulli family, uniformly over the lattice
     for n in (32, 64, 128):
         p = params_n(n, 0.0, 0.0)
-        zs = np.stack([z_field(HeightField.from_eta(bernoulli_eta(n, (9, i)).eta),
-                               0.0, p).z for i in range(400)])
+        zs = np.stack([z_field(heights_of(bernoulli_eta(n, (9, i))), 0.0, p).z
+                       for i in range(400)])
         l2 = np.sqrt((zs ** 2).mean(axis=0))
         assert np.max(l2) <= math.e + 0.5  # cosh(2 sqrt(eps))^{x/2} <= e^{1+o(1)}
         x1, x2 = n // 4, 3 * n // 4

@@ -250,8 +250,10 @@ def test_martingale_functionals_zero_at_t0():
     n = 16
     params = build_params(ScalingParams.interval(n, 0.0, 0.0))
     for seed in range(3):
-        tr = eng.simulate(eng.bernoulli_eta(n, seed), params, eng.Lattice.interval(n),
-                          0.0, [0.0, 0.0], seed, track_exp_integrals=(-params.lam, params.nu))
+        start = eng.bernoulli_eta(n, seed)
+        tr = eng.simulate_replicas(lambda rng: start, params, eng.Lattice.interval(n), 0.0,
+                                   [0.0, 0.0], 1, seed,
+                                   track_exp_integrals=(-params.lam, params.nu))
         values = martingale_functionals(tr, params, [neumann_cosine(0)], 0.0)
         assert values.tolist() == [[[0.0, 0.0]]]
     # the in-task reduction of all-zero values is defined (0 sigma), not 0/0
@@ -269,8 +271,8 @@ def test_martingale_exact_integrals_match_trapezoid():
     horizon = T / (eps * eps)
     init = eng.bernoulli_eta(n, 3)
     dense = np.linspace(0.0, horizon, 2001)
-    tr = eng.simulate(init, params, lat, horizon, dense, 5,
-                      track_exp_integrals=(-params.lam, params.nu))
+    tr = eng.simulate_replicas(lambda rng: init, params, lat, horizon, dense, 1, 5,
+                               track_exp_integrals=(-params.lam, params.nu))
     zs = z_field(tr.heights[0], dense[:, None], params).z
     trapezoid = np.trapezoid(zs, dense, axis=0)
     # Tolerance: on a snapshot interval of width dt the trapezoid rule misses
@@ -287,7 +289,7 @@ def test_martingale_exact_integrals_match_trapezoid():
     assert rel_tol <= 2e-2
     assert np.all(np.abs(trapezoid - tr.z_int[0, -1]) <= rel_tol * tr.z_int[0, -1])
     # the martingale functionals read only the exact integrals
-    untracked = eng.simulate(init, params, lat, horizon, dense, 5)
+    untracked = eng.simulate_replicas(lambda rng: init, params, lat, horizon, dense, 1, 5)
     with pytest.raises(ValueError):
         martingale_functionals(untracked, params, [neumann_cosine(1)], T)
 
