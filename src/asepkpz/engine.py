@@ -470,7 +470,8 @@ def exact_generator(params: ModelParams, n: int, lattice: Lattice | None = None)
 
 def stationary_measure(generator: np.ndarray) -> np.ndarray:
     """pi with pi Q = 0 for a dense generator, solved with a normalization row
-    (at most 2^12 states)."""
+    (at most 2^12 states); the tests' stationary oracle (the CLI checks a
+    candidate measure's residual instead)."""
     m = generator.shape[0]
     if m > 1 << 12:
         raise ValueError(f"dense stationary solve limited to 2^12 states, got {m}")

@@ -7,7 +7,7 @@ The central object is
 which on the interval equals (1-c) on the diagonal and -c off it, with
 0 <= c <= C eps.  F is computed by three routes: the spectral closed form
 sum_k grad psi_k(x) grad psi_k(xb) / (2 lambda_k), the second difference of
-the Green's function of -Laplacian/2, and the time integral of kernel
+the closed-form Green's function of -Laplacian/2, and the time integral of kernel
 products by the Van Loan block exponential, a Taylor series of phi_1 at a
 small time step followed by doubling.  The c-star
 sums of |grad+ p_t grad- p_t| are integrated in closed form between the sign
@@ -39,22 +39,33 @@ __all__ = [
 # Green's functions
 
 def green_matrix(n: int, mu_a: float, mu_b: float) -> np.ndarray:
-    """Dense inverse of -Laplacian/2 on {0..N} with Robin ghost rows.
+    """Inverse of -Laplacian/2 on {0..N} with Robin ghost rows, in closed form.
 
-    Singular exactly in the Neumann-Neumann case (zero eigenvalue), which is
+    With a = 1 - mu_A and b = 1 - mu_B, the bulk harmonic functions are linear:
+    u(x) = 1 + a x meets the left Robin row and v(x) = 1 + b (N - x) the right
+    one, and their Wronskian a v + b u = a + b + a b N is constant, so
+
+        G(x, y) = u(min(x, y)) v(max(x, y)) / w,   w = (a + b + a b N) / 2.
+
+    For mu_A, mu_B <= 1 every term is nonnegative: nothing cancels.  Singular
+    exactly in the Neumann-Neumann case (zero eigenvalue, w = 0), which is
     reported rather than regularized.
     """
-    if mu_a == 1.0 and mu_b == 1.0:
+    a, b = 1.0 - mu_a, 1.0 - mu_b
+    w = 0.5 * (a + b + a * b * n)
+    if w == 0.0:
         raise np.linalg.LinAlgError("Neumann-Neumann operator is singular (zero mode)")
-    return np.linalg.solve(robin_laplacian_matrix(n, mu_a, mu_b), np.eye(n + 1))
+    x = np.arange(n + 1)
+    return (1.0 + a * np.minimum.outer(x, x)) * (1.0 + b * (n - np.maximum.outer(x, x))) / w
 
 
 def green_corner_closed_form(n: int, mu_a: float, mu_b: float) -> float:
-    """G(0,0) = 2 (N+1-N mu_B) / (N+2 - (N+1)(mu_A+mu_B) + N mu_A mu_B)."""
-    den = n + 2 - (n + 1) * (mu_a + mu_b) + n * mu_a * mu_b
+    """G(0,0) = 2 (1 + b N) / (a + b + a b N), a = 1 - mu_A, b = 1 - mu_B."""
+    a, b = 1.0 - mu_a, 1.0 - mu_b
+    den = a + b + a * b * n
     if den == 0.0:
         raise ZeroDivisionError("Neumann-Neumann singularity: zero denominator")
-    return 2.0 * (n + 1 - n * mu_b) / den
+    return 2.0 * (1.0 + b * n) / den
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +83,15 @@ def f_matrix(spec: SpectralData) -> np.ndarray:
 
 
 def c_closed_form(n: int, mu_a: float, mu_b: float) -> float:
-    """c = 1 - F(0,0) from 2 F(0,0) = (mu_A-1)^2 G(0,0) + 2 mu_A."""
+    """c = 1 - F(0,0) = a b / (a + b + a b N), a = 1 - mu_A, b = 1 - mu_B.
+
+    From 2 F(0,0) = a^2 G(0,0) + 2 mu_A, c = a - a^2 G(0,0) / 2; this form
+    has no cancellation.
+    """
     if mu_a == 1.0 or mu_b == 1.0:
         return 0.0
-    g00 = green_corner_closed_form(n, mu_a, mu_b)
-    return 1.0 - (0.5 * (mu_a - 1.0) ** 2 * g00 + mu_a)
+    a, b = 1.0 - mu_a, 1.0 - mu_b
+    return a * b / (a + b + a * b * n)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +146,7 @@ def key_identity(spec: SpectralData) -> dict:
     """The interval key identity F = I - c 11^T over all N^2 pairs, by three routes.
 
     From one spectrum: F by the spectral closed form, by the second
-    differences of one Green's function solve,
+    differences of the closed-form Green's function `green_matrix`,
     (G(x,xb) + G(x+1,xb+1) - G(x+1,xb) - G(x,xb+1)) / 2, and by the block
     matrix exponential (`f_matrix_quadrature`, the route named "expm"); c comes
     from the Green closed form.  Returns the worst deviation from I - c 11^T, the
@@ -264,16 +279,33 @@ def _dot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
+def _hashed_uniform(seed: int, shape: tuple) -> np.ndarray:
+    """Values in [-1, 1) from the SplitMix64 stream of `seed` (mod 2^64), in C order.
+
+    The i-th output (i = 1, 2, ...) is the SplitMix64 finalizer of
+    seed + i * 0x9E3779B97F4A7C15 mod 2^64, so the stream is a counter hash
+    on uint64 arrays, whose arithmetic wraps without a warning (numpy scalar
+    arithmetic would warn).  An output's top 53 bits x give x / 2^52 - 1.
+    """
+    i = np.arange(1, math.prod(shape) + 1, dtype=np.uint64)
+    z = i * 0x9E3779B97F4A7C15 + seed % (1 << 64)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    return np.ldexp((z >> 11).astype(float), -52).reshape(shape) - 1.0
+
+
 def summation_by_parts_audit(n: int, n_trials: int = 100, seed: int = 0) -> dict:
-    """Check the three discrete summation-by-parts identities on random data.
+    """Check the three discrete summation-by-parts identities on hashed data.
 
     Functions live on {-1, ..., N+1}; the backward difference at 0 is
     v(-1) - v(0).  (The half-line identity is checked on compactly supported
-    sequences.)  Each trial draws u, v (N+3 values each) and the supports of
-    the half-line uu, vv (N+2 each) in that order; all trials come from one
-    draw, one trial per row.  Returns the worst absolute residual per identity.
+    sequences.)  Each trial reads u, v (N+3 values each) and the supports of
+    the half-line uu, vv (N+2 each) in that order, one trial per row of
+    `_hashed_uniform(seed, (n_trials, 4N+10))`.  Returns the worst absolute
+    residual per identity.
     """
-    z = np.random.default_rng(seed).normal(size=(n_trials, 4 * n + 10))
+    z = _hashed_uniform(seed, (n_trials, 4 * n + 10))
     u, v = z[:, :n + 3], z[:, n + 3:2 * n + 6]   # indices -1..N+1 -> 0..n+2
     lhs = _dot(u[:, 1:-1], _lap(v))
     rhs0 = (u[:, -1] * (v[:, -1] - v[:, -2]) + u[:, 0] * (v[:, 0] - v[:, 1])

@@ -92,22 +92,27 @@ def test_criterion_02_key_identity():
 
 def test_criterion_03_green_functions():
     with Timer() as t:
+        # the closed form against a dense LAPACK solve, every entry, relative to
+        # max |G|; Robin at both walls, then Neumann at one
         rng = np.random.default_rng(303)
+        cases = [(n, float(rng.uniform(0.0, 0.999)), float(rng.uniform(0.0, 0.999)))
+                 for n in (1, 8, 64, 200) for _ in range(20)]
+        cases += [(n, mu_a, mu_b) for n in (8, 200) for mu_a, mu_b in ((1.0, 0.9), (0.5, 1.0))]
         worst = 0.0
-        for n in (1, 8, 64, 200):
-            for _ in range(20):
-                mu_a = float(rng.uniform(0.0, 0.999))
-                mu_b = float(rng.uniform(0.0, 0.999))
-                dense = green_matrix(n, mu_a, mu_b)[0, 0]
-                closed = green_corner_closed_form(n, mu_a, mu_b)
-                worst = max(worst, abs(dense - closed))
+        for n, mu_a, mu_b in cases:
+            closed = green_matrix(n, mu_a, mu_b)
+            dense = np.linalg.solve(robin_laplacian_matrix(n, mu_a, mu_b), np.eye(n + 1))
+            corner = green_corner_closed_form(n, mu_a, mu_b)
+            worst = max(worst, np.max(np.abs(closed - dense)) / np.max(np.abs(closed)),
+                        abs(closed[0, 0] - corner) / corner)
         lim_err = 0.0
         for mu in (0.3, 0.9, 0.99):
             lim_err = max(lim_err, abs(halfline_green_limit(10 ** 4, mu)
                                        - 2.0 / (1.0 - mu)))
-        ok = worst <= 1e-10 and lim_err <= 1e-6
+        ok = worst <= 1e-11 and lim_err <= 1e-6
     report(3, ok, 10.0, t.elapsed,
-           f"closed-vs-dense {worst:.1e} <= 1e-10; half-line limit {lim_err:.1e} <= 1e-6")
+           f"closed-vs-dense {worst:.1e} <= 1e-11 (relative); "
+           f"half-line limit {lim_err:.1e} <= 1e-6")
 
 
 def test_criterion_04_spectrum():

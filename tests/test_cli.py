@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -148,6 +149,17 @@ def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
     assert run_cli([kind, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ini", ["[simulate]\ninitial = flat\n",
+                                 "[simulate]\nhorizon_macro = -1\n"],
+                         ids=["initial_unknown", "horizon_negative"])
+def test_simulate_section_checked_for_simulate_only(ini):
+    # compare and audit-all never read [simulate]: its keys cannot stop them
+    cfg = load_config(None)
+    cfg.read_string(ini)
+    assert cli._validate(cfg, "compare") == cli._validate(cfg, "audit-all") == []
+    assert [p for p in cli._validate(cfg, "simulate") if p.startswith("simulate.")]
 
 
 def test_params_kind_and_manifest(tmp_path):
@@ -324,6 +336,53 @@ def test_she_kind_reports_faults(tmp_path):
     assert set(manifest["files"]) == {"she_moments.csv"}
 
 
+def test_green_check_fails_on_a_planted_defect(tmp_path, monkeypatch):
+    # u built from mu_B instead of mu_A keeps G symmetric and its corner
+    # right; only the operator residual |L G - I| sees it
+    from asepkpz import greens
+
+    def u_from_mu_b(n, mu_a, mu_b):
+        a, b = 1.0 - mu_a, 1.0 - mu_b
+        x = np.arange(n + 1)
+        return ((1.0 + b * np.minimum.outer(x, x)) * (1.0 + b * (n - np.maximum.outer(x, x)))
+                / (0.5 * (a + b + a * b * n)))
+
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[identities]\nn_sites = 32\nslope_a = 1.0\nslope_b = 0.5\n"
+                   "cstar_n = 12\ncstar_tbar = 0.5\n")
+    for green, code in ((greens.green_matrix, 0), (u_from_mu_b, 1)):
+        monkeypatch.setattr(greens, "green_matrix", green)
+        out = tmp_path / f"runs{code}"
+        assert run_cli(["identities", "--config", str(cfg), "--out", str(out)]) == code
+        (run_dir,) = out.iterdir()
+        checks = json.loads((run_dir / "manifest.json").read_text())["checks"]
+        assert checks["key_identity_all_pairs"] and checks["green_closed_form"] == (code == 0)
+
+
+def test_stationary_check_fails_on_a_planted_defect(monkeypatch):
+    # rho (1 + 1e-9) leaves max |pi_B Q| = 4.1e-11, above the 1e-12 gate
+    phase_point = cli.phase_point
+    checks = {}
+    cli.run_stationary(None, None, None, None, checks)
+    assert checks == {"stationary_product_bernoulli": True}
+    monkeypatch.setattr(cli, "phase_point", lambda p: dataclasses.replace(
+        phase_point(p), rho_a=phase_point(p).rho_a * (1 + 1e-9)))
+    cli.run_stationary(None, None, None, None, checks)
+    assert checks == {"stationary_product_bernoulli": False}
+
+
+def test_audit_all_makes_no_lapack_call(tmp_path, monkeypatch):
+    # the default audit-all pass runs with every numpy.linalg LAPACK routine refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg LAPACK call")
+
+    for name in ("solve", "inv", "lstsq", "pinv", "det", "slogdet", "eig", "eigh", "eigvals",
+                 "eigvalsh", "svd", "svdvals", "cholesky", "qr", "matrix_rank", "cond",
+                 "tensorsolve", "tensorinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert run_cli(["audit-all", "--out", str(tmp_path / "runs")]) == 0
+
+
 def test_failed_check_exits_one(tmp_path, monkeypatch):
     # fail-closed: any check failure makes the run exit 1 and is named in
     # the manifest
@@ -428,6 +487,8 @@ ini = ("[model]\\nn_sites = 16\\nslope_a = 1.0\\n[identities]\\nn_sites = 16\\n"
        "cstar_n = 12\\ncstar_tbar = 0.5\\n")
 for kind in ("kernel", "identities", "audit-all"):
     run(kind, ini)
+loaded = sorted(m for m in sys.modules if m == "numpy.random" or m.startswith("numpy.random."))
+assert not loaded, loaded
 """ + _NO_SCIPY
 
 
@@ -447,7 +508,8 @@ def test_sampling_kinds_load_no_scipy(tmp_path):
 
 def test_exact_kinds_load_no_scipy_special_or_linalg(tmp_path):
     # kernel, identities and audit-all, the dense exact generator included, load
-    # no scipy module at all, so neither scipy.special nor scipy.linalg
+    # no scipy module at all, so neither scipy.special nor scipy.linalg, and no
+    # numpy.random module
     _run_guard(_EXACT_GUARD, tmp_path)
 
 
@@ -473,7 +535,7 @@ def test_audit_all_manifest_metrics(tmp_path):
 
 def test_audit_all_builds_each_exact_object_once(tmp_path, monkeypatch):
     # one spectrum per stage that needs one (model, identities, c-star); one
-    # Green solve, one block exponential and one image expansion in the whole pass
+    # Green matrix, one block exponential and one image expansion in the whole pass
     from asepkpz import greens, kernels
 
     counts = {}

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -35,13 +36,33 @@ def test_green_symmetry_and_residual():
 
 
 def test_green_closed_form_vs_dense():
+    # every entry of the closed form against a dense LAPACK solve of the Robin
+    # Laplacian, Robin at both walls and Neumann at one; the corner formula
+    # is the closed form's corner
     rng = np.random.default_rng(8)
-    for n in (1, 8, 64, 200):
-        for _ in range(5):
-            mu_a = float(rng.uniform(0.0, 0.999))
-            mu_b = float(rng.uniform(0.0, 0.999))
-            g = green_matrix(n, mu_a, mu_b)
-            assert abs(g[0, 0] - green_corner_closed_form(n, mu_a, mu_b)) <= 1e-10
+    cases = [(n, float(rng.uniform(0.0, 0.999)), float(rng.uniform(0.0, 0.999)))
+             for n in (1, 8, 64, 200) for _ in range(5)]
+    cases += [(12, 1.0, 0.8), (200, 0.9, 1.0), (64, 1.0, 0.0), (1, 1.0, 0.5),
+              (200, 1 - 1 / 200, 1.0)]
+    for n, mu_a, mu_b in cases:
+        g = green_matrix(n, mu_a, mu_b)
+        dense = np.linalg.solve(robin_laplacian_matrix(n, mu_a, mu_b), np.eye(n + 1))
+        assert np.max(np.abs(g - dense)) <= 1e-11 * np.max(np.abs(g))
+        assert abs(g[0, 0] - green_corner_closed_form(n, mu_a, mu_b)) <= 1e-12 * g[0, 0]
+
+
+@pytest.mark.parametrize("n", [100, 200, 400, 800])
+def test_green_corner_vs_mpmath(n):
+    # at mu = 1 - 1/N the corner's denominator written in mu,
+    # N+2 - (N+1)(mu_A+mu_B) + N mu_A mu_B, cancels (6.8e-11 off at N = 100);
+    # written in a = 1 - mu the corner and c are within a few ulps
+    mu = 1 - 1 / n
+    a = 1 - mpmath.mpf(mu)   # exact: mu is the double the code sees
+    exact = 2 * (1 + a * n) / (2 * a + a * a * n)
+    got = green_corner_closed_form(n, mu, mu)
+    assert abs(got - float(exact)) <= 4 * np.spacing(got)
+    c = c_closed_form(n, mu, mu)
+    assert abs(c - float(a * a / (2 * a + a * a * n))) <= 4 * np.spacing(c)
 
 
 def test_green_neumann_singular():
@@ -387,15 +408,50 @@ def test_cstar_weighted_linear_in_eps():
     assert spread < 2.0
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int):
+    """SplitMix64 (Steele, Lea and Flood 2014) on Python integers, one output at a time."""
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def test_hashed_uniform_is_splitmix64():
+    # the published first outputs of seed 1234567, and the uint64 array hash
+    # against the integer loop, huge and negative seeds reduced mod 2^64
+    stream = splitmix64(1234567)
+    assert [next(stream) for _ in range(3)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423]
+    for seed in (0, 7, 1234567, 2 ** 64 - 1, 2 ** 70 + 5, -3):
+        stream = splitmix64(seed)
+        expect = [(next(stream) >> 11) / 2 ** 52 - 1 for _ in range(15)]
+        got = greens._hashed_uniform(seed, (3, 5))
+        assert np.array_equal(got, np.reshape(expect, (3, 5)))
+        assert got.min() >= -1.0 and got.max() < 1.0
+
+
 def summation_by_parts_per_trial(n: int, n_trials: int = 100, seed: int = 0,
-                                 boundary_sign: float = 1.0) -> dict:
-    """The audit one trial at a time; boundary_sign -1 plants a sign flip of the
-    u(N+1) boundary term of the first identity."""
-    rng = np.random.default_rng(seed)
+                                 boundary_sign: float = 1.0, draws: list | None = None) -> dict:
+    """The audit one trial at a time, reading the SplitMix64 stream of `seed`
+    (appended to `draws`); boundary_sign -1 plants a sign flip of the u(N+1)
+    boundary term of the first identity."""
+    stream = splitmix64(seed)
+    draws = [] if draws is None else draws
+
+    def take(size):
+        x = np.array([(next(stream) >> 11) / 2 ** 52 - 1 for _ in range(size)])
+        draws.append(x)
+        return x
+
     worst = {"sum_by_parts0": 0.0, "sum_by_parts1": 0.0, "sum_by_parts2": 0.0}
     for _ in range(n_trials):
-        u = rng.normal(size=n + 3)   # indices -1..N+1 -> 0..n+2
-        v = rng.normal(size=n + 3)
+        u = take(n + 3)   # indices -1..N+1 -> 0..n+2
+        v = take(n + 3)
         lap_v = v[:-2] - 2.0 * v[1:-1] + v[2:]       # Delta v at 0..N
         lap_u = u[:-2] - 2.0 * u[1:-1] + u[2:]
         lhs = float(u[1:-1] @ lap_v)
@@ -410,8 +466,8 @@ def summation_by_parts_per_trial(n: int, n_trials: int = 100, seed: int = 0,
         m = 4 * n
         uu = np.zeros(m + 2)
         vv = np.zeros(m + 2)
-        uu[:n + 2] = rng.normal(size=n + 2)   # positions -1..n random, zero beyond
-        vv[:n + 2] = rng.normal(size=n + 2)
+        uu[:n + 2] = take(n + 2)   # positions -1..n random, zero beyond
+        vv[:n + 2] = take(n + 2)
         lap_vv = vv[:-2] - 2.0 * vv[1:-1] + vv[2:]
         lap_uu = uu[:-2] - 2.0 * uu[1:-1] + uu[2:]
         lhs2 = float(uu[1:-1] @ lap_vv)
@@ -422,31 +478,22 @@ def summation_by_parts_per_trial(n: int, n_trials: int = 100, seed: int = 0,
 
 
 def test_summation_by_parts(monkeypatch):
-    # the one-draw audit reads the per-trial loop's normals in the same order,
+    # the one-draw audit reads the per-trial loop's values in the same order,
     # and its residuals agree with the loop's; (32, 7) is the audit-all call
-    default_rng = np.random.default_rng
+    hashed = greens._hashed_uniform
 
-    def recording(draws):
-        def make(seed_):
-            rng = default_rng(seed_)
-
-            class Recorder:
-                def normal(self, size):
-                    x = rng.normal(size=size)
-                    draws.append(x.ravel())
-                    return x
-            return Recorder()
-        return make
+    def recording(*args):
+        audit_draws.append(hashed(*args))
+        return audit_draws[-1]
 
     for n, seed in ((24, 12), (32, 7)):
         audit_draws, loop_draws = [], []
-        monkeypatch.setattr(np.random, "default_rng", recording(audit_draws))
+        monkeypatch.setattr(greens, "_hashed_uniform", recording)
         worst = summation_by_parts_audit(n, n_trials=100, seed=seed)
-        monkeypatch.setattr(np.random, "default_rng", recording(loop_draws))
-        loop = summation_by_parts_per_trial(n, n_trials=100, seed=seed)
         monkeypatch.undo()
+        loop = summation_by_parts_per_trial(n, n_trials=100, seed=seed, draws=loop_draws)
         assert len(audit_draws) == 1 and len(loop_draws) == 400
-        assert np.array_equal(audit_draws[0], np.concatenate(loop_draws))
+        assert np.array_equal(audit_draws[0].ravel(), np.concatenate(loop_draws))
         for key in ("sum_by_parts0", "sum_by_parts1", "sum_by_parts2"):
             assert worst[key] <= 1e-12 and abs(worst[key] - loop[key]) <= 1e-12
         # a sign flip of one boundary term is reported far above the gate
