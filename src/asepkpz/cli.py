@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -165,28 +167,68 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def blas_threads() -> dict:
-    """The thread count of the OpenBLAS that numpy loaded (it runs the dense
-    products), read now (it can change at run time), as {"numpy": record}; the
-    record is None with the reason where the count could not be read."""
+# the thread-count getter and setter, {} = get | set, under the names of the
+# scipy-openblas wheels and of a plain OpenBLAS, 64-bit interface first
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas(libdir: str) -> dict:
+    """The OpenBLAS that numpy loaded from libdir (it runs the dense products), as
+    {"library": file, "get": fn, "set": fn or None}, or {"reason": ...} where
+    none is loaded; looked up once per process."""
     import ctypes
     import glob
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    rec = {"threads": None, "reason": f"no loaded OpenBLAS under {libdir}"}
     for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
         try:   # RTLD_NOLOAD: the copy already loaded, never a fresh one
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_NOW)
         except OSError:
             continue
-        fn = next((getattr(lib, sym) for sym in (
-            "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-            "openblas_get_num_threads64_", "openblas_get_num_threads")
-            if hasattr(lib, sym)), None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_int
-            rec = {"threads": fn(), "library": os.path.basename(path)}
-            break
-    return {"numpy": rec}
+        fns = {}
+        for op, argtypes, restype in (("get", [], ctypes.c_int), ("set", [ctypes.c_int], None)):
+            fn = next((getattr(lib, sym.format(op)) for sym in _OPENBLAS_SYMBOLS
+                       if hasattr(lib, sym.format(op))), None)
+            if fn is not None:
+                fn.argtypes, fn.restype = argtypes, restype
+            fns[op] = fn
+        if fns["get"] is not None:
+            return {"library": os.path.basename(path), **fns}
+    return {"reason": f"no loaded OpenBLAS under {libdir}"}
+
+
+def numpy_openblas() -> dict:
+    """`_openblas` of the numpy imported now."""
+    return _openblas(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"))
+
+
+def blas_threads() -> dict:
+    """The thread count of the OpenBLAS that numpy loaded, read now (it can
+    change at run time), as {"numpy": record}; the record is None with the
+    reason where the count could not be read."""
+    blas = numpy_openblas()
+    if "reason" in blas:
+        return {"numpy": {"threads": None, "reason": blas["reason"]}}
+    return {"numpy": {"threads": blas["get"](), "library": blas["library"]}}
+
+
+@contextlib.contextmanager
+def one_blas_thread(record: dict):
+    """Runs the block with numpy's OpenBLAS at one thread and restores the count
+    after it.  Where no thread setter is found the block runs unpinned, and
+    record["blas_unpinned"] says why."""
+    blas = numpy_openblas()
+    setter = blas.get("set")
+    if setter is None:
+        record["blas_unpinned"] = blas.get("reason") or f"{blas['library']}: no thread setter"
+        yield
+        return
+    before = blas["get"]()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def _sampler_metrics(stage: str, replicas: int, rings: int, events: int,
@@ -391,20 +433,27 @@ def run_kernel(cfg, out, seed, threads, checks):
                and ker.min() >= -1e-12)
         rows.extend([t, x, y, v] for x, row in enumerate(ker.tolist()) for y, v in enumerate(row))
     write_csv(os.path.join(out, "kernel.csv"), ["t", "x", "y", "value"], rows)
+    t0 = time.perf_counter()
     audits = kernel_bound_audit(spec, scaling.epsilon)
+    bound_audit_s = time.perf_counter() - t0
     with open(os.path.join(out, "bound_audits.json"), "w") as fh:
         json.dump([a.as_dict() for a in audits], fh, indent=2)
     checks["image_vs_spectral"] = ok
     checks["bound_audits_stable"] = all(a.stable for a in audits)
+    return {"kernel": {"bound_audit_s": bound_audit_s}}
 
 
 def run_identities(cfg, out, seed, threads, checks):
     sec = cfg["identities"]
     n = sec.getint("n_sites")
     (mu_a, mu_b), cstar_mus = _identities_mus(sec)
+    # the key identity's dense products at one BLAS thread, so identities.json
+    # does not move with the thread count
+    seconds = {}
     t0 = time.perf_counter()
-    ki = key_identity(solve_interval_spectrum(n, mu_a, mu_b))
-    seconds = {"key_identity_s": time.perf_counter() - t0}
+    with one_blas_thread(seconds):
+        ki = key_identity(solve_interval_spectrum(n, mu_a, mu_b))
+    seconds["key_identity_s"] = time.perf_counter() - t0
     c = ki["c"]
     reports = []
     for x, xb in ((n // 2, n // 2), (n // 2, n // 2 + 1)):
@@ -613,7 +662,7 @@ def _write_manifest(cfg, kind, seed, threads, out, checks, t0, status, metrics):
         "checks": {k: bool(v) for k, v in checks.items()},
         "files": inventory,
         # ru_maxrss is the process high-water mark in KiB (Linux); the BLAS thread
-        # count can move the last bits of BLAS-reduced values such as identities.json's
+        # count is the one numpy's OpenBLAS reports when the manifest is written
         "metrics": {**(metrics or {}),
                     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                     "blas": blas_threads()},

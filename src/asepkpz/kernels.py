@@ -59,8 +59,8 @@ def free_walk_row(t: float, n_max: int) -> np.ndarray:
         row[0] = 1.0
         return row
     ratio, ratios = 0.0, []
-    for n in range(_row_length(t), 0, -1):
-        ratio = 1.0 / (2.0 * n / t + ratio)
+    for c in (2.0 * np.arange(_row_length(t), 0, -1) / t).tolist():   # c = 2n/t
+        ratio = 1.0 / (c + ratio)
         ratios.append(ratio)
     p = np.cumprod([1.0] + ratios[::-1])
     p /= p[0] + 2.0 * p[1:].sum()
@@ -102,31 +102,37 @@ def _row_length(t: float) -> int:
 # half line
 
 def _geometric_tail(pv: np.ndarray, mu: float, start: int) -> np.ndarray:
-    """g(m) = sum_{w>=0} mu^w pv[m+w] for all m >= start, by backward recursion."""
+    """g(m) = sum_{w>=0} mu^w pv[m+w] for all m >= start, by backward recursion
+    from the end of pv: g(m) does not depend on start."""
     g = np.zeros(len(pv))
-    acc = 0.0
-    for m in range(len(pv) - 1, start - 1, -1):
-        acc = pv[m] + mu * acc
-        g[m] = acc
+    acc, tail = 0.0, []
+    for v in pv[start:][::-1].tolist():
+        acc = v + mu * acc
+        tail.append(acc)
+    g[start:] = tail[::-1]
     return g
 
 
-def halfline_robin_row(t: float, x: int, mu_a: float, y_max: int,
+def halfline_robin_row(t: float, x, mu_a: float, y_max: int,
                        pv: np.ndarray | None = None) -> np.ndarray:
-    """Vector p^R_t(x, y) for y = 0..y_max; `pv` may pass a longer free_walk_row(t, m)."""
+    """Vector p^R_t(x, y) for y = 0..y_max, or for an array of x one such row per x
+    (one free-walk row and one geometric tail, sized for the largest x); `pv` may
+    pass a longer free_walk_row(t, m)."""
     if not 0.0 < mu_a <= 1.0:
         raise ValueError("mu_a must be in (0, 1]")
-    n_max = x + y_max + 2 + _support_radius(t)
+    xs = np.asarray(x)
+    r = _support_radius(t)
+    n_max = int(xs.max()) + y_max + 2 + r
     if mu_a < 1.0:
-        n_max += min(int(40.0 / max(1.0 - mu_a, 1e-12)) + 8, _support_radius(t) + 8)
+        n_max += min(int(40.0 / max(1.0 - mu_a, 1e-12)) + 8, r + 8)
     pv = free_walk_row(t, n_max) if pv is None else pv[:n_max + 1]
     if len(pv) <= n_max:
         raise ValueError(f"free-walk row too short: {len(pv)} entries, need {n_max + 1}")
-    y = np.arange(y_max + 1)
-    row = pv[np.abs(x - y)] + mu_a * pv[x + y + 1]
+    xc, y = xs[..., None], np.arange(y_max + 1)
+    row = pv[np.abs(xc - y)] + mu_a * pv[xc + y + 1]
     if mu_a < 1.0:
-        g = _geometric_tail(pv, mu_a, x + 2)
-        row = row + (mu_a * mu_a - 1.0) * g[x + y + 2]
+        g = _geometric_tail(pv, mu_a, int(xs.min()) + 2)
+        row = row + (mu_a * mu_a - 1.0) * g[xc + y + 2]
     return row
 
 
@@ -268,23 +274,23 @@ def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> I
     pow_b = mu_b ** np.arange(span + nb + 2)
 
     for m in range(depth):
-        # block -(m+1): x from -m*nb - 1 down to -(m+1)*nb
-        for x in range(-m * nb - 1, -(m + 1) * nb - 1, -1):
-            row = mu_a * phi[off - x - 1]
-            upper = -x - 2
-            if upper >= 0 and mu_a != 1.0:
+        # block -(m+1) (x from -m*nb - 1 down to -(m+1)*nb) reflects block m and
+        # block +(m+1) (x from (m+1)*nb up to (m+2)*nb - 1) reflects block -m; no
+        # block reads its own rows, so each takes its reflection in one slice
+        xs = np.arange(-m * nb - 1, -(m + 1) * nb - 1, -1)
+        phi[off + xs] = mu_a * phi[off - xs - 1]
+        if mu_a != 1.0:
+            for x in xs[xs <= -2].tolist():
+                upper = -x - 2
                 weights = pow_a[upper - np.arange(upper + 1)]
-                row = row + (mu_a * mu_a - 1.0) * (weights @ phi[off: off + upper + 1])
-            phi[off + x] = row
-        # block +(m+1): x from (m+1)*nb up to (m+2)*nb - 1
-        for x in range((m + 1) * nb, (m + 2) * nb):
-            row = mu_b * phi[off + 2 * nb - x - 1]
-            lo = 2 * nb - x
-            if lo <= nb - 1 and mu_b != 1.0:
-                ys = np.arange(lo, nb)
-                weights = pow_b[ys - lo]
-                row = row + (mu_b * mu_b - 1.0) * (weights @ phi[off + lo: off + nb])
-            phi[off + x] = row
+                phi[off + x] += (mu_a * mu_a - 1.0) * (weights @ phi[off: off + upper + 1])
+        xs = np.arange((m + 1) * nb, (m + 2) * nb)
+        phi[off + xs] = mu_b * phi[off + 2 * nb - xs - 1]
+        if mu_b != 1.0:
+            for x in xs[xs >= nb + 1].tolist():
+                lo = 2 * nb - x
+                weights = pow_b[np.arange(lo, nb) - lo]
+                phi[off + x] += (mu_b * mu_b - 1.0) * (weights @ phi[off + lo: off + nb])
     return ImageExpansion(n=n, mu_a=mu_a, mu_b=mu_b, depth=depth, phi=phi, offset=off)
 
 
@@ -325,11 +331,20 @@ class BoundAudit:
                 "constant_refined": self.constant_refined, "stable": self.stable}
 
 
-def _audit_from_ratio_fn(name: str, ratio_fn, coarse_grid, fine_grid) -> BoundAudit:
-    c = float(np.max([ratio_fn(*g) for g in coarse_grid]))
-    cf = float(np.max([ratio_fn(*g) for g in fine_grid]))
-    return BoundAudit(name=name, constant=c, constant_refined=cf,
-                      stable=bool(cf <= 2.0 * max(c, 1e-300)))
+def _audits(ratios_at, coarse, fine) -> list[BoundAudit]:
+    """One BoundAudit per bound; ratios_at(t) maps each bound to its ratios at
+    time t, one per variant, and runs once at each distinct time of both grids."""
+    at = {}
+    for t in (*coarse, *fine):
+        if t not in at:
+            at[t] = ratios_at(t)
+    audits = []
+    for name in at[coarse[0]]:
+        c = float(np.max([r for t in coarse for r in at[t][name]]))
+        cf = float(np.max([r for t in fine for r in at[t][name]]))
+        audits.append(BoundAudit(name=name, constant=c, constant_refined=cf,
+                                 stable=bool(cf <= 2.0 * max(c, 1e-300))))
+    return audits
 
 
 def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> list[BoundAudit]:
@@ -338,13 +353,15 @@ def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> li
     The interval kernels come from `spec`; the half-line kernels use its
     mu_A.  Each bound's left side divided by its shape function is maximized
     over a deterministic grid; the fitted constant must be finite and stable
-    under doubling the grid density.  Times range over [0.05, eps^{-2} t_bar].
+    under doubling the grid density.  Times range over [0.05, eps^{-2} t_bar];
+    each distinct time is evaluated once, every variant of a bound from the
+    same kernels (one free-walk row and one geometric tail on the half line).
     """
     n, mu_a = spec.n, spec.mu_a
     t_max = t_bar / (eps * eps)
 
     def tgrid(m):
-        return np.exp(np.linspace(math.log(0.05), math.log(t_max), m))
+        return list(np.exp(np.linspace(math.log(0.05), math.log(t_max), m)))
 
     kernels: dict[float, np.ndarray] = {}
 
@@ -353,87 +370,57 @@ def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> li
             kernels[t] = interval_kernel_spectral(spec, t)
         return kernels[t]
 
-    audits = []
     dist = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))   # |x - y|
 
-    # p_t <= e^{t'-t} p_{t'} with constant exactly 1; entries below the
-    # spectral-sum roundoff floor carry no information and are skipped
-    def r_sup(t):
-        dt = 0.5
-        num = K(t)
-        den = math.exp(dt) * K(t + dt)
+    def interval(t):
+        ker = K(t)
+        sc = min(1.0, t ** -0.5)
+        # p_t <= e^{t'-t} p_{t'} with constant exactly 1; entries below the
+        # spectral-sum roundoff floor carry no information and are skipped
+        den = math.exp(0.5) * K(t + 0.5)
         mask = den > 1e-12
-        return float(np.max(num[mask] / den[mask]))
-    audits.append(_audit_from_ratio_fn("kernel-time-comparison", r_sup,
-                                       [(t,) for t in tgrid(6)], [(t,) for t in tgrid(12)]))
-
-    # |p_{t'} - p_t| <= C (1 ^ t^{-1/2-v}) (t'-t)^v
-    def r_holder(t, v):
+        # |p_{t'} - p_t| <= C (1 ^ t^{-1/2-v}) (t'-t)^v
         dt = min(1.0, 0.5 * t)
-        shape = min(1.0, t ** (-0.5 - v)) * dt ** v
-        return float(np.max(np.abs(K(t + dt) - K(t)))) / shape
-    grid_c = [(t, v) for t in tgrid(6) for v in (0.0, 0.5, 1.0)]
-    grid_f = [(t, v) for t in tgrid(12) for v in (0.0, 0.5, 1.0)]
-    audits.append(_audit_from_ratio_fn("kernel-time-holder", r_holder, grid_c, grid_f))
-
-    # p_t(x,y) <= C (1 ^ t^{-1/2}) exp(-b |x-y| (1 ^ t^{-1/2}))
-    def r_gauss(t, b):
-        sc = min(1.0, t ** -0.5)
-        shape = sc * np.exp(-b * dist * sc)
-        return float(np.max(K(t) / shape))
-    audits.append(_audit_from_ratio_fn("kernel-gaussian-envelope", r_gauss,
-                                       [(t, b) for t in tgrid(6) for b in (0.0, 1.0)],
-                                       [(t, b) for t in tgrid(12) for b in (0.0, 1.0)]))
-
-    # |grad_n p_t| <= C (1 ^ t^{-(1+v)/2}) |n|^v exp(-b |x-y| (1 ^ t^{-1/2}))
-    def r_grad(t, v, b=1.0):
+        step = float(np.max(np.abs(K(t + dt) - ker)))
+        # |grad_n p_t| <= C (1 ^ t^{-(1+v)/2}) |n|^v exp(-|x-y| (1 ^ t^{-1/2}))
         nn = max(1, int(math.ceil(math.sqrt(t))) // 2)
-        ker = K(t)
-        sc = min(1.0, t ** -0.5)
-        shape = min(1.0, t ** (-(1 + v) / 2)) * nn ** v * np.exp(-b * dist[:n + 1 - nn] * sc)
-        return float(np.max(np.abs(ker[nn:, :] - ker[:-nn, :]) / shape))
-    audits.append(_audit_from_ratio_fn("kernel-gradient-envelope", r_grad,
-                                       [(t, v) for t in tgrid(6) for v in (0.5, 1.0)],
-                                       [(t, v) for t in tgrid(12) for v in (0.5, 1.0)]))
+        grad = np.abs(ker[nn:, :] - ker[:-nn, :])
+        env = np.exp(-dist * sc)
+        # interval sums: sum_y |grad p| e^{|x-y|(1^t^{-1/2})} <= C t^{-1/2}
+        dsum = (np.abs(ker[1:, :] - ker[:-1, :]) * np.exp(dist[:n] * sc)).sum(axis=1)
+        return {
+            "kernel-time-comparison": [float(np.max(ker[mask] / den[mask]))],
+            "kernel-time-holder": [step / (min(1.0, t ** (-0.5 - v)) * dt ** v)
+                                   for v in (0.0, 0.5, 1.0)],
+            # p_t(x,y) <= C (1 ^ t^{-1/2}) exp(-b |x-y| (1 ^ t^{-1/2})), b = 0 and 1
+            "kernel-gaussian-envelope": [float(np.max(ker / sc)),
+                                         float(np.max(ker / (sc * env)))],
+            "kernel-gradient-envelope": [
+                float(np.max(grad / (min(1.0, t ** (-(1 + v) / 2)) * nn ** v * env[:n + 1 - nn])))
+                for v in (0.5, 1.0)],
+            # sum_y p <= C
+            "interval-mass-sum": [float(np.max(ker.sum(axis=1)))],
+            "interval-gradient-sum": [float(np.max(dsum)) * math.sqrt(t)],
+        }
 
-    # interval sums: sum_y p <= C ; sum_y |grad p| e^{a|x-y|(1^t^{-1/2})} <= C t^{-1/2}
-    def r_sum_p(t):
-        return float(np.max(K(t).sum(axis=1)))
-    audits.append(_audit_from_ratio_fn("interval-mass-sum", r_sum_p,
-                                       [(t,) for t in tgrid(6)], [(t,) for t in tgrid(12)]))
+    # half-line weighted sums (Corollary for Z_{>=0}) of p and of its gradient at
+    # x in xs_h, over y <= x + r + 8 and y <= x + r + 9: the rows at x and x + 1 and
+    # the weights e^{eps y + |x-y| (1 ^ t^{-1/2})} come from one call each per time
+    xs_h = np.array([0, 1, 3, 10])
+    x_rows = np.array([0, 1, 2, 3, 4, 10, 11])
 
-    def r_sum_dp(t, a=1.0):
-        ker = K(t)
-        g = ker[1:, :] - ker[:-1, :]
-        sc = min(1.0, t ** -0.5)
-        s = (np.abs(g) * np.exp(a * dist[:n] * sc)).sum(axis=1)
-        return float(np.max(s)) * math.sqrt(t)
-    audits.append(_audit_from_ratio_fn("interval-gradient-sum", r_sum_dp,
-                                       [(t,) for t in tgrid(6)], [(t,) for t in tgrid(12)]))
-
-    # half-line weighted sums (Corollary for Z_{>=0}) of p and of its gradient. The
-    # rows at t read free_walk_row(t, m) with m <= x + ymax + 2r + 10 <= 3r + 40 (x <= 11,
-    # ymax <= r + 19), so one row per time serves all: its entries depend on t alone
-    xs_h = [0, 1, 3, 10]
-    bessel: dict[float, np.ndarray] = {}
-
-    def r_sum_h(t, grad, a=1.0):
+    def halfline(t):
         r = _support_radius(t)
-        if t not in bessel:
-            bessel[t] = free_walk_row(t, 3 * r + 40)
-        best = 0.0
-        for x in xs_h:
-            ymax = x + r + 8 + grad
-            row = halfline_robin_row(t, x, mu_a, ymax, pv=bessel[t])
-            if grad:
-                row = np.abs(halfline_robin_row(t, x + 1, mu_a, ymax, pv=bessel[t]) - row)
-            y = np.arange(ymax + 1)
-            sc = min(1.0, t ** -0.5)
-            w = np.exp(a * eps * y + a * np.abs(x - y) * sc)
-            s = float((row * w).sum()) * math.exp(-a * eps * x)
-            best = max(best, s * math.sqrt(t) if grad else s)
-        return best
-    for name, grad in (("halfline-weighted-mass-sum", 0), ("halfline-weighted-gradient-sum", 1)):
-        audits.append(_audit_from_ratio_fn(name, r_sum_h, [(t, grad) for t in tgrid(5)],
-                                           [(t, grad) for t in tgrid(10)]))
-    return audits
+        y = np.arange(r + 20)
+        rows = dict(zip(x_rows.tolist(), halfline_robin_row(t, x_rows, mu_a, r + 19)))
+        weights = np.exp(eps * y + np.abs(xs_h[:, None] - y) * min(1.0, t ** -0.5))
+        mass, grad = [], []
+        for x, w in zip(xs_h.tolist(), weights):
+            m = x + r + 9
+            mass.append(float((rows[x][:m] * w[:m]).sum()) * math.exp(-eps * x))
+            dp = np.abs(rows[x + 1][:m + 1] - rows[x][:m + 1])
+            grad.append(float((dp * w[:m + 1]).sum()) * math.exp(-eps * x) * math.sqrt(t))
+        return {"halfline-weighted-mass-sum": mass, "halfline-weighted-gradient-sum": grad}
+
+    return (_audits(interval, tgrid(6), tgrid(12))
+            + _audits(halfline, tgrid(5), tgrid(10)))

@@ -1,11 +1,9 @@
-import ctypes
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asepkpz.cli import blas_threads
+from asepkpz.cli import numpy_openblas
 from asepkpz.she import run_interval_ensemble
 
 # Acceptance-scale ensembles (A = B = 0, Bernoulli(1/2) start, T = 0.1) shared
@@ -44,14 +42,9 @@ def rng(seed: int) -> np.random.Generator:
 
 def openblas_thread_setter():
     """The run-time thread-count setter of the OpenBLAS that numpy loaded, and
-    its count now; skips the test where that count cannot be read (no
-    OpenBLAS of numpy's own)."""
-    rec = blas_threads()["numpy"]
-    if rec["threads"] is None:
-        pytest.skip(f"numpy: {rec['reason']}")
-    lib = ctypes.CDLL(str(Path(np.__file__).parents[1] / "numpy.libs" / rec["library"]))
-    setter = next(getattr(lib, sym) for sym in (
-        "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-        "openblas_set_num_threads64_", "openblas_set_num_threads") if hasattr(lib, sym))
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    return setter, rec["threads"]
+    its count now, from the CLI's own lookup; skips the test where either
+    cannot be found (no OpenBLAS of numpy's own)."""
+    blas = numpy_openblas()
+    if blas.get("set") is None:
+        pytest.skip(f"numpy: {blas.get('reason', 'no thread setter')}")
+    return blas["set"], blas["get"]()

@@ -278,12 +278,10 @@ def test_hashed_files_independent_of_blas_threads(tmp_path):
                 files[kind, threads] = json.loads((run_dir / "manifest.json").read_text())["files"]
     finally:
         setter(before)
+    # identities.json included: the key identity runs at one BLAS thread whatever
+    # the count outside it
     for kind, _ in runs:
-        # identities.json's key-identity quadrature still rounds with the BLAS
-        # thread count (ROADMAP item 8); the fix of item 8 removes this exclusion
-        one, two = ({k: v for k, v in files[kind, t].items() if k != "identities.json"}
-                    for t in (1, 2))
-        assert one and one == two, kind
+        assert files[kind, 1] and files[kind, 1] == files[kind, 2], kind
 
 
 def test_compare_kind_one_pass(tmp_path):
@@ -431,6 +429,22 @@ def test_manifest_blas_threads_unreadable(tmp_path, monkeypatch):
     assert blas["numpy"]["threads"] is None and "no loaded OpenBLAS" in blas["numpy"]["reason"]
 
 
+def test_blas_pin_missing_setter_reported(tmp_path, monkeypatch):
+    # with no OpenBLAS thread setter to find, the key identity runs unpinned and
+    # the manifest says so under metrics.identities; no hashed file records it
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[identities]\nn_sites = 16\ncstar_n = 12\ncstar_tbar = 0.5\n")
+    assert run_cli(["identities", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    (run_dir,) = (tmp_path / "r").iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    record = manifest["metrics"]["identities"]
+    assert set(record) == {"blas_unpinned", "key_identity_s", "c_star_s"}
+    assert "no loaded OpenBLAS" in record["blas_unpinned"]
+    assert set(manifest["files"]) == {"identities.json"}
+    assert "blas_unpinned" not in (run_dir / "identities.json").read_text()
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("ASEPKPZ_THREADS", "3")
     cfg = tmp_path / "c.ini"
@@ -525,6 +539,9 @@ def test_audit_all_manifest_metrics(tmp_path):
     assert list(stages) == ["params", "kernel", "identities", "stationary"]
     assert all(s > 0 for s in stages.values())
     assert sum(manifest["metrics"]["identities"].values()) <= stages["identities"]
+    assert set(manifest["metrics"]["identities"]) == {"key_identity_s", "c_star_s"}
+    assert list(manifest["metrics"]["kernel"]) == ["bound_audit_s"]
+    assert 0 < manifest["metrics"]["kernel"]["bound_audit_s"] <= stages["kernel"]
     assert manifest["metrics"]["peak_rss_mb"] > 0
     # numpy's OpenBLAS alone, whatever an earlier test in this process imported
     blas = manifest["metrics"]["blas"]

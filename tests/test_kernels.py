@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -11,6 +12,7 @@ from asepkpz.kernels import (build_image_expansion, free_walk_row, free_walk_tai
                              interval_kernel_spectral, kernel_bound_audit, robin_laplacian_matrix,
                              solve_interval_spectrum, _support_radius)
 
+import kernels_reference
 from oracles import halfline_s, halfline_spectral_mean, interval_omegas_bisected
 
 
@@ -184,6 +186,24 @@ def test_tail_bound_dominates():
         assert mass <= free_walk_tail_bound(t, r) + 1e-300
 
 
+def _audit_times(m_coarse: int, eps: float, t_bar: float = 1.0) -> list:
+    """The distinct times of kernel_bound_audit's m- and 2m-point grids."""
+    t_max = t_bar / (eps * eps)
+    return sorted({float(t) for m in (m_coarse, 2 * m_coarse)
+                   for t in np.exp(np.linspace(math.log(0.05), math.log(t_max), m))})
+
+
+def test_free_walk_row_matches_scalar_recurrence():
+    # the ratio recurrence over an array of 2n/t gives the scalar loop's bits
+    # at the audit's 13 half-line times (the 5- and 10-point grids share both ends)
+    times = _audit_times(5, 1 / 32)
+    assert len(times) == 13
+    for t in times + [0.0, 1e-3, 3.0]:
+        n_max = 3 * _support_radius(t) + 40
+        assert free_walk_row(t, n_max).tobytes() == (
+            kernels_reference.free_walk_row(t, n_max).tobytes()), t
+
+
 # ---------------------------------------------------------------------------
 # half line
 
@@ -231,6 +251,26 @@ def test_halfline_row_reads_prefix_of_longer_bessel_row():
         assert np.array_equal(halfline_robin_row(t, x, mu, y_max, pv=free_walk_row(t, 4000)), row)
         with pytest.raises(ValueError, match="too short"):
             halfline_robin_row(t, x, mu, y_max, pv=free_walk_row(t, y_max))
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.9, 1 - 1 / 32])
+def test_halfline_rows_of_array_x_match_per_x_calls(mu):
+    # one call with an array of x (one free-walk row, one geometric tail) gives
+    # the bits of one call per x, with or without a precomputed free-walk row
+    xs = np.array([-1, 0, 1, 2, 3, 4, 10, 11])
+    for t in _audit_times(5, 1 / 32) + [0.3, 7.0]:
+        y_max = _support_radius(t) + 19
+        rows = halfline_robin_row(t, xs, mu, y_max)
+        assert rows.shape == (len(xs), y_max + 1)
+        pv = free_walk_row(t, 3 * _support_radius(t) + 60)
+        assert halfline_robin_row(t, xs, mu, y_max, pv=pv).tobytes() == rows.tobytes()
+        for x, row in zip(xs.tolist(), rows):
+            assert halfline_robin_row(t, x, mu, y_max).tobytes() == row.tobytes(), (t, x)
+            # a shorter y range is the prefix of the longer one
+            short = halfline_robin_row(t, x, mu, y_max - 11)
+            assert short.tobytes() == row[:y_max - 10].tobytes(), (t, x)
+        with pytest.raises(ValueError, match="too short"):
+            halfline_robin_row(t, xs, mu, y_max, pv=free_walk_row(t, y_max))
 
 
 def test_halfline_row_matches_scalar():
@@ -439,6 +479,18 @@ def test_image_correction_growth_bound():
             assert np.max(np.abs(correction(exp_, kk))) <= c0 ** abs(k) + 1e-9
 
 
+@pytest.mark.parametrize("n, mu_a, mu_b, depth", [
+    (8, 1.0, 1.0, 3), (32, 1.0, 1.0, 6), (16, 1 - 1 / 16, 1.0, 6), (16, 1.0, 0.8, 4),
+    (32, 1 - 1 / 32, 1 - 0.5 / 32, 6), (12, 0.9, 0.7, 5)])
+def test_image_expansion_matches_row_by_row_reference(n, mu_a, mu_b, depth):
+    # each block set in one slice, corrected row by row only where mu != 1:
+    # the bits of the row-by-row fill
+    built = build_image_expansion(n, mu_a, mu_b, depth)
+    ref = kernels_reference.build_image_expansion(n, mu_a, mu_b, depth)
+    assert built.offset == ref.offset
+    assert built.phi.tobytes() == ref.phi.tobytes()
+
+
 def test_image_depth_flag():
     with pytest.raises(ValueError):
         interval_kernel_image(build_image_expansion(8, 0.9, 0.9, depth=1), 1e4)
@@ -516,6 +568,24 @@ def test_bound_audits_stable():
         assert a.stable, a.name
     sup = next(a for a in audits if a.name == "kernel-time-comparison")
     assert sup.constant <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n, mu_a, mu_b, eps, t_bar", [
+    (32, 1.0, 1.0, 1 / 32, 1.0),                      # audit-all's defaults
+    (16, 1 - 1 / 16, 1.0, 1 / 16, 1.0),               # the pinned audit-all test's model
+    (16, 1 - 1 / 16, 1.0, 1 / 16, 0.5),
+    (32, 1 - 1 / 32, 1 - 0.5 / 32, 1 / 32, 1.0)])     # slope_a = 1, slope_b = 0.5
+def test_bound_audit_matches_pointwise_reference(n, mu_a, mu_b, eps, t_bar):
+    # one evaluation per distinct grid time, every variant of a bound from the
+    # same kernels, gives the records of one ratio call per grid point
+    spec = solve_interval_spectrum(n, mu_a, mu_b)
+    got = [a.as_dict() for a in kernel_bound_audit(spec, eps, t_bar)]
+    ref = [a.as_dict() for a in kernels_reference.kernel_bound_audit(spec, eps, t_bar)]
+    assert json.dumps(got) == json.dumps(ref)
+    assert [a["bound"] for a in got] == [
+        "kernel-time-comparison", "kernel-time-holder", "kernel-gaussian-envelope",
+        "kernel-gradient-envelope", "interval-mass-sum", "interval-gradient-sum",
+        "halfline-weighted-mass-sum", "halfline-weighted-gradient-sum"]
 
 
 def test_bound_audit_one_bessel_row_per_time(monkeypatch):
