@@ -9,7 +9,7 @@ from .params import (ScalingParams, ModelParams, PhaseDiagnostics, Phase,
 from .engine import (Lattice, Trajectory, event_rates, simulate_replicas, state_etas,
                      exact_generator, stationary_measure, bernoulli_eta,
                      alternating_eta, replica_rng)
-from .gartner import ZField, z_field, drift_identity_residual, rescale
+from .gartner import z_field, drift_identity_residual, rescale
 from .kernels import (SpectralData, solve_interval_spectrum, interval_kernel_spectral,
                       interval_kernel_image, build_image_expansion, kernel_bound_audit)
 from .greens import (green_matrix, green_corner_closed_form, f_matrix, c_closed_form,

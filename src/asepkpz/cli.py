@@ -35,7 +35,7 @@ from .engine import (Lattice, alternating_eta, bernoulli_eta, exact_generator,
                      simulate_replicas, state_etas)
 from .gartner import rescale
 from .greens import (c_star_estimate, green_corner_closed_form, key_identity,
-                     report_to_json, summation_by_parts_audit)
+                     summation_by_parts_audit)
 from .kernels import (build_image_expansion, image_depth_suffices, interval_kernel_image,
                       interval_kernel_spectral, kernel_bound_audit, robin_laplacian_matrix,
                       solve_interval_spectrum)
@@ -46,11 +46,11 @@ from .she import (asep_she_compare, build_grid, mean_field, run_interval_ensembl
 
 DEFAULTS = """\
 [run]
-; master seed for every stochastic component
+; master seed for every stochastic component, an integer in [0, 2^64)
 seed = 20240901
 ; number of independent replicas for Monte Carlo kinds
 replicas = 200
-; worker threads (fallback: ASEPKPZ_THREADS); results are thread-count invariant;
+; worker threads, >= 1; results are thread-count invariant;
 ; the ASEP kinds gain no speed from more threads, the option shows the invariance
 threads = 1
 ; output root; the run lands in <out>/<config-hash>/
@@ -204,12 +204,12 @@ def numpy_openblas() -> dict:
 
 def blas_threads() -> dict:
     """The thread count of the OpenBLAS that numpy loaded, read now (it can
-    change at run time), as {"numpy": record}; the record is None with the
+    change at run time), as {"threads", "library"}; threads is None with the
     reason where the count could not be read."""
     blas = numpy_openblas()
     if "reason" in blas:
-        return {"numpy": {"threads": None, "reason": blas["reason"]}}
-    return {"numpy": {"threads": blas["get"](), "library": blas["library"]}}
+        return {"threads": None, "reason": blas["reason"]}
+    return {"threads": blas["get"](), "library": blas["library"]}
 
 
 @contextlib.contextmanager
@@ -264,6 +264,22 @@ def _identities_mus(sec) -> tuple[tuple[float, float], tuple[float, float]]:
     n, ncs = sec.getint("n_sites"), sec.getint("cstar_n")
     slopes = (sec.getfloat("slope_a"), sec.getfloat("slope_b"))
     return tuple(1.0 - (1.0 / n) * a for a in slopes), tuple(1.0 - a / ncs for a in slopes)
+
+
+def _run_settings(cfg, seed: int | None, threads: int | None) -> tuple:
+    """(seed, threads, problems): each from its flag where one is given, else
+    from [run]; the seed must be an integer in [0, 2^64), threads one >= 1."""
+    values, problems = [], []
+    for name, flag, lo, hi, rule in (("seed", seed, 0, 2 ** 64, "an integer in [0, 2^64)"),
+                                     ("threads", threads, 1, float("inf"), "an integer >= 1")):
+        try:
+            value = flag if flag is not None else cfg["run"].getint(name)
+        except ValueError:
+            value = None
+        if value is None or not lo <= value < hi:
+            problems.append(f"run.{name} must be {rule}")
+        values.append(value)
+    return (*values, problems)
 
 
 def _validate(cfg, kind: str) -> list[str]:
@@ -490,9 +506,7 @@ def run_identities(cfg, out, seed, threads, checks):
                     "expected": "< 1", "abs_err": None, "route_gap": None,
                     "tail_bound": cs["tail_bound"], "roots": cs["roots"]})
     with open(os.path.join(out, "identities.json"), "w") as fh:
-        fh.write("[\n" + ",\n".join(
-            report_to_json({k: v for k, v in r.items() if k != "per_x"})
-            for r in reports) + "\n]\n")
+        fh.write("[\n" + ",\n".join(json.dumps(r, indent=2) for r in reports) + "\n]\n")
     return {"identities": seconds}
 
 
@@ -605,16 +619,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    problems = _validate(cfg, args.kind)
+    seed, threads, problems = _run_settings(cfg, args.seed, args.threads)
+    problems += _validate(cfg, args.kind)
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else cfg["run"].getint("seed")
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("ASEPKPZ_THREADS", cfg["run"].getint("threads")))
     out_root = args.out if args.out is not None else cfg["run"].get("out")
     digest = config_hash(cfg, args.kind, seed)
     out = os.path.join(out_root, digest)

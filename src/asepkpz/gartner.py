@@ -11,7 +11,6 @@ ratio form (every term is O(1), so residuals sit at machine precision).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .engine import Lattice, Trajectory, event_rates
 from .params import ModelParams
 
 __all__ = [
-    "ZField",
     "z_field",
     "drift_identity_residual",
     "rescale",
@@ -28,25 +26,14 @@ __all__ = [
 _LOG_GUARD = 500.0
 
 
-@dataclass(frozen=True)
-class ZField:
-    """Per-site Z values with the log stored alongside for overflow safety."""
-
-    log_z: np.ndarray
-    t: float
-
-    @property
-    def z(self) -> np.ndarray:
-        if np.max(np.abs(self.log_z)) > _LOG_GUARD:
-            raise OverflowError("Z field exponent beyond safe range; work in log space")
-        return np.exp(self.log_z)
-
-
-def z_field(h, t: float, params: ModelParams) -> ZField:
+def z_field(h, t: float, params: ModelParams) -> np.ndarray:
     """Z(x) = exp(-lam h(x) + nu t) from an integer height array (any leading
-    axes; t broadcasts against it)."""
+    axes; t broadcasts against it).  Raises OverflowError where some
+    |log Z| > 500, beyond which Z leaves the safe float range."""
     log_z = -params.lam * np.asarray(h).astype(float) + params.nu * t
-    return ZField(log_z=log_z, t=t)
+    if np.max(np.abs(log_z)) > _LOG_GUARD:
+        raise OverflowError("Z field exponent beyond safe range; work in log space")
+    return np.exp(log_z)
 
 
 def _height_moves(eta, params: ModelParams, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +99,7 @@ def rescale(traj: Trajectory, params: ModelParams, T_list, X_list) -> np.ndarray
         if abs(times[i] - t_micro) > 1e-6 * max(1.0, t_micro):
             raise ValueError(f"macroscopic time {T} not among sampled times")
         idx.append(i)
-    z = z_field(traj.heights[:, idx], times[idx, None], params).z
+    z = z_field(traj.heights[:, idx], times[idx, None], params)
     j = np.clip(np.searchsorted(np.arange(n_heights), x_micro, side="right") - 1,
                 0, n_heights - 2)
     # np.take keeps z's C order (z[..., j] would not), so a mean over the

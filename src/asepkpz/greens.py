@@ -16,7 +16,6 @@ changes of the two gradients.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -323,14 +322,3 @@ def summation_by_parts_audit(n: int, n_trials: int = 100, seed: int = 0) -> dict
     return {name: float(np.max(np.abs(a - b), initial=0.0))
             for name, a, b in (("sum_by_parts0", lhs, rhs0), ("sum_by_parts1", lhs, rhs1),
                                ("sum_by_parts2", lhs2, rhs2))}
-
-
-def report_to_json(report: dict) -> str:
-    """Serialize an identity report, converting arrays to lists."""
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer, np.bool_)):
-            return o.item()
-        raise TypeError(type(o))
-    return json.dumps(report, default=default, indent=2)

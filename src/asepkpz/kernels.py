@@ -202,10 +202,9 @@ def solve_interval_spectrum(n: int, mu_a: float, mu_b: float) -> SpectralData:
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             val = _secular(mid, n, mu_a, mu_b)
-            same = np.sign(val) == left_sign
-            exact = val == 0.0
-            new_lo = np.where(same & ~exact, mid, lo)
-            new_hi = np.where(~same | exact, mid, hi)
+            same = np.sign(val) == left_sign   # an exact root (sign 0) moves hi
+            new_lo = np.where(same, mid, lo)
+            new_hi = np.where(~same, mid, hi)
             if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
                 break
             lo, hi = new_lo, new_hi

@@ -131,6 +131,13 @@ def test_config_validation_errors(tmp_path, capsys):
     ("simulate", "[simulate]\nsample_times = -0.05, 0.1\n", "simulate.sample_times"),
     ("simulate", "[simulate]\ninitial = flat\n", "simulate.initial"),
     ("compare", "[compare]\nt_macro = -0.1\n", "compare.t_macro"),
+    # the seed and the thread count, from [run] or from their flags
+    ("audit-all", "[run]\nseed = abc\n", "run.seed"),
+    ("simulate", "[run]\nseed = -1\n", "run.seed"),
+    ("audit-all", "[run]\nseed = 18446744073709551616\n", "run.seed"),
+    ("params", "[run]\nthreads = abc\n", "run.threads"),
+    ("params", "[run]\nthreads = 0\n", "run.threads"),
+    ("compare --seed -1", "", "run.seed"),
 ], ids=["inverse_eps_zero", "inverse_eps_empty", "identities_n_sites_1",
         "compare_replicas_1", "she_replicas_1", "x_points_zero", "params_n_sites_0",
         "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
@@ -139,14 +146,16 @@ def test_config_validation_errors(tmp_path, capsys):
         "she_output_times_decreasing", "kernel_time_negative", "kernel_depth_0",
         "kernel_time_beyond_images", "identities_mu_negative", "identities_neumann_neumann",
         "simulate_sample_time_beyond_horizon", "simulate_sample_time_negative",
-        "simulate_initial_unknown", "compare_t_macro_negative"])
+        "simulate_initial_unknown", "compare_t_macro_negative", "seed_not_integer",
+        "seed_negative", "seed_beyond_u64", "threads_not_integer", "threads_zero",
+        "seed_flag_negative"])
 def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
     # each of these once crashed with a traceback (exit 1), failed a check on
     # NaN or overflow, or passed vacuously; exit 1 is reserved for a failed check
     cfg = tmp_path / "c.ini"
     cfg.write_text(ini)
     out = tmp_path / "runs"
-    assert run_cli([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert run_cli([*kind.split(), "--config", str(cfg), "--out", str(out)]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -215,6 +224,8 @@ def test_audit_all_bound_audits_pinned(tmp_path):
     (run_dir,) = out.iterdir()
     assert sha256_file(str(run_dir / "bound_audits.json")) == (
         "ccb85dc9b6fdf38c9c824e36334f1b28e267caa71093c029731a9979b322f753")
+    assert sha256_file(str(run_dir / "identities.json")) == (
+        "46ccbcd200f0f201a8b9f6884cc4825a39ab90f9c9d2e1d495be657ce2c91de6")
 
 
 def test_simulate_kind_hash_stable_across_threads(tmp_path):
@@ -402,7 +413,7 @@ def test_failed_check_exits_one(tmp_path, monkeypatch):
 def test_manifest_records_blas_threads(tmp_path):
     # numpy's OpenBLAS is read when the manifest is written, so a thread count
     # set at run time shows; the record is outside every hashed file
-    library = cli.blas_threads()["numpy"].get("library")
+    library = cli.blas_threads().get("library")
     setter, before = openblas_thread_setter()
     cfg = tmp_path / "c.ini"
     cfg.write_text("[model]\nn_sites = 8\n")
@@ -413,7 +424,7 @@ def test_manifest_records_blas_threads(tmp_path):
         setter(before)
     (run_dir,) = (tmp_path / "r").iterdir()
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["metrics"]["blas"] == {"numpy": {"threads": 1, "library": library}}
+    assert manifest["metrics"]["blas"] == {"threads": 1, "library": library}
     assert set(manifest["files"]) == {"params.json", "expansion_audit.csv"}
 
 
@@ -425,8 +436,8 @@ def test_manifest_blas_threads_unreadable(tmp_path, monkeypatch):
     assert run_cli(["params", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
     (run_dir,) = (tmp_path / "r").iterdir()
     blas = json.loads((run_dir / "manifest.json").read_text())["metrics"]["blas"]
-    assert list(blas) == ["numpy"]
-    assert blas["numpy"]["threads"] is None and "no loaded OpenBLAS" in blas["numpy"]["reason"]
+    assert list(blas) == ["threads", "reason"]
+    assert blas["threads"] is None and "no loaded OpenBLAS" in blas["reason"]
 
 
 def test_blas_pin_missing_setter_reported(tmp_path, monkeypatch):
@@ -445,15 +456,17 @@ def test_blas_pin_missing_setter_reported(tmp_path, monkeypatch):
     assert "blas_unpinned" not in (run_dir / "identities.json").read_text()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("ASEPKPZ_THREADS", "3")
+def test_threads_from_config_or_flag(tmp_path, monkeypatch):
+    # [run] threads sets the count and --threads overrides it; the environment
+    # variable that was once a third source has no effect
+    monkeypatch.setenv("ASEPKPZ_THREADS", "5")
     cfg = tmp_path / "c.ini"
-    cfg.write_text("[model]\nn_sites = 8\nslope_a = 0.0\nslope_b = 0.0\n")
-    out = tmp_path / "runs"
-    assert run_cli(["params", "--config", str(cfg), "--out", str(out)]) == 0
-    (run_dir,) = [p for p in out.iterdir()]
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["threads"] == 3
+    cfg.write_text("[run]\nthreads = 3\n[model]\nn_sites = 8\nslope_a = 0.0\nslope_b = 0.0\n")
+    for flag, threads in (([], 3), (["--threads", "2"], 2)):
+        out = tmp_path / f"runs{threads}"
+        assert run_cli(["params", "--config", str(cfg), "--out", str(out), *flag]) == 0
+        (run_dir,) = out.iterdir()
+        assert json.loads((run_dir / "manifest.json").read_text())["threads"] == threads
 
 
 def test_config_hash_sensitivity(tmp_path):
@@ -545,7 +558,7 @@ def test_audit_all_manifest_metrics(tmp_path):
     assert manifest["metrics"]["peak_rss_mb"] > 0
     # numpy's OpenBLAS alone, whatever an earlier test in this process imported
     blas = manifest["metrics"]["blas"]
-    assert list(blas) == ["numpy"] and blas["numpy"]["threads"] >= 1
+    assert list(blas) == ["threads", "library"] and blas["threads"] >= 1
     assert 0 < sum(stages.values()) <= manifest["wall_clock_s"]
     assert "manifest.json" not in manifest["files"]
 

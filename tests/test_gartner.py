@@ -6,9 +6,8 @@ import pytest
 
 from asepkpz.engine import Lattice, alternating_eta, bernoulli_eta, simulate_replicas
 from asepkpz.gartner import _height_moves, drift_identity_residual, rescale, z_field
-from asepkpz.kernels import solve_interval_spectrum
+from asepkpz.kernels import interval_kernel_spectral, solve_interval_spectrum
 from asepkpz.params import ModelParams, ScalingParams, build_params
-from asepkpz.she import asep_mean_prediction
 
 
 def heights_of(eta, h0: int = 0) -> np.ndarray:
@@ -69,7 +68,7 @@ def bracket_rate(h: np.ndarray, t: float, params: ModelParams,
     excluded (length L array).
     """
     rates = _bracket_over_z2(np.diff(h), params, lattice)
-    return rates * z_field(h, t, params).z[:len(rates)] ** 2
+    return rates * z_field(h, t, params)[:len(rates)] ** 2
 
 
 def params_n(n, a=1.0, b=2.0):
@@ -79,15 +78,15 @@ def params_n(n, a=1.0, b=2.0):
 def test_z_field_constant_and_geometric():
     p = params_n(8)
     z = z_field(np.zeros(9, dtype=int), 0.0, p)
-    assert np.allclose(z.z, 1.0)
+    assert np.allclose(z, 1.0)
     z = z_field(np.arange(9), 0.0, p)
-    assert np.allclose(z.z, np.exp(-p.lam * np.arange(9)))
+    assert np.allclose(z, np.exp(-p.lam * np.arange(9)))
 
 
 def test_z_bond_ratio_quantization():
     p = params_n(16)
     h = heights_of(bernoulli_eta(16, 3))
-    z = z_field(h, 0.3, p).z
+    z = z_field(h, 0.3, p)
     ratios = z[1:] / z[:-1]
     targets = {math.exp(-p.lam), math.exp(p.lam)}
     for r in ratios:
@@ -104,8 +103,8 @@ def test_event_multiplicativity_exact():
     h_incremental = tr.heights[0, 0]
     h_rebuilt = heights_of(np.diff(h_incremental), h0=h_incremental[0])
     assert np.array_equal(h_incremental, h_rebuilt)
-    za = z_field(h_incremental, 20.0, p).z
-    zb = z_field(h_rebuilt, 20.0, p).z
+    za = z_field(h_incremental, 20.0, p)
+    zb = z_field(h_rebuilt, 20.0, p)
     assert np.array_equal(za, zb)
 
 
@@ -219,7 +218,7 @@ def test_rescale_time_zero_and_flat():
     X = np.linspace(0, 1, 9)
     f0 = rescale(tr, p, [0.0], X)[0, 0]
     z0 = z_field(tr.heights[0, 0], 0.0, p)
-    assert np.allclose(f0, np.interp(X / p.epsilon, np.arange(n + 1), z0.z))
+    assert np.allclose(f0, np.interp(X / p.epsilon, np.arange(n + 1), z0))
     # zigzag 'flat' start: scaled field within one lattice slope of 1
     assert np.max(np.abs(f0 - 1.0)) <= abs(math.expm1(-p.lam))
 
@@ -237,7 +236,7 @@ def test_rescale_reads_sites_exactly():
                              horizon, [0.0, horizon], 3, 9)
     fields = rescale(traj, p, [0.0, 0.05], np.arange(n + 1) / n)
     for i, t in enumerate(traj.sample_times):
-        assert np.array_equal(fields[:, i], z_field(traj.heights[:, i], t, p).z)
+        assert np.array_equal(fields[:, i], z_field(traj.heights[:, i], t, p))
 
 
 def test_rescale_matches_np_interp_per_replica():
@@ -256,7 +255,7 @@ def test_rescale_matches_np_interp_per_replica():
     assert fields.shape == (5, 3, len(X)) and fields.flags.c_contiguous
     for r in range(5):
         for k, i in enumerate((2, 0, 1)):
-            z = z_field(traj.heights[r, i], traj.sample_times[i], p).z
+            z = z_field(traj.heights[r, i], traj.sample_times[i], p)
             assert np.array_equal(fields[r, k], np.interp(X / eps, np.arange(n + 1), z))
 
 
@@ -283,10 +282,10 @@ def test_rescaled_mean_tracks_kernel_oracle():
 
     traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, horizon, [horizon],
                              600, 123)
-    zs = z_field(traj.heights[:, 0], horizon, p).z
+    zs = z_field(traj.heights[:, 0], horizon, p)
     spec = solve_interval_spectrum(n, p.mu_a, p.mu_b)
-    oracle = asep_mean_prediction(spec, horizon,
-                                  np.cosh(math.sqrt(p.epsilon)) ** np.arange(n + 1))
+    oracle = interval_kernel_spectral(spec, horizon) @ (np.cosh(math.sqrt(p.epsilon))
+                                                        ** np.arange(n + 1))
     se = zs.std(axis=0, ddof=1) / math.sqrt(len(zs))
     z = np.abs(zs.mean(axis=0) - oracle) / se
     assert np.max(z) <= 3.0
@@ -297,7 +296,7 @@ def test_initial_condition_moment_bounds():
     # increments for the Bernoulli family, uniformly over the lattice
     for n in (32, 64, 128):
         p = params_n(n, 0.0, 0.0)
-        zs = np.stack([z_field(heights_of(bernoulli_eta(n, (9, i))), 0.0, p).z
+        zs = np.stack([z_field(heights_of(bernoulli_eta(n, (9, i))), 0.0, p)
                        for i in range(400)])
         l2 = np.sqrt((zs ** 2).mean(axis=0))
         assert np.max(l2) <= math.e + 0.5  # cosh(2 sqrt(eps))^{x/2} <= e^{1+o(1)}
@@ -309,6 +308,5 @@ def test_initial_condition_moment_bounds():
 def test_z_field_overflow_guard():
     p = params_n(16)
     big = np.full(17, 10 ** 5, dtype=np.int64)
-    z = z_field(big, 0.0, p)
     with pytest.raises(OverflowError):
-        _ = z.z
+        z_field(big, 0.0, p)

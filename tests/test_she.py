@@ -273,7 +273,7 @@ def test_martingale_exact_integrals_match_trapezoid():
     dense = np.linspace(0.0, horizon, 2001)
     tr = eng.simulate_replicas(lambda rng: init, params, lat, horizon, dense, 1, 5,
                                track_exp_integrals=(-params.lam, params.nu))
-    zs = z_field(tr.heights[0], dense[:, None], params).z
+    zs = z_field(tr.heights[0], dense[:, None], params)
     trapezoid = np.trapezoid(zs, dense, axis=0)
     # Tolerance: on a snapshot interval of width dt the trapezoid rule misses
     # the integral of Z(x) by at most dt/2 times Z(x)'s variation there, so
@@ -317,8 +317,8 @@ def test_martingale_functionals_match_per_replica_formula():
         lap = np.array([(w[x - 1] if x > 0 else params.mu_a * w[0]) - 2.0 * w[x]
                         + (w[x + 1] if x < n else params.mu_b * w[n]) for x in range(n + 1)])
         for r in range(replicas):
-            z_t = z_field(traj.heights[r, 1], horizon, params).z
-            z_0 = z_field(traj.heights[r, 0], 0.0, params).z
+            z_t = z_field(traj.heights[r, 1], horizon, params)
+            z_0 = z_field(traj.heights[r, 0], 0.0, params)
             n_t = (eps * np.dot(w, z_t) - eps * np.dot(w, z_0)
                    - 0.5 * eps * np.dot(lap, traj.z_int[r, 1]))
             ref[r, j] = n_t, n_t * n_t - eps ** 3 * np.dot(w * w, traj.z2_int[r, 1])
