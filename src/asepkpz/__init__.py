@@ -3,9 +3,8 @@ equation scaling limit with Robin boundary conditions."""
 
 __version__ = "0.1.0"
 
-from .params import (ScalingParams, ModelParams, PhaseDiagnostics, Phase,
-                     build_params, params_from_mu, phase_point, expansion_audit,
-                     equal_density_mu)
+from .params import (ModelParams, PhaseDiagnostics, Phase, build_params, params_from_mu,
+                     phase_point, expansion_audit, equal_density_mu)
 from .engine import (Lattice, Trajectory, event_rates, simulate_replicas, state_etas,
                      exact_generator, stationary_measure, bernoulli_eta,
                      alternating_eta, replica_rng)

@@ -39,10 +39,10 @@ from .greens import (c_star_estimate, green_corner_closed_form, key_identity,
 from .kernels import (build_image_expansion, image_depth_suffices, interval_kernel_image,
                       interval_kernel_spectral, kernel_bound_audit, robin_laplacian_matrix,
                       solve_interval_spectrum)
-from .params import (ScalingParams, build_params, equal_density_mu, expansion_audit,
-                     params_from_mu, phase_point)
-from .she import (asep_she_compare, build_grid, mean_field, run_interval_ensemble,
-                  sample_she_ensemble, var_gap_trend)
+from .params import (build_params, equal_density_mu, expansion_audit, params_from_mu,
+                     phase_point)
+from .she import (COMPARE_GRID_CELLS, asep_she_compare, build_grid, mean_field,
+                  run_interval_ensemble, sample_she_ensemble, second_moment, var_gap_trend)
 
 DEFAULTS = """\
 [run]
@@ -240,18 +240,24 @@ def _sampler_metrics(stage: str, replicas: int, rings: int, events: int,
 
 
 def _model_from_config(cfg) -> tuple:
+    """(params, lattice, scaling) of [model]; scaling is the params.json record
+    of (epsilon, n_sites, slope_a, slope_b).  On the interval epsilon = 1/N;
+    the half line has n_sites None and slope_b 0, whatever [model] says."""
     sec = cfg["model"]
     kind = sec.get("lattice", "interval")
     if kind == "interval":
         n = sec.getint("n_sites")
-        scaling = ScalingParams.interval(n, sec.getfloat("slope_a"), sec.getfloat("slope_b"))
-        lattice = Lattice.interval(n)
+        if n < 1:  # before 1/n
+            raise ValueError("n_sites must be >= 1")
+        eps, slope_b, lattice = 1.0 / n, sec.getfloat("slope_b"), Lattice.interval(n)
     elif kind == "half_line":
-        scaling = ScalingParams.half_line(sec.getfloat("epsilon"), sec.getfloat("slope_a"))
-        lattice = Lattice.half_line(sec.getint("truncation"))
+        n, slope_b = None, 0.0
+        eps, lattice = sec.getfloat("epsilon"), Lattice.half_line(sec.getint("truncation"))
     else:
         raise ConfigError(f"unknown lattice kind {kind!r}")
-    return build_params(scaling), scaling, lattice
+    scaling = {"epsilon": eps, "n_sites": n, "slope_a": sec.getfloat("slope_a"),
+               "slope_b": slope_b}
+    return build_params(eps, scaling["slope_a"], slope_b), lattice, scaling
 
 
 # [simulate] initial -> the start of a replica of n sites drawn from its stream
@@ -294,7 +300,7 @@ def _validate(cfg, kind: str) -> list[str]:
     lattice = None
     if kind in ("params", "simulate", "compare", "audit-all", "she", "kernel"):
         try:
-            lattice = _model_from_config(cfg)[2]
+            lattice = _model_from_config(cfg)[1]
         except (ValueError, ConfigError) as exc:
             problems.append(f"model: {exc}")
     if kind in ("kernel", "audit-all"):
@@ -333,6 +339,16 @@ def _validate(cfg, kind: str) -> list[str]:
                 problems.append("compare.inverse_eps must list one or more sizes >= 1")
             if cfg["compare"].getint("x_points") < 1:
                 problems.append("compare.x_points must be >= 1")
+            # the models compare runs: one per size, and the SHE grid's walls
+            slopes = [cfg["model"].getfloat(s) for s in ("slope_a", "slope_b")]
+            for n in (n for n in inv if n >= 1):  # smaller sizes are reported above
+                try:
+                    build_params(1.0 / n, *slopes)
+                except ValueError as exc:
+                    problems.append(f"compare.inverse_eps = {n}: {exc}")
+            if not all(0.0 < 1.0 - (1.0 / COMPARE_GRID_CELLS) * a <= 1.0 for a in slopes):
+                problems.append(f"compare: model.slope_a, slope_b must leave mu = 1 - slope/"
+                                f"{COMPARE_GRID_CELLS} in (0, 1] on the SHE grid")
         except ValueError as exc:
             problems.append(f"compare: {exc}")
     if kind == "she":
@@ -370,10 +386,10 @@ def _validate(cfg, kind: str) -> list[str]:
 # experiment kinds
 
 def run_params(cfg, out, seed, threads, checks):
-    params, scaling, _ = _model_from_config(cfg)
+    params, _, scaling = _model_from_config(cfg)
     diag = phase_point(params)
     manifest_data = {
-        "scaling": scaling.to_config_dict(),
+        "scaling": scaling,
         "derived": {
             "p": params.p, "q": params.q, "alpha": params.alpha, "beta": params.beta,
             "gamma": params.gamma, "delta": params.delta, "mu_a": params.mu_a,
@@ -384,8 +400,8 @@ def run_params(cfg, out, seed, threads, checks):
     }
     with open(os.path.join(out, "params.json"), "w") as fh:
         json.dump(manifest_data, fh, indent=2)
-    rows = expansion_audit([scaling.epsilon / 4 ** i for i in range(3)],
-                           scaling.slope_a, scaling.slope_b)
+    rows = expansion_audit([params.epsilon / 4 ** i for i in range(3)],
+                           scaling["slope_a"], scaling["slope_b"])
     write_csv(os.path.join(out, "expansion_audit.csv"),
               ["quantity", "epsilon", "exact", "expansion", "residual", "ratio"],
               [[r["quantity"], r["epsilon"], r["exact"], r["expansion"],
@@ -395,8 +411,8 @@ def run_params(cfg, out, seed, threads, checks):
 
 
 def run_simulate(cfg, out, seed, threads, checks):
-    params, scaling, lattice = _model_from_config(cfg)
-    eps = scaling.epsilon
+    params, lattice, _ = _model_from_config(cfg)
+    eps = params.epsilon
     horizon_macro = cfg["simulate"].getfloat("horizon_macro")
     sample_macro = _parse_list(cfg["simulate"]["sample_times"])
     sample_micro = [t / (eps * eps) for t in sample_macro]
@@ -432,7 +448,7 @@ def run_simulate(cfg, out, seed, threads, checks):
 
 
 def run_kernel(cfg, out, seed, threads, checks):
-    params, scaling, lattice = _model_from_config(cfg)
+    params, lattice, _ = _model_from_config(cfg)
     n = lattice.n_sites
     spec = solve_interval_spectrum(n, params.mu_a, params.mu_b)
     write_csv(os.path.join(out, "spectrum.csv"), ["k", "omega", "lambda"],
@@ -450,7 +466,7 @@ def run_kernel(cfg, out, seed, threads, checks):
         rows.extend([t, x, y, v] for x, row in enumerate(ker.tolist()) for y, v in enumerate(row))
     write_csv(os.path.join(out, "kernel.csv"), ["t", "x", "y", "value"], rows)
     t0 = time.perf_counter()
-    audits = kernel_bound_audit(spec, scaling.epsilon)
+    audits = kernel_bound_audit(spec, params.epsilon)
     bound_audit_s = time.perf_counter() - t0
     with open(os.path.join(out, "bound_audits.json"), "w") as fh:
         json.dump([a.as_dict() for a in audits], fh, indent=2)
@@ -523,8 +539,15 @@ def run_she(cfg, out, seed, threads, checks):
     write_csv(os.path.join(out, "she_moments.csv"), ["T", "X", "mean", "se", "mean_field"],
               [[t, x, stats["mean"][i][j], stats["std_error"][i][j], mfs[i][j]]
                for i, t in enumerate(times) for j, x in enumerate(grid.x)])
-    z = np.abs(stats["mean"][-1] - mfs[-1]) / np.maximum(stats["std_error"][-1], 1e-300)
-    checks["she_mean_within_3sigma"] = bool(np.max(z) <= 3.0)
+    # the last time's sample mean against the mean field, each point in units of
+    # its exact standard error (from the scheme's own two-point function), all
+    # points at the Bonferroni line of a family-wise false-alarm rate of 1e-3
+    sigma = np.sqrt((np.diag(second_moment(np.outer(z0, z0), grid, times[-1]))
+                     - mfs[-1] ** 2) / stats["n_effective"])
+    z = np.abs(stats["mean"][-1] - mfs[-1]) / np.maximum(sigma, 1e-300)
+    from statistics import NormalDist  # only here: keeps the other kinds' imports flat
+    line = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(z)))
+    checks["she_mean_bonferroni_1e-3"] = bool(np.max(z) <= line)
     checks["she_fault_rate"] = stats["fault_rate"] < 1e-3
     return {"she": {"replicas": replicas, "faulted": stats["faulted"],
                     "fault_rate": stats["fault_rate"]}}

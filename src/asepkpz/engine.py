@@ -87,14 +87,14 @@ class Trajectory:
     np.diff(heights[r, i]).  event_count[r] is its number of accepted moves
     and ring_count[r] the number of clock rings that proposed them.  When
     exponential height integrals are tracked, z_int[r, i, x] equals
-    int_0^{t_i} exp(theta h_s(x) + rho s) ds exactly (event-resolved) and
-    z2_int the same with (2 theta, 2 rho).
+    int_0^{t_i} Z_s(x) ds exactly (event-resolved), with
+    Z_s(x) = exp(-lam h_s(x) + nu s) of the sampled model, and z2_int the
+    same integral of Z_s(x)^2.
     """
 
     sample_times: np.ndarray
     heights: np.ndarray                  # (R, K, N + 1) int64
     event_count: np.ndarray              # (R,) int64
-    exp_integral_constants: tuple | None = None
     z_int: np.ndarray | None = None      # (R, K, N + 1)
     z2_int: np.ndarray | None = None
     ring_count: np.ndarray | None = None  # (R,) int64
@@ -277,7 +277,7 @@ class _Block:
         self.accepted = np.zeros(m * s, dtype=np.int64)
         self.snap_h = np.empty((m, k, n + 1), dtype=np.int64)
         if track:
-            self.theta, self.rho = track
+            self.theta, self.rho = -params.lam, params.nu
             self.s_int = np.zeros((2, m * s))        # the (theta, rho) and (2 theta, 2 rho) integrals
             self.t_last = np.zeros(m * s)
             self.snap_s = np.empty((2, m, k, n + 1))
@@ -384,13 +384,13 @@ class _Block:
                 self._snapshot(k, barrier)
         accepted = self.accepted.reshape(m, s).sum(axis=1)
         rings = self.drawn - self.size + self.pos - self.c
-        return Trajectory(self.sample_times, self.snap_h, accepted, self.track,
+        return Trajectory(self.sample_times, self.snap_h, accepted,
                           *(self.snap_s if self.track else (None, None)), ring_count=rings)
 
 
 def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: float,
                       sample_times, n_replicas: int, master_seed,
-                      track_exp_integrals: tuple[float, float] | None = None,
+                      track_exp_integrals: bool = False,
                       threads: int = 1) -> Trajectory:
     """Statistically exact continuous-time samples of the open ASEP, for
     replicas 0..n_replicas-1.
@@ -402,12 +402,13 @@ def simulate_replicas(init, params: ModelParams, lattice: Lattice, horizon: floa
     workers; since every replica owns its stream and its rounds, the result
     does not depend on either, bit for bit: one Trajectory whose axis 0 is
     the replica index, the blocks joined in order.  event_count counts
-    accepted moves and ring_count the rings that proposed them.  When
-    track_exp_integrals = (theta, rho) is given, the per-site integrals
-    int_0^t exp(theta h_s(x) + rho s) ds are accumulated exactly (closed
-    form in time, one piece per accepted move of the height and one at each
-    snapshot) and snapshotted with the heights; the squared-exponent
-    versions with (2 theta, 2 rho) come along for quadratic functionals.
+    accepted moves and ring_count the rings that proposed them.  With
+    track_exp_integrals=True the per-site integrals int_0^t Z_s(x) ds of
+    Z_s(x) = exp(-lam h_s(x) + nu s), lam and nu read from params, are
+    accumulated exactly (closed form in time, one piece per accepted move
+    of the height and one at each snapshot) and snapshotted with the
+    heights; the integrals of Z_s(x)^2 come along for quadratic
+    functionals.  Tracking draws nothing from the streams.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")

@@ -20,7 +20,6 @@ from enum import Enum
 
 __all__ = [
     "Phase",
-    "ScalingParams",
     "ModelParams",
     "PhaseDiagnostics",
     "build_params",
@@ -43,62 +42,13 @@ class Phase(Enum):
 
 
 @dataclass(frozen=True)
-class ScalingParams:
-    """Scaling inputs (epsilon, N, A, B).
-
-    For the interval model N is the source of truth and epsilon = 1/N
-    exactly; for the half line epsilon is free and slope_b is unused.
-    """
-
-    epsilon: float
-    n_sites: int | None
-    slope_a: float
-    slope_b: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.slope_a < 0 or self.slope_b < 0:
-            raise ValueError("slopes A, B must be nonnegative (mu > 1 modes unsupported)")
-        if self.n_sites is not None:
-            if self.n_sites < 1:
-                raise ValueError("n_sites must be >= 1")
-            if self.epsilon != 1.0 / self.n_sites:
-                raise ValueError("interval model requires epsilon == 1/n_sites exactly")
-        for name, slope in (("mu_A", self.slope_a), ("mu_B", self.slope_b)):
-            mu = 1.0 - self.epsilon * slope
-            if not 0.0 < mu <= 1.0:
-                raise ValueError(f"{name} = 1 - eps*slope = {mu} outside (0, 1]")
-
-    @classmethod
-    def interval(cls, n_sites: int, slope_a: float, slope_b: float) -> "ScalingParams":
-        if n_sites < 1:  # before 1/n_sites
-            raise ValueError("n_sites must be >= 1")
-        return cls(epsilon=1.0 / n_sites, n_sites=n_sites, slope_a=slope_a, slope_b=slope_b)
-
-    @classmethod
-    def half_line(cls, epsilon: float, slope_a: float) -> "ScalingParams":
-        return cls(epsilon=epsilon, n_sites=None, slope_a=slope_a, slope_b=0.0)
-
-    def to_config_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "n_sites": self.n_sites,
-            "slope_a": self.slope_a,
-            "slope_b": self.slope_b,
-        }
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """All microscopic rates plus the exponential-transform constants.
 
     lam = log(q/p)/2 < 0 and nu = p + q - 2 sqrt(pq); with the scaling
     choice pq = 1/4 so nu = p + q - 1.  epsilon is the scaling input itself
     (exactly 1/N on the interval), not lam^2 re-derived from (p, q), so that
-    X = x eps lands on site x exactly.  `in_scaling_class` records whether
-    both mu's are <= 1 (the weakly asymmetric class); rates can still be
-    valid ASEP rates outside it.
+    X = x eps lands on site x exactly.
     """
 
     p: float
@@ -112,7 +62,6 @@ class ModelParams:
     lam: float
     nu: float
     epsilon: float
-    in_scaling_class: bool = True
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
@@ -134,8 +83,7 @@ class ModelParams:
         mu_a = (p - alpha * (p - q) / p) / spq if spq > 0 else float("nan")
         mu_b = (q + delta * (p - q) / q) / spq if spq > 0 else float("nan")
         return cls(p=p, q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-                   mu_a=mu_a, mu_b=mu_b, lam=lam, nu=nu, epsilon=lam * lam,
-                   in_scaling_class=bool(mu_a <= 1.0 and mu_b <= 1.0))
+                   mu_a=mu_a, mu_b=mu_b, lam=lam, nu=nu, epsilon=lam * lam)
 
 
 def boundary_rates_from_mu(p: float, q: float, mu: float) -> tuple[float, float]:
@@ -173,15 +121,21 @@ def params_from_mu(epsilon: float, mu_a: float, mu_b: float) -> ModelParams:
         p=p, q=q, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
         mu_a=mu_a, mu_b=mu_b,
         lam=-se, nu=p + q - 1.0, epsilon=epsilon,
-        in_scaling_class=bool(mu_a <= 1.0 and mu_b <= 1.0),
     )
 
 
-def build_params(scaling: ScalingParams) -> ModelParams:
-    """Derive every model rate from the scaling inputs (pure, deterministic)."""
-    mu_a = 1.0 - scaling.epsilon * scaling.slope_a
-    mu_b = 1.0 - scaling.epsilon * scaling.slope_b
-    return params_from_mu(scaling.epsilon, mu_a, mu_b)
+def build_params(epsilon: float, slope_a: float, slope_b: float = 0.0) -> ModelParams:
+    """Every model rate from the scaling inputs (epsilon, A, B), with
+    mu_A = 1 - epsilon A and mu_B = 1 - epsilon B.
+
+    On the interval of N sites epsilon = 1/N; the half line has no right
+    wall and keeps slope_b = 0.  The slopes must be >= 0 (the weakly
+    asymmetric class); `params_from_mu` rejects epsilon <= 0 and a mu with
+    a negative rate.
+    """
+    if slope_a < 0 or slope_b < 0:
+        raise ValueError("slopes A, B must be nonnegative (mu > 1 modes unsupported)")
+    return params_from_mu(epsilon, 1.0 - epsilon * slope_a, 1.0 - epsilon * slope_b)
 
 
 @dataclass(frozen=True)
@@ -273,8 +227,7 @@ def expansion_audit(eps_grid, slope_a: float, slope_b: float) -> list[dict]:
     """
     rows = []
     for eps in eps_grid:
-        params = build_params(ScalingParams(epsilon=eps, n_sites=None,
-                                            slope_a=slope_a, slope_b=slope_b))
+        params = build_params(eps, slope_a, slope_b)
         diag = phase_point(params)
         exact = {
             "p": params.p, "q": params.q,

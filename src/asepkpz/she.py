@@ -20,9 +20,10 @@ from .engine import (_BLOCK, Lattice, Trajectory, bernoulli_eta, map_replica_blo
                      simulate_replicas)
 from .gartner import z_field
 from .kernels import SpectralData, interval_kernel_spectral, solve_interval_spectrum
-from .params import ModelParams, ScalingParams, build_params
+from .params import ModelParams, build_params
 
 _REFILL = 16           # most steps of normals one refill draws per stream
+COMPARE_GRID_CELLS = 64  # cells of the SHE grid `asep_she_compare` reads
 
 __all__ = [
     "SheGrid",
@@ -330,15 +331,12 @@ def martingale_functionals(traj: Trajectory, params: ModelParams,
     N_T(phi) = (Z_t, phi)_eps - (Z_0, phi)_eps - (1/2) int_0^t (Lap Z_s, phi)_eps ds
     at t = eps^{-2} T, with the Robin-ghost Laplacian; the gap is
     N_T^2 - eps^2 int (Z_s^2, phi^2)_eps ds.  The time integrals are the
-    trajectory's exact exponential integrals, so it must be sampled with
-    track_exp_integrals = (-lam, nu); an untracked one raises ValueError.
+    trajectory's exact exponential integrals, so it must be sampled from
+    params with track_exp_integrals=True; an untracked one raises ValueError.
     """
     if traj.z_int is None:
         raise ValueError("trajectory has no exponential integrals: sample it with "
-                         "track_exp_integrals = (-lam, nu)")
-    theta, rho = traj.exp_integral_constants
-    if abs(theta + params.lam) > 1e-12 or abs(rho - params.nu) > 1e-12:
-        raise ValueError("trajectory integrals tracked with different constants")
+                         "track_exp_integrals=True")
     eps = params.epsilon
     t_micro = T / (eps * eps)
     times = np.asarray(traj.sample_times)
@@ -439,19 +437,16 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     track the exponential integrals those read, which moves no stream.
     """
     eps = 1.0 / n
-    params = build_params(ScalingParams.interval(n, slope_a, slope_b))
+    params = build_params(eps, slope_a, slope_b)
     lattice = Lattice.interval(n)
     horizon = T / (eps * eps)
     spec = solve_interval_spectrum(n, params.mu_a, params.mu_b)
-    track = phis = None
-    if martingale:
-        track = (-params.lam, params.nu)
-        phis = [robin_test_function(slope_a, slope_b, k) for k in (0, 1, 2)]
+    phis = [robin_test_function(slope_a, slope_b, k) for k in (0, 1, 2)] if martingale else None
 
     t0 = time.perf_counter()
     traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), params, lattice, horizon,
                              [0.0, horizon], n_replicas, master_seed,
-                             track_exp_integrals=track, threads=threads)
+                             track_exp_integrals=martingale, threads=threads)
     sampler_s = time.perf_counter() - t0
     zs = z_field(traj.heights[:, 1], horizon, params)
     e_z0 = np.cosh(math.sqrt(eps)) ** np.arange(n + 1)
@@ -487,11 +482,11 @@ def asep_she_compare(ensembles: list[dict], T: float, X: np.ndarray) -> list[dic
 
     ensembles are `run_interval_ensemble` results, read at the height sites
     round(X n); rows run from the coarsest eps to the finest.  The SHE side
-    is deterministic: mean_field and second_moment on a 64-cell grid with
-    the ensembles' slopes, started from the moments of the lognormal
-    Z0 = exp(W) matched to the Bernoulli(1/2) start.
+    is deterministic: mean_field and second_moment on a grid of
+    COMPARE_GRID_CELLS cells with the ensembles' slopes, started from the
+    moments of the lognormal Z0 = exp(W) matched to the Bernoulli(1/2) start.
     """
-    grid = build_grid(1.0, 64, *ensembles[0]["slopes"])
+    grid = build_grid(1.0, COMPARE_GRID_CELLS, *ensembles[0]["slopes"])
     she_mean = mean_field(lognormal_mean(grid.x), grid, T)
     she_m2 = second_moment(lognormal_second_moment(grid.x), grid, T)
     she_var_at = np.interp(X, grid.x, np.diag(she_m2) - she_mean ** 2)

@@ -19,7 +19,7 @@ from asepkpz.greens import c_star_estimate, green_corner_closed_form, green_matr
 from asepkpz.kernels import (build_image_expansion, halfline_robin_row, interval_kernel_image,
                              interval_kernel_spectral, kernel_bound_audit, robin_laplacian_matrix,
                              solve_interval_spectrum, _support_radius)
-from asepkpz.params import (ScalingParams, build_params, equal_density_mu,
+from asepkpz.params import (build_params, equal_density_mu,
                             params_from_mu, phase_point)
 from asepkpz.she import asep_she_compare, run_interval_ensemble, var_gap_trend
 
@@ -55,7 +55,7 @@ def sampler_rate(*ensembles) -> str:
 def test_criterion_01_gartner_drift_identity():
     with Timer() as t:
         n = 64
-        params = build_params(ScalingParams.interval(n, 1.0, 2.0))
+        params = build_params(1 / n, 1.0, 2.0)
         lattice = Lattice.interval(n)
         rng = np.random.default_rng(101)
         worst = 0.0

@@ -138,6 +138,11 @@ def test_config_validation_errors(tmp_path, capsys):
     ("params", "[run]\nthreads = abc\n", "run.threads"),
     ("params", "[run]\nthreads = 0\n", "run.threads"),
     ("compare --seed -1", "", "run.seed"),
+    # [model] is valid (mu_A = 0.99 at N = 1000), but compare runs N = 8 and 16
+    ("compare", "[model]\nn_sites = 1000\nslope_a = 10\n[compare]\ninverse_eps = 8, 16\n",
+     "compare.inverse_eps = 8"),
+    ("compare", "[model]\nslope_b = 5\n[compare]\ninverse_eps = 4, 32\n",
+     "compare.inverse_eps = 4"),
 ], ids=["inverse_eps_zero", "inverse_eps_empty", "identities_n_sites_1",
         "compare_replicas_1", "she_replicas_1", "x_points_zero", "params_n_sites_0",
         "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
@@ -148,7 +153,7 @@ def test_config_validation_errors(tmp_path, capsys):
         "simulate_sample_time_beyond_horizon", "simulate_sample_time_negative",
         "simulate_initial_unknown", "compare_t_macro_negative", "seed_not_integer",
         "seed_negative", "seed_beyond_u64", "threads_not_integer", "threads_zero",
-        "seed_flag_negative"])
+        "seed_flag_negative", "compare_size_mu_negative", "compare_size_mu_b_negative"])
 def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
     # each of these once crashed with a traceback (exit 1), failed a check on
     # NaN or overflow, or passed vacuously; exit 1 is reserved for a failed check
@@ -169,6 +174,34 @@ def test_simulate_section_checked_for_simulate_only(ini):
     cfg.read_string(ini)
     assert cli._validate(cfg, "compare") == cli._validate(cfg, "audit-all") == []
     assert [p for p in cli._validate(cfg, "simulate") if p.startswith("simulate.")]
+
+
+def test_compare_checks_the_she_grid_walls():
+    # N = 5000 admits A = 65 (mu_A = 0.987), the 64-cell SHE grid does not
+    cfg = load_config(None)
+    cfg.read_string("[model]\nn_sites = 5000\nslope_a = 65\n[compare]\ninverse_eps = 5000\n")
+    problems = cli._validate(cfg, "compare")
+    assert len(problems) == 1 and problems[0].startswith("compare: model.slope_a")
+    assert cli._validate(cfg, "params") == []
+
+
+@pytest.mark.parametrize("ini, digests", [
+    ("[model]\nslope_a = 1.0\nslope_b = 0.5\n",
+     ("9f26d498a4537edf7687f7d6320a5010dd10798d79d0d415bca43c8b8f1282e8",
+      "52c6a6cb0f19e487422c384ba40d96360fccbaef8dee4471441da4d4c7f20d8a")),
+    # the half line has no right wall: its record keeps slope_b = 0 and n_sites null
+    ("[model]\nlattice = half_line\nslope_a = 1.0\nslope_b = 0.5\n",
+     ("8eaf974c8eae77bbfca5c92288c38cebf648f66aad88b085b3d6e044d1c40bd2",
+      "76e3f37ffeab99fab5aaf6a266e18980a4695af1a6d5f87b80e4a39f3bd3006d")),
+], ids=["interval", "half_line"])
+def test_params_files_pinned(tmp_path, ini, digests):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "runs"
+    assert run_cli(["params", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    assert (sha256_file(str(run_dir / "params.json")),
+            sha256_file(str(run_dir / "expansion_audit.csv"))) == digests
 
 
 def test_params_kind_and_manifest(tmp_path):
@@ -343,6 +376,21 @@ def test_she_kind_reports_faults(tmp_path):
                                           "fault_rate": direct["fault_rate"]}
     assert direct["faulted"] == 40 - direct["n_effective"]
     assert set(manifest["files"]) == {"she_moments.csv"}
+
+
+def test_she_mean_check_fails_on_a_shifted_start(tmp_path, monkeypatch):
+    # the default config passes; started 20% above the mean field's start, the
+    # sampler's last-time mean leaves the Bonferroni line
+    for shift, code in ((1.0, 0), (1.2, 1)):
+        sample = cli.sample_she_ensemble
+        monkeypatch.setattr(cli, "sample_she_ensemble",
+                            lambda z0, *a, **k: sample(shift * z0, *a, **k))
+        out = tmp_path / f"runs{shift}"
+        assert run_cli(["she", "--seed", "9", "--out", str(out)]) == code
+        (run_dir,) = out.iterdir()
+        checks = json.loads((run_dir / "manifest.json").read_text())["checks"]
+        assert checks == {"she_mean_bonferroni_1e-3": code == 0, "she_fault_rate": True}
+        monkeypatch.undo()
 
 
 def test_green_check_fails_on_a_planted_defect(tmp_path, monkeypatch):

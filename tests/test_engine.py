@@ -9,12 +9,12 @@ from asepkpz import engine
 from asepkpz.engine import (Lattice, _harris_tables, alternating_eta, bernoulli_eta,
                             event_rates, exact_generator, replica_rng, simulate_replicas,
                             state_etas, stationary_measure)
-from asepkpz.params import (ModelParams, ScalingParams, build_params,
+from asepkpz.params import (ModelParams, build_params,
                             equal_density_mu, params_from_mu, phase_point)
 
 
 def p_interval(n, a=1.0, b=1.0):
-    return build_params(ScalingParams.interval(n, a, b))
+    return build_params(1 / n, a, b)
 
 
 def test_event_rates_exclusion_and_boundary():
@@ -69,9 +69,9 @@ def test_determinism_byte_for_byte():
     lat = Lattice.interval(16)
     init = bernoulli_eta(16, 9)
     a = simulate_replicas(lambda rng: init, p, lat, 30.0, [10.0, 30.0], 1, 1234,
-                          track_exp_integrals=(-p.lam, p.nu))
+                          track_exp_integrals=True)
     b = simulate_replicas(lambda rng: init, p, lat, 30.0, [10.0, 30.0], 1, 1234,
-                          track_exp_integrals=(-p.lam, p.nu))
+                          track_exp_integrals=True)
     assert np.array_equal(a.event_count, b.event_count)
     assert np.array_equal(a.heights, b.heights)
     assert np.array_equal(a.z_int, b.z_int)
@@ -309,7 +309,6 @@ def test_stationary_product_bernoulli_on_equal_density_line():
     eps = 0.25
     mu_b = 1.1
     p = params_from_mu(eps, equal_density_mu(eps, mu_b), mu_b)
-    assert not p.in_scaling_class  # mu_A > 1: outside the weakly asymmetric class
     pi = stationary_measure(exact_generator(p, 5))
     rho = phase_point(p).rho_a
     bern = np.prod(np.where(state_etas(5) > 0, rho, 1 - rho), axis=1)
@@ -356,7 +355,7 @@ def test_mean_current_against_flux_count():
 def test_half_line_truncation_doubling():
     # doubling the truncation length must not move statistics in a window
     # near the boundary beyond combined error bars
-    p = build_params(ScalingParams.half_line(1 / 16, 1.0))
+    p = build_params(1 / 16, 1.0)
     horizon = 8.0
 
     def occupation(length, seed):
@@ -398,7 +397,7 @@ def stream_configs():
                        lambda rng: bernoulli_eta(16, rng), 1200.0, [600.0, 1200.0], 4, 11),
         "interval12_robin": (p_interval(12, 1.0, 2.0), Lattice.interval(12),
                              lambda rng: alternating_eta(12), 300.0, [0.0, 100.0, 300.0], 3, 12),
-        "halfline24": (build_params(ScalingParams.half_line(1 / 16, 1.0)), Lattice.half_line(24),
+        "halfline24": (build_params(1 / 16, 1.0), Lattice.half_line(24),
                        lambda rng: bernoulli_eta(24, rng), 200.0, [0.0, 50.0, 200.0], 3, 13),
         "interval2": (rates, Lattice.interval(2), lambda rng: bernoulli_eta(2, rng),
                       500.0, [250.0, 500.0], 3, 14),
@@ -423,7 +422,7 @@ def test_replicas_replay_pinned_streams(name):
     # the last bits with numpy's exp/expm1
     p, lat, init, horizon, times, replicas, seed = stream_configs()[name]
     traj = simulate_replicas(init, p, lat, horizon, times, replicas, seed,
-                             track_exp_integrals=(-p.lam, p.nu))
+                             track_exp_integrals=True)
     digest, s1, s2 = PINNED_STREAMS[name]
     assert stream_digest(traj) == digest
     assert sum(float(np.sum(z)) for zs in traj.z_int for z in zs) == pytest.approx(s1, rel=1e-12)
@@ -440,20 +439,18 @@ def test_simulate_replicas_independent_of_threads_and_blocks(monkeypatch):
     n = 8
     p = p_interval(n, 1.0, 0.5)
     lat = Lattice.interval(n)
-    track = (-p.lam, p.nu)
     with monkeypatch.context() as m:
         m.setattr(engine, "_BLOCK", 1)
         single = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0],
-                                   300, 4, track_exp_integrals=track)
+                                   300, 4, track_exp_integrals=True)
     for threads in (1, 2):
         traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, lat, 6.0, [2.0, 6.0],
-                                 300, 4, track_exp_integrals=track, threads=threads)
+                                 300, 4, track_exp_integrals=True, threads=threads)
         # one replica-axis array per field
         assert traj.heights.shape == (300, 2, n + 1) and traj.heights.dtype == np.int64
         assert traj.event_count.shape == (300,) and traj.event_count.dtype == np.int64
         for z in (traj.z_int, traj.z2_int):
             assert z.shape == (300, 2, n + 1) and z.dtype == np.float64
-        assert traj.exp_integral_constants == track
         assert np.array_equal(traj.event_count, single.event_count)
         assert np.array_equal(traj.heights, single.heights)
         assert np.array_equal(traj.z_int, single.z_int)

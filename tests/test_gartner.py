@@ -7,7 +7,7 @@ import pytest
 from asepkpz.engine import Lattice, alternating_eta, bernoulli_eta, simulate_replicas
 from asepkpz.gartner import _height_moves, drift_identity_residual, rescale, z_field
 from asepkpz.kernels import interval_kernel_spectral, solve_interval_spectrum
-from asepkpz.params import ModelParams, ScalingParams, build_params
+from asepkpz.params import ModelParams, build_params
 
 
 def heights_of(eta, h0: int = 0) -> np.ndarray:
@@ -72,7 +72,7 @@ def bracket_rate(h: np.ndarray, t: float, params: ModelParams,
 
 
 def params_n(n, a=1.0, b=2.0):
-    return build_params(ScalingParams.interval(n, a, b))
+    return build_params(1 / n, a, b)
 
 
 def test_z_field_constant_and_geometric():
@@ -154,7 +154,7 @@ def test_drift_identity_large_sweep():
 
 
 def test_drift_identity_half_line():
-    p = build_params(ScalingParams.half_line(1 / 32, 1.0))
+    p = build_params(1 / 32, 1.0)
     lat = Lattice.half_line(40)
     eta = np.where(np.random.default_rng(2).random(40) < 0.5, 1, -1)
     r = drift_identity_residual(eta, p, lat)

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from asepkpz.params import (Phase, ScalingParams, build_params, params_from_mu,
+from asepkpz.params import (Phase, build_params, params_from_mu,
                             boundary_rates_from_mu, phase_point, equal_density_mu,
                             expansion_audit, ModelParams)
 
 
 def test_symmetric_degeneration():
     # eps -> 0: p = q = 1/2, lambda = nu = 0, all boundary rates 1/4
-    p = build_params(ScalingParams(epsilon=1e-12, n_sites=None, slope_a=0.0, slope_b=0.0))
+    p = build_params(1e-12, 0.0, 0.0)
     assert abs(p.p - 0.5) < 1e-6 and abs(p.q - 0.5) < 1e-6
     assert abs(p.lam) <= 1e-6 and abs(p.nu) < 1e-12
     for r in (p.alpha, p.beta, p.gamma, p.delta):
@@ -18,7 +18,7 @@ def test_symmetric_degeneration():
 
 
 def test_mu_one_rate_split():
-    p = build_params(ScalingParams.interval(32, 0.0, 0.0))
+    p = build_params(1 / 32, 0.0, 0.0)
     sp, sq = math.sqrt(p.p), math.sqrt(p.q)
     assert abs(p.alpha / p.p - sp / (sp + sq)) < 1e-14
     assert abs(p.gamma / p.q - sq / (sp + sq)) < 1e-14
@@ -26,7 +26,7 @@ def test_mu_one_rate_split():
 
 
 def test_rate_relations_exact():
-    p = build_params(ScalingParams(epsilon=0.04, n_sites=None, slope_a=1.0, slope_b=2.0))
+    p = build_params(0.04, 1.0, 2.0)
     assert abs(p.alpha / p.p + p.gamma / p.q - 1.0) <= 1e-14
     assert abs(p.beta / p.p + p.delta / p.q - 1.0) <= 1e-14
 
@@ -38,7 +38,7 @@ def test_core_invariants_random():
         amax = (1.0 - math.exp(-math.sqrt(eps))) / eps
         a = float(rng.uniform(0.0, 0.9 * amax))
         b = float(rng.uniform(0.0, 0.9 * amax))
-        p = build_params(ScalingParams(epsilon=eps, n_sites=None, slope_a=a, slope_b=b))
+        p = build_params(eps, a, b)
         assert abs(p.p * p.q - 0.25) <= 1e-15
         assert abs(p.nu - (p.p + p.q - 1.0)) <= 1e-15
         assert p.lam < 0 and p.nu >= 0
@@ -50,11 +50,9 @@ def test_density_monotonicity():
     # rho_A grows with A (expansion slope +sqrt(eps)/2); rho_B falls with B.
     eps = 1 / 64
     slopes = np.linspace(0.0, 5.0, 11)
-    rho_a = [phase_point(build_params(
-        ScalingParams(epsilon=eps, n_sites=None, slope_a=float(a), slope_b=0.0))).rho_a
+    rho_a = [phase_point(build_params(eps, float(a), 0.0)).rho_a
         for a in slopes]
-    rho_b = [phase_point(build_params(
-        ScalingParams(epsilon=eps, n_sites=None, slope_a=0.0, slope_b=float(b)))).rho_b
+    rho_b = [phase_point(build_params(eps, 0.0, float(b))).rho_b
         for b in slopes]
     assert np.all(np.diff(rho_a) > 0)
     assert np.all(np.diff(rho_b) < 0)
@@ -141,18 +139,19 @@ def test_expansion_audit_a_param_neutral_slopes():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        ScalingParams(epsilon=0.0, n_sites=None, slope_a=0.0, slope_b=0.0)
+        build_params(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        ScalingParams(epsilon=-1.0, n_sites=None, slope_a=0.0, slope_b=0.0)
+        build_params(-1.0, 0.0, 0.0)
+    # mu = 1.1 has nonnegative rates at eps = 0.1: only the slope check rejects it
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_params(0.1, -1.0, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_params(0.1, 0.0, -1.0)
     with pytest.raises(ValueError):
-        ScalingParams(epsilon=0.1, n_sites=32, slope_a=0.0, slope_b=0.0)  # eps != 1/N
-    with pytest.raises(ValueError):
-        ScalingParams(epsilon=0.1, n_sites=None, slope_a=-1.0, slope_b=0.0)
-    with pytest.raises(ValueError):
-        ScalingParams(epsilon=0.1, n_sites=None, slope_a=11.0, slope_b=0.0)  # mu <= 0
+        build_params(0.1, 11.0, 0.0)  # mu <= 0
     # negative rate: mu below exp(-sqrt(eps))
     with pytest.raises(ValueError):
-        build_params(ScalingParams(epsilon=0.04, n_sites=None, slope_a=6.0, slope_b=0.0))
+        build_params(0.04, 6.0, 0.0)
     # boundary of admissible mu range hits the division guard
     eps = 0.04
     with pytest.raises(ZeroDivisionError):
@@ -160,7 +159,7 @@ def test_validation_errors():
 
 
 def test_from_rates_roundtrip():
-    p = build_params(ScalingParams(epsilon=0.05, n_sites=None, slope_a=1.0, slope_b=2.0))
+    p = build_params(0.05, 1.0, 2.0)
     r = ModelParams.from_rates(p.p, p.q, p.alpha, p.beta, p.gamma, p.delta)
     assert abs(r.mu_a - p.mu_a) < 1e-12
     assert abs(r.mu_b - p.mu_b) < 1e-12

@@ -6,7 +6,7 @@ import pytest
 import asepkpz.engine as eng
 from asepkpz.gartner import z_field
 from asepkpz.kernels import interval_kernel_spectral
-from asepkpz.params import ScalingParams, build_params
+from asepkpz.params import build_params
 from asepkpz.she import (_robin_frequency, _step_schedule, build_grid, lognormal_mean,
                          lognormal_sampler, lognormal_second_moment, martingale_functionals,
                          mean_field, neumann_cosine,
@@ -248,12 +248,12 @@ def test_robin_frequencies_match_brentq():
 
 def test_martingale_functionals_zero_at_t0():
     n = 16
-    params = build_params(ScalingParams.interval(n, 0.0, 0.0))
+    params = build_params(1 / n, 0.0, 0.0)
     for seed in range(3):
         start = eng.bernoulli_eta(n, seed)
         tr = eng.simulate_replicas(lambda rng: start, params, eng.Lattice.interval(n), 0.0,
                                    [0.0, 0.0], 1, seed,
-                                   track_exp_integrals=(-params.lam, params.nu))
+                                   track_exp_integrals=True)
         values = martingale_functionals(tr, params, [neumann_cosine(0)], 0.0)
         assert values.tolist() == [[[0.0, 0.0]]]
     # the in-task reduction of all-zero values is defined (0 sigma), not 0/0
@@ -265,14 +265,14 @@ def test_martingale_functionals_zero_at_t0():
 def test_martingale_exact_integrals_match_trapezoid():
     n = 16
     eps = 1.0 / n
-    params = build_params(ScalingParams.interval(n, 0.0, 0.0))
+    params = build_params(1 / n, 0.0, 0.0)
     lat = eng.Lattice.interval(n)
     T = 0.05
     horizon = T / (eps * eps)
     init = eng.bernoulli_eta(n, 3)
     dense = np.linspace(0.0, horizon, 2001)
     tr = eng.simulate_replicas(lambda rng: init, params, lat, horizon, dense, 1, 5,
-                               track_exp_integrals=(-params.lam, params.nu))
+                               track_exp_integrals=True)
     zs = z_field(tr.heights[0], dense[:, None], params)
     trapezoid = np.trapezoid(zs, dense, axis=0)
     # Tolerance: on a snapshot interval of width dt the trapezoid rule misses
@@ -301,12 +301,12 @@ def test_martingale_functionals_match_per_replica_formula():
     # difference of O(1) terms, so each column is compared relative to its
     # largest entry.
     n, T, replicas = 16, 0.05, 300
-    params = build_params(ScalingParams.interval(n, 1.0, 2.0))
+    params = build_params(1 / n, 1.0, 2.0)
     eps = params.epsilon
     horizon = T * n * n
     traj = eng.simulate_replicas(lambda rng: eng.bernoulli_eta(n, rng), params,
                                  eng.Lattice.interval(n), horizon, [0.0, horizon], replicas, 21,
-                                 track_exp_integrals=(-params.lam, params.nu))
+                                 track_exp_integrals=True)
     phis = [robin_test_function(1.0, 2.0, k) for k in (0, 1, 2)]
     values = martingale_functionals(traj, params, phis, T)
     assert values.shape == (replicas, 3, 2)
