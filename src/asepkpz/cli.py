@@ -22,6 +22,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -138,16 +139,36 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """One `%` template per file, typed by the first row: "%.17g" is `fmt` of a
-    float and "%s" of anything else; a row of other value types takes `fmt`.
-    The file is written in one call."""
-    types = [type(v) for v in rows[0]] if rows else []
-    line = ",".join("%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+class Blocks:
+    """Rows for `write_csv` as blocks (lead, columns): the rows (*lead, *rest),
+    rest running down columns, equal-length sequences of one value type each
+    (a numpy column's `.tolist()`, a range).  Iterates as those rows."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+
+    def __iter__(self):
+        return ((*lead, *rest) for lead, columns in self.blocks for rest in zip(*columns))
+
+
+def _fill(line: str, columns) -> str:
+    """The `%` template line once per row, filled down columns in one `%`."""
+    return (line * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Writes rows, a `Blocks` or a list of rows, in one call.  Each block's
+    lead is formatted once by `fmt`, and its body comes from `_fill` of one
+    template typed by its first row: "%.17g" for a float, "%s" for anything
+    else.  A row list is the lead-free blocks of its runs of rows with the same
+    value types.  The bytes equal those of `fmt` on each value."""
+    blocks = rows.blocks if isinstance(rows, Blocks) else [
+        ((), list(zip(*run))) for _, run in itertools.groupby(rows, lambda r: list(map(type, r)))]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n" + "".join(
-            line % tuple(row) if list(map(type, row)) == types
-            else ",".join(fmt(v) for v in row) + "\n" for row in rows))
+            _fill("".join(fmt(v) + "," for v in lead).replace("%", "%%") + ",".join(
+                "%.17g" if isinstance(c[0], float) else "%s" for c in columns) + "\n", columns)
+            for lead, columns in blocks))
 
 
 COMPARE_COLUMNS = ["epsilon", "T", "X", "asep_mean", "she_mean", "mean_gap",
@@ -399,7 +420,7 @@ def run_params(cfg, out, seed, threads, checks):
         },
     }
     with open(os.path.join(out, "params.json"), "w") as fh:
-        json.dump(manifest_data, fh, indent=2)
+        fh.write(json.dumps(manifest_data, indent=2))
     rows = expansion_audit([params.epsilon / 4 ** i for i in range(3)],
                            scaling["slope_a"], scaling["slope_b"])
     write_csv(os.path.join(out, "expansion_audit.csv"),
@@ -425,21 +446,17 @@ def run_simulate(cfg, out, seed, threads, checks):
                              sample_micro, replicas, seed, threads=threads)
     wall_s = time.perf_counter() - t0
     slopes = np.diff(traj.heights, axis=-1)
-    for r in range(min(replicas, 8)):  # full dumps for the first few
-        rows_eta, rows_h = [], []
-        for t, eta, h in zip(traj.sample_times, slopes[r], traj.heights[r]):
-            rows_eta.extend([t, x + 1, int(e)] for x, e in enumerate(eta))
-            rows_h.extend([t, x, int(v)] for x, v in enumerate(h))
-        write_csv(os.path.join(out, f"trajectory_eta_r{r:03d}.csv"),
-                  ["time", "site", "eta"], rows_eta)
-        write_csv(os.path.join(out, f"trajectory_heights_r{r:03d}.csv"),
-                  ["time", "site", "h"], rows_h)
+    times, sites = traj.sample_times.tolist(), range(lattice.n_heights)
+    for r in range(min(replicas, 8)):  # full dumps for the first few, a block per time
+        write_csv(os.path.join(out, f"trajectory_eta_r{r:03d}.csv"), ["time", "site", "eta"],
+                  Blocks(((t,), (sites[1:], eta)) for t, eta in zip(times, slopes[r].tolist())))
+        write_csv(os.path.join(out, f"trajectory_heights_r{r:03d}.csv"), ["time", "site", "h"],
+                  Blocks(((t,), (sites, h)) for t, h in zip(times, traj.heights[r].tolist())))
     # mean scaled field over replicas, exported on the macroscopic grid
     X = np.arange(lattice.n_heights) * eps
     mean = rescale(traj, params, sample_macro, X).mean(axis=0)
     write_csv(os.path.join(out, "scaled_field_mean.csv"), ["T", "X", "value"],
-              [[t_mac, X[j], mean[i, j]] for i, t_mac in enumerate(sample_macro)
-               for j in range(len(X))])
+              Blocks(((t_mac,), (X.tolist(), m)) for t_mac, m in zip(sample_macro, mean.tolist())))
     # every snapshot of every replica is a height function: slopes +-1
     checks["height_consistency"] = bool(np.all(np.abs(slopes) == 1))
     return {"sampler": [_sampler_metrics(f"{lattice.kind} n={lattice.n_sites}", replicas,
@@ -452,9 +469,11 @@ def run_kernel(cfg, out, seed, threads, checks):
     n = lattice.n_sites
     spec = solve_interval_spectrum(n, params.mu_a, params.mu_b)
     write_csv(os.path.join(out, "spectrum.csv"), ["k", "omega", "lambda"],
-              [[k, spec.omegas[k], spec.lambdas[k]] for k in range(n + 1)])
-    np.savetxt(os.path.join(out, "eigvecs.txt"), spec.eigvecs)
-    rows = []
+              Blocks([((), (range(n + 1), spec.omegas.tolist(), spec.lambdas.tolist()))]))
+    with open(os.path.join(out, "eigvecs.txt"), "w") as fh:  # np.savetxt's bytes
+        fh.write(_fill(" ".join(["%.18e"] * (n + 1)) + "\n", spec.eigvecs.T.tolist()))
+    xy = [c.tolist() for c in np.divmod(np.arange((n + 1) ** 2), n + 1)]
+    blocks = []
     depth = cfg["kernel"].getint("depth")
     expansion = build_image_expansion(n, params.mu_a, params.mu_b, depth)
     ok = True
@@ -463,13 +482,13 @@ def run_kernel(cfg, out, seed, threads, checks):
         gap = float(np.max(np.abs(ker - interval_kernel_image(expansion, t))))
         ok &= (gap <= 1e-8 and float(np.max(np.abs(ker - ker.T))) <= 1e-10
                and ker.min() >= -1e-12)
-        rows.extend([t, x, y, v] for x, row in enumerate(ker.tolist()) for y, v in enumerate(row))
-    write_csv(os.path.join(out, "kernel.csv"), ["t", "x", "y", "value"], rows)
+        blocks.append(((t,), (*xy, ker.ravel().tolist())))
+    write_csv(os.path.join(out, "kernel.csv"), ["t", "x", "y", "value"], Blocks(blocks))
     t0 = time.perf_counter()
     audits = kernel_bound_audit(spec, params.epsilon)
     bound_audit_s = time.perf_counter() - t0
     with open(os.path.join(out, "bound_audits.json"), "w") as fh:
-        json.dump([a.as_dict() for a in audits], fh, indent=2)
+        fh.write(json.dumps([a.as_dict() for a in audits], indent=2))
     checks["image_vs_spectral"] = ok
     checks["bound_audits_stable"] = all(a.stable for a in audits)
     return {"kernel": {"bound_audit_s": bound_audit_s}}
@@ -537,8 +556,9 @@ def run_she(cfg, out, seed, threads, checks):
     stats = sample_she_ensemble(z0, grid, replicas, seed, times, threads=threads)
     mfs = [mean_field(z0, grid, t) for t in times]
     write_csv(os.path.join(out, "she_moments.csv"), ["T", "X", "mean", "se", "mean_field"],
-              [[t, x, stats["mean"][i][j], stats["std_error"][i][j], mfs[i][j]]
-               for i, t in enumerate(times) for j, x in enumerate(grid.x)])
+              Blocks(((t,), (grid.x.tolist(), stats["mean"][i].tolist(),
+                             stats["std_error"][i].tolist(), mfs[i].tolist()))
+                     for i, t in enumerate(times)))
     # the last time's sample mean against the mean field, each point in units of
     # its exact standard error (from the scheme's own two-point function), all
     # points at the Bonferroni line of a family-wise false-alarm rate of 1e-3
@@ -569,7 +589,7 @@ def run_compare(cfg, out, seed, threads, checks):
     write_compare_csv(os.path.join(out, "compare.csv"), rows)
     diag = max(ensembles, key=lambda e: e["eps"])["martingale"]
     with open(os.path.join(out, "diagnostics.json"), "w") as fh:
-        json.dump(diag, fh, indent=2)
+        fh.write(json.dumps(diag, indent=2))
     checks["martingale_mean_3sigma"] = all(r["z_N"] <= 3.0 for r in diag)
     checks["martingale_gap_3sigma"] = all(r["z_gap"] <= 3.0 for r in diag)
     for r in rows:
@@ -703,7 +723,7 @@ def _write_manifest(cfg, kind, seed, threads, out, checks, t0, status, metrics):
     }
     tmp = os.path.join(out, "manifest.json.tmp")
     with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        fh.write(json.dumps(manifest, indent=2))
     os.replace(tmp, os.path.join(out, "manifest.json"))
 
 

@@ -203,11 +203,9 @@ def solve_interval_spectrum(n: int, mu_a: float, mu_b: float) -> SpectralData:
             mid = 0.5 * (lo + hi)
             val = _secular(mid, n, mu_a, mu_b)
             same = np.sign(val) == left_sign   # an exact root (sign 0) moves hi
-            new_lo = np.where(same, mid, lo)
-            new_hi = np.where(~same, mid, hi)
-            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            if (mid == np.where(same, lo, hi)).all():  # the end mid would replace is mid
                 break
-            lo, hi = new_lo, new_hi
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
         omegas = 0.5 * (lo + hi)
         if not (np.all(omegas > 0) and np.all(omegas < np.pi)):
             raise RuntimeError("bracketing failure: root escaped (0, pi); check mu values")

@@ -12,6 +12,7 @@ from asepkpz import cli
 from asepkpz.cli import (config_hash, fmt, load_config, main, sha256_file, write_compare_csv,
                          write_csv)
 from asepkpz.engine import simulate_replicas
+from asepkpz.kernels import solve_interval_spectrum
 from asepkpz.she import asep_she_compare, build_grid, run_interval_ensemble, sample_she_ensemble
 
 from conftest import openblas_thread_setter
@@ -53,6 +54,18 @@ def test_write_csv_rows_of_other_types(tmp_path):
     assert Path(path).read_text() == "i,x,s,b,y\n"
     write_csv(path, ["i", "x", "s", "b", "y"], rows)
     assert Path(path).read_text().splitlines()[2].startswith("0.10000000000000001,0.5,b,False,")
+
+
+def test_write_csv_blocks_match_per_value_writer(tmp_path):
+    # a lead is written once per block, "%" in it kept literally; a block with
+    # no lead and one after it with an int lead type their own templates
+    rows = cli.Blocks([(("a%s", 0.1), (range(3), [0.5, 1 / 3, np.nan])),
+                       ((), ([True], ["b"], [2], [-0.0])), ((7,), ([1, 2], ["%d", "x"], [3, 4]))])
+    path, ref = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    write_csv(path, ["s", "t", "x", "v"], rows)
+    write_csv_per_value(ref, ["s", "t", "x", "v"], rows)
+    assert Path(path).read_bytes() == Path(ref).read_bytes()
+    assert Path(path).read_text().splitlines()[1] == "a%s,0.10000000000000001,0,0.5"
 
 
 def test_cli_csvs_match_per_value_writer(tmp_path, monkeypatch):
@@ -259,6 +272,47 @@ def test_audit_all_bound_audits_pinned(tmp_path):
         "ccb85dc9b6fdf38c9c824e36334f1b28e267caa71093c029731a9979b322f753")
     assert sha256_file(str(run_dir / "identities.json")) == (
         "46ccbcd200f0f201a8b9f6884cc4825a39ab90f9c9d2e1d495be657ce2c91de6")
+    assert [sha256_file(str(run_dir / name))
+            for name in ("kernel.csv", "spectrum.csv", "eigvecs.txt")] == [
+        "5e7e95de8424fd4d75e479c384786a485022d31ff9244803bfde3909a7a635ad",
+        "a6d8345cc8d3f86f41760c4b65333aa81928c3bf9427e5c9548875b3596336e5",
+        "a37ea5e6b8073a997c22e97d5ca716e9244dabe7eb2fba782fd851f5d5ff2504"]
+
+
+@pytest.mark.parametrize("ini, digests", [
+    ("[run]\nreplicas = 3\n[model]\nn_sites = 12\n",
+     ["c1c5966060acfe00d4bc1beaf830fee4fc13f9b043530d4fe42198b33fd02a8f",
+      "0813df2d9d34063766ae0cd9461ee0aedd81b78a242e97b796c137e1d3eb5d6d",
+      "85dd318c98ab1ad83a810d632cccac9da5ea91f01abc83ebd7299c1b8a7f7633"]),
+    ("[run]\nreplicas = 2\n[model]\nlattice = half_line\nepsilon = 0.125\ntruncation = 16\n"
+     "slope_a = 1.0\n",
+     ["3bbcc8a7cb258a5583a605da45f746887ac1817a5c589906d02252db473fdf5b",
+      "c08324b4b961ca34f2545530d9e177d37d65e3fd86e9151ea65208e547823b9c",
+      "0b974b6585919b1096f7ae697ccd6fb27b39aa05c15619e1c35b33b0b9ef5180"]),
+], ids=["interval", "half_line"])
+def test_simulate_files_pinned(tmp_path, ini, digests):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini + "[simulate]\nhorizon_macro = 0.05\nsample_times = 0.0, 0.05\n")
+    out = tmp_path / "runs"
+    assert run_cli(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    assert [sha256_file(str(run_dir / name)) for name in (
+        "trajectory_eta_r000.csv", "trajectory_heights_r001.csv",
+        "scaled_field_mean.csv")] == digests
+
+
+@pytest.mark.parametrize("n", [1, 16, 100])
+def test_eigvecs_txt_matches_savetxt(tmp_path, n):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[model]\nn_sites = {n}\nslope_a = 0.5\nslope_b = 0.25\n"
+                   "[kernel]\ntimes = 0.1\n")
+    out = tmp_path / "runs"
+    assert run_cli(["kernel", "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    ref = tmp_path / "ref.txt"
+    spec = solve_interval_spectrum(n, 1.0 - (1.0 / n) * 0.5, 1.0 - (1.0 / n) * 0.25)
+    np.savetxt(ref, spec.eigvecs)
+    assert (run_dir / "eigvecs.txt").read_bytes() == ref.read_bytes()
 
 
 def test_simulate_kind_hash_stable_across_threads(tmp_path):
