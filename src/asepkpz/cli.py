@@ -45,72 +45,101 @@ from .params import (build_params, equal_density_mu, expansion_audit, params_fro
 from .she import (COMPARE_GRID_CELLS, asep_she_compare, build_grid, mean_field,
                   run_interval_ensemble, sample_she_ensemble, second_moment, var_gap_trend)
 
-DEFAULTS = """\
-[run]
-; master seed for every stochastic component, an integer in [0, 2^64)
-seed = 20240901
-; number of independent replicas for Monte Carlo kinds
-replicas = 200
-; worker threads, >= 1; results are thread-count invariant;
-; the ASEP kinds gain no speed from more threads, the option shows the invariance
-threads = 1
-; output root; the run lands in <out>/<config-hash>/
-out = runs
-
-[model]
-; interval lattice size; epsilon = 1/n_sites exactly
-n_sites = 32
-; Robin slopes (mu = 1 - eps*slope)
-slope_a = 0.0
-slope_b = 0.0
-; lattice kind: interval | half_line
-lattice = interval
-; half-line only: free epsilon and truncation length
-epsilon = 0.03125
-truncation = 128
-
-[simulate]
-; macroscopic horizon T (microscopic horizon = T / eps^2)
-horizon_macro = 0.1
-; macroscopic sample times, comma separated
-sample_times = 0.0, 0.05, 0.1
-; initial condition: bernoulli_half | alternating
-initial = bernoulli_half
-
-[kernel]
-; kernel dump times (microscopic)
-times = 1.0, 10.0
-; image-expansion depth
-depth = 6
-
-[identities]
-; lattice size for the interval identities
-n_sites = 100
-slope_a = 1.0
-slope_b = 1.0
-; c-star audit size and horizon
-cstar_n = 32
-cstar_tbar = 1.0
-
-[she]
-; grid cells (mu = 1 - slope/m at each wall) and output times
-m = 32
-output_times = 0.05, 0.1
-
-[compare]
-; epsilon list as inverse sizes, comma separated
-inverse_eps = 32, 64
-t_macro = 0.1
-x_points = 9
-"""
-
-
-class ConfigError(Exception):
-    pass
+# [simulate] initial -> the start of a replica of n sites drawn from its stream
+_INITIAL = {"bernoulli_half": bernoulli_eta, "alternating": lambda n, rng: alternating_eta(n)}
 
 
 def _parse_list(s: str, cast=float) -> list:
     return [cast(tok.strip()) for tok in s.split(",") if tok.strip()]
+
+
+_ALL = ("params", "simulate", "kernel", "identities", "she", "compare", "audit-all")
+_MODEL = tuple(k for k in _ALL if k != "identities")
+_SHE_M = "she.m must be >= 8 and leave mu = 1 - slope/m in (0, 1]"
+
+# One row per config key: (section, key, default as written, type, the kinds that
+# check it, its bound as a predicate on the parsed value or None, the rule reported
+# when the bound fails, {value} being the value, and in [run] also when the value
+# does not parse (elsewhere that reports "section: error"), its comment).  A [model]
+# key that one lattice alone reads names its kinds per lattice.  DEFAULTS is written
+# from the rows, and `_validate` parses and bounds the rows of the kind it checks.
+KEYS = [
+    ("run", "seed", "20240901", int, _ALL, lambda v: 0 <= v < 2 ** 64,
+     "run.seed must be an integer in [0, 2^64)",
+     "master seed for every stochastic component, an integer in [0, 2^64)"),
+    # the minimum depends on the kind (`_validate`)
+    ("run", "replicas", "200", int, _ALL, None, "run.replicas must be an integer",
+     "number of independent replicas for Monte Carlo kinds"),
+    ("run", "threads", "1", int, _ALL, lambda v: v >= 1, "run.threads must be an integer >= 1",
+     "worker threads, >= 1; results are thread-count invariant;\n"
+     "the ASEP kinds gain no speed from more threads, the option shows the invariance"),
+    ("run", "out", "runs", str, _ALL, None, None,
+     "output root; the run lands in <out>/<config-hash>/"),
+    ("model", "n_sites", "32", int, {"interval": _MODEL}, lambda n: n >= 1,
+     "model: n_sites must be >= 1", "interval lattice size; epsilon = 1/n_sites exactly"),
+    ("model", "slope_a", "0.0", float, _MODEL, None, None, "Robin slopes (mu = 1 - eps*slope)"),
+    # she and compare read both slopes for their SHE grids on either lattice
+    ("model", "slope_b", "0.0", float, {"interval": _MODEL, "half_line": ("she", "compare")},
+     None, None, ""),
+    ("model", "lattice", "interval", str, _MODEL, lambda v: v in ("interval", "half_line"),
+     "model: unknown lattice kind {value!r}", "lattice kind: interval | half_line"),
+    ("model", "epsilon", "0.03125", float, {"half_line": _MODEL}, None, None,
+     "half-line only: free epsilon and truncation length"),
+    ("model", "truncation", "128", int, {"half_line": _MODEL}, None, None, ""),
+    ("simulate", "horizon_macro", "0.1", float, ("simulate",), lambda h: not h < 0,
+     "simulate.horizon_macro must be >= 0",
+     "macroscopic horizon T (microscopic horizon = T / eps^2)"),
+    ("simulate", "sample_times", "0.0, 0.05, 0.1", _parse_list, ("simulate",),
+     lambda ts: not any(b < a for a, b in zip(ts, ts[1:])),
+     "simulate.sample_times must be nondecreasing", "macroscopic sample times, comma separated"),
+    ("simulate", "initial", "bernoulli_half", str, ("simulate",), lambda v: v in _INITIAL,
+     "simulate.initial must be one of " + ", ".join(_INITIAL),
+     "initial condition: bernoulli_half | alternating"),
+    ("kernel", "times", "1.0, 10.0", _parse_list, ("kernel", "audit-all"),
+     lambda ts: not any(t < 0 for t in ts), "kernel.times must be >= 0",
+     "kernel dump times (microscopic)"),
+    ("kernel", "depth", "6", int, ("kernel", "audit-all"), lambda d: d >= 1,
+     "kernel.depth must be >= 1", "image-expansion depth"),
+    # the key identity is read at sites n/2 and n/2 + 1 of the N x N matrix F
+    ("identities", "n_sites", "100", int, ("identities", "audit-all"), lambda n: n >= 3,
+     "identities.n_sites must be >= 3", "lattice size for the interval identities"),
+    ("identities", "slope_a", "1.0", float, ("identities", "audit-all"), None, None, ""),
+    ("identities", "slope_b", "1.0", float, ("identities", "audit-all"), None, None, ""),
+    # c-star is a maximum over the bulk sites 1..n-1 up to time tbar
+    ("identities", "cstar_n", "32", int, ("identities", "audit-all"), lambda n: n >= 2,
+     "identities.cstar_n must be >= 2: c-star needs a bulk site",
+     "c-star audit size and horizon"),
+    ("identities", "cstar_tbar", "1.0", float, ("identities", "audit-all"), lambda t: t > 0,
+     "identities.cstar_tbar must be > 0", ""),
+    ("she", "m", "32", int, ("she",), lambda m: m >= 8, _SHE_M,
+     "grid cells (mu = 1 - slope/m at each wall) and output times"),
+    ("she", "output_times", "0.05, 0.1", _parse_list, ("she",),
+     lambda ts: ts and not ts[0] < 0 and not any(b < a for a, b in zip(ts, ts[1:])),
+     "she.output_times must list times >= 0, nondecreasing", ""),
+    ("compare", "inverse_eps", "32, 64", lambda s: _parse_list(s, int), ("compare",),
+     lambda inv: inv and min(inv) >= 1, "compare.inverse_eps must list one or more sizes >= 1",
+     "epsilon list as inverse sizes, comma separated"),
+    ("compare", "t_macro", "0.1", float, ("compare",), lambda t: not t < 0,
+     "compare.t_macro must be >= 0", ""),
+    ("compare", "x_points", "9", int, ("compare",), lambda x: x >= 1,
+     "compare.x_points must be >= 1", ""),
+]
+
+DEFAULTS = "\n".join(
+    f"[{section}]\n" + "".join("".join(f"; {line}\n" for line in comment.splitlines())
+                               + f"{key} = {default}\n"
+                               for sec, key, default, *_, comment in KEYS if sec == section)
+    for section in dict.fromkeys(row[0] for row in KEYS))
+
+
+def _rows(kind: str, lattice: str) -> list:
+    """The KEYS rows that `kind` checks on `lattice`."""
+    return [row for row in KEYS
+            if kind in (row[4].get(lattice, ()) if isinstance(row[4], dict) else row[4])]
+
+
+class ConfigError(Exception):
+    pass
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
@@ -261,28 +290,20 @@ def _sampler_metrics(stage: str, replicas: int, rings: int, events: int,
 
 
 def _model_from_config(cfg) -> tuple:
-    """(params, lattice, scaling) of [model]; scaling is the params.json record
-    of (epsilon, n_sites, slope_a, slope_b).  On the interval epsilon = 1/N;
-    the half line has n_sites None and slope_b 0, whatever [model] says."""
+    """(params, lattice, scaling) of [model], checked by `_validate`; scaling is
+    the params.json record of (epsilon, n_sites, slope_a, slope_b).  On the
+    interval epsilon = 1/N; the half line has n_sites None and slope_b 0,
+    whatever [model] says."""
     sec = cfg["model"]
-    kind = sec.get("lattice", "interval")
-    if kind == "interval":
+    if sec["lattice"] == "interval":
         n = sec.getint("n_sites")
-        if n < 1:  # before 1/n
-            raise ValueError("n_sites must be >= 1")
         eps, slope_b, lattice = 1.0 / n, sec.getfloat("slope_b"), Lattice.interval(n)
-    elif kind == "half_line":
+    else:
         n, slope_b = None, 0.0
         eps, lattice = sec.getfloat("epsilon"), Lattice.half_line(sec.getint("truncation"))
-    else:
-        raise ConfigError(f"unknown lattice kind {kind!r}")
     scaling = {"epsilon": eps, "n_sites": n, "slope_a": sec.getfloat("slope_a"),
                "slope_b": slope_b}
     return build_params(eps, scaling["slope_a"], slope_b), lattice, scaling
-
-
-# [simulate] initial -> the start of a replica of n sites drawn from its stream
-_INITIAL = {"bernoulli_half": bernoulli_eta, "alternating": lambda n, rng: alternating_eta(n)}
 
 
 def _identities_mus(sec) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -293,114 +314,63 @@ def _identities_mus(sec) -> tuple[tuple[float, float], tuple[float, float]]:
     return tuple(1.0 - (1.0 / n) * a for a in slopes), tuple(1.0 - a / ncs for a in slopes)
 
 
-def _run_settings(cfg, seed: int | None, threads: int | None) -> tuple:
-    """(seed, threads, problems): each from its flag where one is given, else
-    from [run]; the seed must be an integer in [0, 2^64), threads one >= 1."""
-    values, problems = [], []
-    for name, flag, lo, hi, rule in (("seed", seed, 0, 2 ** 64, "an integer in [0, 2^64)"),
-                                     ("threads", threads, 1, float("inf"), "an integer >= 1")):
+def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str]]:
+    """(values, problems): values[section, key] for each KEYS row that `kind`
+    checks, parsed from cfg or taken from flags[section, key] where that is not
+    None, and held to its bound; then the checks that span keys, on the values
+    that passed."""
+    v, problems, failed = {}, [], set()
+    for sec, key, _, cast, _, ok, rule, _ in _rows(kind, cfg["model"]["lattice"]):
+        value = (flags or {}).get((sec, key))
         try:
-            value = flag if flag is not None else cfg["run"].getint(name)
-        except ValueError:
-            value = None
-        if value is None or not lo <= value < hi:
-            problems.append(f"run.{name} must be {rule}")
-        values.append(value)
-    return (*values, problems)
-
-
-def _validate(cfg, kind: str) -> list[str]:
-    problems = []
-    try:
-        need, why = {"compare": (4, " for compare: the variance error needs two batches of two"),
-                     "she": (2, " for she: a standard error needs two")}.get(kind, (1, ""))
-        if cfg["run"].getint("replicas") < need:
-            problems.append(f"run.replicas must be >= {need}{why}")
-    except ValueError:
-        problems.append("run.replicas must be an integer")
+            value = cast(cfg[sec][key]) if value is None else value
+        except ValueError as exc:
+            problems.append(rule if sec == "run" else f"{sec}: {exc}")
+            failed.add(sec)
+            continue
+        if ok is None or ok(value):
+            v[sec, key] = value
+        else:
+            problems.append(rule.format(value=value))
+            failed.add(sec)
+    need, why = {"compare": (4, " for compare: the variance error needs two batches of two"),
+                 "she": (2, " for she: a standard error needs two")}.get(kind, (1, ""))
+    if v.get(("run", "replicas"), need) < need:
+        problems.append(f"run.replicas must be >= {need}{why}")
     lattice = None
-    if kind in ("params", "simulate", "compare", "audit-all", "she", "kernel"):
+    if kind in _MODEL and "model" not in failed:
         try:
             lattice = _model_from_config(cfg)[1]
-        except (ValueError, ConfigError) as exc:
+        except ValueError as exc:
             problems.append(f"model: {exc}")
-    if kind in ("kernel", "audit-all"):
-        try:
-            times, depth = _parse_list(cfg["kernel"]["times"]), cfg["kernel"].getint("depth")
-            if depth < 1:
-                problems.append("kernel.depth must be >= 1")
-            elif any(t < 0 for t in times):
-                problems.append("kernel.times must be >= 0")
-            elif lattice is not None and not all(
-                    image_depth_suffices(lattice.n_sites, depth, t) for t in times):
-                problems.append(f"kernel.times must lie within the reach of depth-{depth} "
-                                f"images at n = {lattice.n_sites}")
-        except ValueError as exc:
-            problems.append(f"kernel: {exc}")
-    if kind == "simulate":
-        try:
-            horizon = cfg["simulate"].getfloat("horizon_macro")
-            if horizon < 0:
-                problems.append("simulate.horizon_macro must be >= 0")
-            st = _parse_list(cfg["simulate"]["sample_times"])
-            if any(b < a for a, b in zip(st, st[1:])):
-                problems.append("simulate.sample_times must be nondecreasing")
-            elif st and not 0.0 <= st[0] <= st[-1] <= horizon:
-                problems.append("simulate.sample_times must lie in [0, horizon_macro]")
-            if cfg["simulate"].get("initial") not in _INITIAL:
-                problems.append(f"simulate.initial must be one of {', '.join(_INITIAL)}")
-        except ValueError as exc:
-            problems.append(f"simulate: {exc}")
-    if kind == "compare":
-        try:
-            if cfg["compare"].getfloat("t_macro") < 0:
-                problems.append("compare.t_macro must be >= 0")
-            inv = _parse_list(cfg["compare"]["inverse_eps"], int)
-            if not inv or min(inv) < 1:
-                problems.append("compare.inverse_eps must list one or more sizes >= 1")
-            if cfg["compare"].getint("x_points") < 1:
-                problems.append("compare.x_points must be >= 1")
-            # the models compare runs: one per size, and the SHE grid's walls
-            slopes = [cfg["model"].getfloat(s) for s in ("slope_a", "slope_b")]
-            for n in (n for n in inv if n >= 1):  # smaller sizes are reported above
-                try:
-                    build_params(1.0 / n, *slopes)
-                except ValueError as exc:
-                    problems.append(f"compare.inverse_eps = {n}: {exc}")
-            if not all(0.0 < 1.0 - (1.0 / COMPARE_GRID_CELLS) * a <= 1.0 for a in slopes):
-                problems.append(f"compare: model.slope_a, slope_b must leave mu = 1 - slope/"
-                                f"{COMPARE_GRID_CELLS} in (0, 1] on the SHE grid")
-        except ValueError as exc:
-            problems.append(f"compare: {exc}")
-    if kind == "she":
-        try:
-            m, times = cfg["she"].getint("m"), _parse_list(cfg["she"]["output_times"])
-            if m < 8 or not all(0.0 < 1.0 - (1.0 / m) * cfg["model"].getfloat(s) <= 1.0
-                                for s in ("slope_a", "slope_b")):  # build_grid's mu
-                problems.append("she.m must be >= 8 and leave mu = 1 - slope/m in (0, 1]")
-            if not times or times[0] < 0 or any(b < a for a, b in zip(times, times[1:])):
-                problems.append("she.output_times must list times >= 0, nondecreasing")
-        except ValueError as exc:
-            problems.append(f"she: {exc}")
-    if kind in ("identities", "audit-all"):
-        try:
-            sec = cfg["identities"]
-            n, ncs = sec.getint("n_sites"), sec.getint("cstar_n")
-            # the key identity is read at sites n/2 and n/2 + 1 of the N x N matrix F
-            if n < 3:
-                problems.append("identities.n_sites must be >= 3")
-            # c-star is a maximum over the bulk sites 1..n-1 up to time tbar
-            if ncs < 2:
-                problems.append("identities.cstar_n must be >= 2: c-star needs a bulk site")
-            if not sec.getfloat("cstar_tbar") > 0:
-                problems.append("identities.cstar_tbar must be > 0")
-            key, cstar = _identities_mus(sec) if n >= 3 and ncs >= 2 else ((), ())
-            if not all(0.0 <= mu <= 1.0 for mu in key + cstar) or key == (1.0, 1.0):
-                problems.append("identities.slope_a, slope_b must leave mu = 1 - slope/n in "
-                                "[0, 1] and not 1 at both walls (F needs a spectral gap)")
-        except ValueError as exc:
-            problems.append(f"identities: {exc}")
-    return problems
+    if lattice is not None and ("kernel", "times") in v and ("kernel", "depth") in v:
+        depth = v["kernel", "depth"]
+        if not all(image_depth_suffices(lattice.n_sites, depth, t) for t in v["kernel", "times"]):
+            problems.append(f"kernel.times must lie within the reach of depth-{depth} "
+                            f"images at n = {lattice.n_sites}")
+    st, horizon = v.get(("simulate", "sample_times")), v.get(("simulate", "horizon_macro"))
+    if st and horizon is not None and not 0.0 <= st[0] <= st[-1] <= horizon:
+        problems.append("simulate.sample_times must lie in [0, horizon_macro]")
+    slopes = [v.get(("model", s)) for s in ("slope_a", "slope_b")]
+    if kind == "compare" and None not in slopes:
+        # the models compare runs: one per size, and the SHE grid's walls
+        for n in v.get(("compare", "inverse_eps"), ()):
+            try:
+                build_params(1.0 / n, *slopes)
+            except ValueError as exc:
+                problems.append(f"compare.inverse_eps = {n}: {exc}")
+        if not all(0.0 < 1.0 - (1.0 / COMPARE_GRID_CELLS) * a <= 1.0 for a in slopes):
+            problems.append(f"compare: model.slope_a, slope_b must leave mu = 1 - slope/"
+                            f"{COMPARE_GRID_CELLS} in (0, 1] on the SHE grid")
+    if ("she", "m") in v and None not in slopes and not all(  # build_grid's mu
+            0.0 < 1.0 - (1.0 / v["she", "m"]) * a <= 1.0 for a in slopes):
+        problems.append(_SHE_M)
+    if all(("identities", k) in v for k in ("n_sites", "cstar_n", "slope_a", "slope_b")):
+        key, cstar = _identities_mus(cfg["identities"])
+        if not all(0.0 <= mu <= 1.0 for mu in key + cstar) or key == (1.0, 1.0):
+            problems.append("identities.slope_a, slope_b must leave mu = 1 - slope/n in "
+                            "[0, 1] and not 1 at both walls (F needs a spectral gap)")
+    return v, problems
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +632,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    seed, threads, problems = _run_settings(cfg, args.seed, args.threads)
-    problems += _validate(cfg, args.kind)
+    values, problems = _validate(cfg, args.kind,
+                                 {("run", "seed"): args.seed, ("run", "threads"): args.threads})
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
+    seed, threads = values["run", "seed"], values["run", "threads"]
 
     out_root = args.out if args.out is not None else cfg["run"].get("out")
     digest = config_hash(cfg, args.kind, seed)
@@ -683,7 +654,7 @@ def main(argv=None) -> int:
     status = "complete"
     try:
         metrics = KINDS[args.kind](cfg, out, seed, threads, checks)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         status = "incomplete"
         _write_manifest(cfg, args.kind, seed, threads, out, checks, t0, status, None)

@@ -37,7 +37,6 @@ __all__ = [
     "simulate_replicas",
     "state_etas",
     "exact_generator",
-    "stationary_measure",
     "bernoulli_eta",
     "alternating_eta",
     "replica_rng",
@@ -446,8 +445,8 @@ def exact_generator(params: ModelParams, n: int, lattice: Lattice | None = None)
     off-diagonal entry, and each diagonal entry is minus the left-to-right
     sum of its row's moves: bonds, left reservoir, right one.  At N = 1 both
     reservoirs flip the one site and their entries add.  N is capped at 12
-    (2^12 states, the limit of `stationary_measure`); a larger N raises
-    ValueError before anything is allocated.
+    (a dense 2^12 x 2^12 matrix of 128 MiB); a larger N raises ValueError
+    before anything is allocated.
     """
     if n > 12:
         raise ValueError(f"dense generator limited to 2^12 states, got 2^{n}")
@@ -467,26 +466,6 @@ def exact_generator(params: ModelParams, n: int, lattice: Lattice | None = None)
     Q = np.zeros((1 << n, 1 << n))
     np.add.at(Q, (np.broadcast_to(states[:, None], vals.shape), cols), vals)
     return Q
-
-
-def stationary_measure(generator: np.ndarray) -> np.ndarray:
-    """pi with pi Q = 0 for a dense generator, solved with a normalization row
-    (at most 2^12 states); the tests' stationary oracle (the CLI checks a
-    candidate measure's residual instead)."""
-    m = generator.shape[0]
-    if m > 1 << 12:
-        raise ValueError(f"dense stationary solve limited to 2^12 states, got {m}")
-    Q = np.asarray(generator, dtype=float)
-    A = Q.T.copy()
-    A[-1, :] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
-    resid = float(np.max(np.abs(pi @ Q)))
-    if resid > 1e-12:
-        raise np.linalg.LinAlgError(f"stationary solve residual {resid:.2e} > 1e-12 "
-                                    "(generator may be reducible)")
-    return pi
 
 
 # ---------------------------------------------------------------------------

@@ -4,22 +4,19 @@ discrete heat-equation structure.
 Z_t(x) = exp(-lam h_t(x) + nu t) with lam = log(q/p)/2 and nu = p+q-1.
 Under the two-parameter boundary family the drift of Z equals Laplacian/2
 with ghost values Z(-1) = mu_A Z(0) and Z(N+1) = mu_B Z(N), exactly, for
-every configuration; `drift_identity_residual` evaluates that identity in
-ratio form (every term is O(1), so residuals sit at machine precision).
+every configuration (the tests check it per configuration with
+`drift_identity_residual` in tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .engine import Lattice, Trajectory, event_rates
+from .engine import Trajectory
 from .params import ModelParams
 
 __all__ = [
     "z_field",
-    "drift_identity_residual",
     "rescale",
 ]
 
@@ -34,49 +31,6 @@ def z_field(h, t: float, params: ModelParams) -> np.ndarray:
     if np.max(np.abs(log_z)) > _LOG_GUARD:
         raise OverflowError("Z field exponent beyond safe range; work in log space")
     return np.exp(log_z)
-
-
-def _height_moves(eta, params: ModelParams, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """Total rates of the events lowering / raising h(x) by 2, per height site.
-
-    Lowering h(x) multiplies Z(x) by q/p, raising it by p/q: creation at
-    site 1 and a right jump across bond (x, x+1) lower h(0) and h(x),
-    annihilation at site N lowers h(N); the reverse events raise them.  The
-    closed edge of the truncated half line moves nothing (x = 0..L-1 only).
-    """
-    r = event_rates(eta, params, lattice)
-    down = [[r.create_left], r.right]
-    up = [[r.annihilate_left], r.left]
-    if lattice.has_right_reservoir:
-        down.append([r.annihilate_right])
-        up.append([r.create_right])
-    return np.concatenate(down), np.concatenate(up)
-
-
-def drift_identity_residual(eta: np.ndarray, params: ModelParams,
-                            lattice: Lattice) -> np.ndarray:
-    """Relative residual Omega(x) - Laplacian(Z)(x) / (2 Z(x)) per height site.
-
-    Omega(x) collects nu plus the jump factors (q/p - 1), (p/q - 1) times
-    the rates of the events moving h(x), read from `event_rates`; the
-    Laplacian uses the exact bond ratios Z(x+-1)/Z(x) = exp(-+ lam eta) and
-    the ghost values mu_A Z(0), mu_B Z(N).  Under the boundary
-    parameterization every entry vanishes for every configuration.  On the
-    truncated half line the artificial closed edge is excluded (the
-    returned array covers x = 0..L-1).
-    """
-    down, up = _height_moves(eta, params, lattice)
-    eta = np.asarray(eta, dtype=float)
-    n = lattice.n_sites
-    lam, p, q = params.lam, params.p, params.q
-    omega = params.nu + (q / p - 1.0) * down + (p / q - 1.0) * up
-    lap = np.empty_like(omega)
-    lap[0] = params.mu_a - 2.0 + math.exp(-lam * eta[0])
-    # interior x = 1..n-1
-    lap[1:n] = np.exp(lam * eta[:-1]) + np.exp(-lam * eta[1:]) - 2.0
-    if lattice.has_right_reservoir:
-        lap[n] = math.exp(lam * eta[-1]) - 2.0 + params.mu_b
-    return omega - 0.5 * lap
 
 
 def rescale(traj: Trajectory, params: ModelParams, T_list, X_list) -> np.ndarray:

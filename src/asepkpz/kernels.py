@@ -254,10 +254,10 @@ class ImageExpansion:
 def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> ImageExpansion:
     """Iterate the left/right Robin extension relations block by block.
 
-    Left blocks use phi(x) = mu_A phi(-x-1) + (mu_A^2-1) sum_{y=0}^{-x-2}
-    mu_A^{-x-2-y} phi(y); right blocks use the mirrored relation.  Blocks
-    are filled in the order 0, -1, +1, -2, +2, ... so every referenced value
-    already exists.
+    Left blocks use phi(x) = mu_A phi(-x-1) + (mu_A^2-1) S(-x-2), with the
+    running sum S(u) = sum_{y=0}^{u} mu_A^{u-y} phi(y) = mu_A S(u-1) + phi(u);
+    right blocks use the mirrored relation.  Blocks are filled in the order
+    0, -1, +1, -2, +2, ... so every referenced value already exists.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -266,10 +266,7 @@ def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> I
     off = depth * nb
     phi = np.zeros((span, nb))
     phi[off + np.arange(nb), np.arange(nb)] = 1.0
-
-    pow_a = mu_a ** np.arange(span + nb + 2)
-    pow_b = mu_b ** np.arange(span + nb + 2)
-
+    sum_a = sum_b = np.zeros(nb)  # S one row at a time, up from phi(0) and down from phi(n)
     for m in range(depth):
         # block -(m+1) (x from -m*nb - 1 down to -(m+1)*nb) reflects block m and
         # block +(m+1) (x from (m+1)*nb up to (m+2)*nb - 1) reflects block -m; no
@@ -278,16 +275,14 @@ def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> I
         phi[off + xs] = mu_a * phi[off - xs - 1]
         if mu_a != 1.0:
             for x in xs[xs <= -2].tolist():
-                upper = -x - 2
-                weights = pow_a[upper - np.arange(upper + 1)]
-                phi[off + x] += (mu_a * mu_a - 1.0) * (weights @ phi[off: off + upper + 1])
+                sum_a = mu_a * sum_a + phi[off - x - 2]
+                phi[off + x] += (mu_a * mu_a - 1.0) * sum_a
         xs = np.arange((m + 1) * nb, (m + 2) * nb)
         phi[off + xs] = mu_b * phi[off + 2 * nb - xs - 1]
         if mu_b != 1.0:
             for x in xs[xs >= nb + 1].tolist():
-                lo = 2 * nb - x
-                weights = pow_b[np.arange(lo, nb) - lo]
-                phi[off + x] += (mu_b * mu_b - 1.0) * (weights @ phi[off + lo: off + nb])
+                sum_b = mu_b * sum_b + phi[off + 2 * nb - x]
+                phi[off + x] += (mu_b * mu_b - 1.0) * sum_b
     return ImageExpansion(n=n, mu_a=mu_a, mu_b=mu_b, depth=depth, phi=phi, offset=off)
 
 

@@ -1,8 +1,10 @@
-"""Point-by-point references of three batched kernel routines, kept to check
-them bit for bit: the free-walk row by the scalar ratio recurrence, the bound
-audits with one call per (time, variant) grid point, and the image expansion
-filled row by row.  Each performs the same floating-point operations, in the
-same order per value, as the batched routine it checks."""
+"""Point-by-point references of three batched kernel routines: the free-walk
+row by the scalar ratio recurrence and the bound audits with one call per
+(time, variant) grid point, each with the same floating-point operations, in
+the same order per value, as the batched routine it checks bit for bit; and
+the image expansion filled row by row with a prefix product per corrected
+row, which the running sums match bit for bit at mu = 1 and to rounding
+below it."""
 
 from __future__ import annotations
 

@@ -1,15 +1,18 @@
 """Test oracles shared by several test modules: the half-line Green's function
 and key identity, its spectral integrals, the c-star integrand and the weighted
-c-star sum with its pointwise gradient products; and the plain-loop references
-of two optimized routines, the Robin spectrum's bisection and the SHE
-second-moment recursion."""
+c-star sum with its pointwise gradient products; the dense generator's
+stationary law and the drift identity of the exponential transform; and the
+plain-loop references of two optimized routines, the Robin spectrum's
+bisection and the SHE second-moment recursion."""
 
 import math
 
 import numpy as np
 
+from asepkpz.engine import Lattice, event_rates
 from asepkpz.greens import green_corner_closed_form
 from asepkpz.kernels import _secular, solve_interval_spectrum
+from asepkpz.params import ModelParams
 from asepkpz.she import _step_schedule
 from quadrature import adaptive_quad, integrate_decaying
 
@@ -163,3 +166,66 @@ def second_moment_loop(m2_0: np.ndarray, grid, T: float) -> np.ndarray:
         noisy.flat[::len(m2) + 1] += lam * np.diag(m2)
         m2 = P @ noisy @ P.T
     return m2
+
+
+def stationary_measure(generator: np.ndarray) -> np.ndarray:
+    """pi with pi Q = 0 for a dense generator, solved with a normalization row
+    (at most 2^12 states); the CLI checks a candidate measure's residual
+    instead."""
+    m = generator.shape[0]
+    if m > 1 << 12:
+        raise ValueError(f"dense stationary solve limited to 2^12 states, got {m}")
+    Q = np.asarray(generator, dtype=float)
+    A = Q.T.copy()
+    A[-1, :] = 1.0
+    b = np.zeros(m)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    resid = float(np.max(np.abs(pi @ Q)))
+    if resid > 1e-12:
+        raise np.linalg.LinAlgError(f"stationary solve residual {resid:.2e} > 1e-12 "
+                                    "(generator may be reducible)")
+    return pi
+
+
+def height_moves(eta, params: ModelParams, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Total rates of the events lowering / raising h(x) by 2, per height site.
+
+    Lowering h(x) multiplies Z(x) by q/p, raising it by p/q: creation at
+    site 1 and a right jump across bond (x, x+1) lower h(0) and h(x),
+    annihilation at site N lowers h(N); the reverse events raise them.  The
+    closed edge of the truncated half line moves nothing (x = 0..L-1 only).
+    """
+    r = event_rates(eta, params, lattice)
+    down = [[r.create_left], r.right]
+    up = [[r.annihilate_left], r.left]
+    if lattice.has_right_reservoir:
+        down.append([r.annihilate_right])
+        up.append([r.create_right])
+    return np.concatenate(down), np.concatenate(up)
+
+
+def drift_identity_residual(eta: np.ndarray, params: ModelParams,
+                            lattice: Lattice) -> np.ndarray:
+    """Relative residual Omega(x) - Laplacian(Z)(x) / (2 Z(x)) per height site.
+
+    Omega(x) collects nu plus the jump factors (q/p - 1), (p/q - 1) times
+    the rates of the events moving h(x), read from `event_rates`; the
+    Laplacian uses the exact bond ratios Z(x+-1)/Z(x) = exp(-+ lam eta) and
+    the ghost values mu_A Z(0), mu_B Z(N).  Under the boundary
+    parameterization every entry vanishes for every configuration.  On the
+    truncated half line the artificial closed edge is excluded (the
+    returned array covers x = 0..L-1).
+    """
+    down, up = height_moves(eta, params, lattice)
+    eta = np.asarray(eta, dtype=float)
+    n = lattice.n_sites
+    lam, p, q = params.lam, params.p, params.q
+    omega = params.nu + (q / p - 1.0) * down + (p / q - 1.0) * up
+    lap = np.empty_like(omega)
+    lap[0] = params.mu_a - 2.0 + math.exp(-lam * eta[0])
+    # interior x = 1..n-1
+    lap[1:n] = np.exp(lam * eta[:-1]) + np.exp(-lam * eta[1:]) - 2.0
+    if lattice.has_right_reservoir:
+        lap[n] = math.exp(lam * eta[-1]) - 2.0 + params.mu_b
+    return omega - 0.5 * lap

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from asepkpz.cli import sha256_file, write_compare_csv
-from asepkpz.engine import Lattice, exact_generator, state_etas, stationary_measure
-from asepkpz.gartner import drift_identity_residual
+from asepkpz.engine import Lattice, exact_generator, state_etas
 from asepkpz.greens import c_star_estimate, green_corner_closed_form, green_matrix, key_identity
 from asepkpz.kernels import (build_image_expansion, halfline_robin_row, interval_kernel_image,
                              interval_kernel_spectral, kernel_bound_audit, robin_laplacian_matrix,
@@ -24,7 +23,8 @@ from asepkpz.params import (build_params, equal_density_mu,
 from asepkpz.she import asep_she_compare, run_interval_ensemble, var_gap_trend
 
 from conftest import ENSEMBLE_REPLICAS, ENSEMBLE_SEED, ENSEMBLE_T
-from oracles import c_star_weighted, halfline_green_limit, halfline_key_identity
+from oracles import (c_star_weighted, drift_identity_residual, halfline_green_limit,
+                     halfline_key_identity, stationary_measure)
 
 COMPARE_X = np.linspace(0.0, 1.0, 9)
 

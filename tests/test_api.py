@@ -17,13 +17,6 @@ def test_every_public_name_resolves():
     assert {"engine", "gartner", "greens", "kernels", "params", "she"} <= set(declaring)
 
 
-# Public names no src/ module or perfbench/ reads: each is the tests' oracle.
-TEST_ORACLES = {
-    "engine.stationary_measure",          # the exact stationary law of the dense generator
-    "gartner.drift_identity_residual",    # the drift identity, evaluated per configuration
-}
-
-
 def _names_read(path: Path) -> set[str]:
     """Names a module reads: loaded names, attributes and from-imports (a
     string, the __all__ entries among them, reads nothing)."""
@@ -41,11 +34,11 @@ def _names_read(path: Path) -> set[str]:
 def test_every_public_name_has_a_caller():
     # no public API that nothing calls: a name in a module's __all__ must be
     # read by some src/ module or by perfbench/ (__init__.py's re-exports do
-    # not count), or be listed above as a test oracle
+    # not count); an oracle only the tests call lives in tests/oracles.py
     root = Path(__file__).resolve().parent.parent
     src = sorted(p for p in (root / "src" / "asepkpz").glob("*.py") if p.name != "__init__.py")
     read = set().union(*map(_names_read, src + sorted((root / "perfbench").glob("*.py"))))
     uncalled = {f"{p.stem}.{name}" for p in src
                 for name in getattr(importlib.import_module(f"asepkpz.{p.stem}"), "__all__", ())
                 if name not in read}
-    assert uncalled == TEST_ORACLES
+    assert uncalled == set()

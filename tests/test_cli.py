@@ -1,4 +1,6 @@
+import configparser
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -23,9 +25,80 @@ def run_cli(args):
 
 
 def test_print_defaults(capsys):
+    # the text written from cli.KEYS keeps the bytes of the hand-written one
     assert run_cli(["config", "--print-defaults"]) == 0
     out = capsys.readouterr().out
     assert "[model]" in out and "n_sites" in out and "slope_a" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "534c63d36a06e2ec98e6e836c9a4e9df5c564e64592e3a39dede7adbc0154a52")
+
+
+# the benchmark's compare config: 60 replicas at inverse_eps = 32, 64
+_BENCH_COMPARE = ("[run]\nreplicas = 60\n[model]\nlattice = interval\nslope_a = 0.0\n"
+                  "slope_b = 0.0\n[simulate]\ninitial = bernoulli_half\n[compare]\n"
+                  "inverse_eps = 32, 64\nt_macro = 0.1\nx_points = 9\n")
+
+
+@pytest.mark.parametrize("kind, ini, digest", [
+    ("params", "", "40baf7f36a53b2f2"), ("simulate", "", "15a818d5e2dfbe3b"),
+    ("kernel", "", "b9e882a882c42acd"), ("identities", "", "4643f247cfd746b4"),
+    ("she", "", "54cda80463e80c83"), ("compare", "", "1b37c8e27053a548"),
+    ("audit-all", "", "a27f4c4324a8b09b"), ("compare", _BENCH_COMPARE, "a6adc809cf857334"),
+], ids=["params", "simulate", "kernel", "identities", "she", "compare", "audit-all",
+        "compare-benchmark"])
+def test_run_directory_names_pinned(kind, ini, digest):
+    # each kind's default config and the benchmark's configs (audit-all runs at
+    # its defaults) keep their run directories at seed 7
+    cfg = load_config(None)
+    cfg.read_string(ini)
+    assert config_hash(cfg, kind, 7) == digest
+
+
+class _RecordingSection(configparser.SectionProxy):
+    """A section that records each key read from it in parser.reads."""
+
+    def __getitem__(self, key):
+        self.parser.reads.add((self.name, key))
+        return super().__getitem__(key)
+
+    def get(self, option, *args, **kwargs):  # getint and getfloat call it too
+        self.parser.reads.add((self.name, option))
+        return super().get(option, *args, **kwargs)
+
+
+class _RecordingConfig(configparser.ConfigParser):
+    def __getitem__(self, section):
+        super().__getitem__(section)  # KeyError for a section that is not there
+        return _RecordingSection(self, section)
+
+
+_SMALL = "[model]\nn_sites = 8\n[identities]\nn_sites = 16\ncstar_n = 12\ncstar_tbar = 0.5\n"
+_HALF_LINE = "[model]\nlattice = half_line\nepsilon = 0.125\ntruncation = 16\nslope_a = 1.0\n"
+
+
+@pytest.mark.parametrize("kind, ini", [
+    ("params", _SMALL), ("params", _HALF_LINE),
+    ("simulate", "[run]\nreplicas = 2\n" + _SMALL),
+    ("simulate", "[run]\nreplicas = 2\n" + _HALF_LINE),
+    ("kernel", _SMALL), ("identities", _SMALL), ("audit-all", _SMALL),
+    ("she", "[run]\nreplicas = 4\n[she]\nm = 8\n"),
+    ("she", "[run]\nreplicas = 4\n[she]\nm = 8\n" + _HALF_LINE),
+    ("compare", "[run]\nreplicas = 4\n[compare]\ninverse_eps = 4, 8\n"),
+], ids=["params", "params_half_line", "simulate", "simulate_half_line", "kernel", "identities",
+        "audit-all", "she", "she_half_line", "compare"])
+def test_each_kind_reads_only_keys_it_checks(tmp_path, kind, ini):
+    # every key a kind reads is a cli.KEYS row it checks, and every section it
+    # checks, [run] aside (main reads seed, threads and out for every kind), it reads
+    cfg = _RecordingConfig(inline_comment_prefixes=(";", "#"))
+    cfg.reads = set()
+    cfg.read_string(cli.DEFAULTS)
+    cfg.read_string(ini)
+    checked = {(sec, key) for sec, key, *_ in cli._rows(kind, cfg["model"]["lattice"])}
+    assert cli._validate(cfg, kind)[1] == []
+    cfg.reads.clear()
+    cli.KINDS[kind](cfg, str(tmp_path), 7, 1, {})
+    assert cfg.reads <= checked, cfg.reads - checked
+    assert {sec for sec, _ in checked} - {"run"} <= {sec for sec, _ in cfg.reads}
 
 
 def test_float_format_roundtrip():
@@ -185,17 +258,17 @@ def test_simulate_section_checked_for_simulate_only(ini):
     # compare and audit-all never read [simulate]: its keys cannot stop them
     cfg = load_config(None)
     cfg.read_string(ini)
-    assert cli._validate(cfg, "compare") == cli._validate(cfg, "audit-all") == []
-    assert [p for p in cli._validate(cfg, "simulate") if p.startswith("simulate.")]
+    assert cli._validate(cfg, "compare")[1] == cli._validate(cfg, "audit-all")[1] == []
+    assert [p for p in cli._validate(cfg, "simulate")[1] if p.startswith("simulate.")]
 
 
 def test_compare_checks_the_she_grid_walls():
     # N = 5000 admits A = 65 (mu_A = 0.987), the 64-cell SHE grid does not
     cfg = load_config(None)
     cfg.read_string("[model]\nn_sites = 5000\nslope_a = 65\n[compare]\ninverse_eps = 5000\n")
-    problems = cli._validate(cfg, "compare")
+    problems = cli._validate(cfg, "compare")[1]
     assert len(problems) == 1 and problems[0].startswith("compare: model.slope_a")
-    assert cli._validate(cfg, "params") == []
+    assert cli._validate(cfg, "params")[1] == []
 
 
 @pytest.mark.parametrize("ini, digests", [

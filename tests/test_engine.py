@@ -8,9 +8,11 @@ from scipy.linalg import expm
 from asepkpz import engine
 from asepkpz.engine import (Lattice, _harris_tables, alternating_eta, bernoulli_eta,
                             event_rates, exact_generator, replica_rng, simulate_replicas,
-                            state_etas, stationary_measure)
+                            state_etas)
 from asepkpz.params import (ModelParams, build_params,
                             equal_density_mu, params_from_mu, phase_point)
+
+from oracles import stationary_measure
 
 
 def p_interval(n, a=1.0, b=1.0):

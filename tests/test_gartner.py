@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from asepkpz.engine import Lattice, alternating_eta, bernoulli_eta, simulate_replicas
-from asepkpz.gartner import _height_moves, drift_identity_residual, rescale, z_field
+from asepkpz.gartner import rescale, z_field
 from asepkpz.kernels import interval_kernel_spectral, solve_interval_spectrum
 from asepkpz.params import ModelParams, build_params
+
+from oracles import drift_identity_residual, height_moves
 
 
 def heights_of(eta, h0: int = 0) -> np.ndarray:
@@ -36,7 +38,7 @@ class BracketDecomposition:
 
 def _bracket_over_z2(eta, params: ModelParams, lattice: Lattice) -> np.ndarray:
     """Exact bracket rate / Z(x)^2 per height site."""
-    down, up = _height_moves(eta, params, lattice)
+    down, up = height_moves(eta, params, lattice)
     p, q = params.p, params.q
     return (q / p - 1.0) ** 2 * down + (p / q - 1.0) ** 2 * up
 
