@@ -24,6 +24,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import resource
 import sys
@@ -57,12 +58,19 @@ _ALL = ("params", "simulate", "kernel", "identities", "she", "compare", "audit-a
 _MODEL = tuple(k for k in _ALL if k != "identities")
 _SHE_M = "she.m must be >= 8 and leave mu = 1 - slope/m in (0, 1]"
 
+
+def _finite_time(t: float) -> bool:
+    return math.isfinite(t) and t >= 0
+
+
 # One row per config key: (section, key, default as written, type, the kinds that
 # check it, its bound as a predicate on the parsed value or None, the rule reported
 # when the bound fails, {value} being the value, and in [run] also when the value
 # does not parse (elsewhere that reports "section: error"), its comment).  A [model]
 # key that one lattice alone reads names its kinds per lattice.  DEFAULTS is written
-# from the rows, and `_validate` parses and bounds the rows of the kind it checks.
+# from the rows; `_validate` parses and bounds the rows of the kind it checks, and the
+# kind runs on the values it returns.  A bound states what a value must be, so NaN
+# fails it, and every time must be finite.
 KEYS = [
     ("run", "seed", "20240901", int, _ALL, lambda v: 0 <= v < 2 ** 64,
      "run.seed must be an integer in [0, 2^64)",
@@ -86,17 +94,17 @@ KEYS = [
     ("model", "epsilon", "0.03125", float, {"half_line": _MODEL}, None, None,
      "half-line only: free epsilon and truncation length"),
     ("model", "truncation", "128", int, {"half_line": _MODEL}, None, None, ""),
-    ("simulate", "horizon_macro", "0.1", float, ("simulate",), lambda h: not h < 0,
+    ("simulate", "horizon_macro", "0.1", float, ("simulate",), _finite_time,
      "simulate.horizon_macro must be >= 0",
      "macroscopic horizon T (microscopic horizon = T / eps^2)"),
     ("simulate", "sample_times", "0.0, 0.05, 0.1", _parse_list, ("simulate",),
-     lambda ts: not any(b < a for a, b in zip(ts, ts[1:])),
+     lambda ts: all(b >= a for a, b in zip(ts, ts[1:])),
      "simulate.sample_times must be nondecreasing", "macroscopic sample times, comma separated"),
     ("simulate", "initial", "bernoulli_half", str, ("simulate",), lambda v: v in _INITIAL,
      "simulate.initial must be one of " + ", ".join(_INITIAL),
      "initial condition: bernoulli_half | alternating"),
     ("kernel", "times", "1.0, 10.0", _parse_list, ("kernel", "audit-all"),
-     lambda ts: not any(t < 0 for t in ts), "kernel.times must be >= 0",
+     lambda ts: all(map(_finite_time, ts)), "kernel.times must be >= 0",
      "kernel dump times (microscopic)"),
     ("kernel", "depth", "6", int, ("kernel", "audit-all"), lambda d: d >= 1,
      "kernel.depth must be >= 1", "image-expansion depth"),
@@ -109,17 +117,17 @@ KEYS = [
     ("identities", "cstar_n", "32", int, ("identities", "audit-all"), lambda n: n >= 2,
      "identities.cstar_n must be >= 2: c-star needs a bulk site",
      "c-star audit size and horizon"),
-    ("identities", "cstar_tbar", "1.0", float, ("identities", "audit-all"), lambda t: t > 0,
-     "identities.cstar_tbar must be > 0", ""),
+    ("identities", "cstar_tbar", "1.0", float, ("identities", "audit-all"),
+     lambda t: math.isfinite(t) and t > 0, "identities.cstar_tbar must be > 0", ""),
     ("she", "m", "32", int, ("she",), lambda m: m >= 8, _SHE_M,
      "grid cells (mu = 1 - slope/m at each wall) and output times"),
     ("she", "output_times", "0.05, 0.1", _parse_list, ("she",),
-     lambda ts: ts and not ts[0] < 0 and not any(b < a for a, b in zip(ts, ts[1:])),
+     lambda ts: ts and all(map(_finite_time, ts)) and all(b >= a for a, b in zip(ts, ts[1:])),
      "she.output_times must list times >= 0, nondecreasing", ""),
     ("compare", "inverse_eps", "32, 64", lambda s: _parse_list(s, int), ("compare",),
      lambda inv: inv and min(inv) >= 1, "compare.inverse_eps must list one or more sizes >= 1",
      "epsilon list as inverse sizes, comma separated"),
-    ("compare", "t_macro", "0.1", float, ("compare",), lambda t: not t < 0,
+    ("compare", "t_macro", "0.1", float, ("compare",), _finite_time,
      "compare.t_macro must be >= 0", ""),
     ("compare", "x_points", "9", int, ("compare",), lambda x: x >= 1,
      "compare.x_points must be >= 1", ""),
@@ -289,28 +297,27 @@ def _sampler_metrics(stage: str, replicas: int, rings: int, events: int,
             "wall_s": wall_s, "events_per_s": events / wall_s if wall_s > 0 else 0.0}
 
 
-def _model_from_config(cfg) -> tuple:
-    """(params, lattice, scaling) of [model], checked by `_validate`; scaling is
-    the params.json record of (epsilon, n_sites, slope_a, slope_b).  On the
-    interval epsilon = 1/N; the half line has n_sites None and slope_b 0,
-    whatever [model] says."""
-    sec = cfg["model"]
-    if sec["lattice"] == "interval":
-        n = sec.getint("n_sites")
-        eps, slope_b, lattice = 1.0 / n, sec.getfloat("slope_b"), Lattice.interval(n)
+def _model_from_config(v: dict) -> tuple:
+    """(params, lattice, scaling) of the [model] values v[model, key] that
+    passed their bounds; scaling is the params.json record of (epsilon,
+    n_sites, slope_a, slope_b).  On the interval epsilon = 1/N; the half line
+    has n_sites None and slope_b 0, whatever [model] says."""
+    if v["model", "lattice"] == "interval":
+        n = v["model", "n_sites"]
+        eps, slope_b, lattice = 1.0 / n, v["model", "slope_b"], Lattice.interval(n)
     else:
         n, slope_b = None, 0.0
-        eps, lattice = sec.getfloat("epsilon"), Lattice.half_line(sec.getint("truncation"))
-    scaling = {"epsilon": eps, "n_sites": n, "slope_a": sec.getfloat("slope_a"),
+        eps, lattice = v["model", "epsilon"], Lattice.half_line(v["model", "truncation"])
+    scaling = {"epsilon": eps, "n_sites": n, "slope_a": v["model", "slope_a"],
                "slope_b": slope_b}
     return build_params(eps, scaling["slope_a"], slope_b), lattice, scaling
 
 
-def _identities_mus(sec) -> tuple[tuple[float, float], tuple[float, float]]:
+def _identities_mus(v: dict) -> tuple[tuple[float, float], tuple[float, float]]:
     """(mu_A, mu_B) of the key identity, 1 - (1/n) slope at n_sites, and of
-    c-star, 1 - slope/cstar_n."""
-    n, ncs = sec.getint("n_sites"), sec.getint("cstar_n")
-    slopes = (sec.getfloat("slope_a"), sec.getfloat("slope_b"))
+    c-star, 1 - slope/cstar_n, from the [identities] values v[identities, key]."""
+    n, ncs = v["identities", "n_sites"], v["identities", "cstar_n"]
+    slopes = (v["identities", "slope_a"], v["identities", "slope_b"])
     return tuple(1.0 - (1.0 / n) * a for a in slopes), tuple(1.0 - a / ncs for a in slopes)
 
 
@@ -318,7 +325,8 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
     """(values, problems): values[section, key] for each KEYS row that `kind`
     checks, parsed from cfg or taken from flags[section, key] where that is not
     None, and held to its bound; then the checks that span keys, on the values
-    that passed."""
+    that passed, and for a model kind values["model"], the run's one build of
+    `_model_from_config`.  The kinds run on values and never read cfg."""
     v, problems, failed = {}, [], set()
     for sec, key, _, cast, _, ok, rule, _ in _rows(kind, cfg["model"]["lattice"]):
         value = (flags or {}).get((sec, key))
@@ -337,14 +345,13 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
                  "she": (2, " for she: a standard error needs two")}.get(kind, (1, ""))
     if v.get(("run", "replicas"), need) < need:
         problems.append(f"run.replicas must be >= {need}{why}")
-    lattice = None
     if kind in _MODEL and "model" not in failed:
         try:
-            lattice = _model_from_config(cfg)[1]
+            v["model"] = _model_from_config(v)
         except ValueError as exc:
             problems.append(f"model: {exc}")
-    if lattice is not None and ("kernel", "times") in v and ("kernel", "depth") in v:
-        depth = v["kernel", "depth"]
+    if "model" in v and ("kernel", "times") in v and ("kernel", "depth") in v:
+        depth, lattice = v["kernel", "depth"], v["model"][1]
         if not all(image_depth_suffices(lattice.n_sites, depth, t) for t in v["kernel", "times"]):
             problems.append(f"kernel.times must lie within the reach of depth-{depth} "
                             f"images at n = {lattice.n_sites}")
@@ -366,7 +373,7 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
             0.0 < 1.0 - (1.0 / v["she", "m"]) * a <= 1.0 for a in slopes):
         problems.append(_SHE_M)
     if all(("identities", k) in v for k in ("n_sites", "cstar_n", "slope_a", "slope_b")):
-        key, cstar = _identities_mus(cfg["identities"])
+        key, cstar = _identities_mus(v)
         if not all(0.0 <= mu <= 1.0 for mu in key + cstar) or key == (1.0, 1.0):
             problems.append("identities.slope_a, slope_b must leave mu = 1 - slope/n in "
                             "[0, 1] and not 1 at both walls (F needs a spectral gap)")
@@ -376,8 +383,8 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
 # ---------------------------------------------------------------------------
 # experiment kinds
 
-def run_params(cfg, out, seed, threads, checks):
-    params, _, scaling = _model_from_config(cfg)
+def run_params(values, out, checks):
+    params, _, scaling = values["model"]
     diag = phase_point(params)
     manifest_data = {
         "scaling": scaling,
@@ -401,19 +408,19 @@ def run_params(cfg, out, seed, threads, checks):
                                 and abs(params.beta / params.p + params.delta / params.q - 1) < 1e-14)
 
 
-def run_simulate(cfg, out, seed, threads, checks):
-    params, lattice, _ = _model_from_config(cfg)
+def run_simulate(values, out, checks):
+    params, lattice, _ = values["model"]
     eps = params.epsilon
-    horizon_macro = cfg["simulate"].getfloat("horizon_macro")
-    sample_macro = _parse_list(cfg["simulate"]["sample_times"])
+    sample_macro = values["simulate", "sample_times"]
     sample_micro = [t / (eps * eps) for t in sample_macro]
-    horizon = horizon_macro / (eps * eps)
-    replicas = cfg["run"].getint("replicas")
-    start = _INITIAL[cfg["simulate"]["initial"]]
+    horizon = values["simulate", "horizon_macro"] / (eps * eps)
+    replicas = values["run", "replicas"]
+    start = _INITIAL[values["simulate", "initial"]]
 
     t0 = time.perf_counter()
     traj = simulate_replicas(lambda rng: start(lattice.n_sites, rng), params, lattice, horizon,
-                             sample_micro, replicas, seed, threads=threads)
+                             sample_micro, replicas, values["run", "seed"],
+                             threads=values["run", "threads"])
     wall_s = time.perf_counter() - t0
     slopes = np.diff(traj.heights, axis=-1)
     times, sites = traj.sample_times.tolist(), range(lattice.n_heights)
@@ -434,8 +441,8 @@ def run_simulate(cfg, out, seed, threads, checks):
                                         wall_s)]}
 
 
-def run_kernel(cfg, out, seed, threads, checks):
-    params, lattice, _ = _model_from_config(cfg)
+def run_kernel(values, out, checks):
+    params, lattice, _ = values["model"]
     n = lattice.n_sites
     spec = solve_interval_spectrum(n, params.mu_a, params.mu_b)
     write_csv(os.path.join(out, "spectrum.csv"), ["k", "omega", "lambda"],
@@ -444,10 +451,9 @@ def run_kernel(cfg, out, seed, threads, checks):
         fh.write(_fill(" ".join(["%.18e"] * (n + 1)) + "\n", spec.eigvecs.T.tolist()))
     xy = [c.tolist() for c in np.divmod(np.arange((n + 1) ** 2), n + 1)]
     blocks = []
-    depth = cfg["kernel"].getint("depth")
-    expansion = build_image_expansion(n, params.mu_a, params.mu_b, depth)
+    expansion = build_image_expansion(n, params.mu_a, params.mu_b, values["kernel", "depth"])
     ok = True
-    for t in _parse_list(cfg["kernel"]["times"]):
+    for t in values["kernel", "times"]:
         ker = interval_kernel_spectral(spec, t)
         gap = float(np.max(np.abs(ker - interval_kernel_image(expansion, t))))
         ok &= (gap <= 1e-8 and float(np.max(np.abs(ker - ker.T))) <= 1e-10
@@ -464,10 +470,9 @@ def run_kernel(cfg, out, seed, threads, checks):
     return {"kernel": {"bound_audit_s": bound_audit_s}}
 
 
-def run_identities(cfg, out, seed, threads, checks):
-    sec = cfg["identities"]
-    n = sec.getint("n_sites")
-    (mu_a, mu_b), cstar_mus = _identities_mus(sec)
+def run_identities(values, out, checks):
+    n = values["identities", "n_sites"]
+    (mu_a, mu_b), cstar_mus = _identities_mus(values)
     # the key identity's dense products at one BLAS thread, so identities.json
     # does not move with the thread count
     seconds = {}
@@ -500,11 +505,11 @@ def run_identities(cfg, out, seed, threads, checks):
     checks["green_closed_form"] = (
         float(np.max(np.abs(robin_laplacian_matrix(n, mu_a, mu_b) @ G - np.eye(n + 1)))) <= 1e-10
         and abs(G[0, 0] - green_corner_closed_form(n, mu_a, mu_b)) <= 1e-12 * G[0, 0])
-    sbp = summation_by_parts_audit(32, seed=seed)
+    sbp = summation_by_parts_audit(32, seed=values["run", "seed"])
     checks["summation_by_parts"] = max(sbp.values()) <= 1e-12
-    ncs = sec.getint("cstar_n")
+    ncs = values["identities", "cstar_n"]
     t0 = time.perf_counter()
-    cs = c_star_estimate(ncs, *cstar_mus, sec.getfloat("cstar_tbar"), 1.0 / ncs)
+    cs = c_star_estimate(ncs, *cstar_mus, values["identities", "cstar_tbar"], 1.0 / ncs)
     seconds["c_star_s"] = time.perf_counter() - t0
     checks["c_star_below_one"] = cs["max"] < 1.0
     reports.append({"identity": "c-star", "params": {"n": ncs}, "value": cs["max"],
@@ -515,15 +520,14 @@ def run_identities(cfg, out, seed, threads, checks):
     return {"identities": seconds}
 
 
-def run_she(cfg, out, seed, threads, checks):
-    sec = cfg["she"]
-    model = cfg["model"]
-    grid = build_grid(1.0, sec.getint("m"), model.getfloat("slope_a"),
-                      model.getfloat("slope_b"))
-    times = _parse_list(sec["output_times"])
+def run_she(values, out, checks):
+    grid = build_grid(1.0, values["she", "m"], values["model", "slope_a"],
+                      values["model", "slope_b"])
+    times = values["she", "output_times"]
     z0 = np.ones(grid.m + 1)
-    replicas = cfg["run"].getint("replicas")
-    stats = sample_she_ensemble(z0, grid, replicas, seed, times, threads=threads)
+    replicas = values["run", "replicas"]
+    stats = sample_she_ensemble(z0, grid, replicas, values["run", "seed"], times,
+                                threads=values["run", "threads"])
     mfs = [mean_field(z0, grid, t) for t in times]
     write_csv(os.path.join(out, "she_moments.csv"), ["T", "X", "mean", "se", "mean_field"],
               Blocks(((t,), (grid.x.tolist(), stats["mean"][i].tolist(),
@@ -543,16 +547,14 @@ def run_she(cfg, out, seed, threads, checks):
                     "fault_rate": stats["fault_rate"]}}
 
 
-def run_compare(cfg, out, seed, threads, checks):
-    sec = cfg["compare"]
-    inv = _parse_list(sec["inverse_eps"], int)
-    T = sec.getfloat("t_macro")
-    model = cfg["model"]
-    A, B = model.getfloat("slope_a"), model.getfloat("slope_b")
-    replicas = cfg["run"].getint("replicas")
-    X = np.linspace(0.0, 1.0, sec.getint("x_points"))
+def run_compare(values, out, checks):
+    inv, T = values["compare", "inverse_eps"], values["compare", "t_macro"]
+    A, B = values["model", "slope_a"], values["model", "slope_b"]
+    replicas, seed = values["run", "replicas"], values["run", "seed"]
+    X = np.linspace(0.0, 1.0, values["compare", "x_points"])
     # martingale diagnostics of the coarsest ensemble only, reduced in the same pass
-    ensembles = [run_interval_ensemble(n, A, B, T, replicas, (seed, n), threads=threads,
+    ensembles = [run_interval_ensemble(n, A, B, T, replicas, (seed, n),
+                                       threads=values["run", "threads"],
                                        martingale=(n == min(inv)))
                  for n in inv]
     rows = asep_she_compare(ensembles, T, X)
@@ -573,7 +575,7 @@ def run_compare(cfg, out, seed, threads, checks):
                                         e["events"], e["sampler_s"]) for e in ensembles]}
 
 
-def run_stationary(cfg, out, seed, threads, checks):
+def run_stationary(values, out, checks):
     """Stationary-measure spot check on the product-Bernoulli line: the
     product-Bernoulli(rho) measure pi_B of N = 5 sites is stationary for the
     exact generator Q, max |pi_B Q| <= 1e-12."""
@@ -587,12 +589,12 @@ def run_stationary(cfg, out, seed, threads, checks):
     checks["stationary_product_bernoulli"] = residual <= 1e-12
 
 
-def run_audit_all(cfg, out, seed, threads, checks):
+def run_audit_all(values, out, checks):
     metrics, stages = {}, {}
     for name, stage in (("params", run_params), ("kernel", run_kernel),
                         ("identities", run_identities), ("stationary", run_stationary)):
         t0 = time.perf_counter()
-        metrics.update(stage(cfg, out, seed, threads, checks) or {})
+        metrics.update(stage(values, out, checks) or {})
         stages[name] = time.perf_counter() - t0
     return {**metrics, "stages": stages}
 
@@ -632,17 +634,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    values, problems = _validate(cfg, args.kind,
-                                 {("run", "seed"): args.seed, ("run", "threads"): args.threads})
+    values, problems = _validate(cfg, args.kind, {("run", "seed"): args.seed,
+                                                  ("run", "threads"): args.threads,
+                                                  ("run", "out"): args.out})
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         return 2
     seed, threads = values["run", "seed"], values["run", "threads"]
-
-    out_root = args.out if args.out is not None else cfg["run"].get("out")
-    digest = config_hash(cfg, args.kind, seed)
-    out = os.path.join(out_root, digest)
+    out = os.path.join(values["run", "out"], config_hash(cfg, args.kind, seed))
     if os.path.exists(out) and not args.force:
         print(f"run directory {out} exists (same config hash); use --force to redo",
               file=sys.stderr)
@@ -651,21 +651,17 @@ def main(argv=None) -> int:
 
     checks: dict[str, bool] = {}
     t0 = time.perf_counter()
-    status = "complete"
     try:
-        metrics = KINDS[args.kind](cfg, out, seed, threads, checks)
+        metrics, status = KINDS[args.kind](values, out, checks), "complete"
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        status = "incomplete"
-        _write_manifest(cfg, args.kind, seed, threads, out, checks, t0, status, None)
-        return 2
+        metrics, status = None, "incomplete"
     _write_manifest(cfg, args.kind, seed, threads, out, checks, t0, status, metrics)
-    failed = [k for k, ok in checks.items() if not ok]
+    if status == "incomplete":
+        return 2
     for k, ok in sorted(checks.items()):
         print(f"[{'PASS' if ok else 'FAIL'}] {k}")
-    if failed:
-        return 1
-    return 0
+    return 0 if all(checks.values()) else 1
 
 
 def _write_manifest(cfg, kind, seed, threads, out, checks, t0, status, metrics):

@@ -1,4 +1,3 @@
-import configparser
 import dataclasses
 import hashlib
 import json
@@ -54,22 +53,12 @@ def test_run_directory_names_pinned(kind, ini, digest):
     assert config_hash(cfg, kind, 7) == digest
 
 
-class _RecordingSection(configparser.SectionProxy):
-    """A section that records each key read from it in parser.reads."""
+class _RecordingValues(dict):
+    """Checked values that record each key read from them in self.reads."""
 
     def __getitem__(self, key):
-        self.parser.reads.add((self.name, key))
+        self.reads.add(key)
         return super().__getitem__(key)
-
-    def get(self, option, *args, **kwargs):  # getint and getfloat call it too
-        self.parser.reads.add((self.name, option))
-        return super().get(option, *args, **kwargs)
-
-
-class _RecordingConfig(configparser.ConfigParser):
-    def __getitem__(self, section):
-        super().__getitem__(section)  # KeyError for a section that is not there
-        return _RecordingSection(self, section)
 
 
 _SMALL = "[model]\nn_sites = 8\n[identities]\nn_sites = 16\ncstar_n = 12\ncstar_tbar = 0.5\n"
@@ -87,18 +76,39 @@ _HALF_LINE = "[model]\nlattice = half_line\nepsilon = 0.125\ntruncation = 16\nsl
 ], ids=["params", "params_half_line", "simulate", "simulate_half_line", "kernel", "identities",
         "audit-all", "she", "she_half_line", "compare"])
 def test_each_kind_reads_only_keys_it_checks(tmp_path, kind, ini):
-    # every key a kind reads is a cli.KEYS row it checks, and every section it
-    # checks, [run] aside (main reads seed, threads and out for every kind), it reads
-    cfg = _RecordingConfig(inline_comment_prefixes=(";", "#"))
-    cfg.reads = set()
-    cfg.read_string(cli.DEFAULTS)
+    # a kind runs on the values _validate returns: every key it reads is a cli.KEYS
+    # row it checks or the model built from [model], and every section it checks,
+    # [run] aside (main reads out for every kind), it reads
+    cfg = load_config(None)
     cfg.read_string(ini)
     checked = {(sec, key) for sec, key, *_ in cli._rows(kind, cfg["model"]["lattice"])}
-    assert cli._validate(cfg, kind)[1] == []
-    cfg.reads.clear()
-    cli.KINDS[kind](cfg, str(tmp_path), 7, 1, {})
-    assert cfg.reads <= checked, cfg.reads - checked
-    assert {sec for sec, _ in checked} - {"run"} <= {sec for sec, _ in cfg.reads}
+    values, problems = cli._validate(cfg, kind)
+    assert problems == []
+    values = _RecordingValues(values)
+    values.reads = set()
+    cli.KINDS[kind](values, str(tmp_path), {})
+    assert values.reads - {"model"} <= checked, values.reads - {"model"} - checked
+    read = {key if key == "model" else key[0] for key in values.reads}
+    assert {sec for sec, _ in checked} - {"run"} <= read
+
+
+def test_float_keys_reject_nan_and_inf():
+    # every float-valued cli.KEYS row, alone or after a valid time where it holds a
+    # list, is rejected at nan and inf by every kind that checks it, on each lattice
+    accepted = []
+    for sec, key, _, cast, kinds, *_ in cli.KEYS:
+        if cast not in (float, cli._parse_list):
+            continue
+        for lattice in ("interval", "half_line"):
+            for kind in kinds.get(lattice, ()) if isinstance(kinds, dict) else kinds:
+                cfg = load_config(None)
+                cfg["model"]["lattice"] = lattice
+                assert cli._validate(cfg, kind)[1] == [], (sec, key, lattice, kind)
+                for bad in ("nan", "inf") + (("0.0, nan", "0.0, inf") if cast != float else ()):
+                    cfg[sec][key] = bad
+                    if not cli._validate(cfg, kind)[1]:
+                        accepted.append((sec, key, bad, lattice, kind))
+    assert accepted == []
 
 
 def test_float_format_roundtrip():
@@ -217,6 +227,13 @@ def test_config_validation_errors(tmp_path, capsys):
     ("simulate", "[simulate]\nsample_times = -0.05, 0.1\n", "simulate.sample_times"),
     ("simulate", "[simulate]\ninitial = flat\n", "simulate.initial"),
     ("compare", "[compare]\nt_macro = -0.1\n", "compare.t_macro"),
+    # not a finite time: each once made a run directory, then hung, failed or passed
+    ("compare", "[run]\nreplicas = 4\n[compare]\ninverse_eps = 4, 8\nt_macro = nan\n",
+     "compare.t_macro"),
+    ("simulate", "[simulate]\nhorizon_macro = inf\nsample_times = 0.0\n",
+     "simulate.horizon_macro"),
+    ("she", "[she]\noutput_times = inf\n", "she.output_times"),
+    ("identities", "[identities]\ncstar_tbar = inf\n", "identities.cstar_tbar"),
     # the seed and the thread count, from [run] or from their flags
     ("audit-all", "[run]\nseed = abc\n", "run.seed"),
     ("simulate", "[run]\nseed = -1\n", "run.seed"),
@@ -237,7 +254,8 @@ def test_config_validation_errors(tmp_path, capsys):
         "she_output_times_decreasing", "kernel_time_negative", "kernel_depth_0",
         "kernel_time_beyond_images", "identities_mu_negative", "identities_neumann_neumann",
         "simulate_sample_time_beyond_horizon", "simulate_sample_time_negative",
-        "simulate_initial_unknown", "compare_t_macro_negative", "seed_not_integer",
+        "simulate_initial_unknown", "compare_t_macro_negative", "compare_t_macro_nan",
+        "simulate_horizon_inf", "she_output_times_inf", "cstar_tbar_inf", "seed_not_integer",
         "seed_negative", "seed_beyond_u64", "threads_not_integer", "threads_zero",
         "seed_flag_negative", "compare_size_mu_negative", "compare_size_mu_b_negative"])
 def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
@@ -547,11 +565,11 @@ def test_stationary_check_fails_on_a_planted_defect(monkeypatch):
     # rho (1 + 1e-9) leaves max |pi_B Q| = 4.1e-11, above the 1e-12 gate
     phase_point = cli.phase_point
     checks = {}
-    cli.run_stationary(None, None, None, None, checks)
+    cli.run_stationary(None, None, checks)
     assert checks == {"stationary_product_bernoulli": True}
     monkeypatch.setattr(cli, "phase_point", lambda p: dataclasses.replace(
         phase_point(p), rho_a=phase_point(p).rho_a * (1 + 1e-9)))
-    cli.run_stationary(None, None, None, None, checks)
+    cli.run_stationary(None, None, checks)
     assert checks == {"stationary_product_bernoulli": False}
 
 
@@ -572,7 +590,7 @@ def test_failed_check_exits_one(tmp_path, monkeypatch):
     # the manifest
     from asepkpz import cli
 
-    def failing_kind(cfg, out, seed, threads, checks):
+    def failing_kind(values, out, checks):
         checks["always_fails"] = False
 
     monkeypatch.setitem(cli.KINDS, "params", failing_kind)
@@ -766,3 +784,29 @@ def test_audit_all_builds_each_exact_object_once(tmp_path, monkeypatch):
     assert run_cli(["audit-all", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 0
     assert counts == {"f_matrix_quadrature": 1, "green_matrix": 1, "build_image_expansion": 1,
                       "solve_interval_spectrum": 3}
+
+
+@pytest.mark.parametrize("kind, ini, builds", [
+    ("params", _SMALL, 4), ("simulate", "[run]\nreplicas = 2\n" + _SMALL, 1),
+    ("kernel", _SMALL, 1), ("she", "[run]\nreplicas = 4\n[she]\nm = 8\n", 1),
+    ("audit-all", _SMALL, 4),
+], ids=["params", "simulate", "kernel", "she", "audit-all"])
+def test_each_kind_builds_its_model_once(tmp_path, monkeypatch, kind, ini, builds):
+    # _validate builds the model once and the run reads that build; params, and
+    # audit-all through it, adds the three epsilons of expansion_audit
+    from asepkpz import params
+
+    calls = []
+    build = params.build_params
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for mod in [m for k, m in list(sys.modules.items()) if k.startswith("asepkpz")]:
+        if getattr(mod, "build_params", None) is build:
+            monkeypatch.setattr(mod, "build_params", counted)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini)
+    assert run_cli([kind, "--config", str(cfg), "--out", str(tmp_path / "runs")]) in (0, 1)
+    assert len(calls) == builds, calls
