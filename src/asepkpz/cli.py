@@ -70,7 +70,7 @@ def _finite_time(t: float) -> bool:
 # key that one lattice alone reads names its kinds per lattice.  DEFAULTS is written
 # from the rows; `_validate` parses and bounds the rows of the kind it checks, and the
 # kind runs on the values it returns.  A bound states what a value must be, so NaN
-# fails it, and every time must be finite.
+# fails it, every time must be finite and every list must hold a value.
 KEYS = [
     ("run", "seed", "20240901", int, _ALL, lambda v: 0 <= v < 2 ** 64,
      "run.seed must be an integer in [0, 2^64)",
@@ -91,23 +91,22 @@ KEYS = [
      None, None, ""),
     ("model", "lattice", "interval", str, _MODEL, lambda v: v in ("interval", "half_line"),
      "model: unknown lattice kind {value!r}", "lattice kind: interval | half_line"),
-    ("model", "epsilon", "0.03125", float, {"half_line": _MODEL}, None, None,
-     "half-line only: free epsilon and truncation length"),
+    ("model", "epsilon", "0.03125", float, {"half_line": _MODEL}, lambda e: 0 < e <= 1,
+     "model: epsilon must be in (0, 1]", "half-line only: free epsilon and truncation length"),
     ("model", "truncation", "128", int, {"half_line": _MODEL}, None, None, ""),
     ("simulate", "horizon_macro", "0.1", float, ("simulate",), _finite_time,
      "simulate.horizon_macro must be >= 0",
      "macroscopic horizon T (microscopic horizon = T / eps^2)"),
     ("simulate", "sample_times", "0.0, 0.05, 0.1", _parse_list, ("simulate",),
-     lambda ts: all(b >= a for a, b in zip(ts, ts[1:])),
-     "simulate.sample_times must be nondecreasing", "macroscopic sample times, comma separated"),
+     lambda ts: ts and all(b >= a for a, b in zip(ts, ts[1:])),
+     "simulate.sample_times must list times, nondecreasing",
+     "macroscopic sample times, comma separated"),
     ("simulate", "initial", "bernoulli_half", str, ("simulate",), lambda v: v in _INITIAL,
      "simulate.initial must be one of " + ", ".join(_INITIAL),
      "initial condition: bernoulli_half | alternating"),
     ("kernel", "times", "1.0, 10.0", _parse_list, ("kernel", "audit-all"),
-     lambda ts: all(map(_finite_time, ts)), "kernel.times must be >= 0",
+     lambda ts: ts and all(map(_finite_time, ts)), "kernel.times must list times >= 0",
      "kernel dump times (microscopic)"),
-    ("kernel", "depth", "6", int, ("kernel", "audit-all"), lambda d: d >= 1,
-     "kernel.depth must be >= 1", "image-expansion depth"),
     # the key identity is read at sites n/2 and n/2 + 1 of the N x N matrix F
     ("identities", "n_sites", "100", int, ("identities", "audit-all"), lambda n: n >= 3,
      "identities.n_sites must be >= 3", "lattice size for the interval identities"),
@@ -350,11 +349,6 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
             v["model"] = _model_from_config(v)
         except ValueError as exc:
             problems.append(f"model: {exc}")
-    if "model" in v and ("kernel", "times") in v and ("kernel", "depth") in v:
-        depth, lattice = v["kernel", "depth"], v["model"][1]
-        if not all(image_depth_suffices(lattice.n_sites, depth, t) for t in v["kernel", "times"]):
-            problems.append(f"kernel.times must lie within the reach of depth-{depth} "
-                            f"images at n = {lattice.n_sites}")
     st, horizon = v.get(("simulate", "sample_times")), v.get(("simulate", "horizon_macro"))
     if st and horizon is not None and not 0.0 <= st[0] <= st[-1] <= horizon:
         problems.append("simulate.sample_times must lie in [0, horizon_macro]")
@@ -451,9 +445,11 @@ def run_kernel(values, out, checks):
         fh.write(_fill(" ".join(["%.18e"] * (n + 1)) + "\n", spec.eigvecs.T.tolist()))
     xy = [c.tolist() for c in np.divmod(np.arange((n + 1) ** 2), n + 1)]
     blocks = []
-    expansion = build_image_expansion(n, params.mu_a, params.mu_b, values["kernel", "depth"])
+    times = values["kernel", "times"]
+    depth = next(k for k in itertools.count(1) if all(image_depth_suffices(n, k, t) for t in times))
+    expansion = build_image_expansion(n, params.mu_a, params.mu_b, depth)
     ok = True
-    for t in values["kernel", "times"]:
+    for t in times:
         ker = interval_kernel_spectral(spec, t)
         gap = float(np.max(np.abs(ker - interval_kernel_image(expansion, t))))
         ok &= (gap <= 1e-8 and float(np.max(np.abs(ker - ker.T))) <= 1e-10

@@ -24,12 +24,12 @@ def run_cli(args):
 
 
 def test_print_defaults(capsys):
-    # the text written from cli.KEYS keeps the bytes of the hand-written one
+    # the text written from cli.KEYS, pinned byte for byte
     assert run_cli(["config", "--print-defaults"]) == 0
     out = capsys.readouterr().out
     assert "[model]" in out and "n_sites" in out and "slope_a" in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "534c63d36a06e2ec98e6e836c9a4e9df5c564e64592e3a39dede7adbc0154a52")
+        "dbc1f2de9281644deca82571b3d68b8615d4948f18e41dfe1ae5bf01c02908ae")
 
 
 # the benchmark's compare config: 60 replicas at inverse_eps = 32, 64
@@ -39,10 +39,10 @@ _BENCH_COMPARE = ("[run]\nreplicas = 60\n[model]\nlattice = interval\nslope_a = 
 
 
 @pytest.mark.parametrize("kind, ini, digest", [
-    ("params", "", "40baf7f36a53b2f2"), ("simulate", "", "15a818d5e2dfbe3b"),
-    ("kernel", "", "b9e882a882c42acd"), ("identities", "", "4643f247cfd746b4"),
-    ("she", "", "54cda80463e80c83"), ("compare", "", "1b37c8e27053a548"),
-    ("audit-all", "", "a27f4c4324a8b09b"), ("compare", _BENCH_COMPARE, "a6adc809cf857334"),
+    ("params", "", "eca03dde5185c527"), ("simulate", "", "db3264066f7113cb"),
+    ("kernel", "", "c72d8abe4090bd57"), ("identities", "", "2a74c9b267c16259"),
+    ("she", "", "a2dfa928104076bc"), ("compare", "", "d1e78d1dedeb29c8"),
+    ("audit-all", "", "4a3abf50febaae2c"), ("compare", _BENCH_COMPARE, "0ed644772d51f8ac"),
 ], ids=["params", "simulate", "kernel", "identities", "she", "compare", "audit-all",
         "compare-benchmark"])
 def test_run_directory_names_pinned(kind, ini, digest):
@@ -217,9 +217,13 @@ def test_config_validation_errors(tmp_path, capsys):
     ("she", "[she]\noutput_times = -0.05, 0.1\n", "she.output_times"),
     ("she", "[she]\noutput_times = 0.1, 0.05\n", "she.output_times"),
     ("kernel", "[kernel]\ntimes = -1.0\n", "kernel.times"),
-    ("audit-all", "[kernel]\ndepth = 0\n", "kernel.depth"),
-    # the free walk outruns six images of {0..32} by t = 10^4
-    ("audit-all", "[kernel]\ntimes = 1.0, 10000.0\ndepth = 6\n", "kernel.times"),
+    # an empty list: the kind once ran on no times (a vacuous pass or a crash)
+    ("kernel", "[kernel]\ntimes =\n", "kernel.times"),
+    ("simulate", "[simulate]\nsample_times =\n", "simulate.sample_times"),
+    # a half-line epsilon outside (0, 1]: 1e9 once overflowed exp(sqrt(epsilon))
+    ("params", "[model]\nlattice = half_line\nepsilon = nan\n", "model: epsilon"),
+    ("params", "[model]\nlattice = half_line\nepsilon = 0\n", "model: epsilon"),
+    ("params", "[model]\nlattice = half_line\nepsilon = 1e9\n", "model: epsilon"),
     ("identities", "[identities]\nslope_a = 200.0\n", "identities.slope_a"),
     ("audit-all", "[identities]\nslope_a = 0.0\nslope_b = 0.0\n", "identities.slope_a"),
     # sample times past the default horizon_macro = 0.1, or before 0
@@ -251,8 +255,9 @@ def test_config_validation_errors(tmp_path, capsys):
         "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
         "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3", "she_m_4",
         "she_mu_outside", "she_output_times_empty", "she_output_times_negative",
-        "she_output_times_decreasing", "kernel_time_negative", "kernel_depth_0",
-        "kernel_time_beyond_images", "identities_mu_negative", "identities_neumann_neumann",
+        "she_output_times_decreasing", "kernel_time_negative", "kernel_times_empty",
+        "simulate_sample_times_empty", "half_line_epsilon_nan", "half_line_epsilon_zero",
+        "half_line_epsilon_1e9", "identities_mu_negative", "identities_neumann_neumann",
         "simulate_sample_time_beyond_horizon", "simulate_sample_time_negative",
         "simulate_initial_unknown", "compare_t_macro_negative", "compare_t_macro_nan",
         "simulate_horizon_inf", "she_output_times_inf", "cstar_tbar_inf", "seed_not_integer",
@@ -267,6 +272,39 @@ def test_config_errors_exit_two_before_work(tmp_path, capsys, kind, ini, key):
     assert run_cli([*kind.split(), "--config", str(cfg), "--out", str(out)]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sec, key, kind", [
+    (sec, key, kind) for kind in cli._ALL
+    for sec, key, default, cast, *_ in cli._rows(kind, "interval")
+    if isinstance(cast(default), list)])
+def test_empty_lists_exit_two_before_work(tmp_path, capsys, sec, key, kind):
+    # every list-valued cli.KEYS row, set empty, stops each kind that checks it
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[{sec}]\n{key} =\n")
+    out = tmp_path / "runs"
+    assert run_cli([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {sec}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernel_image_depth_follows_the_times(tmp_path, monkeypatch):
+    # the kernel kind builds the least image depth that reaches every time, 14
+    # images of {0..8} at t = 200, and the image and spectral routes agree
+    from asepkpz.kernels import image_depth_suffices
+
+    depths = []
+    build = cli.build_image_expansion
+    monkeypatch.setattr(cli, "build_image_expansion",
+                        lambda n, mu_a, mu_b, depth: depths.append(depth)
+                        or build(n, mu_a, mu_b, depth))
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[model]\nn_sites = 8\n[kernel]\ntimes = 1.0, 200.0\n")
+    out = tmp_path / "runs"
+    assert run_cli(["kernel", "--config", str(cfg), "--out", str(out)]) == 0
+    assert depths == [14] and not image_depth_suffices(8, 13, 200.0)
+    (run_dir,) = out.iterdir()
+    assert json.loads((run_dir / "manifest.json").read_text())["checks"]["image_vs_spectral"]
 
 
 @pytest.mark.parametrize("ini", ["[simulate]\ninitial = flat\n",
