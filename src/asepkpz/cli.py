@@ -104,8 +104,9 @@ KEYS = [
     ("simulate", "initial", "bernoulli_half", str, ("simulate",), lambda v: v in _INITIAL,
      "simulate.initial must be one of " + ", ".join(_INITIAL),
      "initial condition: bernoulli_half | alternating"),
+    # run_kernel's image depth grows like sqrt(t): 1e6 caps it at 16300 + 5 (N+1) rows
     ("kernel", "times", "1.0, 10.0", _parse_list, ("kernel", "audit-all"),
-     lambda ts: ts and all(map(_finite_time, ts)), "kernel.times must list times >= 0",
+     lambda ts: ts and all(0 <= t <= 1e6 for t in ts), "kernel.times must list times in [0, 1e6]",
      "kernel dump times (microscopic)"),
     # the key identity is read at sites n/2 and n/2 + 1 of the N x N matrix F
     ("identities", "n_sites", "100", int, ("identities", "audit-all"), lambda n: n >= 3,
@@ -321,12 +322,14 @@ def _identities_mus(v: dict) -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str]]:
-    """(values, problems): values[section, key] for each KEYS row that `kind`
-    checks, parsed from cfg or taken from flags[section, key] where that is not
-    None, and held to its bound; then the checks that span keys, on the values
-    that passed, and for a model kind values["model"], the run's one build of
-    `_model_from_config`.  The kinds run on values and never read cfg."""
-    v, problems, failed = {}, [], set()
+    """(values, problems): values[section, key] for each KEYS row that `kind` checks,
+    parsed from cfg or taken from flags[section, key] where that is not None, and held
+    to its bound; then the checks that span keys, on the values that passed, and for a
+    model kind values["model"], the run's one build of `_model_from_config`.  A key in
+    cfg that no KEYS row names is a problem.  The kinds run on values and never read cfg."""
+    problems = [f"{sec}.{key} is not a config key" for sec in cfg.sections() for key in cfg[sec]
+                if not any(row[:2] == (sec, key) for row in KEYS)]
+    v, failed = {}, set()
     for sec, key, _, cast, _, ok, rule, _ in _rows(kind, cfg["model"]["lattice"]):
         value = (flags or {}).get((sec, key))
         try:

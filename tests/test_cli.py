@@ -217,10 +217,13 @@ def test_config_validation_errors(tmp_path, capsys):
     ("she", "[she]\noutput_times = -0.05, 0.1\n", "she.output_times"),
     ("she", "[she]\noutput_times = 0.1, 0.05\n", "she.output_times"),
     ("kernel", "[kernel]\ntimes = -1.0\n", "kernel.times"),
-    # an empty list: the kind once ran on no times (a vacuous pass or a crash)
-    ("kernel", "[kernel]\ntimes =\n", "kernel.times"),
-    ("simulate", "[simulate]\nsample_times =\n", "simulate.sample_times"),
-    # a half-line epsilon outside (0, 1]: 1e9 once overflowed exp(sqrt(epsilon))
+    # past 1e6: the image depth the kernel kind derives grows like sqrt(t)
+    ("kernel", "[kernel]\ntimes = 1.0, 1e300\n", "kernel.times"),
+    ("audit-all", "[kernel]\ntimes = 1000001.0\n", "kernel.times"),
+    # a key that no cli.KEYS row names, such as the image depth, is not dropped unseen
+    ("kernel", "[kernel]\ndepth = 6\n", "kernel.depth"),
+    ("params", "[model]\nn_site = 16\n", "model.n_site"),
+    # the weakly asymmetric half line: epsilon in (0, 1], where exp(sqrt(epsilon)) is finite
     ("params", "[model]\nlattice = half_line\nepsilon = nan\n", "model: epsilon"),
     ("params", "[model]\nlattice = half_line\nepsilon = 0\n", "model: epsilon"),
     ("params", "[model]\nlattice = half_line\nepsilon = 1e9\n", "model: epsilon"),
@@ -255,8 +258,9 @@ def test_config_validation_errors(tmp_path, capsys):
         "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
         "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3", "she_m_4",
         "she_mu_outside", "she_output_times_empty", "she_output_times_negative",
-        "she_output_times_decreasing", "kernel_time_negative", "kernel_times_empty",
-        "simulate_sample_times_empty", "half_line_epsilon_nan", "half_line_epsilon_zero",
+        "she_output_times_decreasing", "kernel_time_negative", "kernel_time_1e300",
+        "kernel_time_past_1e6", "kernel_depth_not_a_key", "model_typo_not_a_key",
+        "half_line_epsilon_nan", "half_line_epsilon_zero",
         "half_line_epsilon_1e9", "identities_mu_negative", "identities_neumann_neumann",
         "simulate_sample_time_beyond_horizon", "simulate_sample_time_negative",
         "simulate_initial_unknown", "compare_t_macro_negative", "compare_t_macro_nan",
@@ -305,6 +309,10 @@ def test_kernel_image_depth_follows_the_times(tmp_path, monkeypatch):
     assert depths == [14] and not image_depth_suffices(8, 13, 200.0)
     (run_dir,) = out.iterdir()
     assert json.loads((run_dir / "manifest.json").read_text())["checks"]["image_vs_spectral"]
+    # the bound on kernel.times admits its end, t = 1e6
+    cfg = load_config(None)
+    cfg.read_string("[kernel]\ntimes = 0.0, 1e6\n")
+    assert cli._validate(cfg, "kernel")[1] == []
 
 
 @pytest.mark.parametrize("ini", ["[simulate]\ninitial = flat\n",
