@@ -15,4 +15,4 @@ from .greens import (green_matrix, green_corner_closed_form, f_matrix, c_closed_
 from .she import (SheGrid, build_grid, sample_she, sample_she_ensemble,
                   mean_field, second_moment, TestFunction, neumann_cosine,
                   robin_test_function, martingale_diagnostics, asep_she_compare,
-                  run_interval_ensemble)
+                  run_interval_ensemble, compare)

@@ -36,15 +36,15 @@ from . import __version__
 from .engine import (Lattice, alternating_eta, bernoulli_eta, exact_generator,
                      simulate_replicas, state_etas)
 from .gartner import rescale
-from .greens import (c_star_estimate, green_corner_closed_form, key_identity,
-                     summation_by_parts_audit)
-from .kernels import (build_image_expansion, image_depth_suffices, interval_kernel_image,
+from .greens import (c_star_estimate, green_corner_closed_form, has_spectral_gap,
+                     key_identity, summation_by_parts_audit)
+from .kernels import (build_image_expansion, image_depth, interval_kernel_image,
                       interval_kernel_spectral, kernel_bound_audit, robin_laplacian_matrix,
                       solve_interval_spectrum)
 from .params import (build_params, equal_density_mu, expansion_audit, params_from_mu,
                      phase_point)
-from .she import (COMPARE_GRID_CELLS, asep_she_compare, build_grid, mean_field,
-                  run_interval_ensemble, sample_she_ensemble, second_moment, var_gap_trend)
+from .she import (COMPARE_GRID_CELLS, VAR_MIN_REPLICAS, build_grid, compare, mean_field,
+                  sample_she_ensemble, second_moment)
 
 # [simulate] initial -> the start of a replica of n sites drawn from its stream
 _INITIAL = {"bernoulli_half": bernoulli_eta, "alternating": lambda n, rng: alternating_eta(n)}
@@ -322,11 +322,11 @@ def _identities_mus(v: dict) -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str]]:
-    """(values, problems): values[section, key] for each KEYS row that `kind` checks,
-    parsed from cfg or taken from flags[section, key] where that is not None, and held
-    to its bound; then the checks that span keys, on the values that passed, and for a
-    model kind values["model"], the run's one build of `_model_from_config`.  A key in
-    cfg that no KEYS row names is a problem.  The kinds run on values and never read cfg."""
+    """(values, problems): values[section, key] for each KEYS row that `kind` checks, parsed
+    from cfg or taken from flags[section, key] where that is not None, and held to its bound;
+    then the checks that span keys, on the values that passed, with the run's one build of the
+    model (values["model"]) and of the key identity's spectrum (values["identities"]).  A key
+    in cfg that no KEYS row names is a problem.  The kinds run on values and never read cfg."""
     problems = [f"{sec}.{key} is not a config key" for sec in cfg.sections() for key in cfg[sec]
                 if not any(row[:2] == (sec, key) for row in KEYS)]
     v, failed = {}, set()
@@ -343,10 +343,10 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
         else:
             problems.append(rule.format(value=value))
             failed.add(sec)
-    need, why = {"compare": (4, " for compare: the variance error needs two batches of two"),
-                 "she": (2, " for she: a standard error needs two")}.get(kind, (1, ""))
+    need, why = {"compare": (VAR_MIN_REPLICAS, "the variance error needs two batches of two"),
+                 "she": (2, "a standard error needs two")}.get(kind, (1, None))
     if v.get(("run", "replicas"), need) < need:
-        problems.append(f"run.replicas must be >= {need}{why}")
+        problems.append(f"run.replicas must be >= {need}" + (f" for {kind}: {why}" if why else ""))
     if kind in _MODEL and "model" not in failed:
         try:
             v["model"] = _model_from_config(v)
@@ -371,9 +371,12 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
         problems.append(_SHE_M)
     if all(("identities", k) in v for k in ("n_sites", "cstar_n", "slope_a", "slope_b")):
         key, cstar = _identities_mus(v)
-        if not all(0.0 <= mu <= 1.0 for mu in key + cstar) or key == (1.0, 1.0):
+        if all(0.0 <= mu <= 1.0 for mu in key + cstar):
+            with one_blas_thread({}):  # its norms at one thread, as the key identity's products
+                v["identities"] = solve_interval_spectrum(v["identities", "n_sites"], *key)
+        if "identities" not in v or not has_spectral_gap(v["identities"]):
             problems.append("identities.slope_a, slope_b must leave mu = 1 - slope/n in "
-                            "[0, 1] and not 1 at both walls (F needs a spectral gap)")
+                            "[0, 1] and F a spectral gap (lambda_0 >= 1e-13)")
     return v, problems
 
 
@@ -449,8 +452,7 @@ def run_kernel(values, out, checks):
     xy = [c.tolist() for c in np.divmod(np.arange((n + 1) ** 2), n + 1)]
     blocks = []
     times = values["kernel", "times"]
-    depth = next(k for k in itertools.count(1) if all(image_depth_suffices(n, k, t) for t in times))
-    expansion = build_image_expansion(n, params.mu_a, params.mu_b, depth)
+    expansion = build_image_expansion(n, params.mu_a, params.mu_b, image_depth(n, max(times)))
     ok = True
     for t in times:
         ker = interval_kernel_spectral(spec, t)
@@ -477,28 +479,21 @@ def run_identities(values, out, checks):
     seconds = {}
     t0 = time.perf_counter()
     with one_blas_thread(seconds):
-        ki = key_identity(solve_interval_spectrum(n, mu_a, mu_b))
+        ki = key_identity(values["identities"])
     seconds["key_identity_s"] = time.perf_counter() - t0
-    c = ki["c"]
     reports = []
     for x, xb in ((n // 2, n // 2), (n // 2, n // 2 + 1)):
-        value = float(ki["F"][x, xb])
-        value_quad = float(ki["F_quadrature"][x, xb])
-        expected = (1.0 - c) if x == xb else -c
+        value, value_quad = float(ki["F"][x, xb]), float(ki["F_quadrature"][x, xb])
+        expected = (1.0 - ki["c"]) if x == xb else -ki["c"]
         reports.append({"identity": "key-identity-interval", "x": x, "xb": xb,
                         "params": {"n": n, "mu_a": mu_a, "mu_b": mu_b},
                         "value": value, "value_quadrature": value_quad,
                         "expected": expected, "abs_err": abs(value - expected),
                         "route_gap": abs(value - value_quad),
-                        "tail_bound": ki["tail_bound"], "c": c,
-                        "abs_err_max": ki["abs_err_max"],
-                        "route_gap_max": ki["route_gap_max"],
-                        "green_route_gap": ki["green_route_gap"],
-                        "routes": ki["routes"]})
+                        **{k: ki[k] for k in ("tail_bound", "c", "abs_err_max", "route_gap_max",
+                                              "green_route_gap", "routes")}})
     checks["key_identity_all_pairs"] = (ki["abs_err_max"] <= 1e-9
                                         and ki["route_gap_max"] <= 1e-7)
-    if ki["green"] is None:  # Neumann-Neumann: no route ran, G does not exist
-        raise np.linalg.LinAlgError("Neumann-Neumann operator is singular (zero mode)")
     # the closed form against the operator it inverts, and its corner
     G = ki["green"]
     checks["green_closed_form"] = (
@@ -547,31 +542,16 @@ def run_she(values, out, checks):
 
 
 def run_compare(values, out, checks):
-    inv, T = values["compare", "inverse_eps"], values["compare", "t_macro"]
-    A, B = values["model", "slope_a"], values["model", "slope_b"]
-    replicas, seed = values["run", "replicas"], values["run", "seed"]
-    X = np.linspace(0.0, 1.0, values["compare", "x_points"])
-    # martingale diagnostics of the coarsest ensemble only, reduced in the same pass
-    ensembles = [run_interval_ensemble(n, A, B, T, replicas, (seed, n),
-                                       threads=values["run", "threads"],
-                                       martingale=(n == min(inv)))
-                 for n in inv]
-    rows = asep_she_compare(ensembles, T, X)
-    write_compare_csv(os.path.join(out, "compare.csv"), rows)
-    diag = max(ensembles, key=lambda e: e["eps"])["martingale"]
+    result = compare(values["compare", "inverse_eps"], values["model", "slope_a"],
+                     values["model", "slope_b"], values["compare", "t_macro"],
+                     values["compare", "x_points"], values["run", "replicas"],
+                     values["run", "seed"], threads=values["run", "threads"])
+    write_compare_csv(os.path.join(out, "compare.csv"), result["rows"])
     with open(os.path.join(out, "diagnostics.json"), "w") as fh:
-        fh.write(json.dumps(diag, indent=2))
-    checks["martingale_mean_3sigma"] = all(r["z_N"] <= 3.0 for r in diag)
-    checks["martingale_gap_3sigma"] = all(r["z_gap"] <= 3.0 for r in diag)
-    for r in rows:
-        key = f"mean_channel_3sigma_eps_{r['epsilon']:.6g}"
-        z = r["mean_gap"] / max(r["mc_sigma"], 1e-300)
-        checks[key] = checks.get(key, True) and z <= 3.0
-    if len(inv) >= 2:
-        g_coarse, g_fine, sig = var_gap_trend(rows)
-        checks["var_gap_non_increasing"] = g_fine <= g_coarse + 2.0 * sig
+        fh.write(json.dumps(result["diagnostics"], indent=2))
+    checks.update({name: ok for name, (ok, _) in result["checks"].items()})
     return {"sampler": [_sampler_metrics(f"interval n={e['n']}", e["n_replicas"], e["rings"],
-                                        e["events"], e["sampler_s"]) for e in ensembles]}
+                                        e["events"], e["sampler_s"]) for e in result["ensembles"]]}
 
 
 def run_stationary(values, out, checks):

@@ -23,6 +23,7 @@ import numpy as np
 from .kernels import SpectralData, solve_interval_spectrum, robin_laplacian_matrix
 
 __all__ = [
+    "has_spectral_gap",
     "green_matrix",
     "green_corner_closed_form",
     "f_matrix",
@@ -36,6 +37,11 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Green's functions
+
+def has_spectral_gap(spec: SpectralData) -> bool:
+    """Whether lambda_0 >= 1e-13, the spectral gap every route to F needs."""
+    return spec.lambdas[0] >= 1e-13
+
 
 def green_matrix(n: int, mu_a: float, mu_b: float) -> np.ndarray:
     """Inverse of -Laplacian/2 on {0..N} with Robin ghost rows, in closed form.
@@ -75,7 +81,7 @@ def f_matrix(spec: SpectralData) -> np.ndarray:
 
     Rejected in the Neumann-Neumann case (lambda_0 = 0).
     """
-    if spec.lambdas[0] < 1e-13:
+    if not has_spectral_gap(spec):
         raise ValueError("lambda_0 ~ 0 (Neumann-Neumann): F is not defined by this route")
     D = spec.eigvecs[1:, :] - spec.eigvecs[:-1, :]
     return (D / (2.0 * spec.lambdas)) @ D.T
@@ -118,8 +124,8 @@ def f_matrix_quadrature(spec: SpectralData) -> dict:
     """
     n = spec.n
     lam0 = float(spec.lambdas[0])
-    if lam0 < 1e-13:
-        raise ValueError("Neumann-Neumann case has no spectral gap; c = 0 branch applies")
+    if not has_spectral_gap(spec):
+        raise ValueError("Neumann-Neumann case has no spectral gap: F is not defined")
     D = spec.eigvecs[1:, :] - spec.eigvecs[:-1, :]
     amp = float((np.abs(D) ** 2).sum())  # bounds sum_k |grad psi_k(x) grad psi_k(xb)|
     t_cut = math.log(max(amp / (2.0 * lam0 * (F_TAIL_TOL / 3.0)), 10.0)) / (2.0 * lam0)
@@ -150,19 +156,12 @@ def key_identity(spec: SpectralData) -> dict:
     matrix exponential (`f_matrix_quadrature`, the route named "expm"); c comes
     from the Green closed form.  Returns the worst deviation from I - c 11^T, the
     worst spectral-vs-expm and spectral-vs-Green gaps, the tail certificate, and
-    the matrices themselves so callers can read single entries.
-
-    In the Neumann-Neumann case F is undefined (lambda_0 = 0) and no route
-    runs: F and F_quadrature are reported as the limit value I, the Green
-    matrix as None and `routes` is empty.
+    the matrices themselves so callers can read single entries.  Without a
+    spectral gap (`has_spectral_gap`) F is undefined, and `f_matrix` raises.
     """
     n = spec.n
     c = c_closed_form(n, spec.mu_a, spec.mu_b)
     expected = np.eye(n) - c
-    if spec.lambdas[0] < 1e-13:
-        return {"F": expected, "F_quadrature": expected, "green": None, "c": c,
-                "abs_err_max": 0.0, "route_gap_max": 0.0, "green_route_gap": 0.0,
-                "tail_bound": 0.0, "routes": []}
     F = f_matrix(spec)
     G = green_matrix(n, spec.mu_a, spec.mu_b)
     F_green = 0.5 * (G[:-1, :-1] + G[1:, 1:] - G[1:, :-1] - G[:-1, 1:])

@@ -31,7 +31,7 @@ __all__ = [
     "interval_kernel_spectral",
     "ImageExpansion",
     "build_image_expansion",
-    "image_depth_suffices",
+    "image_depth",
     "interval_kernel_image",
     "kernel_bound_audit",
 ]
@@ -86,16 +86,21 @@ def _support_radius(t: float, tol: float = 1e-16) -> int:
     return int(math.ceil(r))
 
 
-def _row_length(t: float) -> int:
-    """Least L >= 1 with free_walk_tail_bound(t, L) below the smallest subnormal float:
-    past L every p_t(n) rounds to 0."""
-    lo, hi = 0, 1   # bound(lo) >= _SUBNORMAL > bound(hi) once the doubling stops
-    while free_walk_tail_bound(t, hi) >= _SUBNORMAL:
+def _least(reaches) -> int:
+    """Least k >= 1 with reaches(k), reaches holding from some k on, by doubling and bisection."""
+    lo, hi = 0, 1   # reaches(hi) once the doubling stops; lo does not, or is 0
+    while not reaches(hi):
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if free_walk_tail_bound(t, mid) >= _SUBNORMAL else (lo, mid)
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
     return hi
+
+
+def _row_length(t: float) -> int:
+    """Least L >= 1 with free_walk_tail_bound(t, L) below the smallest subnormal float:
+    past L every p_t(n) rounds to 0."""
+    return _least(lambda L: free_walk_tail_bound(t, L) < _SUBNORMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +118,9 @@ def _geometric_tail(pv: np.ndarray, mu: float, start: int) -> np.ndarray:
     return g
 
 
-def halfline_robin_row(t: float, x, mu_a: float, y_max: int,
-                       pv: np.ndarray | None = None) -> np.ndarray:
+def halfline_robin_row(t: float, x, mu_a: float, y_max: int) -> np.ndarray:
     """Vector p^R_t(x, y) for y = 0..y_max, or for an array of x one such row per x
-    (one free-walk row and one geometric tail, sized for the largest x); `pv` may
-    pass a longer free_walk_row(t, m)."""
+    (one free-walk row and one geometric tail, sized for the largest x)."""
     if not 0.0 < mu_a <= 1.0:
         raise ValueError("mu_a must be in (0, 1]")
     xs = np.asarray(x)
@@ -125,9 +128,7 @@ def halfline_robin_row(t: float, x, mu_a: float, y_max: int,
     n_max = int(xs.max()) + y_max + 2 + r
     if mu_a < 1.0:
         n_max += min(int(40.0 / max(1.0 - mu_a, 1e-12)) + 8, r + 8)
-    pv = free_walk_row(t, n_max) if pv is None else pv[:n_max + 1]
-    if len(pv) <= n_max:
-        raise ValueError(f"free-walk row too short: {len(pv)} entries, need {n_max + 1}")
+    pv = free_walk_row(t, n_max)
     xc, y = xs[..., None], np.arange(y_max + 1)
     row = pv[np.abs(xc - y)] + mu_a * pv[xc + y + 1]
     if mu_a < 1.0:
@@ -286,19 +287,20 @@ def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> I
     return ImageExpansion(n=n, mu_a=mu_a, mu_b=mu_b, depth=depth, phi=phi, offset=off)
 
 
-def image_depth_suffices(n: int, depth: int, t: float) -> bool:
-    """Whether the depth-K images of {0..N} hold all but 1e-14 of the free-walk mass at time t."""
-    return free_walk_tail_bound(t, max(depth * (n + 1) - n, 1)) <= 1e-14
+def image_depth(n: int, t: float) -> int:
+    """Least depth K >= 1 whose images of {0..N} hold all but 1e-14 of the free-walk mass
+    at time t; the tail falls in K and rises in t, so a run's latest time sets its depth."""
+    return _least(lambda k: free_walk_tail_bound(t, max(k * (n + 1) - n, 1)) <= 1e-14)
 
 
 def interval_kernel_image(expansion: ImageExpansion, t: float) -> np.ndarray:
     """Kernel p^R_t(x, y) on {0..N} from a truncated generalized image expansion.
 
-    Raises if the expansion is too shallow for this time (`image_depth_suffices`).
+    Raises if the expansion is shallower than `image_depth(N, t)`.
     """
     n, depth = expansion.n, expansion.depth
     nb = n + 1
-    if not image_depth_suffices(n, depth, t):
+    if depth < image_depth(n, t):
         raise ValueError(f"depth {depth} too small at t={t}: image tail above 1e-14")
     zs = np.arange(-depth * nb, (depth + 1) * nb)
     pv = free_walk_row(t, int(zs[-1]) + n + 1)

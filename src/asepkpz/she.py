@@ -39,8 +39,8 @@ __all__ = [
     "martingale_functionals",
     "martingale_diagnostics",
     "asep_she_compare",
-    "var_gap_trend",
     "run_interval_ensemble",
+    "compare",
     "lognormal_mean",
     "lognormal_second_moment",
     "lognormal_sampler",
@@ -414,8 +414,9 @@ def lognormal_sampler(grid: SheGrid):
     return draw
 
 
-# batch-means batches behind the variance standard error se_var
-_VAR_BATCHES = 10
+# batch-means batches behind the variance standard error se_var: at most
+# _VAR_BATCHES, and two batches of two, VAR_MIN_REPLICAS, at the least
+_VAR_BATCHES, VAR_MIN_REPLICAS = 10, 4
 
 
 def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
@@ -452,8 +453,8 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     e_z0 = np.cosh(math.sqrt(eps)) ** np.arange(n + 1)
     pred = interval_kernel_spectral(spec, horizon) @ e_z0   # exact: E Z_t = p^R_t E Z_0
     m = zs.shape[0]
-    nb = max(1, min(_VAR_BATCHES, m // 2))
-    if nb >= 2:
+    if m >= VAR_MIN_REPLICAS:
+        nb = min(_VAR_BATCHES, m // 2)
         bvars = np.stack([zs[b::nb].var(axis=0, ddof=1) for b in range(nb)])
         se_var = bvars.std(axis=0, ddof=1) / math.sqrt(nb)
     else:
@@ -477,15 +478,16 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     }
 
 
-def asep_she_compare(ensembles: list[dict], T: float, X: np.ndarray) -> list[dict]:
+def asep_she_compare(ensembles: list[dict], X: np.ndarray) -> list[dict]:
     """Moment-gap table between scaled ASEP ensembles and the SHE oracles.
 
-    ensembles are `run_interval_ensemble` results, read at the height sites
-    round(X n); rows run from the coarsest eps to the finest.  The SHE side
+    ensembles are `run_interval_ensemble` results at one T, read at the height
+    sites round(X n); rows run from the coarsest eps to the finest.  The SHE side
     is deterministic: mean_field and second_moment on a grid of
     COMPARE_GRID_CELLS cells with the ensembles' slopes, started from the
     moments of the lognormal Z0 = exp(W) matched to the Bernoulli(1/2) start.
     """
+    T = ensembles[0]["T"]
     grid = build_grid(1.0, COMPARE_GRID_CELLS, *ensembles[0]["slopes"])
     she_mean = mean_field(lognormal_mean(grid.x), grid, T)
     she_m2 = second_moment(lognormal_second_moment(grid.x), grid, T)
@@ -502,18 +504,35 @@ def asep_she_compare(ensembles: list[dict], T: float, X: np.ndarray) -> list[dic
     return rows
 
 
-def var_gap_trend(rows: list[dict]) -> tuple[float, float, float]:
-    """(coarse gap, fine gap, combined sigma) of an `asep_she_compare` table.
-
-    A gap is the mean var_gap over the X points of the coarsest or the
-    finest eps; sigma is the hypot of their mean var_sigma.  The variance
-    gap does not grow as eps -> 0 when fine <= coarse + 2 sigma.
+def compare(inverse_eps: list[int], slope_a: float, slope_b: float, T: float, x_points: int,
+            replicas: int, seed, threads: int = 1) -> dict:
+    """The `compare` pipeline: per n in inverse_eps a `run_interval_ensemble` at seed
+    (seed, n), the coarsest alone with its martingale diagnostics, their `asep_she_compare`
+    table at X = linspace(0, 1, x_points), and its checks.  Returns {"rows",
+    "diagnostics" (the coarsest's), "ensembles", "checks"}; checks maps each
+    name to (passed, statistic): the largest z for a 3-sigma check, (coarse
+    gap, fine gap, sigma) for var_gap_non_increasing.
     """
-    by_eps: dict[float, list[dict]] = {}
+    def three_sigma(zs):
+        return all(z <= 3.0 for z in zs), max(zs)
+
+    ensembles = [run_interval_ensemble(n, slope_a, slope_b, T, replicas, (seed, n),
+                                       threads=threads, martingale=(n == min(inverse_eps)))
+                 for n in inverse_eps]
+    rows = asep_she_compare(ensembles, np.linspace(0.0, 1.0, x_points))
+    diag = max(ensembles, key=lambda e: e["eps"])["martingale"]
+    checks = {"martingale_mean_3sigma": three_sigma([r["z_N"] for r in diag]),
+              "martingale_gap_3sigma": three_sigma([r["z_gap"] for r in diag])}
+    zs: dict[str, list[float]] = {}
     for r in rows:
-        by_eps.setdefault(r["epsilon"], []).append(r)
-    coarse, fine = by_eps[max(by_eps)], by_eps[min(by_eps)]
-    sigma = math.hypot(np.mean([r["var_sigma"] for r in coarse]),
-                       np.mean([r["var_sigma"] for r in fine]))
-    return (float(np.mean([r["var_gap"] for r in coarse])),
-            float(np.mean([r["var_gap"] for r in fine])), sigma)
+        zs.setdefault(f"mean_channel_3sigma_eps_{r['epsilon']:.6g}", []).append(
+            r["mean_gap"] / max(r["mc_sigma"], 1e-300))
+    checks.update({key: three_sigma(z) for key, z in zs.items()})
+    if len(inverse_eps) >= 2:
+        # rows run from the coarsest eps to the finest
+        ends = [[r for r in rows if r["epsilon"] == rows[i]["epsilon"]] for i in (0, -1)]
+        g_coarse, g_fine = (float(np.mean([r["var_gap"] for r in end])) for end in ends)
+        sig = math.hypot(*(np.mean([r["var_sigma"] for r in end]) for end in ends))
+        checks["var_gap_non_increasing"] = (g_fine <= g_coarse + 2.0 * sig,
+                                            (g_coarse, g_fine, sig))
+    return {"rows": rows, "diagnostics": diag, "ensembles": ensembles, "checks": checks}

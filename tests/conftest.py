@@ -4,36 +4,33 @@ import numpy as np
 import pytest
 
 from asepkpz.cli import numpy_openblas
-from asepkpz.she import run_interval_ensemble
+from asepkpz.she import compare
 
-# Acceptance-scale ensembles (A = B = 0, Bernoulli(1/2) start, T = 0.1) shared
-# by the microscopic-SHE, martingale, and convergence criteria.  Generated
-# once per session; generation time is attributed to the first criterion that
-# requests the fixture.
+# The acceptance-scale comparison (A = B = 0, Bernoulli(1/2) start, T = 0.1,
+# 2000 replicas at eps = 1/32 and 1/64) shared by the microscopic-SHE,
+# martingale, and convergence criteria.  Run once per session; its time is
+# attributed to the first criterion that requests the fixture.
 
-ENSEMBLE_SEED = 31415
-ENSEMBLE_T = 0.1
-ENSEMBLE_REPLICAS = 2000
+COMPARE_SEED = 31415
+COMPARE_T = 0.1
+COMPARE_REPLICAS = 2000
+COMPARE_SIZES = (32, 64)
+COMPARE_X_POINTS = 9
 
 
-def _ensemble(n: int, martingale: bool = False) -> dict:
+def run_compare(threads: int = 1) -> dict:
+    """`she.compare` at the acceptance settings."""
+    return compare(COMPARE_SIZES, 0.0, 0.0, COMPARE_T, COMPARE_X_POINTS, COMPARE_REPLICAS,
+                   COMPARE_SEED, threads=threads)
+
+
+@pytest.fixture(scope="session")
+def compare_result():
     t0 = time.time()
-    ens = run_interval_ensemble(n, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS, (ENSEMBLE_SEED, n),
-                                martingale=martingale)
-    print(f"\n[fixture] eps=1/{n} ensemble: {ENSEMBLE_REPLICAS} replicas "
-          f"in {time.time() - t0:.1f}s ({ens['events'] / ens['sampler_s']:.3g} events/s)")
-    return ens
-
-
-@pytest.fixture(scope="session")
-def ensemble32():
-    # the coarsest ensemble carries the martingale diagnostics, as in `compare`
-    return _ensemble(32, martingale=True)
-
-
-@pytest.fixture(scope="session")
-def ensemble64():
-    return _ensemble(64)
+    result = run_compare()
+    print(f"\n[fixture] compare: {COMPARE_REPLICAS} replicas at eps = "
+          + ", ".join(f"1/{n}" for n in COMPARE_SIZES) + f" in {time.time() - t0:.1f}s")
+    return result
 
 
 def rng(seed: int) -> np.random.Generator:

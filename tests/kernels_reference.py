@@ -138,18 +138,15 @@ def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> li
                                        [(t,) for t in tgrid(6)], [(t,) for t in tgrid(12)]))
 
     xs_h = [0, 1, 3, 10]
-    bessel: dict[float, np.ndarray] = {}
 
     def r_sum_h(t, grad, a=1.0):
         r = _support_radius(t)
-        if t not in bessel:
-            bessel[t] = free_walk_row(t, 3 * r + 40)
         best = 0.0
         for x in xs_h:
             ymax = x + r + 8 + grad
-            row = halfline_robin_row(t, x, mu_a, ymax, pv=bessel[t])
+            row = halfline_robin_row(t, x, mu_a, ymax)
             if grad:
-                row = np.abs(halfline_robin_row(t, x + 1, mu_a, ymax, pv=bessel[t]) - row)
+                row = np.abs(halfline_robin_row(t, x + 1, mu_a, ymax) - row)
             y = np.arange(ymax + 1)
             sc = min(1.0, t ** -0.5)
             w = np.exp(a * eps * y + a * np.abs(x - y) * sc)

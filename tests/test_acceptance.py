@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line
 with its tolerance and runtime (run with `pytest tests/test_acceptance.py -v -s`).
 
-Criteria 9-11 share the session-scoped interval ensembles from conftest
-(2000 Bernoulli(1/2) replicas at eps = 1/32 and 1/64, A = B = 0, T = 0.1);
-generation time is charged to the first criterion that uses each ensemble.
+Criteria 9-11 read the checks of the session-scoped `she.compare` run from
+conftest (2000 Bernoulli(1/2) replicas at eps = 1/32 and 1/64, A = B = 0,
+T = 0.1); its time is charged to the first criterion that uses it.
 """
 
 import math
@@ -20,13 +20,10 @@ from asepkpz.kernels import (build_image_expansion, halfline_robin_row, interval
                              solve_interval_spectrum, _support_radius)
 from asepkpz.params import (build_params, equal_density_mu,
                             params_from_mu, phase_point)
-from asepkpz.she import asep_she_compare, run_interval_ensemble, var_gap_trend
 
-from conftest import ENSEMBLE_REPLICAS, ENSEMBLE_SEED, ENSEMBLE_T
+from conftest import run_compare
 from oracles import (c_star_weighted, drift_identity_residual, halfline_green_limit,
                      halfline_key_identity, stationary_measure)
-
-COMPARE_X = np.linspace(0.0, 1.0, 9)
 
 
 class Timer:
@@ -46,9 +43,10 @@ def report(criterion, ok, limit_s, elapsed, detail):
     assert elapsed < limit_s, f"criterion {criterion} exceeded runtime: {line}"
 
 
-def sampler_rate(*ensembles) -> str:
-    """Sampler throughput of the ensembles a criterion reads."""
-    rates = ", ".join(f"{e['events'] / e['sampler_s']:.3g}" for e in ensembles)
+def sampler_rate(*results) -> str:
+    """Sampler throughput of the ensembles of the `she.compare` results a criterion reads."""
+    rates = ", ".join(f"{e['events'] / e['sampler_s']:.3g}"
+                      for r in results for e in r["ensembles"])
     return f"[sampler {rates} events/s]"
 
 
@@ -225,55 +223,54 @@ def test_criterion_08_stationary_measure():
            f"TV(pi, Bernoulli({rho:.4f})^5) = {tv:.1e} <= 1e-10")
 
 
-def test_criterion_09_microscopic_mean_channel(ensemble32):
+def test_criterion_09_microscopic_mean_channel(compare_result):
     with Timer() as t:
-        rows = asep_she_compare([ensemble32], ENSEMBLE_T, COMPARE_X)
-        worst = max(r["mean_gap"] / r["mc_sigma"] for r in rows)
-    report(9, worst <= 3.0, 300.0, t.elapsed,
-           f"max |mean - kernel prediction| = {worst:.2f} sigma <= 3 "
-           f"({ensemble32['n_replicas']} replicas, 9-point grid) {sampler_rate(ensemble32)}")
+        checks = compare_result["checks"]
+        ok, worst = checks["mean_channel_3sigma_eps_0.03125"]
+        fine = checks["mean_channel_3sigma_eps_0.015625"][1]
+    report(9, ok, 300.0, t.elapsed,
+           f"max |mean - kernel prediction| = {worst:.2f} sigma <= 3 at eps = 1/32 "
+           f"({fine:.2f} sigma at 1/64; {compare_result['ensembles'][0]['n_replicas']} "
+           f"replicas, 9-point grid) {sampler_rate(compare_result)}")
 
 
-def test_criterion_10_martingale_diagnostics(ensemble32):
+def test_criterion_10_martingale_diagnostics(compare_result):
     with Timer() as t:
-        reports = ensemble32["martingale"]
-        worst_n = max(r["z_N"] for r in reports)
-        worst_gap = max(r["z_gap"] for r in reports)
-        ok = worst_n <= 3.0 and worst_gap <= 3.0
-    report(10, ok, 300.0, t.elapsed,
+        ok_n, worst_n = compare_result["checks"]["martingale_mean_3sigma"]
+        ok_gap, worst_gap = compare_result["checks"]["martingale_gap_3sigma"]
+    report(10, ok_n and ok_gap, 300.0, t.elapsed,
            f"max |mean N| = {worst_n:.2f} sigma, max |mean gap| = {worst_gap:.2f} "
-           f"sigma over 3 test functions {sampler_rate(ensemble32)}")
+           f"sigma over {len(compare_result['diagnostics'])} test functions "
+           f"{sampler_rate(compare_result)}")
 
 
-def test_criterion_11_convergence_trend(ensemble32, ensemble64):
+def test_criterion_11_convergence_trend(compare_result):
     with Timer() as t:
-        rows = asep_she_compare([ensemble32, ensemble64], ENSEMBLE_T, COMPARE_X)
-        gap32, gap64, sig = var_gap_trend(rows)
-        ok = gap64 <= gap32 + 2.0 * sig
+        ok, (gap32, gap64, sig) = compare_result["checks"]["var_gap_non_increasing"]
     report(11, ok, 1200.0, t.elapsed,
            f"var gap {gap32:.4f} (eps=1/32) -> {gap64:.4f} (eps=1/64), "
            f"combined sigma {sig:.4f}: non-increasing within error bars "
-           f"{sampler_rate(ensemble32, ensemble64)}")
+           f"{sampler_rate(compare_result)}")
 
 
-def _compare_csv_sha256(ensembles, path) -> str:
-    write_compare_csv(str(path), asep_she_compare(ensembles, ENSEMBLE_T, COMPARE_X))
+def _compare_csv_sha256(result, path) -> str:
+    write_compare_csv(str(path), result["rows"])
     return sha256_file(str(path))
 
 
-def test_criterion_12_reproducibility(ensemble32, ensemble64, tmp_path):
+def test_criterion_12_reproducibility(compare_result, tmp_path):
     with Timer() as t:
-        h_ref = _compare_csv_sha256([ensemble32, ensemble64], tmp_path / "ref.csv")
+        h_ref = _compare_csv_sha256(compare_result, tmp_path / "ref.csv")
         # full rerun of the criteria 9-11 pipeline with a different thread count
-        e32 = run_interval_ensemble(32, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
-                                    (ENSEMBLE_SEED, 32), threads=2, martingale=True)
-        e64 = run_interval_ensemble(64, 0.0, 0.0, ENSEMBLE_T, ENSEMBLE_REPLICAS,
-                                    (ENSEMBLE_SEED, 64), threads=2)
-        h_new = _compare_csv_sha256([e32, e64], tmp_path / "new.csv")
+        rerun = run_compare(threads=2)
+        h_new = _compare_csv_sha256(rerun, tmp_path / "new.csv")
         ok = h_ref == h_new
-        # the threaded rerun also reproduces the per-site moments bit for bit
-        ok &= bool(np.array_equal(e32["mean"], ensemble32["mean"]))
-        ok &= bool(np.array_equal(e64["var"], ensemble64["var"]))
+        # the threaded rerun also reproduces the diagnostics, the checks and
+        # the per-site moments bit for bit
+        ok &= rerun["diagnostics"] == compare_result["diagnostics"]
+        ok &= rerun["checks"] == compare_result["checks"]
+        for e, ref in zip(rerun["ensembles"], compare_result["ensembles"]):
+            ok &= all(np.array_equal(e[k], ref[k]) for k in ("mean", "var", "se_var"))
     report(12, ok, 1200.0, t.elapsed,
            f"compare CSV sha256 {h_ref[:12]}... identical for threads 1 vs 2 "
-           f"{sampler_rate(ensemble32, ensemble64, e32, e64)}")
+           f"{sampler_rate(compare_result, rerun)}")

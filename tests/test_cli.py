@@ -14,7 +14,7 @@ from asepkpz.cli import (config_hash, fmt, load_config, main, sha256_file, write
                          write_csv)
 from asepkpz.engine import simulate_replicas
 from asepkpz.kernels import solve_interval_spectrum
-from asepkpz.she import asep_she_compare, build_grid, run_interval_ensemble, sample_she_ensemble
+from asepkpz.she import build_grid, compare, sample_she_ensemble
 
 from conftest import openblas_thread_setter
 
@@ -77,8 +77,9 @@ _HALF_LINE = "[model]\nlattice = half_line\nepsilon = 0.125\ntruncation = 16\nsl
         "audit-all", "she", "she_half_line", "compare"])
 def test_each_kind_reads_only_keys_it_checks(tmp_path, kind, ini):
     # a kind runs on the values _validate returns: every key it reads is a cli.KEYS
-    # row it checks or the model built from [model], and every section it checks,
-    # [run] aside (main reads out for every kind), it reads
+    # row it checks, the model built from [model] or the spectrum built from
+    # [identities], and every section it checks, [run] aside (main reads out for
+    # every kind), it reads
     cfg = load_config(None)
     cfg.read_string(ini)
     checked = {(sec, key) for sec, key, *_ in cli._rows(kind, cfg["model"]["lattice"])}
@@ -87,8 +88,9 @@ def test_each_kind_reads_only_keys_it_checks(tmp_path, kind, ini):
     values = _RecordingValues(values)
     values.reads = set()
     cli.KINDS[kind](values, str(tmp_path), {})
-    assert values.reads - {"model"} <= checked, values.reads - {"model"} - checked
-    read = {key if key == "model" else key[0] for key in values.reads}
+    built = {"model", "identities"}
+    assert values.reads - built <= checked, values.reads - built - checked
+    read = {key if key in built else key[0] for key in values.reads}
     assert {sec for sec, _ in checked} - {"run"} <= read
 
 
@@ -229,6 +231,8 @@ def test_config_validation_errors(tmp_path, capsys):
     ("params", "[model]\nlattice = half_line\nepsilon = 1e9\n", "model: epsilon"),
     ("identities", "[identities]\nslope_a = 200.0\n", "identities.slope_a"),
     ("audit-all", "[identities]\nslope_a = 0.0\nslope_b = 0.0\n", "identities.slope_a"),
+    # mu = 1 - 1e-16 at both walls: lambda_0 < 1e-13, no spectral gap for F
+    ("identities", "[identities]\nslope_a = 1e-14\nslope_b = 1e-14\n", "identities.slope_a"),
     # sample times past the default horizon_macro = 0.1, or before 0
     ("simulate", "[simulate]\nsample_times = 0.0, 0.2\n", "simulate.sample_times"),
     ("simulate", "[simulate]\nsample_times = -0.05, 0.1\n", "simulate.sample_times"),
@@ -262,6 +266,7 @@ def test_config_validation_errors(tmp_path, capsys):
         "kernel_time_past_1e6", "kernel_depth_not_a_key", "model_typo_not_a_key",
         "half_line_epsilon_nan", "half_line_epsilon_zero",
         "half_line_epsilon_1e9", "identities_mu_negative", "identities_neumann_neumann",
+        "identities_near_neumann",
         "simulate_sample_time_beyond_horizon", "simulate_sample_time_negative",
         "simulate_initial_unknown", "compare_t_macro_negative", "compare_t_macro_nan",
         "simulate_horizon_inf", "she_output_times_inf", "cstar_tbar_inf", "seed_not_integer",
@@ -295,7 +300,7 @@ def test_empty_lists_exit_two_before_work(tmp_path, capsys, sec, key, kind):
 def test_kernel_image_depth_follows_the_times(tmp_path, monkeypatch):
     # the kernel kind builds the least image depth that reaches every time, 14
     # images of {0..8} at t = 200, and the image and spectral routes agree
-    from asepkpz.kernels import image_depth_suffices
+    from asepkpz.kernels import image_depth
 
     depths = []
     build = cli.build_image_expansion
@@ -306,7 +311,7 @@ def test_kernel_image_depth_follows_the_times(tmp_path, monkeypatch):
     cfg.write_text("[model]\nn_sites = 8\n[kernel]\ntimes = 1.0, 200.0\n")
     out = tmp_path / "runs"
     assert run_cli(["kernel", "--config", str(cfg), "--out", str(out)]) == 0
-    assert depths == [14] and not image_depth_suffices(8, 13, 200.0)
+    assert depths == [14] == [image_depth(8, 200.0)] and image_depth(8, 1.0) < 14
     (run_dir,) = out.iterdir()
     assert json.loads((run_dir / "manifest.json").read_text())["checks"]["image_vs_spectral"]
     # the bound on kernel.times admits its end, t = 1e6
@@ -534,16 +539,20 @@ def test_compare_kind_one_pass(tmp_path):
         files.append([(run_dir / name).read_bytes()
                       for name in ("compare.csv", "diagnostics.json")])
     assert files[0] == files[1]
-    # only the coarsest ensemble samples the exponential integrals its rows read
-    ensembles = [run_interval_ensemble(n, 0.0, 0.0, 0.1, 24, (5, n), martingale=(n == 8))
-                 for n in (8, 16)]
+    # the kind writes what the pipeline returns, and copies its checks in order
+    result = compare((8, 16), 0.0, 0.0, 0.1, 9, 24, 5)
     direct = tmp_path / "direct.csv"
-    write_compare_csv(str(direct), asep_she_compare(ensembles, 0.1, np.linspace(0.0, 1.0, 9)))
+    write_compare_csv(str(direct), result["rows"])
     assert direct.read_bytes() == files[0][0]
-    assert json.loads(files[0][1]) == ensembles[0]["martingale"]
+    assert json.loads(files[0][1]) == result["diagnostics"]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert list(manifest["checks"].items()) == [(name, ok) for name, (ok, _)
+                                                in result["checks"].items()]
+    # only the coarsest ensemble samples the exponential integrals its rows read
+    ensembles = result["ensembles"]
+    assert result["diagnostics"] is ensembles[0]["martingale"]
     assert ensembles[1]["martingale"] is None
     # the manifest reports what the sampler did, outside every hashed file
-    manifest = json.loads((run_dir / "manifest.json").read_text())
     records = manifest["metrics"]["sampler"]
     assert [r["stage"] for r in records] == ["interval n=8", "interval n=16"]
     assert [r["accepted_events"] for r in records] == [e["events"] for e in ensembles]

@@ -5,8 +5,8 @@ from scipy.linalg import expm
 
 from asepkpz import greens
 from asepkpz.greens import (c_closed_form, c_star_estimate, f_matrix, f_matrix_quadrature,
-                            green_corner_closed_form, green_matrix, key_identity,
-                            summation_by_parts_audit)
+                            green_corner_closed_form, green_matrix, has_spectral_gap,
+                            key_identity, summation_by_parts_audit)
 from asepkpz.kernels import (free_walk_row, robin_laplacian_matrix,
                              solve_interval_spectrum, _support_radius)
 
@@ -174,13 +174,14 @@ def test_key_identity_interval_neumann_side():
     assert rep["abs_err_max"] <= 1e-9 and rep["route_gap_max"] <= 1e-7
 
 
-def test_key_identity_neumann_neumann_runs_no_route():
-    # F is undefined at lambda_0 = 0: the limit value I is reported and the
-    # record says that no route ran
-    rep = key_identity(solve_interval_spectrum(12, 1.0, 1.0))
-    assert rep["routes"] == [] and rep["green"] is None and rep["c"] == 0.0
-    assert np.array_equal(rep["F"], np.eye(12))
-    assert rep["abs_err_max"] == rep["route_gap_max"] == rep["tail_bound"] == 0.0
+def test_key_identity_neumann_neumann_raises():
+    # F is undefined at lambda_0 = 0 and not computed below 1e-13 (9.9e-14 at
+    # N = 100, mu = 1 - 1e-11): no route runs, and no placeholder value is reported
+    for n, mu in ((12, 1.0), (100, 1.0 - 1e-11)):
+        spec = solve_interval_spectrum(n, mu, mu)
+        assert not has_spectral_gap(spec)
+        with pytest.raises(ValueError, match="Neumann-Neumann"):
+            key_identity(spec)
 
 
 def test_key_identity_small_interval_routes():

@@ -243,35 +243,20 @@ def test_halfline_mass_bounded():
     assert abs(row.sum() - 1.0) <= 1e-12  # Neumann conserves mass
 
 
-def test_halfline_row_reads_prefix_of_longer_bessel_row():
-    # a precomputed free-walk row longer than needed gives the same row bit for
-    # bit (the recurrence's length depends on t alone); one too short is rejected
-    for t, x, mu in ((0.3, 0, 0.9), (7.0, 11, 0.97), (400.0, 3, 1.0)):
-        y_max = x + _support_radius(t) + 8
-        row = halfline_robin_row(t, x, mu, y_max)
-        assert np.array_equal(halfline_robin_row(t, x, mu, y_max, pv=free_walk_row(t, 4000)), row)
-        with pytest.raises(ValueError, match="too short"):
-            halfline_robin_row(t, x, mu, y_max, pv=free_walk_row(t, y_max))
-
-
 @pytest.mark.parametrize("mu", [1.0, 0.9, 1 - 1 / 32])
 def test_halfline_rows_of_array_x_match_per_x_calls(mu):
     # one call with an array of x (one free-walk row, one geometric tail) gives
-    # the bits of one call per x, with or without a precomputed free-walk row
+    # the bits of one call per x
     xs = np.array([-1, 0, 1, 2, 3, 4, 10, 11])
     for t in _audit_times(5, 1 / 32) + [0.3, 7.0]:
         y_max = _support_radius(t) + 19
         rows = halfline_robin_row(t, xs, mu, y_max)
         assert rows.shape == (len(xs), y_max + 1)
-        pv = free_walk_row(t, 3 * _support_radius(t) + 60)
-        assert halfline_robin_row(t, xs, mu, y_max, pv=pv).tobytes() == rows.tobytes()
         for x, row in zip(xs.tolist(), rows):
             assert halfline_robin_row(t, x, mu, y_max).tobytes() == row.tobytes(), (t, x)
             # a shorter y range is the prefix of the longer one
             short = halfline_robin_row(t, x, mu, y_max - 11)
             assert short.tobytes() == row[:y_max - 10].tobytes(), (t, x)
-        with pytest.raises(ValueError, match="too short"):
-            halfline_robin_row(t, xs, mu, y_max, pv=free_walk_row(t, y_max))
 
 
 def test_halfline_row_matches_scalar():
