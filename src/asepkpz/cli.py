@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .engine import (Lattice, alternating_eta, bernoulli_eta, exact_generator,
                      simulate_replicas, state_etas)
-from .gartner import rescale
+from .gartner import z_field
 from .greens import (c_star_estimate, green_corner_closed_form, has_spectral_gap,
                      key_identity, summation_by_parts_audit)
 from .kernels import (build_image_expansion, image_depth, interval_kernel_image,
@@ -125,7 +125,8 @@ KEYS = [
      lambda ts: ts and all(map(_finite_time, ts)) and all(b >= a for a, b in zip(ts, ts[1:])),
      "she.output_times must list times >= 0, nondecreasing", ""),
     ("compare", "inverse_eps", "32, 64", lambda s: _parse_list(s, int), ("compare",),
-     lambda inv: inv and min(inv) >= 1, "compare.inverse_eps must list one or more sizes >= 1",
+     lambda inv: inv and min(inv) >= 1 and len(set(inv)) == len(inv),
+     "compare.inverse_eps must list one or more distinct sizes >= 1",
      "epsilon list as inverse sizes, comma separated"),
     ("compare", "t_macro", "0.1", float, ("compare",), _finite_time,
      "compare.t_macro must be >= 0", ""),
@@ -429,9 +430,9 @@ def run_simulate(values, out, checks):
                   Blocks(((t,), (sites[1:], eta)) for t, eta in zip(times, slopes[r].tolist())))
         write_csv(os.path.join(out, f"trajectory_heights_r{r:03d}.csv"), ["time", "site", "h"],
                   Blocks(((t,), (sites, h)) for t, h in zip(times, traj.heights[r].tolist())))
-    # mean scaled field over replicas, exported on the macroscopic grid
+    # mean of Z over replicas at each site x and sampled time, exported at X = x eps
     X = np.arange(lattice.n_heights) * eps
-    mean = rescale(traj, params, sample_macro, X).mean(axis=0)
+    mean = z_field(traj.heights, traj.sample_times[:, None], params).mean(axis=0)
     write_csv(os.path.join(out, "scaled_field_mean.csv"), ["T", "X", "value"],
               Blocks(((t_mac,), (X.tolist(), m)) for t_mac, m in zip(sample_macro, mean.tolist())))
     # every snapshot of every replica is a height function: slopes +-1

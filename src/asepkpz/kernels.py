@@ -78,10 +78,10 @@ def free_walk_tail_bound(t: float, r: float) -> float:
     return 2.0 * math.exp(math.sqrt(t * t + r * r) - t - r * math.asinh(r / t))
 
 
-def _support_radius(t: float, tol: float = 1e-16) -> int:
-    """Radius beyond which the free-walk mass is below tol."""
+def _support_radius(t: float) -> int:
+    """Radius beyond which the free-walk mass is below 1e-16."""
     r = 8.0 + 8.0 * math.sqrt(max(t, 1.0))
-    while free_walk_tail_bound(t, r) > tol:
+    while free_walk_tail_bound(t, r) > 1e-16:
         r *= 1.5
     return int(math.ceil(r))
 
@@ -252,7 +252,7 @@ class ImageExpansion:
     offset: int                  # row index of z = 0
 
 
-def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> ImageExpansion:
+def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int) -> ImageExpansion:
     """Iterate the left/right Robin extension relations block by block.
 
     Left blocks use phi(x) = mu_A phi(-x-1) + (mu_A^2-1) S(-x-2), with the

@@ -33,7 +33,7 @@ def free_walk_row(t: float, n_max: int) -> np.ndarray:
     return row
 
 
-def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int = 6) -> ImageExpansion:
+def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int) -> ImageExpansion:
     """The Robin extension filled one row at a time, blocks 0, -1, +1, -2, +2, ..."""
     nb = n + 1
     span = (2 * depth + 1) * nb

@@ -13,6 +13,7 @@ from asepkpz import cli
 from asepkpz.cli import (config_hash, fmt, load_config, main, sha256_file, write_compare_csv,
                          write_csv)
 from asepkpz.engine import simulate_replicas
+from asepkpz.gartner import z_field
 from asepkpz.kernels import solve_interval_spectrum
 from asepkpz.she import build_grid, compare, sample_she_ensemble
 
@@ -199,6 +200,8 @@ def test_config_validation_errors(tmp_path, capsys):
 @pytest.mark.parametrize("kind, ini, key", [
     ("compare", "[compare]\ninverse_eps = 0\n", "compare.inverse_eps"),
     ("compare", "[compare]\ninverse_eps =\n", "compare.inverse_eps"),
+    # one size twice: the same ensemble sampled twice, and its var trend against itself
+    ("compare", "[run]\nreplicas = 8\n[compare]\ninverse_eps = 16, 16\n", "compare.inverse_eps"),
     ("identities", "[identities]\nn_sites = 1\n", "identities.n_sites"),
     ("compare", "[run]\nreplicas = 1\n[compare]\ninverse_eps = 4, 8\n", "run.replicas"),
     ("she", "[run]\nreplicas = 1\n[she]\nm = 8\n", "run.replicas"),
@@ -257,8 +260,9 @@ def test_config_validation_errors(tmp_path, capsys):
      "compare.inverse_eps = 8"),
     ("compare", "[model]\nslope_b = 5\n[compare]\ninverse_eps = 4, 32\n",
      "compare.inverse_eps = 4"),
-], ids=["inverse_eps_zero", "inverse_eps_empty", "identities_n_sites_1",
-        "compare_replicas_1", "she_replicas_1", "x_points_zero", "params_n_sites_0",
+], ids=["inverse_eps_zero", "inverse_eps_empty", "compare_repeated_size",
+        "identities_n_sites_1", "compare_replicas_1", "she_replicas_1", "x_points_zero",
+        "params_n_sites_0",
         "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
         "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3", "she_m_4",
         "she_mu_outside", "she_output_times_empty", "she_output_times_negative",
@@ -425,7 +429,7 @@ def test_audit_all_bound_audits_pinned(tmp_path):
     ("[run]\nreplicas = 3\n[model]\nn_sites = 12\n",
      ["c1c5966060acfe00d4bc1beaf830fee4fc13f9b043530d4fe42198b33fd02a8f",
       "0813df2d9d34063766ae0cd9461ee0aedd81b78a242e97b796c137e1d3eb5d6d",
-      "85dd318c98ab1ad83a810d632cccac9da5ea91f01abc83ebd7299c1b8a7f7633"]),
+      "920b54f294bb044a9916c18d43101415099358b9618eb47672a2b629a8a034f9"]),
     ("[run]\nreplicas = 2\n[model]\nlattice = half_line\nepsilon = 0.125\ntruncation = 16\n"
      "slope_a = 1.0\n",
      ["3bbcc8a7cb258a5583a605da45f746887ac1817a5c589906d02252db473fdf5b",
@@ -441,6 +445,39 @@ def test_simulate_files_pinned(tmp_path, ini, digests):
     assert [sha256_file(str(run_dir / name)) for name in (
         "trajectory_eta_r000.csv", "trajectory_heights_r001.csv",
         "scaled_field_mean.csv")] == digests
+
+
+@pytest.mark.parametrize("ini", [
+    "[run]\nreplicas = 3\n[model]\nn_sites = 12\n",
+    "[run]\nreplicas = 5\n[model]\nlattice = half_line\nepsilon = 0.03\ntruncation = 64\n"
+    "slope_a = 1.0\n",
+], ids=["interval_n12", "half_line_eps_0.03"])
+def test_scaled_field_mean_reads_sites(tmp_path, monkeypatch, ini):
+    # scaled_field_mean.csv holds, at each sampled time and X = x eps, the replica mean
+    # of Z at site x bit for bit, also where x eps / eps is not x in floating point
+    trajs = []
+
+    def recording(*args, **kwargs):
+        trajs.append(simulate_replicas(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(cli, "simulate_replicas", recording)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini + "[simulate]\nhorizon_macro = 0.05\nsample_times = 0.0, 0.05\n")
+    out = tmp_path / "runs"
+    assert run_cli(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    (traj,) = trajs
+    params = cli._validate(load_config(str(cfg)), "simulate")[0]["model"][0]
+    lines = (run_dir / "scaled_field_mean.csv").read_text().splitlines()[1:]
+    table = np.array([[float(v) for v in line.split(",")] for line in lines])
+    sites = traj.heights.shape[-1]
+    assert table.shape == (len(traj.sample_times) * sites, 3)
+    for i, t in enumerate(traj.sample_times):
+        rows = table[i * sites:(i + 1) * sites]
+        want = np.mean([z_field(h, t, params) for h in traj.heights[:, i]], axis=0)
+        assert np.array_equal(rows[:, 1], np.arange(sites) * params.epsilon)
+        assert np.array_equal(rows[:, 2], want)
 
 
 @pytest.mark.parametrize("n", [1, 16, 100])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from asepkpz.engine import Lattice, alternating_eta, bernoulli_eta, simulate_replicas
-from asepkpz.gartner import rescale, z_field
+from asepkpz.gartner import z_field
 from asepkpz.kernels import interval_kernel_spectral, solve_interval_spectrum
 from asepkpz.params import ModelParams, build_params
 
@@ -211,65 +211,12 @@ def test_bracket_boundary_remainder():
             assert abs(d.remainder_over_z2) / p.epsilon < 1.0
 
 
-def test_rescale_time_zero_and_flat():
+def test_z_field_alternating_start_is_flat():
+    # the zigzag start h = 0, 1, 0, 1, ...: Z within one lattice slope of 1 at t = 0
     n = 32
     p = params_n(n, 0.0, 0.0)
-    lat = Lattice.interval(n)
-    init = alternating_eta(n)
-    tr = simulate_replicas(lambda rng: init, p, lat, 0.0, [0.0], 1, 1)
-    X = np.linspace(0, 1, 9)
-    f0 = rescale(tr, p, [0.0], X)[0, 0]
-    z0 = z_field(tr.heights[0, 0], 0.0, p)
-    assert np.allclose(f0, np.interp(X / p.epsilon, np.arange(n + 1), z0))
-    # zigzag 'flat' start: scaled field within one lattice slope of 1
-    assert np.max(np.abs(f0 - 1.0)) <= abs(math.expm1(-p.lam))
-
-
-def test_rescale_reads_sites_exactly():
-    # epsilon is the scaling input 1/N itself, not lam^2 (which reads
-    # 0.03125000000000001 at N = 32), so X = x/32 lands on site x and
-    # rescale returns z_field's values there bit for bit
-    for n in (8, 32, 100, 128):
-        assert params_n(n).epsilon == 1.0 / n
-    n = 32
-    p = params_n(n)
-    horizon = 0.05 * n * n
-    traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, Lattice.interval(n),
-                             horizon, [0.0, horizon], 3, 9)
-    fields = rescale(traj, p, [0.0, 0.05], np.arange(n + 1) / n)
-    for i, t in enumerate(traj.sample_times):
-        assert np.array_equal(fields[:, i], z_field(traj.heights[:, i], t, p))
-
-
-def test_rescale_matches_np_interp_per_replica():
-    # the replica-axis rescale reproduces np.interp on each replica's field
-    # bit for bit: between sites, at sites, and just outside either end
-    n = 12
-    p = params_n(n, 1.0, 0.5)
-    eps = p.epsilon
-    traj = simulate_replicas(lambda rng: bernoulli_eta(n, rng), p, Lattice.interval(n), 20.0,
-                             [0.0, 10.0, 20.0], 5, 3)
-    T = [20.0 * eps * eps, 0.0, 10.0 * eps * eps]
-    X = np.array([-1e-11, 0.0, 0.05, 1 / 3, 0.5, 0.77, 1.0, 1.0 + 1e-11])
-    fields = rescale(traj, p, T, X)
-    # C order: a mean over replicas then adds them as np.stack of the
-    # per-replica fields did, so scaled_field_mean.csv keeps its bytes
-    assert fields.shape == (5, 3, len(X)) and fields.flags.c_contiguous
-    for r in range(5):
-        for k, i in enumerate((2, 0, 1)):
-            z = z_field(traj.heights[r, i], traj.sample_times[i], p)
-            assert np.array_equal(fields[r, k], np.interp(X / eps, np.arange(n + 1), z))
-
-
-def test_rescale_errors():
-    n = 16
-    p = params_n(n, 0.0, 0.0)
-    lat = Lattice.interval(n)
-    tr = simulate_replicas(lambda rng: alternating_eta(n), p, lat, 10.0, [0.0, 10.0], 1, 1)
-    with pytest.raises(ValueError):
-        rescale(tr, p, [0.5], np.array([0.5]))   # time not sampled
-    with pytest.raises(ValueError):
-        rescale(tr, p, [0.0], np.array([1.5]))   # X outside [0, 1]
+    z0 = z_field(heights_of(alternating_eta(n)), 0.0, p)
+    assert np.max(np.abs(z0 - 1.0)) <= abs(math.expm1(-p.lam))
 
 
 def test_rescaled_mean_tracks_kernel_oracle():

@@ -9,8 +9,7 @@ from asepkpz.kernels import interval_kernel_spectral
 from asepkpz.params import build_params
 from asepkpz.she import (_robin_frequency, _step_schedule, build_grid, lognormal_mean,
                          lognormal_sampler, lognormal_second_moment, martingale_functionals,
-                         mean_field, neumann_cosine,
-                         robin_test_function, run_interval_ensemble, sample_she,
+                         mean_field, robin_test_function, run_interval_ensemble, sample_she,
                          sample_she_ensemble, second_moment)
 
 from oracles import second_moment_loop
@@ -217,21 +216,33 @@ def test_halfline_style_grid_doubling():
     assert np.max(np.abs(m1[near_wall] - m2[near_wall])) <= 1e-6
 
 
+def boundary_slope_errors(phi, A: float, B: float, h: float = 2e-4) -> tuple:
+    """(|phi'(0) - A phi(0)|, |phi'(1) + B phi(1)|), each derivative by the 5-point
+    one-sided stencil, whose error is h^4 |phi^(5)| / 5 (below 1e-10 for w <= 4 pi)."""
+    def one_sided(x0, sgn):
+        f = phi(x0 + sgn * h * np.arange(5))
+        return sgn * (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
+    return (abs(one_sided(0.0, 1) - A * float(phi(0.0))),
+            abs(one_sided(1.0, -1) + B * float(phi(1.0))))
+
+
 def test_test_function_boundary_slopes():
+    # the A = B = 0 modes are cos(k pi X); a mode shifted off k pi breaks the right slope
     for k in (0, 1, 2):
-        tf = neumann_cosine(k)
-        tf.validate()
-    tf = robin_test_function(1.0, 2.0, 1)
-    errs = tf.boundary_slope_errors()
-    assert max(errs) <= 1e-8
-    with pytest.raises(ValueError):
-        bad = neumann_cosine(1)
-        object.__setattr__(bad, "robin_a", 5.0)
-        bad.validate()
+        phi = robin_test_function(0.0, 0.0, k)
+        assert phi.label == f"cos({k} pi X)"
+        x = np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(phi(x), np.cos(k * math.pi * x))
+        assert max(boundary_slope_errors(phi, 0.0, 0.0)) <= 1e-8
+        if k:
+            shifted = lambda x, k=k: np.cos((k * math.pi + 1e-6) * x)
+            assert max(boundary_slope_errors(shifted, 0.0, 0.0)) > 1e-8
 
 
 def test_robin_frequencies_match_brentq():
-    # the bisected roots against scipy's brentq on the same bracket
+    # the bisected roots against scipy's brentq on the same bracket, and each mode's
+    # slopes against the stencil; a mode with c2 = A / w off by 1% or w off by 1e-6
+    # breaks them
     from scipy.optimize import brentq
     for A, B in ((1.0, 2.0), (1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.0, 1.0), (1.0, 0.0),
                  (3.0, 3.0), (0.1, 0.2)):
@@ -239,8 +250,13 @@ def test_robin_frequencies_match_brentq():
             return (w * w - A * B) * math.sin(w) - (A + B) * w * math.cos(w)
         for k in range(4):
             ref = brentq(secular, k * math.pi + 1e-9, (k + 1) * math.pi - 1e-9, xtol=1e-14)
-            assert abs(_robin_frequency(A, B, k) - ref) <= 4e-15, (A, B, k)
-            robin_test_function(A, B, k).validate()
+            w = _robin_frequency(A, B, k)
+            assert abs(w - ref) <= 4e-15, (A, B, k)
+            assert max(boundary_slope_errors(robin_test_function(A, B, k), A, B)) <= 1e-8
+            planted = [(w + 1e-6, A / w)] + ([(w, 1.01 * A / w)] if A else [])
+            for w_, c2 in planted:
+                wrong = lambda x, w_=w_, c2=c2: np.cos(w_ * x) + c2 * np.sin(w_ * x)
+                assert max(boundary_slope_errors(wrong, A, B)) > 1e-8, (A, B, k, w_, c2)
     # negative slopes with AB > 1 give the k = 0 mode no root in (0, pi)
     with pytest.raises(ValueError, match="no Robin mode"):
         robin_test_function(-3.0, -3.0, 0)
@@ -254,7 +270,7 @@ def test_martingale_functionals_zero_at_t0():
         tr = eng.simulate_replicas(lambda rng: start, params, eng.Lattice.interval(n), 0.0,
                                    [0.0, 0.0], 1, seed,
                                    track_exp_integrals=True)
-        values = martingale_functionals(tr, params, [neumann_cosine(0)], 0.0)
+        values = martingale_functionals(tr, params, [robin_test_function(0.0, 0.0, 0)])
         assert values.tolist() == [[[0.0, 0.0]]]
     # the in-task reduction of all-zero values is defined (0 sigma), not 0/0
     for r in run_interval_ensemble(n, 0.0, 0.0, 0.0, 3, 11, martingale=True)["martingale"]:
@@ -288,10 +304,14 @@ def test_martingale_exact_integrals_match_trapezoid():
                         + abs(params.nu))
     assert rel_tol <= 2e-2
     assert np.all(np.abs(trapezoid - tr.z_int[0, -1]) <= rel_tol * tr.z_int[0, -1])
-    # the martingale functionals read only the exact integrals
+    # the martingale functionals read only the exact integrals, from a first sample at t = 0
     untracked = eng.simulate_replicas(lambda rng: init, params, lat, horizon, dense, 1, 5)
-    with pytest.raises(ValueError):
-        martingale_functionals(untracked, params, [neumann_cosine(1)], T)
+    with pytest.raises(ValueError, match="exponential integrals"):
+        martingale_functionals(untracked, params, [robin_test_function(0.0, 0.0, 1)])
+    late = eng.simulate_replicas(lambda rng: init, params, lat, horizon, dense[1:], 1, 5,
+                                 track_exp_integrals=True)
+    with pytest.raises(ValueError, match="time 0"):
+        martingale_functionals(late, params, [robin_test_function(0.0, 0.0, 1)])
 
 
 def test_martingale_functionals_match_per_replica_formula():
@@ -308,7 +328,7 @@ def test_martingale_functionals_match_per_replica_formula():
                                  eng.Lattice.interval(n), horizon, [0.0, horizon], replicas, 21,
                                  track_exp_integrals=True)
     phis = [robin_test_function(1.0, 2.0, k) for k in (0, 1, 2)]
-    values = martingale_functionals(traj, params, phis, T)
+    values = martingale_functionals(traj, params, phis)
     assert values.shape == (replicas, 3, 2)
     ref = np.empty_like(values)
     for j, phi in enumerate(phis):
