@@ -14,4 +14,4 @@ from .greens import (green_matrix, green_corner_closed_form, f_matrix, c_closed_
                      key_identity, c_star_estimate, summation_by_parts_audit)
 from .she import (SheGrid, build_grid, sample_she, sample_she_ensemble,
                   mean_field, second_moment, TestFunction, robin_test_function,
-                  martingale_diagnostics, asep_she_compare, run_interval_ensemble, compare)
+                  martingale_diagnostics, run_interval_ensemble, compare)

@@ -43,8 +43,8 @@ from .kernels import (build_image_expansion, image_depth, interval_kernel_image,
                       solve_interval_spectrum)
 from .params import (build_params, equal_density_mu, expansion_audit, params_from_mu,
                      phase_point)
-from .she import (COMPARE_GRID_CELLS, VAR_MIN_REPLICAS, build_grid, compare, mean_field,
-                  sample_she_ensemble, second_moment)
+from .she import (COMPARE_COLUMNS, COMPARE_GRID_CELLS, VAR_MIN_REPLICAS, build_grid, compare,
+                  mean_field, sample_she_ensemble, second_moment)
 
 # [simulate] initial -> the start of a replica of n sites drawn from its stream
 _INITIAL = {"bernoulli_half": bernoulli_eta, "alternating": lambda n, rng: alternating_eta(n)}
@@ -207,15 +207,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
             _fill("".join(fmt(v) + "," for v in lead).replace("%", "%%") + ",".join(
                 "%.17g" if isinstance(c[0], float) else "%s" for c in columns) + "\n", columns)
             for lead, columns in blocks))
-
-
-COMPARE_COLUMNS = ["epsilon", "T", "X", "asep_mean", "she_mean", "mean_gap",
-                   "asep_var", "she_var", "var_gap", "mc_sigma"]
-
-
-def write_compare_csv(path: str, rows: list[dict]) -> None:
-    """compare.csv: the `asep_she_compare` rows in COMPARE_COLUMNS order."""
-    write_csv(path, COMPARE_COLUMNS, [[r[c] for c in COMPARE_COLUMNS] for r in rows])
 
 
 def sha256_file(path: str) -> str:
@@ -547,7 +538,7 @@ def run_compare(values, out, checks):
                      values["model", "slope_b"], values["compare", "t_macro"],
                      values["compare", "x_points"], values["run", "replicas"],
                      values["run", "seed"], threads=values["run", "threads"])
-    write_compare_csv(os.path.join(out, "compare.csv"), result["rows"])
+    write_csv(os.path.join(out, "compare.csv"), COMPARE_COLUMNS, Blocks(result["table"]))
     with open(os.path.join(out, "diagnostics.json"), "w") as fh:
         fh.write(json.dumps(result["diagnostics"], indent=2))
     checks.update({name: ok for name, (ok, _) in result["checks"].items()})

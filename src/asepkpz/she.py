@@ -23,7 +23,10 @@ from .kernels import SpectralData, interval_kernel_spectral, solve_interval_spec
 from .params import ModelParams, build_params
 
 _REFILL = 16           # most steps of normals one refill draws per stream
-COMPARE_GRID_CELLS = 64  # cells of the SHE grid `asep_she_compare` reads
+COMPARE_GRID_CELLS = 64  # cells of the SHE grid `compare` reads its oracles on
+# the header of compare.csv: each `compare` table block's lead (epsilon, T), then its columns
+COMPARE_COLUMNS = ["epsilon", "T", "X", "asep_mean", "she_mean", "mean_gap",
+                   "asep_var", "she_var", "var_gap", "mc_sigma"]
 
 __all__ = [
     "SheGrid",
@@ -37,7 +40,6 @@ __all__ = [
     "robin_test_function",
     "martingale_functionals",
     "martingale_diagnostics",
-    "asep_she_compare",
     "run_interval_ensemble",
     "compare",
     "lognormal_mean",
@@ -427,8 +429,6 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     return {
         "eps": eps,
         "n": n,
-        "T": T,
-        "slopes": (slope_a, slope_b),
         "mean": zs.mean(axis=0),
         "var": zs.var(axis=0, ddof=1),
         "se_mean": zs.std(axis=0, ddof=1) / math.sqrt(m),
@@ -443,40 +443,21 @@ def run_interval_ensemble(n: int, slope_a: float, slope_b: float, T: float,
     }
 
 
-def asep_she_compare(ensembles: list[dict], X: np.ndarray) -> list[dict]:
-    """Moment-gap table between scaled ASEP ensembles and the SHE oracles.
-
-    ensembles are `run_interval_ensemble` results at one T, read at the height
-    sites round(X n); rows run from the coarsest eps to the finest.  The SHE side
-    is deterministic: mean_field and second_moment on a grid of
-    COMPARE_GRID_CELLS cells with the ensembles' slopes, started from the
-    moments of the lognormal Z0 = exp(W) matched to the Bernoulli(1/2) start.
-    """
-    T = ensembles[0]["T"]
-    grid = build_grid(1.0, COMPARE_GRID_CELLS, *ensembles[0]["slopes"])
-    she_mean = mean_field(lognormal_mean(grid.x), grid, T)
-    she_m2 = second_moment(lognormal_second_moment(grid.x), grid, T)
-    she_var_at = np.interp(X, grid.x, np.diag(she_m2) - she_mean ** 2)
-    rows = []
-    for e in sorted(ensembles, key=lambda e: e["eps"], reverse=True):
-        for j, xv, she_var in zip(np.round(X * e["n"]).astype(int), X, she_var_at):
-            mean, pred, var = e["mean"][j], e["mean_prediction"][j], e["var"][j]
-            rows.append({"epsilon": e["eps"], "T": T, "X": float(xv),
-                         "asep_mean": float(mean), "she_mean": float(pred),
-                         "mean_gap": float(abs(mean - pred)), "asep_var": float(var),
-                         "she_var": float(she_var), "var_gap": float(abs(var - she_var)),
-                         "mc_sigma": float(e["se_mean"][j]), "var_sigma": float(e["se_var"][j])})
-    return rows
-
-
 def compare(inverse_eps: list[int], slope_a: float, slope_b: float, T: float, x_points: int,
             replicas: int, seed, threads: int = 1) -> dict:
-    """The `compare` pipeline: per n in inverse_eps a `run_interval_ensemble` at seed
-    (seed, n), the coarsest alone with its martingale diagnostics, their `asep_she_compare`
-    table at X = linspace(0, 1, x_points), and its checks.  Returns {"rows",
-    "diagnostics" (the coarsest's), "ensembles", "checks"}; checks maps each
-    name to (passed, statistic): the largest z for a 3-sigma check, (coarse
-    gap, fine gap, sigma) for var_gap_non_increasing.
+    """The `compare` pipeline.  Per n in inverse_eps, in that order, a
+    `run_interval_ensemble` at seed (seed, n), the coarsest alone with its
+    martingale diagnostics.  Then per ensemble, coarsest first, one block
+    ((eps, T), columns) of the table, columns being the rest of
+    COMPARE_COLUMNS as lists read at the sites j = round(X n) for
+    X = linspace(0, 1, x_points), and its mean-channel check.  The X column
+    is the site read, X_j = j eps, where the SHE variance is interpolated.
+    The SHE side is mean_field and second_moment on a grid of
+    COMPARE_GRID_CELLS cells from the moments of the lognormal Z0 = exp(W)
+    matched to the Bernoulli(1/2) start.  Returns {"table", "diagnostics"
+    (the coarsest's), "ensembles", "checks"}; checks maps each name to
+    (passed, statistic): the largest z for a 3-sigma check, (coarse gap,
+    fine gap, sigma) for var_gap_non_increasing.
     """
     def three_sigma(zs):
         return all(z <= 3.0 for z in zs), max(zs)
@@ -484,20 +465,29 @@ def compare(inverse_eps: list[int], slope_a: float, slope_b: float, T: float, x_
     ensembles = [run_interval_ensemble(n, slope_a, slope_b, T, replicas, (seed, n),
                                        threads=threads, martingale=(n == min(inverse_eps)))
                  for n in inverse_eps]
-    rows = asep_she_compare(ensembles, np.linspace(0.0, 1.0, x_points))
-    diag = max(ensembles, key=lambda e: e["eps"])["martingale"]
+    coarse_first = sorted(ensembles, key=lambda e: e["eps"], reverse=True)
+    diag = coarse_first[0]["martingale"]
     checks = {"martingale_mean_3sigma": three_sigma([r["z_N"] for r in diag]),
               "martingale_gap_3sigma": three_sigma([r["z_gap"] for r in diag])}
-    zs: dict[str, list[float]] = {}
-    for r in rows:
-        zs.setdefault(f"mean_channel_3sigma_eps_{r['epsilon']:.6g}", []).append(
-            r["mean_gap"] / max(r["mc_sigma"], 1e-300))
-    checks.update({key: three_sigma(z) for key, z in zs.items()})
-    if len(inverse_eps) >= 2:
-        # rows run from the coarsest eps to the finest
-        ends = [[r for r in rows if r["epsilon"] == rows[i]["epsilon"]] for i in (0, -1)]
-        g_coarse, g_fine = (float(np.mean([r["var_gap"] for r in end])) for end in ends)
-        sig = math.hypot(*(np.mean([r["var_sigma"] for r in end]) for end in ends))
+    grid = build_grid(1.0, COMPARE_GRID_CELLS, slope_a, slope_b)
+    she_mean = mean_field(lognormal_mean(grid.x), grid, T)
+    she_var = np.diag(second_moment(lognormal_second_moment(grid.x), grid, T)) - she_mean ** 2
+    X = np.linspace(0.0, 1.0, x_points)
+    table, var_gaps = [], []
+    for e in coarse_first:
+        j = np.round(X * e["n"]).astype(int)
+        x_j = j * e["eps"]
+        mean, pred, var = e["mean"][j], e["mean_prediction"][j], e["var"][j]
+        var_ref = np.interp(x_j, grid.x, she_var)
+        mean_gap, var_gap, sigma = np.abs(mean - pred), np.abs(var - var_ref), e["se_mean"][j]
+        table.append(((e["eps"], T), [c.tolist() for c in (x_j, mean, pred, mean_gap, var,
+                                                           var_ref, var_gap, sigma)]))
+        checks[f"mean_channel_3sigma_eps_{e['eps']:.6g}"] = three_sigma(
+            (mean_gap / np.maximum(sigma, 1e-300)).tolist())
+        var_gaps.append((float(np.mean(var_gap)), np.mean(e["se_var"][j])))
+    if len(ensembles) >= 2:
+        (g_coarse, s_coarse), (g_fine, s_fine) = var_gaps[0], var_gaps[-1]
+        sig = math.hypot(s_coarse, s_fine)
         checks["var_gap_non_increasing"] = (g_fine <= g_coarse + 2.0 * sig,
                                             (g_coarse, g_fine, sig))
-    return {"rows": rows, "diagnostics": diag, "ensembles": ensembles, "checks": checks}
+    return {"table": table, "diagnostics": diag, "ensembles": ensembles, "checks": checks}

@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from asepkpz.cli import numpy_openblas
-from asepkpz.she import compare
+from asepkpz.cli import Blocks, numpy_openblas, write_csv
+from asepkpz.she import COMPARE_COLUMNS, compare
 
 # The acceptance-scale comparison (A = B = 0, Bernoulli(1/2) start, T = 0.1,
 # 2000 replicas at eps = 1/32 and 1/64) shared by the microscopic-SHE,
@@ -22,6 +22,13 @@ def run_compare(threads: int = 1) -> dict:
     """`she.compare` at the acceptance settings."""
     return compare(COMPARE_SIZES, 0.0, 0.0, COMPARE_T, COMPARE_X_POINTS, COMPARE_REPLICAS,
                    COMPARE_SEED, threads=threads)
+
+
+def write_compare_table(result: dict, path):
+    """Writes a `she.compare` result's table to path as the `compare` kind
+    writes compare.csv; returns path."""
+    write_csv(str(path), COMPARE_COLUMNS, Blocks(result["table"]))
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from asepkpz.cli import sha256_file, write_compare_csv
+from asepkpz.cli import sha256_file
 from asepkpz.engine import Lattice, exact_generator, state_etas
 from asepkpz.greens import c_star_estimate, green_corner_closed_form, green_matrix, key_identity
 from asepkpz.kernels import (build_image_expansion, halfline_robin_row, interval_kernel_image,
@@ -21,7 +21,7 @@ from asepkpz.kernels import (build_image_expansion, halfline_robin_row, interval
 from asepkpz.params import (build_params, equal_density_mu,
                             params_from_mu, phase_point)
 
-from conftest import run_compare
+from conftest import run_compare, write_compare_table
 from oracles import (c_star_weighted, drift_identity_residual, halfline_green_limit,
                      halfline_key_identity, stationary_measure)
 
@@ -254,8 +254,7 @@ def test_criterion_11_convergence_trend(compare_result):
 
 
 def _compare_csv_sha256(result, path) -> str:
-    write_compare_csv(str(path), result["rows"])
-    return sha256_file(str(path))
+    return sha256_file(str(write_compare_table(result, path)))
 
 
 def test_criterion_12_reproducibility(compare_result, tmp_path):

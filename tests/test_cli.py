@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from asepkpz import cli
-from asepkpz.cli import (config_hash, fmt, load_config, main, sha256_file, write_compare_csv,
-                         write_csv)
+from asepkpz.cli import config_hash, fmt, load_config, main, sha256_file, write_csv
 from asepkpz.engine import simulate_replicas
 from asepkpz.gartner import z_field
 from asepkpz.kernels import solve_interval_spectrum
 from asepkpz.she import build_grid, compare, sample_she_ensemble
 
-from conftest import openblas_thread_setter
+from conftest import openblas_thread_setter, write_compare_table
 
 
 def run_cli(args):
@@ -576,11 +575,13 @@ def test_compare_kind_one_pass(tmp_path):
         files.append([(run_dir / name).read_bytes()
                       for name in ("compare.csv", "diagnostics.json")])
     assert files[0] == files[1]
+    # both files pinned byte for byte: the table's format and reduction move no digit
+    assert [hashlib.sha256(b).hexdigest() for b in files[0]] == [
+        "599c801496d1adebafb7f63998de3dce9bbb68d2ce790081b39c413a33059663",
+        "f84b20f26825fd755990deb2c46c2f9a38c299e1413ee734e65eaf9155b4dc14"]
     # the kind writes what the pipeline returns, and copies its checks in order
     result = compare((8, 16), 0.0, 0.0, 0.1, 9, 24, 5)
-    direct = tmp_path / "direct.csv"
-    write_compare_csv(str(direct), result["rows"])
-    assert direct.read_bytes() == files[0][0]
+    assert write_compare_table(result, tmp_path / "direct.csv").read_bytes() == files[0][0]
     assert json.loads(files[0][1]) == result["diagnostics"]
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert list(manifest["checks"].items()) == [(name, ok) for name, (ok, _)
@@ -598,6 +599,30 @@ def test_compare_kind_one_pass(tmp_path):
                and 0 < r["accepted_events"] < r["rings"] for r in records)
     assert manifest["metrics"]["peak_rss_mb"] > 0
     assert set(manifest["files"]) == {"compare.csv", "diagnostics.json"}
+
+
+def test_compare_kind_is_free_of_the_size_order(tmp_path):
+    # inverse_eps = 16, 8 writes the files and checks of 8, 16 (the table runs
+    # coarsest first whatever the order), while the sampler stages keep the
+    # config's order
+    runs = {}
+    for order in ("8, 16", "16, 8"):
+        out = tmp_path / order.replace(", ", "-")
+        cfg = out.with_suffix(".ini")
+        cfg.write_text(f"[run]\nreplicas = 24\n[compare]\ninverse_eps = {order}\n")
+        assert run_cli(["compare", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        runs[order] = ([(run_dir / name).read_bytes()
+                        for name in ("compare.csv", "diagnostics.json")],
+                       list(manifest["checks"].items()),
+                       [r["stage"] for r in manifest["metrics"]["sampler"]])
+    assert runs["8, 16"][:2] == runs["16, 8"][:2]
+    assert runs["8, 16"][2] == ["interval n=8", "interval n=16"]
+    assert runs["16, 8"][2] == ["interval n=16", "interval n=8"]
+    # the statistics behind the checks agree too, in the same order
+    assert (list(compare((16, 8), 0.0, 0.0, 0.1, 9, 24, 5)["checks"].items())
+            == list(compare((8, 16), 0.0, 0.0, 0.1, 9, 24, 5)["checks"].items()))
 
 
 def test_she_kind_reports_faults(tmp_path):

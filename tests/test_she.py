@@ -7,9 +7,10 @@ import asepkpz.engine as eng
 from asepkpz.gartner import z_field
 from asepkpz.kernels import interval_kernel_spectral
 from asepkpz.params import build_params
-from asepkpz.she import (_robin_frequency, _step_schedule, build_grid, lognormal_mean,
-                         lognormal_sampler, lognormal_second_moment, martingale_functionals,
-                         mean_field, robin_test_function, run_interval_ensemble, sample_she,
+from asepkpz.she import (COMPARE_COLUMNS, COMPARE_GRID_CELLS, _robin_frequency, _step_schedule,
+                         build_grid, compare, lognormal_mean, lognormal_sampler,
+                         lognormal_second_moment, martingale_functionals, mean_field,
+                         robin_test_function, run_interval_ensemble, sample_she,
                          sample_she_ensemble, second_moment)
 
 from oracles import second_moment_loop
@@ -381,3 +382,23 @@ def test_ensemble_runner_deterministic_across_threads():
             assert np.array_equal(a[key], b[key])
         assert (a["rings"], a["events"]) == (b["rings"], b["events"])
         assert b["martingale"] == (a["martingale"] if martingale else None)
+
+
+def test_compare_reads_the_she_variance_at_the_sites_read():
+    # at n = 12 the X = 3/8, 5/8, 7/8 of a 9-point grid fall between sites:
+    # each row reads site j = round(X n), and writes X_j = j eps and the SHE
+    # variance interpolated at X_j, not at X
+    T, X = 0.1, np.linspace(0.0, 1.0, 9)
+    result = compare((12, 24), 0.0, 0.0, T, 9, 24, 5)
+    grid = build_grid(1.0, COMPARE_GRID_CELLS, 0.0, 0.0)
+    she_mean = mean_field(lognormal_mean(grid.x), grid, T)
+    she_var = np.diag(second_moment(lognormal_second_moment(grid.x), grid, T)) - she_mean ** 2
+    assert [lead for lead, _ in result["table"]] == [(1 / 12, T), (1 / 24, T)]
+    for (_, columns), e in zip(result["table"], result["ensembles"]):
+        col = dict(zip(COMPARE_COLUMNS[2:], map(np.array, columns)))
+        j = np.round(X * e["n"]).astype(int)
+        assert np.array_equal(col["X"], j * (1.0 / e["n"]))
+        assert np.array_equal(col["asep_mean"], e["mean"][j])
+        assert np.array_equal(col["asep_var"], e["var"][j])
+        assert np.array_equal(col["she_var"], np.interp(col["X"], grid.x, she_var))
+    assert not np.array_equal(result["table"][0][1][0], X)   # n = 12 moved some X
