@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .params import (ModelParams, PhaseDiagnostics, Phase, build_params, params_from_mu,
                      phase_point, expansion_audit, equal_density_mu)
 from .engine import (Lattice, Trajectory, event_rates, simulate_replicas, state_etas,
-                     exact_generator, bernoulli_eta, alternating_eta, replica_rng)
-from .gartner import z_field
+                     exact_generator, bernoulli_eta, alternating_eta, replica_rng, z_field)
 from .kernels import (SpectralData, solve_interval_spectrum, interval_kernel_spectral,
                       interval_kernel_image, build_image_expansion, kernel_bound_audit)
 from .greens import (green_matrix, green_corner_closed_form, f_matrix, c_closed_form,

@@ -34,8 +34,7 @@ import numpy as np
 
 from . import __version__
 from .engine import (Lattice, alternating_eta, bernoulli_eta, exact_generator,
-                     simulate_replicas, state_etas)
-from .gartner import z_field
+                     simulate_replicas, state_etas, z_field)
 from .greens import (c_star_estimate, green_corner_closed_form, has_spectral_gap,
                      key_identity, summation_by_parts_audit)
 from .kernels import (build_image_expansion, image_depth, interval_kernel_image,
@@ -56,7 +55,6 @@ def _parse_list(s: str, cast=float) -> list:
 
 _ALL = ("params", "simulate", "kernel", "identities", "she", "compare", "audit-all")
 _MODEL = tuple(k for k in _ALL if k != "identities")
-_SHE_M = "she.m must be >= 8 and leave mu = 1 - slope/m in (0, 1]"
 
 
 def _finite_time(t: float) -> bool:
@@ -119,7 +117,8 @@ KEYS = [
      "c-star audit size and horizon"),
     ("identities", "cstar_tbar", "1.0", float, ("identities", "audit-all"),
      lambda t: math.isfinite(t) and t > 0, "identities.cstar_tbar must be > 0", ""),
-    ("she", "m", "32", int, ("she",), lambda m: m >= 8, _SHE_M,
+    # build_grid bounds the cells and the walls (`_validate`)
+    ("she", "m", "32", int, ("she",), None, None,
      "grid cells (mu = 1 - slope/m at each wall) and output times"),
     ("she", "output_times", "0.05, 0.1", _parse_list, ("she",),
      lambda ts: ts and all(map(_finite_time, ts)) and all(b >= a for a, b in zip(ts, ts[1:])),
@@ -317,8 +316,9 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
     """(values, problems): values[section, key] for each KEYS row that `kind` checks, parsed
     from cfg or taken from flags[section, key] where that is not None, and held to its bound;
     then the checks that span keys, on the values that passed, with the run's one build of the
-    model (values["model"]) and of the key identity's spectrum (values["identities"]).  A key
-    in cfg that no KEYS row names is a problem.  The kinds run on values and never read cfg."""
+    model (values["model"]), of the key identity's spectrum (values["identities"]) and of the
+    she kind's SHE grid (values["she"]).  A key in cfg that no KEYS row names is a problem.
+    The kinds run on values and never read cfg."""
     problems = [f"{sec}.{key} is not a config key" for sec in cfg.sections() for key in cfg[sec]
                 if not any(row[:2] == (sec, key) for row in KEYS)]
     v, failed = {}, set()
@@ -355,12 +355,15 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
                 build_params(1.0 / n, *slopes)
             except ValueError as exc:
                 problems.append(f"compare.inverse_eps = {n}: {exc}")
-        if not all(0.0 < 1.0 - (1.0 / COMPARE_GRID_CELLS) * a <= 1.0 for a in slopes):
-            problems.append(f"compare: model.slope_a, slope_b must leave mu = 1 - slope/"
-                            f"{COMPARE_GRID_CELLS} in (0, 1] on the SHE grid")
-    if ("she", "m") in v and None not in slopes and not all(  # build_grid's mu
-            0.0 < 1.0 - (1.0 / v["she", "m"]) * a <= 1.0 for a in slopes):
-        problems.append(_SHE_M)
+        try:
+            build_grid(1.0, COMPARE_GRID_CELLS, *slopes)
+        except ValueError as exc:
+            problems.append(f"compare: model.slope_a, slope_b: {exc}")
+    if ("she", "m") in v and None not in slopes:
+        try:
+            v["she"] = build_grid(1.0, v["she", "m"], *slopes)
+        except ValueError as exc:
+            problems.append(f"she.m: {exc}")
     if all(("identities", k) in v for k in ("n_sites", "cstar_n", "slope_a", "slope_b")):
         key, cstar = _identities_mus(v)
         if all(0.0 <= mu <= 1.0 for mu in key + cstar):
@@ -507,8 +510,7 @@ def run_identities(values, out, checks):
 
 
 def run_she(values, out, checks):
-    grid = build_grid(1.0, values["she", "m"], values["model", "slope_a"],
-                      values["model", "slope_b"])
+    grid = values["she"]
     times = values["she", "output_times"]
     z0 = np.ones(grid.m + 1)
     replicas = values["run", "replicas"]

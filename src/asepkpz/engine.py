@@ -19,6 +19,13 @@ every round is a piece of the sequential path, applied as dense array
 operations.  Replica i draws Exp(1) waits and uniform marks in `_Block`'s
 order from its SFC64 stream keyed by (master seed, replica index): its path
 is fixed by that key and `_BUFFER`, not by the block split or thread count.
+
+Gartner's exponential (Cole-Hopf) transform of the height function,
+Z_t(x) = exp(-lam h_t(x) + nu t) with lam = log(q/p)/2 and nu = p+q-1, is
+`z_field`.  Under the two-parameter boundary family the drift of Z equals
+Laplacian/2 with ghost values Z(-1) = mu_A Z(0) and Z(N+1) = mu_B Z(N),
+exactly, for every configuration (the tests check it per configuration with
+`drift_identity_residual` in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -41,9 +48,11 @@ __all__ = [
     "alternating_eta",
     "replica_rng",
     "map_replica_blocks",
+    "z_field",
 ]
 
 _BLOCK = 256           # most replicas one block advances
+_LOG_GUARD = 500.0     # largest |log Z| that z_field returns
 
 
 @dataclass(frozen=True)
@@ -151,6 +160,16 @@ def event_rates(eta, params: ModelParams, lattice: Lattice) -> EventRates:
     return EventRates(right=right, left=left, create_left=create_left,
                       annihilate_left=annihilate_left, create_right=create_right,
                       annihilate_right=annihilate_right)
+
+
+def z_field(h, t: float, params: ModelParams) -> np.ndarray:
+    """Z(x) = exp(-lam h(x) + nu t) from an integer height array (any leading
+    axes; t broadcasts against it).  Raises OverflowError where some
+    |log Z| > 500, beyond which Z leaves the safe float range."""
+    log_z = -params.lam * np.asarray(h).astype(float) + params.nu * t
+    if np.max(np.abs(log_z), initial=0.0) > _LOG_GUARD:
+        raise OverflowError("Z field exponent beyond safe range; work in log space")
+    return np.exp(log_z)
 
 
 def replica_rng(master_seed, replica_index: int) -> np.random.Generator:
@@ -276,8 +295,8 @@ class _Block:
         self.accepted = np.zeros(m * s, dtype=np.int64)
         self.snap_h = np.empty((m, k, n + 1), dtype=np.int64)
         if track:
-            self.theta, self.rho = -params.lam, params.nu
-            self.s_int = np.zeros((2, m * s))        # the (theta, rho) and (2 theta, 2 rho) integrals
+            self.params, self.rho = params, params.nu
+            self.s_int = np.zeros((2, m * s))        # the integrals of Z and of Z^2
             self.t_last = np.zeros(m * s)
             self.snap_s = np.empty((2, m, k, n + 1))
 
@@ -298,7 +317,7 @@ class _Block:
 
     def _increments(self, hx, t0, t1):
         """Both exponential integrals of height value hx over [t0, t1]."""
-        z = np.exp(self.theta * hx + self.rho * t0)
+        z = z_field(hx, t0, self.params)
         if self.rho == 0.0:
             return z * (t1 - t0), z * z * (t1 - t0)
         e = np.expm1(self.rho * (t1 - t0))

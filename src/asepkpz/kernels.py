@@ -227,9 +227,12 @@ def solve_interval_spectrum(n: int, mu_a: float, mu_b: float) -> SpectralData:
 # interval kernels
 
 def interval_kernel_spectral(spec: SpectralData, t: float) -> np.ndarray:
-    """p^R_t(x, y) on {0..N} as sum_k psi_k psi_k^T e^{-t lambda_k}."""
+    """p^R_t(x, y) on {0..N} as sum_k psi_k psi_k^T e^{-t lambda_k}; p_0 = I exactly
+    (the sum would leave it I up to rounding)."""
     if t < 0:
         raise ValueError("t must be >= 0")
+    if t == 0:
+        return np.eye(spec.n + 1)
     w = np.exp(-t * spec.lambdas)
     return (spec.eigvecs * w) @ spec.eigvecs.T
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (_BLOCK, Lattice, Trajectory, bernoulli_eta, map_replica_blocks,
-                     simulate_replicas)
-from .gartner import z_field
+                     simulate_replicas, z_field)
 from .kernels import SpectralData, interval_kernel_spectral, solve_interval_spectrum
 from .params import ModelParams, build_params
 
@@ -202,8 +201,6 @@ def mean_field(z0: np.ndarray, grid: SheGrid, T: float) -> np.ndarray:
     """E[Z_T] = P^R_T z0 (the stochastic convolution has zero mean)."""
     if T < 0:
         raise ValueError("T must be >= 0")
-    if T == 0:
-        return np.asarray(z0, dtype=float).copy()
     return grid.propagator(T) @ np.asarray(z0, dtype=float)
 
 

@@ -11,8 +11,7 @@ import pytest
 
 from asepkpz import cli
 from asepkpz.cli import config_hash, fmt, load_config, main, sha256_file, write_csv
-from asepkpz.engine import simulate_replicas
-from asepkpz.gartner import z_field
+from asepkpz.engine import simulate_replicas, z_field
 from asepkpz.kernels import solve_interval_spectrum
 from asepkpz.she import build_grid, compare, sample_she_ensemble
 
@@ -77,9 +76,9 @@ _HALF_LINE = "[model]\nlattice = half_line\nepsilon = 0.125\ntruncation = 16\nsl
         "audit-all", "she", "she_half_line", "compare"])
 def test_each_kind_reads_only_keys_it_checks(tmp_path, kind, ini):
     # a kind runs on the values _validate returns: every key it reads is a cli.KEYS
-    # row it checks, the model built from [model] or the spectrum built from
-    # [identities], and every section it checks, [run] aside (main reads out for
-    # every kind), it reads
+    # row it checks, the model built from [model], the spectrum built from
+    # [identities] or the grid built from [she] and [model], and every section it
+    # checks, [run] aside (main reads out for every kind), it reads
     cfg = load_config(None)
     cfg.read_string(ini)
     checked = {(sec, key) for sec, key, *_ in cli._rows(kind, cfg["model"]["lattice"])}
@@ -88,9 +87,9 @@ def test_each_kind_reads_only_keys_it_checks(tmp_path, kind, ini):
     values = _RecordingValues(values)
     values.reads = set()
     cli.KINDS[kind](values, str(tmp_path), {})
-    built = {"model", "identities"}
-    assert values.reads - built <= checked, values.reads - built - checked
-    read = {key if key in built else key[0] for key in values.reads}
+    built = {"model": {"model"}, "identities": {"identities"}, "she": {"she", "model"}}
+    assert values.reads - set(built) <= checked, values.reads - set(built) - checked
+    read = set().union(*(built.get(key, {key[0]}) for key in values.reads))
     assert {sec for sec, _ in checked} - {"run"} <= read
 
 

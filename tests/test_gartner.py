@@ -4,8 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from asepkpz.engine import Lattice, alternating_eta, bernoulli_eta, simulate_replicas
-from asepkpz.gartner import z_field
+from asepkpz.engine import Lattice, alternating_eta, bernoulli_eta, simulate_replicas, z_field
 from asepkpz.kernels import interval_kernel_spectral, solve_interval_spectrum
 from asepkpz.params import ModelParams, build_params
 
@@ -259,3 +258,13 @@ def test_z_field_overflow_guard():
     big = np.full(17, 10 ** 5, dtype=np.int64)
     with pytest.raises(OverflowError):
         z_field(big, 0.0, p)
+    # no heights pass the guard: a flush of the tracked integrals may log no moves
+    assert z_field(np.zeros((0, 17), dtype=np.int64), np.zeros((0, 17)), p).shape == (0, 17)
+
+
+def test_tracked_integrals_past_the_guard_raise():
+    # q/p = 1e-300 gives lam = -345.4, so the start's h(2) = 2 has log Z = 690.8
+    p = ModelParams.from_rates(1.0, 1e-300, 1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(OverflowError):
+        simulate_replicas(lambda rng: np.ones(2, dtype=np.int8), p, Lattice.interval(2), 1.0,
+                          [0.0, 1.0], 1, 7, track_exp_integrals=True)

@@ -378,7 +378,7 @@ def test_spectral_kernel_identity_and_longtime():
     n = 16
     spec = solve_interval_spectrum(n, 1.0, 1.0)
     k0 = interval_kernel_spectral(spec, 0.0)
-    assert np.max(np.abs(k0 - np.eye(n + 1))) <= 1e-10
+    assert np.array_equal(k0, np.eye(n + 1))
     kinf = interval_kernel_spectral(spec, 1e7)
     assert np.max(np.abs(kinf - 1.0 / (n + 1))) <= 1e-10
     # Neumann rows conserve mass

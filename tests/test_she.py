@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import asepkpz.engine as eng
-from asepkpz.gartner import z_field
+from asepkpz.engine import z_field
 from asepkpz.kernels import interval_kernel_spectral
 from asepkpz.params import build_params
 from asepkpz.she import (COMPARE_COLUMNS, COMPARE_GRID_CELLS, _robin_frequency, _step_schedule,
@@ -402,3 +402,14 @@ def test_compare_reads_the_she_variance_at_the_sites_read():
         assert np.array_equal(col["asep_var"], e["var"][j])
         assert np.array_equal(col["she_var"], np.interp(col["X"], grid.x, she_var))
     assert not np.array_equal(result["table"][0][1][0], X)   # n = 12 moved some X
+
+
+def test_compare_at_time_zero_reads_no_gap_at_the_left_wall():
+    # every replica starts with Z_0(0) = 1, and p_0 is the identity exactly, so
+    # the X = 0 row's mean gap is 0: with sigma = 0 there, any gap, one ulp
+    # too, fails the mean channel
+    result = compare((8, 16), 0.0, 0.0, 0.0, 3, 8, 3)
+    for _, columns in result["table"]:
+        col = dict(zip(COMPARE_COLUMNS[2:], columns))
+        assert col["X"][0] == 0.0 and col["mc_sigma"][0] == 0.0
+        assert col["mean_gap"][0] == 0.0
