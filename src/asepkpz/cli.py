@@ -54,7 +54,9 @@ def _parse_list(s: str, cast=float) -> list:
 
 
 _ALL = ("params", "simulate", "kernel", "identities", "she", "compare", "audit-all")
-_MODEL = tuple(k for k in _ALL if k != "identities")
+# the kinds that run the [model] model; she and compare read its slopes and lattice alone
+_MODEL = ("params", "simulate", "kernel", "audit-all")
+_SLOPES = (*_MODEL, "she", "compare")
 
 
 def _finite_time(t: float) -> bool:
@@ -83,11 +85,13 @@ KEYS = [
      "output root; the run lands in <out>/<config-hash>/"),
     ("model", "n_sites", "32", int, {"interval": _MODEL}, lambda n: n >= 1,
      "model: n_sites must be >= 1", "interval lattice size; epsilon = 1/n_sites exactly"),
-    ("model", "slope_a", "0.0", float, _MODEL, None, None, "Robin slopes (mu = 1 - eps*slope)"),
-    # she and compare read both slopes for their SHE grids on either lattice
-    ("model", "slope_b", "0.0", float, {"interval": _MODEL, "half_line": ("she", "compare")},
+    # she reads both slopes for its SHE grid on either lattice; compare refuses the
+    # half line (`_validate`) and checks no [model] or [compare] key there but lattice
+    ("model", "slope_a", "0.0", float, {"interval": _SLOPES, "half_line": (*_MODEL, "she")},
+     None, None, "Robin slopes (mu = 1 - eps*slope)"),
+    ("model", "slope_b", "0.0", float, {"interval": _SLOPES, "half_line": ("she",)},
      None, None, ""),
-    ("model", "lattice", "interval", str, _MODEL, lambda v: v in ("interval", "half_line"),
+    ("model", "lattice", "interval", str, _SLOPES, lambda v: v in ("interval", "half_line"),
      "model: unknown lattice kind {value!r}", "lattice kind: interval | half_line"),
     ("model", "epsilon", "0.03125", float, {"half_line": _MODEL}, lambda e: 0 < e <= 1,
      "model: epsilon must be in (0, 1]", "half-line only: free epsilon and truncation length"),
@@ -123,13 +127,13 @@ KEYS = [
     ("she", "output_times", "0.05, 0.1", _parse_list, ("she",),
      lambda ts: ts and all(map(_finite_time, ts)) and all(b >= a for a, b in zip(ts, ts[1:])),
      "she.output_times must list times >= 0, nondecreasing", ""),
-    ("compare", "inverse_eps", "32, 64", lambda s: _parse_list(s, int), ("compare",),
+    ("compare", "inverse_eps", "32, 64", lambda s: _parse_list(s, int), {"interval": ("compare",)},
      lambda inv: inv and min(inv) >= 1 and len(set(inv)) == len(inv),
      "compare.inverse_eps must list one or more distinct sizes >= 1",
      "epsilon list as inverse sizes, comma separated"),
-    ("compare", "t_macro", "0.1", float, ("compare",), _finite_time,
+    ("compare", "t_macro", "0.1", float, {"interval": ("compare",)}, _finite_time,
      "compare.t_macro must be >= 0", ""),
-    ("compare", "x_points", "9", int, ("compare",), lambda x: x >= 1,
+    ("compare", "x_points", "9", int, {"interval": ("compare",)}, lambda x: x >= 1,
      "compare.x_points must be >= 1", ""),
 ]
 
@@ -316,9 +320,9 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
     """(values, problems): values[section, key] for each KEYS row that `kind` checks, parsed
     from cfg or taken from flags[section, key] where that is not None, and held to its bound;
     then the checks that span keys, on the values that passed, with the run's one build of the
-    model (values["model"]), of the key identity's spectrum (values["identities"]) and of the
-    she kind's SHE grid (values["she"]).  A key in cfg that no KEYS row names is a problem.
-    The kinds run on values and never read cfg."""
+    model for a kind in _MODEL (values["model"]), of the key identity's spectrum
+    (values["identities"]) and of the she kind's SHE grid (values["she"]).  A key in cfg that
+    no KEYS row names is a problem.  The kinds run on values and never read cfg."""
     problems = [f"{sec}.{key} is not a config key" for sec in cfg.sections() for key in cfg[sec]
                 if not any(row[:2] == (sec, key) for row in KEYS)]
     v, failed = {}, set()
@@ -344,6 +348,8 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
             v["model"] = _model_from_config(v)
         except ValueError as exc:
             problems.append(f"model: {exc}")
+    if kind == "compare" and v.get(("model", "lattice")) == "half_line":
+        problems.append("model.lattice = half_line: compare runs the interval comparison alone")
     st, horizon = v.get(("simulate", "sample_times")), v.get(("simulate", "horizon_macro"))
     if st and horizon is not None and not 0.0 <= st[0] <= st[-1] <= horizon:
         problems.append("simulate.sample_times must lie in [0, horizon_macro]")
@@ -363,7 +369,7 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
         try:
             v["she"] = build_grid(1.0, v["she", "m"], *slopes)
         except ValueError as exc:
-            problems.append(f"she.m: {exc}")
+            problems.append(f"she.m, model.slope_a, slope_b: {exc}")
     if all(("identities", k) in v for k in ("n_sites", "cstar_n", "slope_a", "slope_b")):
         key, cstar = _identities_mus(v)
         if all(0.0 <= mu <= 1.0 for mu in key + cstar):

@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 _BLOCK = 256           # most replicas one block advances
-_LOG_GUARD = 500.0     # largest |log Z| that z_field returns
+# largest |log Z| that z_field returns: Z^2 <= e^700 stays finite (log DBL_MAX =
+# 709.8) with about 1.7e4 of headroom for a piece's time factor in the tracked integrals
+_LOG_GUARD = 350.0
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def event_rates(eta, params: ModelParams, lattice: Lattice) -> EventRates:
 def z_field(h, t: float, params: ModelParams) -> np.ndarray:
     """Z(x) = exp(-lam h(x) + nu t) from an integer height array (any leading
     axes; t broadcasts against it).  Raises OverflowError where some
-    |log Z| > 500, beyond which Z leaves the safe float range."""
+    |log Z| > 350, beyond which Z^2 leaves the safe float range."""
     log_z = -params.lam * np.asarray(h).astype(float) + params.nu * t
     if np.max(np.abs(log_z), initial=0.0) > _LOG_GUARD:
         raise OverflowError("Z field exponent beyond safe range; work in log space")

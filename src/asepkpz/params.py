@@ -168,22 +168,23 @@ def phase_point(params: ModelParams) -> PhaseDiagnostics:
     rho_a = 1.0 / (1.0 + a)
     rho_b = b / (1.0 + b)
     ia, ib = 1.0 / a, 1.0 / b
+    # the current is continuous across the boundaries, so it takes the non-strict
+    # rule; the phase alone reads a tie within the tolerance as Boundary
+    if ia <= min(ib, 1.0):
+        current = rho_a * (1.0 - rho_a)
+    elif ib <= min(ia, 1.0):
+        current = rho_b * (1.0 - rho_b)
+    else:
+        current = 0.25
     tol = PHASE_BOUNDARY_TOL
     if ia < min(ib, 1.0) - tol:
-        phase, current = Phase.LOW_DENSITY, rho_a * (1.0 - rho_a)
+        phase = Phase.LOW_DENSITY
     elif ib < min(ia, 1.0) - tol:
-        phase, current = Phase.HIGH_DENSITY, rho_b * (1.0 - rho_b)
+        phase = Phase.HIGH_DENSITY
     elif ia > 1.0 + tol and ib > 1.0 + tol:
-        phase, current = Phase.MAXIMAL_CURRENT, 0.25
+        phase = Phase.MAXIMAL_CURRENT
     else:
-        # Tie within tolerance; the current is continuous across boundaries.
         phase = Phase.BOUNDARY
-        if ia <= min(ib, 1.0):
-            current = rho_a * (1.0 - rho_a)
-        elif ib <= min(ia, 1.0):
-            current = rho_b * (1.0 - rho_b)
-        else:
-            current = 0.25
     return PhaseDiagnostics(a_par=a, b_par=b, rho_a=rho_a, rho_b=rho_b,
                             current=current, phase=phase)
 

@@ -449,7 +449,9 @@ def compare(inverse_eps: list[int], slope_a: float, slope_b: float, T: float, x_
     COMPARE_COLUMNS as lists read at the sites j = round(X n) for
     X = linspace(0, 1, x_points), and its mean-channel check.  The X column
     is the site read, X_j = j eps, where the SHE variance is interpolated.
-    The SHE side is mean_field and second_moment on a grid of
+    The she_mean column is the ensemble's mean_prediction, the exact ASEP
+    mean p^R_t E Z_0 on its N-site lattice.  The she_var column alone comes
+    from the SHE: second_moment less the squared mean_field on a grid of
     COMPARE_GRID_CELLS cells from the moments of the lognormal Z0 = exp(W)
     matched to the Bernoulli(1/2) start.  Returns {"table", "diagnostics"
     (the coarsest's), "ensembles", "checks"}; checks maps each name to
@@ -467,8 +469,8 @@ def compare(inverse_eps: list[int], slope_a: float, slope_b: float, T: float, x_
     checks = {"martingale_mean_3sigma": three_sigma([r["z_N"] for r in diag]),
               "martingale_gap_3sigma": three_sigma([r["z_gap"] for r in diag])}
     grid = build_grid(1.0, COMPARE_GRID_CELLS, slope_a, slope_b)
-    she_mean = mean_field(lognormal_mean(grid.x), grid, T)
-    she_var = np.diag(second_moment(lognormal_second_moment(grid.x), grid, T)) - she_mean ** 2
+    grid_mean = mean_field(lognormal_mean(grid.x), grid, T)
+    she_var = np.diag(second_moment(lognormal_second_moment(grid.x), grid, T)) - grid_mean ** 2
     X = np.linspace(0.0, 1.0, x_points)
     table, var_gaps = [], []
     for e in coarse_first:

@@ -8,7 +8,7 @@ import asepkpz
 
 def test_every_public_name_resolves():
     # a name left in a module's __all__ after its definition is deleted fails
-    # the star import; `import asepkpz` above checks the package's own imports
+    # the star import
     modules = {info.name for info in pkgutil.iter_modules(asepkpz.__path__)}
     # the package is these modules: a leftover or alias module fails here
     assert modules == {"cli", "engine", "greens", "kernels", "params", "she"}
@@ -18,6 +18,13 @@ def test_every_public_name_resolves():
             exec(f"from asepkpz.{name} import *", {})
             declaring.add(name)
     assert declaring == modules - {"cli"}
+
+
+def test_package_reexports_nothing():
+    # callers import the modules (asepkpz.cli, asepkpz.she, ...): the package
+    # itself holds its docstring and __version__, and no import
+    tree = ast.parse(Path(asepkpz.__file__).read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
 
 
 def _names_read(path: Path) -> set[str]:
@@ -36,8 +43,8 @@ def _names_read(path: Path) -> set[str]:
 
 def test_every_public_name_has_a_caller():
     # no public API that nothing calls: a name in a module's __all__ must be
-    # read by some src/ module or by perfbench/ (__init__.py's re-exports do
-    # not count); an oracle only the tests call lives in tests/oracles.py
+    # read by some src/ module or by perfbench/; an oracle only the tests call
+    # lives in tests/oracles.py
     root = Path(__file__).resolve().parent.parent
     src = sorted(p for p in (root / "src" / "asepkpz").glob("*.py") if p.name != "__init__.py")
     read = set().union(*map(_names_read, src + sorted((root / "perfbench").glob("*.py"))))

@@ -77,8 +77,9 @@ _HALF_LINE = "[model]\nlattice = half_line\nepsilon = 0.125\ntruncation = 16\nsl
 def test_each_kind_reads_only_keys_it_checks(tmp_path, kind, ini):
     # a kind runs on the values _validate returns: every key it reads is a cli.KEYS
     # row it checks, the model built from [model], the spectrum built from
-    # [identities] or the grid built from [she] and [model], and every section it
-    # checks, [run] aside (main reads out for every kind), it reads
+    # [identities] or the grid built from she.m and the slopes; and every key it
+    # checks, [run] aside (main reads out for every kind), it reads, directly or
+    # through what was built from it, model.lattice wherever a [model] row is checked
     cfg = load_config(None)
     cfg.read_string(ini)
     checked = {(sec, key) for sec, key, *_ in cli._rows(kind, cfg["model"]["lattice"])}
@@ -87,10 +88,16 @@ def test_each_kind_reads_only_keys_it_checks(tmp_path, kind, ini):
     values = _RecordingValues(values)
     values.reads = set()
     cli.KINDS[kind](values, str(tmp_path), {})
-    built = {"model": {"model"}, "identities": {"identities"}, "she": {"she", "model"}}
+    built = {"model": {("model", k) for k in ("n_sites", "slope_a", "slope_b", "epsilon",
+                                              "truncation")},
+             "identities": {("identities", k) for k in ("n_sites", "slope_a", "slope_b")},
+             "she": {("she", "m"), ("model", "slope_a"), ("model", "slope_b")}}
     assert values.reads - set(built) <= checked, values.reads - set(built) - checked
-    read = set().union(*(built.get(key, {key[0]}) for key in values.reads))
-    assert {sec for sec, _ in checked} - {"run"} <= read
+    read = set().union(*(built.get(key, {key}) for key in values.reads))
+    if any(sec == "model" for sec, _ in checked):
+        read.add(("model", "lattice"))
+    unread = {k for k in checked - read if k[0] != "run"}
+    assert not unread, unread
 
 
 def test_float_keys_reject_nan_and_inf():
@@ -207,15 +214,16 @@ def test_config_validation_errors(tmp_path, capsys):
      "compare.x_points"),
     ("params", "[model]\nn_sites = 0\n", "model: n_sites"),
     ("simulate", "[model]\nn_sites = 0\n", "model: n_sites"),
-    ("compare", "[model]\nn_sites = 0\n", "model: n_sites"),
+    # compare checks the interval theorem alone
+    ("compare", "[model]\nlattice = half_line\n", "model.lattice"),
     ("audit-all", "[model]\nn_sites = 0\n", "model: n_sites"),
     ("identities", "[identities]\ncstar_n = 1\n", "identities.cstar_n"),
     ("identities", "[identities]\ncstar_tbar = -1\n", "identities.cstar_tbar"),
     ("audit-all", "[identities]\ncstar_tbar = 0\n", "identities.cstar_tbar"),
     ("compare", "[run]\nreplicas = 3\n[compare]\ninverse_eps = 8, 16\n", "run.replicas"),
     ("she", "[she]\nm = 4\n", "she.m"),
-    # a valid model (mu_A = 0.99 at N = 1000) whose slope is too steep for 8 cells
-    ("she", "[model]\nn_sites = 1000\nslope_a = 10.0\n[she]\nm = 8\n", "she.m"),
+    # a slope too steep for 8 cells: mu_A = 1 - 10/8 < 0
+    ("she", "[model]\nslope_a = 10.0\n[she]\nm = 8\n", "she.m"),
     ("she", "[she]\noutput_times =\n", "she.output_times"),
     ("she", "[she]\noutput_times = -0.05, 0.1\n", "she.output_times"),
     ("she", "[she]\noutput_times = 0.1, 0.05\n", "she.output_times"),
@@ -253,15 +261,15 @@ def test_config_validation_errors(tmp_path, capsys):
     ("params", "[run]\nthreads = abc\n", "run.threads"),
     ("params", "[run]\nthreads = 0\n", "run.threads"),
     ("compare --seed -1", "", "run.seed"),
-    # [model] is valid (mu_A = 0.99 at N = 1000), but compare runs N = 8 and 16
-    ("compare", "[model]\nn_sites = 1000\nslope_a = 10\n[compare]\ninverse_eps = 8, 16\n",
+    # the 64-cell SHE grid takes slope 10, but the sizes N = 8 and 16 do not
+    ("compare", "[model]\nslope_a = 10\n[compare]\ninverse_eps = 8, 16\n",
      "compare.inverse_eps = 8"),
     ("compare", "[model]\nslope_b = 5\n[compare]\ninverse_eps = 4, 32\n",
      "compare.inverse_eps = 4"),
 ], ids=["inverse_eps_zero", "inverse_eps_empty", "compare_repeated_size",
         "identities_n_sites_1", "compare_replicas_1", "she_replicas_1", "x_points_zero",
         "params_n_sites_0",
-        "simulate_n_sites_0", "compare_n_sites_0", "audit_all_n_sites_0", "cstar_n_1",
+        "simulate_n_sites_0", "compare_half_line", "audit_all_n_sites_0", "cstar_n_1",
         "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3", "she_m_4",
         "she_mu_outside", "she_output_times_empty", "she_output_times_negative",
         "she_output_times_decreasing", "kernel_time_negative", "kernel_time_1e300",
@@ -297,6 +305,22 @@ def test_empty_lists_exit_two_before_work(tmp_path, capsys, sec, key, kind):
     assert run_cli([kind, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"config error: {sec}.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, ini, artifact", [
+    ("she", "[she]\nm = 32\n", "she_moments.csv"),
+    ("compare", "[compare]\ninverse_eps = 256\nt_macro = 0\nx_points = 3\n", "compare.csv"),
+], ids=["she", "compare"])
+def test_she_and_compare_ignore_the_model_size(tmp_path, capsys, kind, ini, artifact):
+    # slope 6 fits the 32-cell grid (mu = 0.8125), the 64-cell grid and N = 256, not
+    # the default n_sites = 32 (mu_A = 0.8125 < e^-sqrt(1/32)), which neither kind runs;
+    # exit 1 is a statistical check failed on 4 replicas, which this does not judge
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[run]\nreplicas = 4\n[model]\nslope_a = 6\n" + ini)
+    out = tmp_path / "runs"
+    assert run_cli([kind, "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert "config error" not in capsys.readouterr().err
+    assert [p.name for p in out.glob(f"*/{artifact}")] == [artifact]
 
 
 def test_kernel_image_depth_follows_the_times(tmp_path, monkeypatch):
@@ -904,12 +928,14 @@ def test_audit_all_builds_each_exact_object_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind, ini, builds", [
     ("params", _SMALL, 4), ("simulate", "[run]\nreplicas = 2\n" + _SMALL, 1),
-    ("kernel", _SMALL, 1), ("she", "[run]\nreplicas = 4\n[she]\nm = 8\n", 1),
+    ("kernel", _SMALL, 1), ("she", "[run]\nreplicas = 4\n[she]\nm = 8\n", 0),
     ("audit-all", _SMALL, 4),
-], ids=["params", "simulate", "kernel", "she", "audit-all"])
+    ("compare", "[run]\nreplicas = 4\n[compare]\ninverse_eps = 4, 8\n", 4),
+], ids=["params", "simulate", "kernel", "she", "audit-all", "compare"])
 def test_each_kind_builds_its_model_once(tmp_path, monkeypatch, kind, ini, builds):
     # _validate builds the model once and the run reads that build; params, and
-    # audit-all through it, adds the three epsilons of expansion_audit
+    # audit-all through it, adds the three epsilons of expansion_audit.  she builds
+    # none, and compare two per size: _validate's check, then run_interval_ensemble's
     from asepkpz import params
 
     calls = []

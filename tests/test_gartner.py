@@ -263,8 +263,11 @@ def test_z_field_overflow_guard():
 
 
 def test_tracked_integrals_past_the_guard_raise():
-    # q/p = 1e-300 gives lam = -345.4, so the start's h(2) = 2 has log Z = 690.8
-    p = ModelParams.from_rates(1.0, 1e-300, 1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(OverflowError):
-        simulate_replicas(lambda rng: np.ones(2, dtype=np.int8), p, Lattice.interval(2), 1.0,
-                          [0.0, 1.0], 1, 7, track_exp_integrals=True)
+    # q/p = 1e-300 gives lam = -345.4, so the start's h(2) = 2 has log Z = 690.8;
+    # q/p = 1e-320 gives lam = -368.4 and h(1) = 1 a log Z past log(DBL_MAX)/2 = 354.9,
+    # where Z is finite and the integral of Z^2 is not
+    for q, eta in ((1e-300, [1, 1]), (1e-320, [1, -1])):
+        p = ModelParams.from_rates(1.0, q, 1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(OverflowError):
+            simulate_replicas(lambda rng: np.array(eta, dtype=np.int8), p, Lattice.interval(2),
+                              1.0, [0.0, 1.0], 1, 7, track_exp_integrals=True)

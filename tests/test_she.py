@@ -387,12 +387,12 @@ def test_ensemble_runner_deterministic_across_threads():
 def test_compare_reads_the_she_variance_at_the_sites_read():
     # at n = 12 the X = 3/8, 5/8, 7/8 of a 9-point grid fall between sites:
     # each row reads site j = round(X n), and writes X_j = j eps and the SHE
-    # variance interpolated at X_j, not at X
+    # variance interpolated at X_j, not at X; she_mean is the exact ASEP mean there
     T, X = 0.1, np.linspace(0.0, 1.0, 9)
     result = compare((12, 24), 0.0, 0.0, T, 9, 24, 5)
     grid = build_grid(1.0, COMPARE_GRID_CELLS, 0.0, 0.0)
-    she_mean = mean_field(lognormal_mean(grid.x), grid, T)
-    she_var = np.diag(second_moment(lognormal_second_moment(grid.x), grid, T)) - she_mean ** 2
+    grid_mean = mean_field(lognormal_mean(grid.x), grid, T)
+    she_var = np.diag(second_moment(lognormal_second_moment(grid.x), grid, T)) - grid_mean ** 2
     assert [lead for lead, _ in result["table"]] == [(1 / 12, T), (1 / 24, T)]
     for (_, columns), e in zip(result["table"], result["ensembles"]):
         col = dict(zip(COMPARE_COLUMNS[2:], map(np.array, columns)))
@@ -400,6 +400,7 @@ def test_compare_reads_the_she_variance_at_the_sites_read():
         assert np.array_equal(col["X"], j * (1.0 / e["n"]))
         assert np.array_equal(col["asep_mean"], e["mean"][j])
         assert np.array_equal(col["asep_var"], e["var"][j])
+        assert np.array_equal(col["she_mean"], e["mean_prediction"][j])
         assert np.array_equal(col["she_var"], np.interp(col["X"], grid.x, she_var))
     assert not np.array_equal(result["table"][0][1][0], X)   # n = 12 moved some X
 
