@@ -54,7 +54,8 @@ def _parse_list(s: str, cast=float) -> list:
 
 
 _ALL = ("params", "simulate", "kernel", "identities", "she", "compare", "audit-all")
-# the kinds that run the [model] model; she and compare read its slopes and lattice alone
+# the kinds that run the [model] model; she and compare read its slopes and lattice
+# alone, and refuse the half line (`_validate`)
 _MODEL = ("params", "simulate", "kernel", "audit-all")
 _SLOPES = (*_MODEL, "she", "compare")
 
@@ -85,12 +86,9 @@ KEYS = [
      "output root; the run lands in <out>/<config-hash>/"),
     ("model", "n_sites", "32", int, {"interval": _MODEL}, lambda n: n >= 1,
      "model: n_sites must be >= 1", "interval lattice size; epsilon = 1/n_sites exactly"),
-    # she reads both slopes for its SHE grid on either lattice; compare refuses the
-    # half line (`_validate`) and checks no [model] or [compare] key there but lattice
-    ("model", "slope_a", "0.0", float, {"interval": _SLOPES, "half_line": (*_MODEL, "she")},
+    ("model", "slope_a", "0.0", float, {"interval": _SLOPES, "half_line": _MODEL},
      None, None, "Robin slopes (mu = 1 - eps*slope)"),
-    ("model", "slope_b", "0.0", float, {"interval": _SLOPES, "half_line": ("she",)},
-     None, None, ""),
+    ("model", "slope_b", "0.0", float, {"interval": _SLOPES}, None, None, ""),
     ("model", "lattice", "interval", str, _SLOPES, lambda v: v in ("interval", "half_line"),
      "model: unknown lattice kind {value!r}", "lattice kind: interval | half_line"),
     ("model", "epsilon", "0.03125", float, {"half_line": _MODEL}, lambda e: 0 < e <= 1,
@@ -122,9 +120,9 @@ KEYS = [
     ("identities", "cstar_tbar", "1.0", float, ("identities", "audit-all"),
      lambda t: math.isfinite(t) and t > 0, "identities.cstar_tbar must be > 0", ""),
     # build_grid bounds the cells and the walls (`_validate`)
-    ("she", "m", "32", int, ("she",), None, None,
+    ("she", "m", "32", int, {"interval": ("she",)}, None, None,
      "grid cells (mu = 1 - slope/m at each wall) and output times"),
-    ("she", "output_times", "0.05, 0.1", _parse_list, ("she",),
+    ("she", "output_times", "0.05, 0.1", _parse_list, {"interval": ("she",)},
      lambda ts: ts and all(map(_finite_time, ts)) and all(b >= a for a, b in zip(ts, ts[1:])),
      "she.output_times must list times >= 0, nondecreasing", ""),
     ("compare", "inverse_eps", "32, 64", lambda s: _parse_list(s, int), {"interval": ("compare",)},
@@ -348,8 +346,8 @@ def _validate(cfg, kind: str, flags: dict | None = None) -> tuple[dict, list[str
             v["model"] = _model_from_config(v)
         except ValueError as exc:
             problems.append(f"model: {exc}")
-    if kind == "compare" and v.get(("model", "lattice")) == "half_line":
-        problems.append("model.lattice = half_line: compare runs the interval comparison alone")
+    if kind in ("she", "compare") and v.get(("model", "lattice")) == "half_line":
+        problems.append(f"model.lattice = half_line: {kind} runs on the interval alone")
     st, horizon = v.get(("simulate", "sample_times")), v.get(("simulate", "horizon_macro"))
     if st and horizon is not None and not 0.0 <= st[0] <= st[-1] <= horizon:
         problems.append("simulate.sample_times must lie in [0, horizon_macro]")
@@ -466,9 +464,9 @@ def run_kernel(values, out, checks):
     audits = kernel_bound_audit(spec, params.epsilon)
     bound_audit_s = time.perf_counter() - t0
     with open(os.path.join(out, "bound_audits.json"), "w") as fh:
-        fh.write(json.dumps([a.as_dict() for a in audits], indent=2))
+        fh.write(json.dumps(audits, indent=2))
     checks["image_vs_spectral"] = ok
-    checks["bound_audits_stable"] = all(a.stable for a in audits)
+    checks["bound_audits_stable"] = all(a["stable"] for a in audits)
     return {"kernel": {"bound_audit_s": bound_audit_s}}
 
 

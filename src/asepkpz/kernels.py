@@ -216,8 +216,10 @@ def solve_interval_spectrum(n: int, mu_a: float, mu_b: float) -> SpectralData:
     c = np.divide(np.cos(omegas) - mu_a, np.sin(omegas), out=np.zeros(n + 1), where=omegas > 0)
     wx = np.outer(omegas, np.arange(n + 1))
     rows = np.cos(wx) + c[:, None] * np.sin(wx)
-    # one norm per contiguous row: a norm along an axis sums in another order
-    norms = np.array([np.linalg.norm(v) for v in rows])
+    # np.linalg.norm of a row is sqrt of its BLAS ddot with itself, and vecdot calls
+    # that ddot once per contiguous row: the same bits (a norm along an axis sums in
+    # another order)
+    norms = np.sqrt(np.vecdot(rows, rows))
     eigvecs = np.ascontiguousarray((rows / norms[:, None]).T)
     return SpectralData(n=n, mu_a=mu_a, mu_b=mu_b, omegas=omegas,
                         lambdas=lambdas, eigvecs=eigvecs)
@@ -316,21 +318,11 @@ def interval_kernel_image(expansion: ImageExpansion, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bound audits
 
-@dataclass
-class BoundAudit:
-    name: str
-    constant: float          # fitted C on the coarse grid
-    constant_refined: float  # fitted C with grid density doubled
-    stable: bool             # refined max <= 2x coarse max
-
-    def as_dict(self) -> dict:
-        return {"bound": self.name, "constant": self.constant,
-                "constant_refined": self.constant_refined, "stable": self.stable}
-
-
-def _audits(ratios_at, coarse, fine) -> list[BoundAudit]:
-    """One BoundAudit per bound; ratios_at(t) maps each bound to its ratios at
-    time t, one per variant, and runs once at each distinct time of both grids."""
+def _audits(ratios_at, coarse, fine) -> list[dict]:
+    """One record per bound: its name, the fitted constant C on the coarse grid, C
+    with the grid density doubled, and stable, the refined C <= 2x the coarse C.
+    ratios_at(t) maps each bound to its ratios at time t, one per variant, and
+    runs once at each distinct time of both grids."""
     at = {}
     for t in (*coarse, *fine):
         if t not in at:
@@ -339,12 +331,12 @@ def _audits(ratios_at, coarse, fine) -> list[BoundAudit]:
     for name in at[coarse[0]]:
         c = float(np.max([r for t in coarse for r in at[t][name]]))
         cf = float(np.max([r for t in fine for r in at[t][name]]))
-        audits.append(BoundAudit(name=name, constant=c, constant_refined=cf,
-                                 stable=bool(cf <= 2.0 * max(c, 1e-300))))
+        audits.append({"bound": name, "constant": c, "constant_refined": cf,
+                       "stable": bool(cf <= 2.0 * max(c, 1e-300))})
     return audits
 
 
-def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> list[BoundAudit]:
+def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> list[dict]:
     """Numerical audits of the heat-kernel estimates on both geometries.
 
     The interval kernels come from `spec`; the half-line kernels use its

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from asepkpz.kernels import (BoundAudit, ImageExpansion, SpectralData, _row_length,
-                             _support_radius, halfline_robin_row, interval_kernel_spectral)
+from asepkpz.kernels import (ImageExpansion, SpectralData, _row_length, _support_radius,
+                             halfline_robin_row, interval_kernel_spectral)
 
 
 def free_walk_row(t: float, n_max: int) -> np.ndarray:
@@ -63,14 +63,14 @@ def build_image_expansion(n: int, mu_a: float, mu_b: float, depth: int) -> Image
     return ImageExpansion(n=n, mu_a=mu_a, mu_b=mu_b, depth=depth, phi=phi, offset=off)
 
 
-def _audit_from_ratio_fn(name: str, ratio_fn, coarse_grid, fine_grid) -> BoundAudit:
+def _audit_from_ratio_fn(name: str, ratio_fn, coarse_grid, fine_grid) -> dict:
     c = float(np.max([ratio_fn(*g) for g in coarse_grid]))
     cf = float(np.max([ratio_fn(*g) for g in fine_grid]))
-    return BoundAudit(name=name, constant=c, constant_refined=cf,
-                      stable=bool(cf <= 2.0 * max(c, 1e-300)))
+    return {"bound": name, "constant": c, "constant_refined": cf,
+            "stable": bool(cf <= 2.0 * max(c, 1e-300))}
 
 
-def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> list[BoundAudit]:
+def kernel_bound_audit(spec: SpectralData, eps: float, t_bar: float = 1.0) -> list[dict]:
     """The bound audits with one ratio call per grid point; a half-line row per x."""
     n, mu_a = spec.n, spec.mu_a
     t_max = t_bar / (eps * eps)

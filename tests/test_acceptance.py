@@ -188,8 +188,8 @@ def test_criterion_06_kernel_structure():
         # bound audits: finite, grid-stable constants
         audits = kernel_bound_audit(spec_r, 1.0 / 32, t_bar=1.0)
         for a in audits:
-            ok &= bool(np.isfinite(a.constant)) and a.stable
-            detail.append(f"{a.name}:C={a.constant:.3g}")
+            ok &= bool(np.isfinite(a["constant"])) and a["stable"]
+            detail.append(f"{a['bound']}:C={a['constant']:.3g}")
     report(6, ok, 60.0, t.elapsed, "; ".join(detail))
 
 

@@ -70,10 +70,9 @@ _HALF_LINE = "[model]\nlattice = half_line\nepsilon = 0.125\ntruncation = 16\nsl
     ("simulate", "[run]\nreplicas = 2\n" + _HALF_LINE),
     ("kernel", _SMALL), ("identities", _SMALL), ("audit-all", _SMALL),
     ("she", "[run]\nreplicas = 4\n[she]\nm = 8\n"),
-    ("she", "[run]\nreplicas = 4\n[she]\nm = 8\n" + _HALF_LINE),
     ("compare", "[run]\nreplicas = 4\n[compare]\ninverse_eps = 4, 8\n"),
 ], ids=["params", "params_half_line", "simulate", "simulate_half_line", "kernel", "identities",
-        "audit-all", "she", "she_half_line", "compare"])
+        "audit-all", "she", "compare"])
 def test_each_kind_reads_only_keys_it_checks(tmp_path, kind, ini):
     # a kind runs on the values _validate returns: every key it reads is a cli.KEYS
     # row it checks, the model built from [model], the spectrum built from
@@ -214,8 +213,10 @@ def test_config_validation_errors(tmp_path, capsys):
      "compare.x_points"),
     ("params", "[model]\nn_sites = 0\n", "model: n_sites"),
     ("simulate", "[model]\nn_sites = 0\n", "model: n_sites"),
-    # compare checks the interval theorem alone
-    ("compare", "[model]\nlattice = half_line\n", "model.lattice"),
+    # she and compare check the interval theorem alone
+    ("she", "[run]\nreplicas = 4\n[she]\nm = 8\n" + _HALF_LINE,
+     "model.lattice = half_line: she"),
+    ("compare", "[model]\nlattice = half_line\n", "model.lattice = half_line: compare"),
     ("audit-all", "[model]\nn_sites = 0\n", "model: n_sites"),
     ("identities", "[identities]\ncstar_n = 1\n", "identities.cstar_n"),
     ("identities", "[identities]\ncstar_tbar = -1\n", "identities.cstar_tbar"),
@@ -269,7 +270,8 @@ def test_config_validation_errors(tmp_path, capsys):
 ], ids=["inverse_eps_zero", "inverse_eps_empty", "compare_repeated_size",
         "identities_n_sites_1", "compare_replicas_1", "she_replicas_1", "x_points_zero",
         "params_n_sites_0",
-        "simulate_n_sites_0", "compare_half_line", "audit_all_n_sites_0", "cstar_n_1",
+        "simulate_n_sites_0", "she_half_line", "compare_half_line", "audit_all_n_sites_0",
+        "cstar_n_1",
         "cstar_tbar_negative", "cstar_tbar_zero", "compare_replicas_3", "she_m_4",
         "she_mu_outside", "she_output_times_empty", "she_output_times_negative",
         "she_output_times_decreasing", "kernel_time_negative", "kernel_time_1e300",
